@@ -85,13 +85,13 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", parser_class=_Parser,
                                 required=True, metavar="COMMAND")
 
-    def common(p: argparse.ArgumentParser):
+    def common(p, truncation_help="series truncation (default auto)"):
         p.add_argument("--out", default=None, metavar="PATH",
                        help="write output here instead of stdout")
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="output format (default csv)")
         p.add_argument("--truncation", type=_parse_truncation, default=None,
-                       metavar="N|auto", help="series truncation (default auto)")
+                       metavar="N|auto", help=truncation_help)
 
     p1 = sub.add_parser("fig1", help="Mandel Q of the coherent family vs lambda")
     p1.add_argument("--alpha", action="append", type=_parse_complex,
@@ -99,7 +99,7 @@ def _build_parser() -> _Parser:
                     help="amplitude, repeatable (default 1, 2, -1, -2)")
     p1.add_argument("--grid", type=_parse_grid, default=(0.0, 5.0, 200),
                     metavar="MIN:MAX:STEPS", help="lambda grid (default 0:5:200)")
-    common(p1)
+    common(p1, "cap on the moment sum (default auto: to a 1e-12 tail)")
 
     p2 = sub.add_parser("fig2", help="quadrature variances of the squeezed "
                                      "family vs xi")

@@ -18,18 +18,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .specfun import (LogValue, laguerre0_log, log_factorial_table,
+from .specfun import (LogValue, _laguerre_table, log_factorial_table,
                       logsumexp_positive)
 
 
 class LambdaBasis:
     """Immutable container for one deformation parameter.
 
-    Holds lam, the table of log Laguerre values up to max_n, and lazy caches
-    for expansion rows and the Gram matrix. Cache fills are idempotent, so the
-    object is observationally immutable and safe to share.
+    Holds lam, the tables of log Laguerre values ln L_n and ladder ratios
+    rho_n = sqrt(L_{n-1}/L_n) up to max_n, and lazy caches for expansion rows
+    and the Gram matrix. Cache fills are idempotent, so the object is
+    observationally immutable and safe to share.
 
     Parameters
     ----------
@@ -44,9 +44,9 @@ class LambdaBasis:
             raise ValueError("max_n must be positive")
         self.lam = float(lam)
         self.max_n = int(max_n)
-        self.log_laguerre = np.array(
-            [laguerre0_log(n, self.lam) for n in range(self.max_n + 1)])
+        self.log_laguerre, self.rho = _laguerre_table(self.lam, self.max_n)
         self.log_laguerre.setflags(write=False)
+        self.rho.setflags(write=False)
         self._rows: dict[int, np.ndarray] = {}
         self._gram: np.ndarray | None = None
 
@@ -176,18 +176,14 @@ def ladder_down(n: int, basis: LambdaBasis) -> tuple[float, int]:
     basis._check(n)
     if n == 0:
         return 0.0, -1
-    lL = basis.log_laguerre
-    coef = math.sqrt(n) * math.exp(0.5 * float(lL[n - 1] - lL[n]))
-    return coef, n - 1
+    return math.sqrt(n) * float(basis.rho[n]), n - 1
 
 
 def ladder_up(n: int, basis: LambdaBasis) -> tuple[float, int]:
     """Coefficient and index in (a_dag + lam)|n>_lam = coef |n+1>_lam."""
     basis._check(n)
     basis._check(n + 1, "raised index")
-    lL = basis.log_laguerre
-    coef = math.sqrt(n + 1.0) * math.exp(0.5 * float(lL[n + 1] - lL[n]))
-    return coef, n + 1
+    return math.sqrt(n + 1.0) / float(basis.rho[n + 1]), n + 1
 
 
 def iterated_lowering_norm(n: int, basis: LambdaBasis) -> float:
@@ -218,66 +214,25 @@ def raising_scalar(n: int, k: int, basis: LambdaBasis) -> float:
 
 
 def matel_creation_power(m: int, n: int, k: int, basis: LambdaBasis) -> float:
-    """<m| (a_dag + lam)^k |n> between deformed basis states.
-
-    Closed form: (n+k)! sqrt(m!/(n! L_n L_m)) *
-    sum_l lam^{2l+m-n-k} / [l! (n+k-l)! (m-n-k+l)!],
-    l over max(0, n+k-m) <= l <= n+k.
-    """
-    basis._check(m)
-    basis._check(n + k, "raised index")
-    if basis.lam == 0.0:
-        if m != n + k:
-            return 0.0
-        lf = log_factorial_table(n + k)
-        return math.exp(0.5 * float(lf[n + k] - lf[n]))
-    top = n + k
-    lf = log_factorial_table(max(m, top))
-    l = np.arange(max(0, top - m), top + 1)
-    logs = (2 * l + m - top) * math.log(abs(basis.lam)) \
-        - lf[l] - lf[top - l] - lf[m - top + l]
-    mag = logsumexp_positive(logs) + float(lf[top]) \
-        + 0.5 * (float(lf[m] - lf[n])
-                 - float(basis.log_laguerre[n] + basis.log_laguerre[m]))
-    return LogValue(mag, _sign_for_parity(basis.lam, m - top)).value()
+    """<m| (a_dag + lam)^k |n> between deformed basis states."""
+    return matel_normal_ordered(m, n, k, 0, basis)
 
 
 def matel_annihilation_power(m: int, n: int, k: int, basis: LambdaBasis) -> float:
-    """<m| a^k |n> between deformed basis states; 0 when k > n.
-
-    Closed form: sqrt(m! n!/(L_n L_m)) *
-    sum_l lam^{2l+m-n+k} / [l! (n-k-l)! (m-n+k+l)!],
-    l over max(0, n-k-m) <= l <= n-k.
-    """
-    basis._check(m)
-    basis._check(n)
-    if k > n:
-        return 0.0
-    if basis.lam == 0.0:
-        if m != n - k:
-            return 0.0
-        lf = log_factorial_table(n)
-        return math.exp(0.5 * float(lf[n] - lf[n - k]))
-    low = n - k
-    lf = log_factorial_table(max(m, n))
-    l = np.arange(max(0, low - m), low + 1)
-    logs = (2 * l + m - low) * math.log(abs(basis.lam)) \
-        - lf[l] - lf[low - l] - lf[m - low + l]
-    mag = logsumexp_positive(logs) \
-        + 0.5 * (float(lf[m] + lf[n])
-                 - float(basis.log_laguerre[n] + basis.log_laguerre[m]))
-    return LogValue(mag, _sign_for_parity(basis.lam, m - low)).value()
+    """<m| a^k |n> between deformed basis states; 0 when k > n."""
+    return matel_normal_ordered(m, n, 0, k, basis)
 
 
 def matel_normal_ordered(m: int, n: int, r: int, k: int, basis: LambdaBasis) -> float:
     """<m| (a_dag + lam)^r a^k |n> between deformed basis states.
 
     Closed form: [(n-k+r)!/(n-k)!] sqrt(n! m!/(L_m L_n)) *
-    sum_l lam^{2l+m-n+k-r} / [l! (n-k+r-l)! (m-n+k-r+l)!].
-    Reduces to matel_creation_power at k = 0 and matel_annihilation_power at
-    r = 0; returns 0 when k > n.
+    sum_l lam^{2l+m-n+k-r} / [l! (n-k+r-l)! (m-n+k-r+l)!],
+    l over max(0, n-k+r-m) <= l <= n-k+r; returns 0 when k > n. At k = 0 it
+    is matel_creation_power, at r = 0 matel_annihilation_power.
     """
     basis._check(m)
+    basis._check(n)
     if k > n:
         return 0.0
     basis._check(n - k + r, "raised index")
@@ -333,10 +288,9 @@ def gram(basis: LambdaBasis, size: int) -> np.ndarray:
         else:
             lf = log_factorial_table(size - 1)[: size]
             lL = basis.log_laguerre[:size]
+            rho = basis.rho[:size]
             n = np.arange(size)
             sqrtn = np.sqrt(n.astype(float))
-            rho = np.ones(size)
-            rho[1:] = np.exp(0.5 * (lL[:-1] - lL[1:]))
             signs = np.where(n % 2 == 0, 1.0, math.copysign(1.0, lam))
             G = np.empty((size, size))
             G[0] = signs * np.exp(n * math.log(abs(lam))
@@ -364,6 +318,7 @@ def to_lambda(v: np.ndarray, basis: LambdaBasis) -> np.ndarray:
     Solves the triangular system E^T c = v; exact inverse of
     LambdaExpansion.to_standard for vectors inside the horizon.
     """
+    from scipy.linalg import solve_triangular
     v = np.asarray(v, dtype=complex)
     d = v.shape[0]
     E = expansion_matrix(basis, d)

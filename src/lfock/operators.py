@@ -6,7 +6,8 @@ machinery also powers the operator-form state constructions (displaced and
 squeezed vacua), so it is production code, not test-only scaffolding.
 
 Dense matrices only. N stays in the low hundreds, where sparsity buys nothing
-and dense keeps the computations obviously correct.
+and dense keeps the computations obviously correct. scipy.linalg is imported
+on first use: most commands never need it, and it dominates import time.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 
 class TruncationError(RuntimeError):
@@ -53,6 +53,7 @@ def number_operator(N: int) -> np.ndarray:
 
 def expm_apply(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """e^M v by scaling-and-squaring on the dense matrix."""
+    from scipy.linalg import expm
     out = expm(np.asarray(M, dtype=complex)) @ np.asarray(v, dtype=complex)
     if not np.all(np.isfinite(out)):
         raise TruncationError("matrix exponential did not converge; "
@@ -62,6 +63,7 @@ def expm_apply(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def displacement(alpha: complex, N: int) -> np.ndarray:
     """D(alpha) = expm(alpha a_dag - conj(alpha) a)."""
+    from scipy.linalg import expm
     a, a_dag, _ = build_ladders(N)
     return expm(alpha * a_dag - np.conj(alpha) * a)
 
@@ -69,6 +71,7 @@ def displacement(alpha: complex, N: int) -> np.ndarray:
 def squeeze(xi: complex, N: int) -> np.ndarray:
     """expm(xi (a_dag)^2 / 2). Not unitary; acts on the vacuum to produce the
     even squeezed series xi^n sqrt((2n-1)!!/(2n)!!) on |2n>."""
+    from scipy.linalg import expm
     _, a_dag, _ = build_ladders(N)
     return expm(0.5 * xi * (a_dag @ a_dag))
 

@@ -115,6 +115,29 @@ def laguerre0_log(n: int, lam: float) -> float:
     return logsumexp_positive(logs)
 
 
+def _laguerre_table(lam: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """ln L_n(-lambda^2) and rho_n = sqrt(L_{n-1}/L_n), n <= n_max, in O(n_max).
+
+    With s_n = L_n/L_{n-1} - 1 the three-term recurrence (DLMF 18.9.1) takes
+    the positive form s_1 = lam^2, s_{n+1} = (lam^2 + n s_n/(1+s_n))/(n+1).
+    L_n(-lam^2) is the dominant solution, so the forward pass is stable, and
+    ln L_n = sum_{k<=n} log1p(s_k) has only positive terms, summed with Kahan
+    compensation, so it keeps full relative precision as lam -> 0 and about
+    one ulp of the log at large n. rho_0 = 1 by convention; laguerre0_log is
+    the independent oracle.
+    """
+    x = lam * lam
+    s = np.zeros(n_max + 1)
+    log_lag = np.zeros(n_max + 1)
+    total = comp = 0.0
+    for k in range(1, n_max + 1):
+        s[k] = x if k == 1 else (x + (k - 1) * s[k - 1] / (1.0 + s[k - 1])) / k
+        y = math.log1p(s[k]) - comp
+        total, comp = total + y, ((total + y) - total) - y
+        log_lag[k] = total
+    return log_lag, 1.0 / np.sqrt(1.0 + s)
+
+
 def laguerre0(n: int, lam: float) -> float:
     """L_n^{(0)}(-lambda^2) as a plain float.
 

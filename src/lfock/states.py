@@ -36,9 +36,10 @@ class DomainError(ValueError):
 class LambdaCoherent:
     """Eigenvector of a with eigenvalue alpha, expanded over |n>_lam.
 
-    The expansion holds the bare coefficients C_n = C_0 alpha^n sqrt(L_n/n!);
-    any accumulated global phase (from time evolution) is carried separately
-    in `phase` so the coefficient invariant stays intact.
+    (alpha, basis) name the exact eigenvector, whose statistics come from
+    closed forms; the expansion, C_n = C_0 alpha^n sqrt(L_n/n!) up to the
+    truncation, is only storage for to_standard. Any accumulated global phase
+    (from time evolution) is carried separately in `phase`.
     """
 
     alpha: complex
@@ -72,21 +73,22 @@ class LambdaSqueezed:
 
 
 def _coherent_coeffs(alpha: complex, basis: LambdaBasis, N: int) -> np.ndarray:
-    """C_n for n < N by the ratio recurrence C_n = C_{n-1} alpha rho_n/sqrt(n)
-    with rho_n = sqrt(L_n/L_{n-1})."""
-    lam = basis.lam
-    c = np.zeros(N, dtype=complex)
-    c0 = math.exp(-lam * (alpha.real if isinstance(alpha, complex) else alpha)
-                  - abs(alpha) ** 2 / 2.0)
-    if c0 == 0.0:
+    """C_n = C_0 alpha^n sqrt(L_n/n!) for n < N and alpha != 0.
+
+    Magnitudes are summed in log space and only the unit phase
+    (alpha/|alpha|)^n is accumulated as a product, so nothing can overflow
+    before the final exponential.
+    """
+    log_c0 = -basis.lam * alpha.real - abs(alpha) ** 2 / 2.0
+    if math.exp(log_c0) == 0.0:
         raise DomainError("normalization constant exp(-lam Re a - |a|^2/2) "
                           "underflows for these parameters")
-    c[0] = c0
-    lL = basis.log_laguerre
-    for n in range(1, N):
-        c[n] = c[n - 1] * alpha \
-            * math.exp(0.5 * float(lL[n] - lL[n - 1])) / math.sqrt(n)
-    return c
+    n = np.arange(N)
+    logs = log_c0 + n * math.log(abs(alpha)) \
+        + 0.5 * (basis.log_laguerre[:N] - log_factorial_table(N - 1))
+    phases = np.ones(N, dtype=complex)
+    phases[1:] = np.cumprod(np.full(N - 1, alpha / abs(alpha)))
+    return np.exp(logs) * phases
 
 
 def lambda_coherent(alpha: complex, basis: LambdaBasis,

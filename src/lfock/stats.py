@@ -17,6 +17,7 @@ import numpy as np
 from . import operators
 from .fock import LambdaBasis, LambdaExpansion, gram
 from .specfun import log_factorial_table
+from .states import LambdaCoherent
 
 _TAIL_TOL = 1e-12
 _NORM_TOL = 1e-8
@@ -45,83 +46,82 @@ class QuadratureReport:
     product: float
 
 
-def p_lambda(m: int, alpha: complex, basis: LambdaBasis) -> float:
-    """P_lambda(m) = |<m|_lam |alpha, lam>|^2 by the closed double sum.
+def p_lambda(m: int | np.ndarray, alpha: complex,
+             basis: LambdaBasis) -> float | np.ndarray:
+    """P_lambda(m) = |<m|_lam |alpha, lam>|^2 in closed form, vectorized in m.
 
-    Evaluates (m! e^{-|alpha|^2} / L_m) |sum_n lam^{m-n} alpha^n /
-    (n! (m-n)!)|^2 in log-magnitude space. Poissonian at lam = 0.
+    The binomial theorem collapses the double sum over the expansion to
+    e^{-|alpha|^2} |lam + alpha|^{2m} / (m! L_m), one all-positive term
+    evaluated in log space. Poissonian at lam = 0. m is an int (float result)
+    or an integer array (array result).
     """
-    basis._check(m)
+    m = np.asarray(m)
+    basis._check(int(np.min(m)))
+    basis._check(int(np.max(m)))
     alpha = complex(alpha)
-    lam = basis.lam
-    lf = log_factorial_table(m)
-    n = np.arange(m + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_lam = math.log(abs(lam)) if lam != 0.0 else -math.inf
-        log_a = math.log(abs(alpha)) if alpha != 0 else -math.inf
-        logs = np.where(m - n > 0, (m - n) * log_lam, 0.0) \
-            + np.where(n > 0, n * log_a, 0.0) - lf[n] - lf[m - n]
-    peak = float(np.max(logs))
-    if peak == -math.inf:
-        return 0.0
-    phases = np.exp(1j * np.angle(alpha) * n) if alpha != 0 else (n == 0) * 1.0
-    signs = np.where((m - n) % 2 == 0, 1.0, math.copysign(1.0, lam) if lam else 1.0)
-    s = np.sum(np.exp(logs - peak) * signs * phases)
-    if s == 0:
-        return 0.0
-    log_p = float(lf[m]) - abs(alpha) ** 2 - float(basis.log_laguerre[m]) \
-        + 2.0 * (peak + math.log(abs(s)))
-    return math.exp(log_p)
-
-
-def _lambda_projection_weights(psi: np.ndarray, basis: LambdaBasis,
-                               m_lo: int, m_hi: int) -> np.ndarray:
-    """|<m|_lam psi>|^2 for m in [m_lo, m_hi) against a standard-basis psi."""
-    d = psi.shape[0]
-    out = np.empty(m_hi - m_lo)
-    for m in range(m_lo, m_hi):
-        row = basis._row(m)
-        k = min(m + 1, d)
-        out[m - m_lo] = abs(np.dot(row[:k], psi[:k])) ** 2
-    return out
+    r = abs(basis.lam + alpha)
+    if r == 0.0:
+        P = np.where(m == 0, math.exp(-abs(alpha) ** 2), 0.0)
+    else:
+        lf = log_factorial_table(int(np.max(m)))
+        P = np.exp(2.0 * m * math.log(r) - abs(alpha) ** 2 - lf[m]
+                   - basis.log_laguerre[m])
+    return float(P) if P.ndim == 0 else P
 
 
 def number_moments(state, cutoff: int | None = None) -> StatisticsReport:
     """Number moments <m>, <m^2>, Mandel Q in the state's declared basis.
 
     A plain array is read as a standard-basis vector: P(m) = |psi_m|^2 over
-    its support. A LambdaExpansion (or a state carrying one) is read in the
-    deformed basis: P(m) = |<m|_lam psi>|^2, with the cutoff extended until
-    the m^2 P(m) tail drops below 1e-12 (the second moment converges slower
-    than the mean).
+    its support. Anything else is read in the deformed basis,
+    P(m) = |<m|_lam psi>|^2: a LambdaCoherent takes the closed form p_lambda
+    of the exact eigenvector, and a LambdaExpansion c (or a state carrying
+    one) takes |(G c)_m|^2, since <m|_lam psi> = (E E^T c)_m. Without a
+    cutoff the sum runs until the m^2 P(m) tail drops below 1e-12 (the second
+    moment converges slower than the mean).
     """
-    expansion = getattr(state, "expansion", state)
-    if isinstance(expansion, np.ndarray):
-        v = np.asarray(expansion)
-        hi = v.shape[0] if cutoff is None else min(cutoff, v.shape[0])
-        P = np.abs(v[:hi]) ** 2
-        return _report_from_probs(P, "standard")
-    if not isinstance(expansion, LambdaExpansion):
-        raise TypeError("state must be a standard-basis array or carry a "
-                        "LambdaExpansion")
-    basis = expansion.basis
-    psi = expansion.to_standard()
+    if isinstance(state, LambdaCoherent):
+        basis, alpha = state.basis, state.alpha
+        # P(k)/P(k-1) = |lam+alpha|^2 rho_k^2 / k falls with k: the weights
+        # have a single peak, and the tail is only sought past it
+        rising = abs(basis.lam + alpha) ** 2 * basis.rho[1:] ** 2 \
+            >= np.arange(1, basis.max_n + 1)
+        start = max(32, int(np.count_nonzero(rising)) + 9)
+
+        def weights(lo: int, hi: int) -> np.ndarray:
+            return p_lambda(np.arange(lo, hi), alpha, basis)
+    else:
+        expansion = getattr(state, "expansion", state)
+        if isinstance(expansion, np.ndarray):
+            v = np.asarray(expansion)
+            hi = v.shape[0] if cutoff is None else min(cutoff, v.shape[0])
+            return _report_from_probs(np.abs(v[:hi]) ** 2, "standard")
+        if not isinstance(expansion, LambdaExpansion):
+            raise TypeError("state must be a standard-basis array or carry a "
+                            "LambdaExpansion")
+        basis = expansion.basis
+        c = np.asarray(expansion.coeffs, dtype=complex)
+        d = c.shape[0]
+        start = min(d + 32, basis.max_n + 1)
+
+        def weights(lo: int, hi: int) -> np.ndarray:
+            return np.abs(gram(basis, max(hi, d))[lo:hi, :d] @ c) ** 2
     if cutoff is not None:
         basis._check(cutoff - 1, "cutoff")
-        P = _lambda_projection_weights(psi, basis, 0, cutoff)
-        return _report_from_probs(P, "lambda")
-    hi = min(expansion.support + 32, basis.max_n + 1)
-    P = _lambda_projection_weights(psi, basis, 0, hi)
+        return _report_from_probs(weights(0, cutoff), "lambda")
+    hi = min(start, basis.max_n + 1)
+    P = weights(0, hi)
     while True:
         m = np.arange(hi - 8, hi)
-        if float(np.max((m.astype(float) ** 2 + 1.0) * P[-8:])) < _TAIL_TOL:
+        if hi >= start and \
+                float(np.max((m.astype(float) ** 2 + 1.0) * P[-8:])) < _TAIL_TOL:
             break
         if hi > basis.max_n:
             raise operators.TruncationError(
                 "m^2 P(m) tail not below 1e-12 at the basis horizon; "
                 "build a LambdaBasis with a larger max_n")
         nxt = min(hi + 32, basis.max_n + 1)
-        P = np.concatenate([P, _lambda_projection_weights(psi, basis, hi, nxt)])
+        P = np.concatenate([P, weights(hi, nxt)])
         hi = nxt
     return _report_from_probs(P, "lambda")
 
@@ -162,36 +162,22 @@ def _lambda_quadratures(expansion: LambdaExpansion) -> QuadratureReport:
     D = d + 2
     c = np.zeros(D, dtype=complex)
     c[:d] = expansion.coeffs
-    G = gram(basis, D)
-    Gc = G @ c
+    # G is real symmetric, so <psi|X|psi> = c^H G (X c) = (G c)^H (X c)
+    Gc = gram(basis, D) @ c
     norm2 = float(np.real(np.vdot(c, Gc)))
     if abs(math.sqrt(max(norm2, 0.0)) - 1.0) > _NORM_TOL:
         raise ValueError(f"lambda-basis norm {math.sqrt(max(norm2, 0.0))!r} "
                          "differs from 1 beyond 1e-8")
     lam = basis.lam
-    lL = np.asarray(basis.log_laguerre[:D])
     n = np.arange(D, dtype=float)
-
-    def expect(w: np.ndarray) -> complex:
-        return complex(np.vdot(c, G @ w))
-
-    # a^k |n>_lam = sqrt(n!/(n-k)!) sqrt(L_{n-k}/L_n) |n-k>_lam
-    w = np.zeros(D, dtype=complex)
-    w[: D - 1] = c[1:] * np.sqrt(n[1:]) * np.exp(0.5 * (lL[: D - 1] - lL[1:]))
-    e_a = expect(w)
-    w = np.zeros(D, dtype=complex)
-    w[: D - 2] = c[2:] * np.sqrt(n[2:] * (n[2:] - 1.0)) \
-        * np.exp(0.5 * (lL[: D - 2] - lL[2:]))
-    e_a2 = expect(w)
-    # (a_dag + lam)^k |n>_lam = sqrt((n+k)!/n!) sqrt(L_{n+k}/L_n) |n+k>_lam
-    w = np.zeros(D, dtype=complex)
-    w[1:] = c[: D - 1] * np.sqrt(n[1:]) * np.exp(0.5 * (lL[1:] - lL[: D - 1]))
-    e_up = expect(w)
-    w = np.zeros(D, dtype=complex)
-    w[2:] = c[: D - 2] * np.sqrt(n[2:] * (n[2:] - 1.0)) \
-        * np.exp(0.5 * (lL[2:] - lL[: D - 2]))
-    e_up2 = expect(w)
-    e_num = expect(n * c)  # (a_dag + lam) a |n>_lam = n |n>_lam
+    # a |n>_lam = down[n-1] |n-1>_lam, (a_dag + lam) |n-1>_lam = up[n-1] |n>_lam
+    down = np.sqrt(n[1:]) * basis.rho[1:D]
+    up = np.sqrt(n[1:]) / basis.rho[1:D]
+    e_a = complex(np.vdot(Gc[:-1], c[1:] * down))
+    e_a2 = complex(np.vdot(Gc[:-2], c[2:] * down[1:] * down[:-1]))
+    e_up = complex(np.vdot(Gc[1:], c[:-1] * up))
+    e_up2 = complex(np.vdot(Gc[2:], c[:-2] * up[1:] * up[:-1]))
+    e_num = complex(np.vdot(Gc, n * c))  # (a_dag + lam) a |n>_lam = n |n>_lam
     # Translate to the undeformed creation operator: a_dag = (a_dag + lam) - lam
     e_ad = e_up - lam
     e_ad2 = e_up2 - 2.0 * lam * e_up + lam * lam

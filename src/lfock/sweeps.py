@@ -92,7 +92,9 @@ def sweep_fig1(alphas=None, lambda_range=(0.0, 5.0, 200),
         for a in alphas:
             key = f"Q[alpha={_fmt_num(a)}]"
             try:
-                rep = number_moments(lambda_coherent(a, basis, truncation))
+                # closed-form moments: one stored coefficient is enough
+                rep = number_moments(lambda_coherent(a, basis, 1),
+                                     cutoff=truncation)
                 series[key].append(float(rep.mandel_q) if rep.q_defined else None)
             except (DomainError, operators.TruncationError) as exc:
                 _warn(f"fig1 lambda={lam:g} alpha={_fmt_num(a)} skipped: {exc}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import families, fock, operators, states, stats
+from . import families, fock, operators, specfun, states, stats
 from .fock import LambdaBasis
 
 
@@ -78,6 +78,11 @@ def _suite_overlaps() -> list[Check]:
                          float(np.max(np.abs(G_rec - G_an))), 1e-11))
         out.append(Check(f"symmetry lam={lam:g}",
                          float(np.max(np.abs(G_an - G_an.T))), 0.0))
+        series = np.array([specfun.laguerre0_log(n, lam)
+                           for n in range(basis.max_n + 1)])
+        out.append(Check(f"Laguerre table vs laguerre0_log lam={lam:g}",
+                         float(np.max(np.abs(basis.log_laguerre - series)
+                                      / np.maximum(1.0, series))), 1e-12))
     return out
 
 
@@ -234,6 +239,16 @@ def _suite_stats() -> list[Check]:
     dot_route = abs(float(np.dot(fock.lambda_ket(1, basis, N), coh))) ** 2
     out.append(Check("p_lambda vs projection route",
                      _scaled_err(stats.p_lambda(1, 1.0, basis), dot_route), 1e-9))
+    for lam in (0.5, 2.0):
+        for alpha in (1.0 + 0j, 1.0 + 1.0j):
+            st = states.lambda_coherent(alpha, LambdaBasis(lam, 128))
+            closed = stats.number_moments(st)
+            frame = stats.number_moments(st.expansion)
+            err = float(max(_scaled_err(getattr(closed, f), getattr(frame, f))
+                            for f in ("prob_sum", "mean", "second_moment",
+                                      "mandel_q")))
+            out.append(Check(f"coherent moments, closed form vs |G c|^2 "
+                             f"lam={lam:g} alpha={alpha:g}", err, 1e-10))
     vac = np.zeros(8, dtype=complex)
     vac[0] = 1.0
     rep = stats.quadrature_variances(vac)

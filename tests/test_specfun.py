@@ -2,13 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import eval_laguerre
 
-from lfock.specfun import (LogValue, laguerre0, laguerre0_log,
-                           log_double_factorial, log_factorial,
+from lfock.specfun import (LogValue, _laguerre_table, laguerre0,
+                           laguerre0_log, log_double_factorial, log_factorial,
                            log_factorial_table, logsumexp_positive)
 
 
@@ -62,6 +63,30 @@ def test_laguerre_matches_three_term_recurrence(lam):
     for n in range(1, 61):
         assert laguerre0(n, lam) == pytest.approx(cur, rel=1e-12), f"n={n}"
         prev, cur = cur, ((2 * n + 1 - x) * cur - n * prev) / (n + 1)
+
+
+@pytest.mark.parametrize("lam", [1e-8, 0.3, 1.0, 5.0, 40.0])
+def test_laguerre_table_matches_mpmath_recurrence(lam):
+    # the O(N) table over the whole sweep horizon against the three-term
+    # recurrence carried at 40 digits: L_n and rho_n = sqrt(L_{n-1}/L_n) to
+    # 5e-12 and 1e-14 relative, and ln L_n itself to 1e-13 relative, which
+    # a log(L_n/L_{n-1}) form misses as lam -> 0 (its ratios round to 1)
+    N = 1604
+    log_lag, rho = _laguerre_table(lam, N)
+    with mpmath.workdps(40):
+        x = mpmath.mpf(lam) ** 2
+        prev, cur = mpmath.mpf(1), 1 + x
+        exact = [prev, cur]
+        for n in range(1, N):
+            prev, cur = cur, ((2 * n + 1 + x) * cur - n * prev) / (n + 1)
+            exact.append(cur)
+        want_log = np.array([float(mpmath.log(v)) for v in exact])
+        want_rho = np.array([1.0] + [float(mpmath.sqrt(lo / hi))
+                                     for lo, hi in zip(exact, exact[1:])])
+    assert log_lag[0] == 0.0 and rho[0] == 1.0
+    assert np.max(np.abs(log_lag - want_log)) <= 5e-12
+    assert np.max(np.abs(log_lag[1:] - want_log[1:]) / want_log[1:]) <= 1e-13
+    assert np.max(np.abs(rho - want_rho) / want_rho) <= 1e-14
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 12, 30])

@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from lfock.fock import LambdaBasis, gram
 from lfock.operators import TruncationError, build_ladders, eigen_residual
-from lfock.states import (DomainError, coherent_overlap, displaced_form,
-                          evolve, lambda_coherent, lambda_squeezed,
-                          radius_estimate, radius_min, squeezed_norm_constant,
-                          squeezed_operator_form, squeezed_vacuum)
+from lfock.states import (DomainError, _coherent_coeffs, coherent_overlap,
+                          displaced_form, evolve, lambda_coherent,
+                          lambda_squeezed, radius_estimate, radius_min,
+                          squeezed_norm_constant, squeezed_operator_form,
+                          squeezed_vacuum)
 
 
 def _mismatch(u, v):
@@ -102,6 +103,20 @@ def test_coherent_truncation_cap_is_reported():
     basis = LambdaBasis(3.0, 512)
     with pytest.raises(TruncationError):
         lambda_coherent(20.0, basis)
+
+
+@pytest.mark.parametrize("alpha", [20.0, -20.0, 12.0 + 16.0j, 0.3j])
+def test_coherent_coefficients_match_ratio_recurrence(alpha):
+    # the log-space coefficients against C_n = C_{n-1} alpha / (rho_n sqrt n)
+    # out to the truncation cap, where alpha^n alone overflows
+    basis = LambdaBasis(3.0, 512)
+    got = _coherent_coeffs(complex(alpha), basis, 512)
+    want = np.zeros(512, dtype=complex)
+    want[0] = math.exp(-3.0 * complex(alpha).real - abs(alpha) ** 2 / 2.0)
+    for n in range(1, 512):
+        want[n] = want[n - 1] * alpha / (basis.rho[n] * math.sqrt(n))
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-300)) < 1e-12
 
 
 def test_squeezed_vacuum_normalization_constant():

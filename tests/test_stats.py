@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import poisson
@@ -12,6 +13,7 @@ from lfock.states import (DomainError, lambda_coherent, lambda_squeezed,
                           squeezed_vacuum)
 from lfock.stats import (QuadratureReport, StatisticsReport, number_moments,
                          p_lambda, quadrature_variances)
+from lfock.sweeps import sweep_fig1
 
 
 def _p_collapsed(m, alpha, lam, basis):
@@ -212,3 +214,56 @@ def test_moment_routes_reject_unknown_payload():
         number_moments("not a state")
     with pytest.raises(TypeError):
         quadrature_variances([0.1, 0.2])
+
+
+def _mandel_q_mpmath(lam, alpha, dps=30):
+    # Q from the closed-form weights e^{-|a|^2} |lam+a|^{2m} / (m! L_m), with
+    # L_m(-lam^2) from the three-term recurrence, summed at 30 digits until
+    # the weights fall past their peak below 1e-40
+    with mpmath.workdps(dps):
+        lam, alpha = mpmath.mpf(lam), mpmath.mpc(alpha)
+        x, r2 = lam * lam, abs(lam + alpha) ** 2
+        lag_prev, lag = mpmath.mpf(1), mpmath.mpf(1)
+        P = mpmath.exp(-abs(alpha) ** 2)
+        sums = [mpmath.mpf(0)] * 3
+        m = 0
+        while m <= r2 or (m * m + 1) * P > mpmath.mpf(10) ** -40:
+            sums = [s + m ** j * P for j, s in enumerate(sums)]
+            lag_prev, lag = \
+                lag, ((2 * m + 1 + x) * lag - m * lag_prev) / (m + 1)
+            m += 1
+            P = P * r2 * lag_prev / (m * lag)
+        _, mean, second = sums
+        return float((second - mean * mean) / mean - 1)
+
+
+@pytest.mark.parametrize("lam, alpha", [(4.9, -2.0), (20.0, -1.0)])
+def test_fig1_cells_match_mpmath_closed_form(lam, alpha):
+    # alpha < 0 with large C_0 = exp(-lam alpha - alpha^2/2): summing the
+    # alternating expansion coefficients loses up to all digits here
+    res = sweep_fig1([alpha], (lam, lam, 2))
+    got = res.series[f"Q[alpha={alpha:g}]"][0]
+    want = _mandel_q_mpmath(lam, alpha)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 3.0, -1.0])
+@pytest.mark.parametrize("xi", [0.3, 0.6, 0.4j])
+def test_frame_weights_match_row_dot_oracle(lam, xi):
+    # non-coherent states are read through |(G c)_m|^2; the oracle projects
+    # the standard-basis vector onto each bra <m|_lam. Every cutoff's
+    # prob_sum pins one more weight, and the auto-cutoff Mandel Q must agree
+    basis = LambdaBasis(lam, 1604)
+    state = lambda_squeezed(xi, basis)
+    M = state.truncation + 64
+    psi = state.to_standard(M)
+    P = np.array([abs(lambda_ket(m, basis, M) @ psi) ** 2 for m in range(M)])
+    cum = np.cumsum(P)
+    for cutoff in range(1, M + 1):
+        got = number_moments(state, cutoff=cutoff).prob_sum
+        assert abs(got - cum[cutoff - 1]) <= 1e-12 * max(1.0, cum[cutoff - 1])
+    m = np.arange(M, dtype=float)
+    mean, second = float(m @ P), float(m * m @ P)
+    want_q = (second - mean * mean) / mean - 1.0
+    got_q = number_moments(state).mandel_q
+    assert abs(got_q - want_q) <= 1e-10 * max(1.0, abs(want_q))
