@@ -35,16 +35,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _parse_float(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number, got {text!r}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return x
+
+
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     if len(parts) > 2:
         raise argparse.ArgumentTypeError(f"expected 're' or 're,im', got {text!r}")
-    try:
-        re = float(parts[0])
-        im = float(parts[1]) if len(parts) == 2 else 0.0
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected 're' or 're,im', got {text!r}") from None
+    re = _parse_float(parts[0])
+    im = _parse_float(parts[1]) if len(parts) == 2 else 0.0
     return complex(re, im)
 
 
@@ -53,10 +61,11 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected 'min:max:steps', got {text!r}")
     try:
-        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+        steps = int(parts[2])
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected 'min:max:steps', got {text!r}") from None
+    lo, hi = _parse_float(parts[0]), _parse_float(parts[1])
     if steps < 2:
         raise argparse.ArgumentTypeError("grid needs at least 2 steps")
     if hi < lo:
@@ -103,9 +112,9 @@ def _build_parser() -> _Parser:
 
     p2 = sub.add_parser("fig2", help="quadrature variances of the squeezed "
                                      "family vs xi")
-    p2.add_argument("--lambda", action="append", type=float, dest="lambdas",
-                    metavar="LAM", help="deformation, repeatable "
-                                        "(default 0.5, 1, 2, 3)")
+    p2.add_argument("--lambda", action="append", type=_parse_float,
+                    dest="lambdas", metavar="LAM",
+                    help="deformation, repeatable (default 0.5, 1, 2, 3)")
     p2.add_argument("--grid", type=_parse_grid, default=(0.02, 0.9, 150),
                     metavar="MIN:MAX:STEPS", help="xi grid (default 0.02:0.9:150)")
     common(p2)
@@ -113,9 +122,9 @@ def _build_parser() -> _Parser:
     for name, basis_tag in (("fig3a", "lambda"), ("fig3b", "standard")):
         p3 = sub.add_parser(name, help=f"Mandel Q of the squeezed family vs xi, "
                                        f"{basis_tag} basis")
-        p3.add_argument("--lambda", action="append", type=float, dest="lambdas",
-                        metavar="LAM", help="deformation, repeatable "
-                                            "(default 0.5, 1, 2)")
+        p3.add_argument("--lambda", action="append", type=_parse_float,
+                        dest="lambdas", metavar="LAM",
+                        help="deformation, repeatable (default 0.5, 1, 2)")
         p3.add_argument("--grid", type=_parse_grid, default=(0.02, 0.9, 150),
                         metavar="MIN:MAX:STEPS",
                         help="xi grid (default 0.02:0.9:150)")
@@ -126,7 +135,7 @@ def _build_parser() -> _Parser:
 
     ps = sub.add_parser("state", help="dump one state's coefficients in both bases")
     ps.add_argument("kind", choices=_STATE_KINDS)
-    ps.add_argument("--lambda", type=float, dest="lam", default=0.0,
+    ps.add_argument("--lambda", type=_parse_float, dest="lam", default=0.0,
                     metavar="LAM", help="deformation parameter (default 0)")
     ps.add_argument("-n", "--index", type=int, default=0, dest="index",
                     help="basis index for lambda_ket (default 0)")

@@ -27,14 +27,15 @@ class LambdaBasis:
     """Immutable container for one deformation parameter.
 
     Holds lam, the tables of log Laguerre values ln L_n and ladder ratios
-    rho_n = sqrt(L_{n-1}/L_n) up to max_n, and lazy caches for expansion rows
-    and the Gram matrix. Cache fills are idempotent, so the object is
-    observationally immutable and safe to share.
+    rho_n = sqrt(L_{n-1}/L_n) up to max_n, and lazy caches for the expansion
+    matrix and the Gram matrix. Cache fills are idempotent and the cached
+    arrays are read-only, so the object is observationally immutable and safe
+    to share. The matrices live and die with the basis.
 
     Parameters
     ----------
     lam : float
-        Deformation parameter, any real.
+        Deformation parameter, any finite real.
     max_n : int
         Largest basis index the tables cover. Operations beyond it raise.
     """
@@ -42,12 +43,14 @@ class LambdaBasis:
     def __init__(self, lam: float, max_n: int = 256):
         if max_n < 1:
             raise ValueError("max_n must be positive")
+        if not math.isfinite(lam):
+            raise ValueError(f"lam must be finite, got {lam!r}")
         self.lam = float(lam)
         self.max_n = int(max_n)
         self.log_laguerre, self.rho = _laguerre_table(self.lam, self.max_n)
         self.log_laguerre.setflags(write=False)
         self.rho.setflags(write=False)
-        self._rows: dict[int, np.ndarray] = {}
+        self._expansion: np.ndarray | None = None
         self._gram: np.ndarray | None = None
 
     @property
@@ -66,12 +69,7 @@ class LambdaBasis:
 
     def _row(self, n: int) -> np.ndarray:
         """Standard-basis coefficients of |n>_lam (length n+1)."""
-        row = self._rows.get(n)
-        if row is None:
-            row = _expansion_row(n, self.lam, float(self.log_laguerre[n]))
-            row.setflags(write=False)
-            self._rows[n] = row
-        return row
+        return _expansion_row(n, self.lam, float(self.log_laguerre[n]))
 
 
 def _expansion_row(n: int, lam: float, log_lag_n: float) -> np.ndarray:
@@ -258,12 +256,21 @@ def expansion_matrix(basis: LambdaBasis, size: int) -> np.ndarray:
 
     Row n is the lambda_ket(n) expansion; the diagonal exp(-log L_n / 2) is
     strictly positive, so E is an exact triangular factor of the Gram matrix.
+    Returns a read-only view of a matrix cached on the basis, which grows by
+    the missing rows when a larger size is asked for.
     """
     basis._check(size - 1)
-    E = np.zeros((size, size))
-    for n in range(size):
-        E[n, : n + 1] = basis._row(n)
-    return E
+    built = basis._expansion
+    done = 0 if built is None else built.shape[0]
+    if done < size:
+        E = np.zeros((size, size))
+        if built is not None:
+            E[:done, :done] = built
+        for n in range(done, size):
+            E[n, : n + 1] = basis._row(n)
+        E.setflags(write=False)
+        basis._expansion = built = E
+    return built[:size, :size]
 
 
 def gram(basis: LambdaBasis, size: int) -> np.ndarray:
@@ -277,7 +284,8 @@ def gram(basis: LambdaBasis, size: int) -> np.ndarray:
     with rho_n = sqrt(L_{n-1}/L_n). Entries are inner products of unit
     vectors, bounded by 1, so the recursion cannot overflow. Must agree with
     overlap_analytic entrywise; the output is symmetrized (raw asymmetry is
-    at roundoff level) and cached, keeping the largest matrix built so far.
+    at roundoff level). Returns a read-only view of the largest matrix built
+    so far, which is cached on the basis.
     """
     basis._check(size - 1)
     built = basis._gram
@@ -297,13 +305,22 @@ def gram(basis: LambdaBasis, size: int) -> np.ndarray:
                                   - 0.5 * (lf + lL))
             for m in range(size - 1):
                 prev = G[m]
-                nxt = lam * prev.copy()
+                nxt = lam * prev
                 nxt[1:] += sqrtn[1:] * rho[1:] * prev[:-1]
                 G[m + 1] = nxt * (rho[m + 1] / math.sqrt(m + 1.0))
-            G = 0.5 * (G + G.T)
-        basis._gram = G
-        built = G
-    return built[:size, :size].copy()
+            for m in range(1, size):  # G <- (G + G^T)/2, in place
+                G[m, :m] = G[:m, m] = 0.5 * (G[m, :m] + G[:m, m])
+        G.setflags(write=False)
+        basis._gram = built = G
+    return built[:size, :size]
+
+
+def _matvec(M: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """M @ c for a real matrix M and a complex vector c.
+
+    Two real products, so M is never cast (copied) to complex.
+    """
+    return M @ c.real + 1j * (M @ c.imag)
 
 
 def gram_coefficient(basis: LambdaBasis, size: int) -> np.ndarray:
@@ -345,11 +362,11 @@ class LambdaExpansion:
             raise ValueError("truncation shorter than the expansion support")
         E = expansion_matrix(self.basis, d)
         out = np.zeros(N, dtype=complex)
-        out[:d] = E.T @ np.asarray(self.coeffs, dtype=complex)
+        out[:d] = _matvec(E.T, np.asarray(self.coeffs, dtype=complex))
         return out
 
     def norm(self) -> float:
         """Norm through the analytic Gram quadratic form."""
         G = gram(self.basis, self.support)
         c = np.asarray(self.coeffs, dtype=complex)
-        return math.sqrt(max(float(np.real(np.vdot(c, G @ c))), 0.0))
+        return math.sqrt(max(float(np.real(np.vdot(c, _matvec(G, c)))), 0.0))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import operators
-from .fock import LambdaBasis, LambdaExpansion, gram
+from .fock import LambdaBasis, LambdaExpansion, _matvec, gram
 from .specfun import log_factorial_table, logsumexp_positive
 
 _LN2 = math.log(2.0)
@@ -80,7 +80,12 @@ def _coherent_coeffs(alpha: complex, basis: LambdaBasis, N: int) -> np.ndarray:
     before the final exponential.
     """
     log_c0 = -basis.lam * alpha.real - abs(alpha) ** 2 / 2.0
-    if math.exp(log_c0) == 0.0:
+    try:
+        c0 = math.exp(log_c0)
+    except OverflowError:
+        raise DomainError("normalization constant exp(-lam Re a - |a|^2/2) "
+                          "overflows for these parameters") from None
+    if c0 == 0.0:
         raise DomainError("normalization constant exp(-lam Re a - |a|^2/2) "
                           "underflows for these parameters")
     n = np.arange(N)
@@ -141,7 +146,7 @@ def coherent_overlap(alpha: complex, beta: complex,
     cb = np.zeros(size, dtype=complex)
     ca[: sa.truncation] = sa.expansion.coeffs
     cb[: sb.truncation] = sb.expansion.coeffs
-    return complex(np.vdot(ca, G @ cb))
+    return complex(np.vdot(ca, _matvec(G, cb)))
 
 
 def displaced_form(alpha: complex, basis: LambdaBasis,
@@ -214,7 +219,9 @@ def squeezed_vacuum(xi: complex, N: int | None = None) -> np.ndarray:
     return v
 
 
-# Radius-of-convergence scan, cached per (lam, phase, grid factor).
+# Guard radii per (lam, phase, grid factor) and per lam. Both hold floats
+# only, one entry per distinct lam a process asks about; the Gram matrices the
+# scan reads are cached on (and freed with) their LambdaBasis, not here.
 _RADIUS_CACHE: dict[tuple[float, float, float], float] = {}
 _RADIUS_MIN_CACHE: dict[float, float] = {}
 _SCAN_T_MAX = 800
@@ -228,30 +235,58 @@ def _has_cauchy_run(flags: np.ndarray) -> bool:
     return bool(run.size) and bool(np.any(run == _SCAN_WINDOW))
 
 
-def _ray_converges(r: float, phase: float, base_logs: np.ndarray,
-                   G_even: np.ndarray) -> bool:
-    """Cauchy test for the partial sums S_T = ||sum_{n<=T} u_n |2n>_lam||^2
-    with u_n = (r e^{i phase})^n sqrt(L_2n (2n-1)!!/(2n)!!): a run of 20
-    consecutive increments |S_T - S_{T-1}| below 1e-12 within the scanned
-    terms. A term magnitude past the overflow guard fails outright."""
-    T = base_logs.shape[0] - 1
-    logs = base_logs + np.arange(T + 1) * math.log(r)
-    if float(np.max(logs)) > 300.0:
-        return False
-    with np.errstate(over="ignore", invalid="ignore"):
-        mags = np.exp(logs)
-        # Sound shortcut: |Delta S_T| <= |u_T| (2 sum_{k<T} |u_k| + |u_T|)
-        # since every Gram entry is at most 1 in magnitude. Where the bound
-        # is already below tolerance the exact increments are too.
-        csum = np.cumsum(mags) - mags
-        bound = mags * (2.0 * csum + mags)
-        if _has_cauchy_run(bound < _SCAN_TOL):
-            return True
-        u = mags * np.exp(1j * phase * np.arange(T + 1))
-        M = G_even * np.outer(np.conj(u), u)
-        inc = np.abs(2.0 * np.real(np.sum(np.tril(M, -1), axis=1))
-                     + np.real(np.diag(M)))
-        return _has_cauchy_run(inc < _SCAN_TOL)
+def _scan_radii(basis: LambdaBasis, phases: list[float],
+                factor: float) -> list[float]:
+    """Convergence radius of the squeezed normalization series on each ray.
+
+    Walks r over the grid 0.01 * factor^j <= 2 for all rays at once. At each
+    r the partial sums S_T = ||sum_{n<=T} u_n |2n>_lam||^2, with
+    u_n = (r e^{i phase})^n sqrt(L_2n (2n-1)!!/(2n)!!), pass when 20
+    consecutive increments |S_T - S_{T-1}| fall below 1e-12 within the
+    scanned terms; a term past the overflow guard fails every ray. Since
+    every Gram entry is at most 1, |Delta S_T| <= |u_T| (2 sum_{k<T} |u_k| +
+    |u_T|), a bound free of the phase: where it passes, every ray passes.
+    Elsewhere each running ray takes the exact increments
+    2 Re(conj(u_T) (L u)_T) + G_TT |u_T|^2, L the strict lower triangle of
+    the even Gram block. A ray's radius is the last r that passes before its
+    first failure, or 2 if none fails.
+    """
+    T = _SCAN_T_MAX
+    work = basis if basis.max_n >= 2 * T else LambdaBasis(basis.lam, 2 * T)
+    base_logs = 0.5 * (work.log_laguerre[0: 2 * T + 1: 2]
+                       + _even_log_weights(T))
+    k = np.arange(T + 1)
+    G_even = gram(work, 2 * T + 1)[::2, ::2]
+    lower = np.tril(G_even, -1)
+    diag = np.diagonal(G_even)
+    rays = [(np.cos(phase * k), np.sin(phase * k)) for phase in phases]
+    radii = [2.0] * len(phases)
+    running = list(range(len(phases)))
+    last_ok = 0.0
+    r = 0.01
+    while r <= 2.0 and running:
+        logs = base_logs + k * math.log(r)
+        if float(np.max(logs)) > 300.0:
+            failed = running  # past the overflow guard every ray fails
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                mags = np.exp(logs)
+                csum = np.cumsum(mags) - mags
+                failed = []
+                if not _has_cauchy_run(mags * (2.0 * csum + mags) < _SCAN_TOL):
+                    on_diag = diag * mags * mags
+                    for i in running:
+                        ur, ui = mags * rays[i][0], mags * rays[i][1]
+                        inc = np.abs(2.0 * (ur * (lower @ ur) + ui * (lower @ ui))
+                                     + on_diag)
+                        if not _has_cauchy_run(inc < _SCAN_TOL):
+                            failed.append(i)
+        for i in failed:
+            radii[i] = last_ok
+        running = [i for i in running if i not in failed]
+        last_ok = r
+        r *= factor
+    return radii
 
 
 def radius_estimate(basis: LambdaBasis, phase: float = 0.0,
@@ -266,37 +301,26 @@ def radius_estimate(basis: LambdaBasis, phase: float = 0.0,
     """
     key = (basis.lam, float(phase), float(factor))
     hit = _RADIUS_CACHE.get(key)
-    if hit is not None:
-        return hit
-    T = _SCAN_T_MAX
-    work = basis if basis.max_n >= 2 * T else LambdaBasis(basis.lam, 2 * T)
-    base_logs = 0.5 * (work.log_laguerre[0: 2 * T + 1: 2]
-                       + _even_log_weights(T))
-    G_even = gram(work, 2 * T + 1)[::2, ::2]
-    last_ok = 0.0
-    r = 0.01
-    while r <= 2.0:
-        if not _ray_converges(r, phase, base_logs, G_even):
-            break
-        last_ok = r
-        r *= factor
-    else:
-        last_ok = 2.0
-    _RADIUS_CACHE[key] = last_ok
-    return last_ok
+    if hit is None:
+        hit = _RADIUS_CACHE[key] = _scan_radii(basis, [float(phase)],
+                                               float(factor))[0]
+    return hit
 
 
 def radius_min(basis: LambdaBasis) -> float:
     """min of radius_estimate over 8 phase rays: the phase-uniform guard.
 
     Rays phi and 2 pi - phi give identical partial sums (the expansion rows
-    are real), so only the 5 rays in [0, pi] are computed.
+    are real), so only the 5 rays in [0, pi] are computed, in one scan.
     """
     hit = _RADIUS_MIN_CACHE.get(basis.lam)
     if hit is not None:
         return hit
-    rmin = min(radius_estimate(basis, phase=k * math.pi / 4.0)
-               for k in range(5))
+    phases = [k * math.pi / 4.0 for k in range(5)]
+    radii = _scan_radii(basis, phases, 1.05)
+    _RADIUS_CACHE.update(((basis.lam, p, 1.05), radius)
+                         for p, radius in zip(phases, radii))
+    rmin = min(radii)
     _RADIUS_MIN_CACHE[basis.lam] = rmin
     return rmin
 
@@ -364,7 +388,7 @@ def lambda_squeezed(xi: complex, basis: LambdaBasis,
                   + _even_log_weights(T))
     u = xi ** n * np.exp(logs)
     G_even = gram(basis, 2 * T + 1)[::2, ::2]
-    norm2 = float(np.real(np.vdot(u, G_even @ u)))
+    norm2 = float(np.real(np.vdot(u, _matvec(G_even, u))))
     if not (norm2 > 0 and math.isfinite(norm2)):
         raise DomainError(
             f"normalization series not summable at |xi|={abs(xi):.4f}",

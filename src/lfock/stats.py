@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators
-from .fock import LambdaBasis, LambdaExpansion, gram
+from .fock import LambdaBasis, LambdaExpansion, _matvec, gram
 from .specfun import log_factorial_table
 from .states import LambdaCoherent
 
@@ -105,7 +105,7 @@ def number_moments(state, cutoff: int | None = None) -> StatisticsReport:
         start = min(d + 32, basis.max_n + 1)
 
         def weights(lo: int, hi: int) -> np.ndarray:
-            return np.abs(gram(basis, max(hi, d))[lo:hi, :d] @ c) ** 2
+            return np.abs(_matvec(gram(basis, max(hi, d))[lo:hi, :d], c)) ** 2
     if cutoff is not None:
         basis._check(cutoff - 1, "cutoff")
         return _report_from_probs(weights(0, cutoff), "lambda")
@@ -163,7 +163,7 @@ def _lambda_quadratures(expansion: LambdaExpansion) -> QuadratureReport:
     c = np.zeros(D, dtype=complex)
     c[:d] = expansion.coeffs
     # G is real symmetric, so <psi|X|psi> = c^H G (X c) = (G c)^H (X c)
-    Gc = gram(basis, D) @ c
+    Gc = _matvec(gram(basis, D), c)
     norm2 = float(np.real(np.vdot(c, Gc)))
     if abs(math.sqrt(max(norm2, 0.0)) - 1.0) > _NORM_TOL:
         raise ValueError(f"lambda-basis norm {math.sqrt(max(norm2, 0.0))!r} "

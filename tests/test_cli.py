@@ -108,3 +108,24 @@ def test_fig2_json_round_trip(capsys):
     assert payload["metadata"]["lambdas"] == [0.5]
     col = payload["series"]["var_p[lambda=0.5]"]
     assert len(col) == 3 and all(v is not None for v in col)
+
+
+@pytest.mark.parametrize("argv", [
+    ["state", "lambda_ket", "-n", "2", "--lambda", "inf"],
+    ["state", "lambda_ss", "--lambda", "nan"],
+    ["state", "lambda_cs", "--alpha", "1,nan"],
+    ["state", "lambda_ss", "--xi=-inf"],
+    ["fig1", "--alpha", "inf"],
+    ["fig1", "--grid", "0:inf:5"],
+    ["fig2", "--lambda", "nan"],
+    ["fig3a", "--grid", "nan:0.5:3"],
+])
+def test_non_finite_parameters_are_usage_errors(argv, capsys):
+    assert main(argv) == 1
+    assert "finite" in capsys.readouterr().err
+
+
+def test_normalization_overflow_is_a_domain_error(capsys):
+    # exp(-lam Re(alpha) - |alpha|^2/2) = exp(798) overflows a double
+    assert main(["state", "lambda_cs", "--alpha", "-2", "--lambda", "400"]) == 3
+    assert "overflows" in capsys.readouterr().err

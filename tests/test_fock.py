@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import cholesky
 
 from lfock.fock import (LambdaBasis, LambdaExpansion, apply_t_operator,
-                        gram, gram_coefficient, iterated_lowering_norm,
-                        ladder_down, ladder_up, lambda_ket, lowering_scalar,
-                        matel_annihilation_power, matel_creation_power,
-                        matel_normal_ordered, overlap_analytic,
-                        raising_scalar, to_lambda)
+                        expansion_matrix, gram, gram_coefficient,
+                        iterated_lowering_norm, ladder_down, ladder_up,
+                        lambda_ket, lowering_scalar, matel_annihilation_power,
+                        matel_creation_power, matel_normal_ordered,
+                        overlap_analytic, raising_scalar, to_lambda)
 from lfock.operators import build_ladders
 from lfock.specfun import laguerre0
 
@@ -98,7 +98,6 @@ def test_gram_positivity_certificate_large_lambda(lam):
     # invertible lower-triangular E, plus an eigenvalue floor check
     basis = LambdaBasis(lam, 48)
     G = gram(basis, 41)
-    from lfock.fock import expansion_matrix
     E = expansion_matrix(basis, 41)
     assert np.allclose(G, E @ E.T, atol=1e-10)
     assert np.all(np.diag(E) > 0)
@@ -247,3 +246,24 @@ def test_overlap_bounded_by_one(m, n):
     basis = LambdaBasis(1.7, 64)
     val = overlap_analytic(m, n, basis)
     assert -1.0 - 1e-12 <= val <= 1.0 + 1e-12
+
+
+def test_non_finite_lambda_rejected():
+    for lam in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            LambdaBasis(lam, 8)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.7, -1.3])
+def test_cached_matrices_are_read_only_and_grow_exactly(lam):
+    basis = LambdaBasis(lam, 64)
+    fresh = LambdaBasis(lam, 64)
+    for build in (gram, expansion_matrix):
+        small = build(basis, 20)
+        large = build(basis, 50)  # grows the cached matrix
+        want = build(fresh, 50)
+        for M in (small, large, build(basis, 20)):
+            assert not M.flags.writeable
+            with pytest.raises(ValueError):
+                M[0, 0] = 2.0
+            assert np.array_equal(M, want[: M.shape[0], : M.shape[0]])

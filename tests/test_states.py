@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lfock import states
 from lfock.fock import LambdaBasis, gram
 from lfock.operators import TruncationError, build_ladders, eigen_residual
-from lfock.states import (DomainError, _coherent_coeffs, coherent_overlap,
-                          displaced_form, evolve, lambda_coherent,
-                          lambda_squeezed, radius_estimate, radius_min,
-                          squeezed_norm_constant, squeezed_operator_form,
-                          squeezed_vacuum)
+from lfock.states import (DomainError, _coherent_coeffs, _even_log_weights,
+                          coherent_overlap, displaced_form, evolve,
+                          lambda_coherent, lambda_squeezed, radius_estimate,
+                          radius_min, squeezed_norm_constant,
+                          squeezed_operator_form, squeezed_vacuum)
 
 
 def _mismatch(u, v):
@@ -227,3 +228,62 @@ def test_overlap_magnitude_bounded(x, y):
     basis = LambdaBasis(0.8, 256)
     val = coherent_overlap(complex(x, y), 1.0 + 0.0j, basis)
     assert abs(val) <= 1.0 + 1e-10
+
+
+# The per-ray radius scan as it stood before the rays shared one scan: each
+# ray walks the r grid alone and builds the complex increment matrix G u u^H.
+# Kept here as the oracle the shared scan must reproduce bit for bit.
+def _oracle_cauchy_run(flags):
+    run = np.convolve(flags.astype(int), np.ones(20, dtype=int), mode="valid")
+    return bool(run.size) and bool(np.any(run == 20))
+
+
+def _oracle_ray_converges(r, phase, base_logs, G_even):
+    T = base_logs.shape[0] - 1
+    logs = base_logs + np.arange(T + 1) * math.log(r)
+    if float(np.max(logs)) > 300.0:
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        mags = np.exp(logs)
+        csum = np.cumsum(mags) - mags
+        bound = mags * (2.0 * csum + mags)
+        if _oracle_cauchy_run(bound < 1e-12):
+            return True
+        u = mags * np.exp(1j * phase * np.arange(T + 1))
+        M = G_even * np.outer(np.conj(u), u)
+        inc = np.abs(2.0 * np.real(np.sum(np.tril(M, -1), axis=1))
+                     + np.real(np.diag(M)))
+        return _oracle_cauchy_run(inc < 1e-12)
+
+
+def _oracle_radius(basis, phase, factor):
+    T = 800
+    base_logs = 0.5 * (basis.log_laguerre[0: 2 * T + 1: 2]
+                       + _even_log_weights(T))
+    G_even = gram(basis, 2 * T + 1)[::2, ::2]
+    last_ok = 0.0
+    r = 0.01
+    while r <= 2.0:
+        if not _oracle_ray_converges(r, phase, base_logs, G_even):
+            break
+        last_ok = r
+        r *= factor
+    else:
+        last_ok = 2.0
+    return last_ok
+
+
+# 1.089... and 2.075... are points where the ray radii differ by phase
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.88, 1.089041095890411, 1.8,
+                                 2.0753424657534247, 2.9, 4.0, -1.0])
+def test_shared_radius_scan_matches_per_ray_oracle(lam, monkeypatch):
+    monkeypatch.setattr(states, "_RADIUS_CACHE", {})
+    monkeypatch.setattr(states, "_RADIUS_MIN_CACHE", {})
+    basis = LambdaBasis(lam, 1604)
+    phases = [k * math.pi / 4.0 for k in range(5)]
+    for factor in (1.05, math.sqrt(1.05)):
+        want = [_oracle_radius(basis, p, factor) for p in phases]
+        got = [radius_estimate(basis, p, factor) for p in phases]
+        assert got == want
+        if factor == 1.05:
+            assert radius_min(basis) == min(want)

@@ -237,7 +237,8 @@ def _mandel_q_mpmath(lam, alpha, dps=30):
         return float((second - mean * mean) / mean - 1)
 
 
-@pytest.mark.parametrize("lam, alpha", [(4.9, -2.0), (20.0, -1.0)])
+@pytest.mark.parametrize("lam, alpha",
+                         [(4.9, -2.0), (20.0, -1.0), (20.0, -2.0)])
 def test_fig1_cells_match_mpmath_closed_form(lam, alpha):
     # alpha < 0 with large C_0 = exp(-lam alpha - alpha^2/2): summing the
     # alternating expansion coefficients loses up to all digits here
