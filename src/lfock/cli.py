@@ -15,9 +15,8 @@ import sys
 import numpy as np
 
 from . import families, fock, states, sweeps, verify
-from .fock import LambdaBasis, LambdaExpansion
-from .operators import TruncationError, build_ladders, eigen_residual
-from .states import DomainError
+from .fock import DomainError, LambdaBasis, LambdaExpansion
+from .operators import TruncationError
 
 # lambda_ss shares the sweep horizon so its Gram cache covers the radius scan
 _SS_BASIS_MAX_N = 1604
@@ -166,6 +165,22 @@ def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _ladder(v: np.ndarray, lam: float | None = None) -> np.ndarray:
+    """a v, or (a_dag + lam) v when lam is given, truncated to len(v), in O(N)."""
+    root = np.sqrt(np.arange(1.0, v.shape[0]))
+    out = np.zeros_like(v)
+    if lam is None:
+        out[:-1] = root * v[1:]
+    else:
+        out[1:] = root * v[:-1]
+        out += lam * v
+    return out
+
+
+def _residual(w: np.ndarray, v: np.ndarray) -> float:
+    return float(np.linalg.norm(w)) / float(np.linalg.norm(v))
+
+
 def _state_payload(args) -> tuple[dict, np.ndarray, np.ndarray]:
     """Build the requested state; return (metadata, standard, lambda) columns."""
     kind = args.kind
@@ -176,77 +191,50 @@ def _state_payload(args) -> tuple[dict, np.ndarray, np.ndarray]:
     if kind == "lambda_ket":
         n = args.index
         basis = LambdaBasis(lam, max(n + 1, 2))
-        N = max(n + 1, trunc or 0)
-        std = fock.lambda_ket(n, basis, N).astype(complex)
+        std = fock.lambda_ket(n, basis, max(n + 1, trunc or 0)).astype(complex)
         lamc = np.zeros(n + 1, dtype=complex)
         lamc[n] = 1.0
-        a, _, adl = build_ladders(N + 1, lam)
-        v = np.zeros(N + 1, dtype=complex)
-        v[:N] = std
         meta.update(n=n, residual_kind="number_eigenvector",
-                    residual=eigen_residual(adl @ a, v, n),
-                    norm_euclidean=float(np.linalg.norm(std)),
+                    residual=_residual(_ladder(_ladder(std), lam) - n * std, std),
                     norm_gram=LambdaExpansion(basis, lamc).norm())
-        return meta, std, lamc
-
-    if kind == "lambda_cs":
+    elif kind == "lambda_cs":
         alpha = complex(args.alpha)
         st = states.lambda_coherent(alpha, LambdaBasis(lam, 512), trunc)
         std = st.to_standard()
         lamc = np.asarray(st.expansion.coeffs, dtype=complex)
-        a, _, _ = build_ladders(std.shape[0])
         meta.update(alpha=_pair(alpha), residual_kind="annihilation_eigenvector",
-                    residual=eigen_residual(a, std, alpha),
-                    norm_euclidean=float(np.linalg.norm(std)),
+                    residual=_residual(_ladder(std) - alpha * std, std),
                     norm_gram=st.expansion.norm())
-        return meta, std, lamc
-
-    if kind == "lambda_ss":
+    elif kind == "lambda_ss":
         xi = complex(args.xi)
-        basis = LambdaBasis(lam, _SS_BASIS_MAX_N)
-        st = states.lambda_squeezed(xi, basis, trunc)
+        st = states.lambda_squeezed(xi, LambdaBasis(lam, _SS_BASIS_MAX_N), trunc)
         std = st.to_standard()
         lamc = np.asarray(st.expansion.coeffs, dtype=complex)
-        N = std.shape[0] + 2
-        v = np.zeros(N, dtype=complex)
-        v[: std.shape[0]] = std
-        a, _, adl = build_ladders(N, lam)
+        v = np.append(std, [0j, 0j])
         meta.update(xi=_pair(xi), residual_kind="squeezing_kernel",
-                    residual=eigen_residual(a - xi * adl, v, 0.0),
+                    residual=_residual(_ladder(v) - xi * _ladder(v, lam), v),
                     norm_constant=st.norm_constant,
-                    norm_euclidean=float(np.linalg.norm(std)),
                     norm_gram=st.expansion.norm())
-        return meta, std, lamc
-
-    if kind == "squeezed_vacuum":
+    elif kind == "squeezed_vacuum":
         xi = complex(args.xi)
         std = states.squeezed_vacuum(xi, trunc)
-        basis = LambdaBasis(lam, max(std.shape[0], 2))
-        lamc = fock.to_lambda(std, basis)
-        N = std.shape[0] + 2
-        v = np.zeros(N, dtype=complex)
-        v[: std.shape[0]] = std
-        a, a_dag, _ = build_ladders(N)
+        lamc = fock.to_lambda(std, LambdaBasis(lam, max(std.shape[0], 2)))
+        v = np.append(std, [0j, 0j])
         meta.update(xi=_pair(xi), residual_kind="squeezing_kernel",
-                    residual=eigen_residual(a - xi * a_dag, v, 0.0),
-                    norm_euclidean=float(np.linalg.norm(std)))
-        return meta, std, lamc
-
-    # appendix families: f1, f2, canonical
-    alpha = complex(args.alpha)
-    fam = families.nonlinear_cs(kind, alpha, trunc)
-    std = np.asarray(fam.coeffs, dtype=complex)
-    basis = LambdaBasis(lam, max(std.shape[0], 2))
-    lamc = fock.to_lambda(std, basis)
-    steps = {"f1": lambda n: n ** 1.5, "f2": lambda n: float(n),
-             "canonical": math.sqrt}
-    g = steps[kind]
-    resid = max((abs(std[n] - std[n - 1] * alpha / g(n))
-                 for n in range(1, std.shape[0])), default=0.0)
-    meta.update(alpha=_pair(alpha), coeff_rule=fam.coeff_rule,
-                residual_kind="coefficient_recurrence", residual=float(resid),
-                norm_constant=fam.norm_constant,
-                norm_euclidean=float(np.linalg.norm(std)))
+                    residual=_residual(_ladder(v) - xi * _ladder(v, 0.0), v))
+    else:  # appendix families: f1, f2, canonical
+        alpha = complex(args.alpha)
+        fam = families.nonlinear_cs(kind, alpha, trunc)
+        std = np.asarray(fam.coeffs, dtype=complex)
+        lamc = fock.to_lambda(std, LambdaBasis(lam, max(std.shape[0], 2)))
+        g = {"f1": lambda n: n ** 1.5, "f2": lambda n: float(n),
+             "canonical": math.sqrt}[kind]
+        resid = max((abs(std[n] - std[n - 1] * alpha / g(n))
+                     for n in range(1, std.shape[0])), default=0.0)
+        meta.update(alpha=_pair(alpha), coeff_rule=fam.coeff_rule,
+                    residual_kind="coefficient_recurrence", residual=float(resid),
+                    norm_constant=fam.norm_constant)
+    meta["norm_euclidean"] = float(np.linalg.norm(std))
     return meta, std, lamc
 
 

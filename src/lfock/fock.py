@@ -6,10 +6,12 @@ neighbours, with
 
     |n>_lam = sum_m sqrt(n!) lam^{n-m} / [(n-m)! sqrt(m! L_n)] |m>,
 
-where L_n is laguerre0(n, lam). Everything downstream (coherent and squeezed
-constructions, photon statistics) reduces to the overlaps and operator matrix
-elements implemented here, all evaluated in log space with sign tracking so
-that negative lam and large n stay representable.
+where L_n is laguerre0(n, lam). That is the paper's operator form
+|n>_lam = e^{lam a}|n> / sqrt(L_n), so a standard vector v has the coefficients
+diag(sqrt L_n) e^{-lam a} v (to_lambda). Everything downstream (coherent and
+squeezed constructions, photon statistics) reduces to the overlaps and
+operator matrix elements here, in log space with sign tracking so that
+negative lam and large n stay representable.
 """
 
 from __future__ import annotations
@@ -21,6 +23,14 @@ import numpy as np
 
 from .specfun import (LogValue, _laguerre_table, log_factorial_table,
                       logsumexp_positive)
+
+
+class DomainError(ValueError):
+    """A parameter lies outside the domain where a construction converges."""
+
+    def __init__(self, message: str, radius: float | None = None):
+        super().__init__(message)
+        self.radius = radius
 
 
 class LambdaBasis:
@@ -35,7 +45,7 @@ class LambdaBasis:
     Parameters
     ----------
     lam : float
-        Deformation parameter, any finite real.
+        Deformation parameter, any real whose square is finite.
     max_n : int
         Largest basis index the tables cover. Operations beyond it raise.
     """
@@ -43,8 +53,8 @@ class LambdaBasis:
     def __init__(self, lam: float, max_n: int = 256):
         if max_n < 1:
             raise ValueError("max_n must be positive")
-        if not math.isfinite(lam):
-            raise ValueError(f"lam must be finite, got {lam!r}")
+        if not math.isfinite(lam * lam):
+            raise ValueError(f"lam must be finite with a finite square, got {lam!r}")
         self.lam = float(lam)
         self.max_n = int(max_n)
         self.log_laguerre, self.rho = _laguerre_table(self.lam, self.max_n)
@@ -122,17 +132,22 @@ def apply_t_operator(n: int, basis: LambdaBasis, N: int | None = None) -> np.nda
     if n >= N:
         raise ValueError(f"truncation N={N} too small for index n={n}")
     v = np.zeros(N)
-    term = np.zeros(N)
-    term[n] = 1.0
     v[n] = 1.0
-    for j in range(1, n + 1):
-        # term <- (lam/j) * a * term ; (a w)[i] = sqrt(i+1) w[i+1]
-        shifted = np.zeros(N)
-        idx = np.arange(n - j + 1)
-        shifted[idx] = np.sqrt(idx + 1.0) * term[idx + 1]
-        term = (basis.lam / j) * shifted
-        v += term
-    return v * math.exp(-0.5 * float(basis.log_laguerre[n]))
+    return _exp_lowering(basis.lam, v) * math.exp(-0.5 * float(basis.log_laguerre[n]))
+
+
+def _exp_lowering(mu: float, v: np.ndarray) -> np.ndarray:
+    """e^{mu a} v = sum_k mu^k/k! a^k v, exact: with (a w)_i = sqrt(i+1) w_{i+1}
+    each term is one entry shorter, and the sum stops at the first term that
+    is exactly zero (shifted out or underflowed). mu = +-lam: T and T^-1."""
+    out = np.array(v, dtype=np.result_type(v, float))
+    root = np.sqrt(np.arange(1.0, out.shape[0]))
+    term, k = out, 1
+    while term.any():
+        term = (mu / k) * (root[: term.shape[0] - 1] * term[1:])
+        out[: term.shape[0]] += term
+        k += 1
+    return out
 
 
 def _sign_for_parity(lam: float, exponent_parity: int) -> int:
@@ -332,14 +347,18 @@ def gram_coefficient(basis: LambdaBasis, size: int) -> np.ndarray:
 def to_lambda(v: np.ndarray, basis: LambdaBasis) -> np.ndarray:
     """Coefficients over {|n>_lam} for a standard-basis vector v.
 
-    Solves the triangular system E^T c = v; exact inverse of
-    LambdaExpansion.to_standard for vectors inside the horizon.
+    The paper's T-operator form |n>_lam = e^{lam a}|n> / sqrt(L_n) inverts to
+    c = diag(sqrt L_n) e^{-lam a} v, a terminating series in O(d) memory, the
+    exact inverse of LambdaExpansion.to_standard inside the horizon. Raises
+    DomainError when a coefficient leaves the double range.
     """
-    from scipy.linalg import solve_triangular
     v = np.asarray(v, dtype=complex)
-    d = v.shape[0]
-    E = expansion_matrix(basis, d)
-    return solve_triangular(E.T, v, lower=False)
+    basis._check(v.shape[0] - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.exp(0.5 * basis.log_laguerre[: v.shape[0]]) * _exp_lowering(-basis.lam, v)
+    if not np.all(np.isfinite(c)):
+        raise DomainError(f"lambda-frame coefficients overflow at lam={basis.lam:g}")
+    return c
 
 
 @dataclass(frozen=True)

@@ -17,19 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import operators
-from .fock import LambdaBasis, LambdaExpansion, _matvec, gram
+from .fock import DomainError, LambdaBasis, LambdaExpansion, _matvec, gram
 from .specfun import log_factorial_table, logsumexp_positive
 
 _LN2 = math.log(2.0)
+_LOG_DBL_MAX = math.log(np.finfo(float).max)
 _HARD_CAP = 512
-
-
-class DomainError(ValueError):
-    """A state parameter lies outside its convergence domain."""
-
-    def __init__(self, message: str, radius: float | None = None):
-        super().__init__(message)
-        self.radius = radius
 
 
 @dataclass(frozen=True)
@@ -76,21 +69,20 @@ def _coherent_coeffs(alpha: complex, basis: LambdaBasis, N: int) -> np.ndarray:
     """C_n = C_0 alpha^n sqrt(L_n/n!) for n < N and alpha != 0.
 
     Magnitudes are summed in log space and only the unit phase
-    (alpha/|alpha|)^n is accumulated as a product, so nothing can overflow
-    before the final exponential.
+    (alpha/|alpha|)^n is accumulated as a product; the largest log is checked
+    against the double range before the one final exponential.
     """
     log_c0 = -basis.lam * alpha.real - abs(alpha) ** 2 / 2.0
-    try:
-        c0 = math.exp(log_c0)
-    except OverflowError:
-        raise DomainError("normalization constant exp(-lam Re a - |a|^2/2) "
-                          "overflows for these parameters") from None
-    if c0 == 0.0:
-        raise DomainError("normalization constant exp(-lam Re a - |a|^2/2) "
-                          "underflows for these parameters")
     n = np.arange(N)
     logs = log_c0 + n * math.log(abs(alpha)) \
         + 0.5 * (basis.log_laguerre[:N] - log_factorial_table(N - 1))
+    top = int(np.argmax(logs))
+    if logs[top] > _LOG_DBL_MAX:
+        raise DomainError(f"coefficient C_{top} overflows the double range "
+                          f"(ln|C_{top}| = {logs[top]:.4g})")
+    if math.exp(log_c0) == 0.0:
+        raise DomainError("normalization constant exp(-lam Re a - |a|^2/2) "
+                          "underflows for these parameters")
     phases = np.ones(N, dtype=complex)
     phases[1:] = np.cumprod(np.full(N - 1, alpha / abs(alpha)))
     return np.exp(logs) * phases

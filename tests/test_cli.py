@@ -1,10 +1,17 @@
 """Command-line contract: exit codes, serialization, determinism."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from lfock.cli import main
+from lfock.cli import _STATE_KINDS, main
+from lfock.operators import build_ladders, eigen_residual
 
 
 def test_verify_suite_passes(capsys):
@@ -129,3 +136,91 @@ def test_normalization_overflow_is_a_domain_error(capsys):
     # exp(-lam Re(alpha) - |alpha|^2/2) = exp(798) overflows a double
     assert main(["state", "lambda_cs", "--alpha", "-2", "--lambda", "400"]) == 3
     assert "overflows" in capsys.readouterr().err
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with this checkout's src/ first on the path."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_squeezed_vacuum_lambda_column_regression(capsys):
+    # the dense triangular solve printed a peak of 95900.8 here, exit 0;
+    # 60-digit mpmath and the inverse T-operator give 52000.2
+    assert main(["state", "squeezed_vacuum", "--lambda", "-3",
+                 "--xi", "0.3,-0.35", "--format", "json"]) == 0
+    lamc = json.loads(capsys.readouterr().out)["lambda"]
+    assert round(max(math.hypot(re, im) for re, im in lamc), 1) == 52000.2
+
+
+def test_state_dumps_do_not_import_scipy():
+    code = ("import os, sys\n"
+            "from lfock.cli import main\n"
+            f"for kind in {_STATE_KINDS!r}:\n"
+            "    assert main(['state', kind, '--lambda', '0.7',"
+            " '--out', os.devnull]) == 0, kind\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    done = _python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, kind, lam, z", [
+    (["lambda_ket", "-n", "5", "--lambda", "-1.3"], "number", -1.3, 5.0),
+    (["lambda_cs", "--alpha", "1,0.5", "--lambda", "0.6"], "lowering", 0.0,
+     1 + 0.5j),
+    (["lambda_ss", "--xi", "0.3,0.2", "--lambda", "0.8"], "kernel", 0.8,
+     0.3 + 0.2j),
+    (["squeezed_vacuum", "--xi", "0.5,-0.4", "--lambda", "2"], "kernel", 0.0,
+     0.5 - 0.4j),
+])
+def test_dump_residuals_match_dense_ladders(argv, kind, lam, z, capsys):
+    # the O(N) shifts reproduce the dense truncated-matrix residuals
+    assert main(["state", *argv, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    std = np.array([complex(re, im) for re, im in payload["standard"]])
+    v = np.concatenate([std, np.zeros(2)])
+    a, _, adl = build_ladders(v.shape[0], lam)
+    M, z = {"number": (adl @ a, z), "lowering": (a, z),
+            "kernel": (a - z * adl, 0.0)}[kind]
+    want = eigen_residual(M, v, z)
+    assert abs(payload["metadata"]["residual"] - want) <= 1e-14
+
+
+def test_near_unit_xi_squeezed_vacuum_runs_in_linear_memory(tmp_path):
+    # 40001 standard components: the dense route wanted three 40003 x 40003
+    # complex ladders and a 40001 x 40001 expansion matrix (tens of GB)
+    path = tmp_path / "sv.csv"
+    tracemalloc.start()
+    try:
+        assert main(["state", "squeezed_vacuum", "--xi", "0.999999",
+                     "--out", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200e6
+    rows = path.read_text().splitlines()[2:]
+    assert len(rows) == 40001
+    assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
+
+
+def test_coherent_coefficient_overflow_is_a_clean_domain_error():
+    # C_n passes 1e308 inside the truncation: exit 3 naming the overflow,
+    # not raw numpy warnings and a truncation message
+    done = _python("-m", "lfock.cli", "state", "lambda_cs",
+                   "--alpha", "-2", "--lambda", "300")
+    assert done.returncode == 3
+    assert "overflows the double range" in done.stderr
+    assert "RuntimeWarning" not in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["state", "lambda_ket", "-n", "2", "--lambda", "1e200"],
+    ["fig2", "--lambda", "1e200"],
+])
+def test_lambda_with_overflowing_square_is_a_usage_error(argv, capsys):
+    # lam^2 = inf used to give NaN coefficients / an all-empty fig2, exit 0
+    assert main(argv) == 1
+    assert "finite square" in capsys.readouterr().err

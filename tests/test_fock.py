@@ -1,20 +1,25 @@
 """Deformed number basis: expansions, overlaps, ladder action, matrix elements."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import cholesky
+from scipy.linalg import cholesky, solve_triangular
 
-from lfock.fock import (LambdaBasis, LambdaExpansion, apply_t_operator,
-                        expansion_matrix, gram, gram_coefficient,
+from lfock.families import nonlinear_cs
+from lfock.fock import (DomainError, LambdaBasis, LambdaExpansion,
+                        apply_t_operator, expansion_matrix, gram,
+                        gram_coefficient,
                         iterated_lowering_norm, ladder_down, ladder_up,
                         lambda_ket, lowering_scalar, matel_annihilation_power,
                         matel_creation_power, matel_normal_ordered,
                         overlap_analytic, raising_scalar, to_lambda)
 from lfock.operators import build_ladders
 from lfock.specfun import laguerre0
+from lfock.states import squeezed_vacuum
 
 LAMBDAS = [0.1, 0.5, 1.0, 2.0, 3.0]
 
@@ -267,3 +272,77 @@ def test_cached_matrices_are_read_only_and_grow_exactly(lam):
             with pytest.raises(ValueError):
                 M[0, 0] = 2.0
             assert np.array_equal(M, want[: M.shape[0], : M.shape[0]])
+
+
+def _to_lambda_mpmath(v, lam, dps=60):
+    # c_n = sqrt(L_n / n!) sum_k (-lam)^k / k! sqrt((n+k)!) v_{n+k}, the
+    # entries of diag(sqrt L) e^{-lam a} summed at dps digits; L_n(-lam^2)
+    # from the three-term recurrence, the input floats taken exactly
+    d = len(v)
+    with mpmath.workdps(dps):
+        lam, x = mpmath.mpf(lam), mpmath.mpf(lam) ** 2
+        lag = [mpmath.mpf(1), 1 + x]
+        for n in range(1, d):
+            lag.append(((2 * n + 1 + x) * lag[n] - n * lag[n - 1]) / (n + 1))
+        fact = [mpmath.mpf(1)]
+        for n in range(1, d):
+            fact.append(fact[-1] * n)
+        taylor = [(-lam) ** k / fact[k] for k in range(d)]
+        u = [mpmath.sqrt(fact[j]) * mpmath.mpc(complex(z)) for j, z in enumerate(v)]
+        c = [mpmath.sqrt(lag[n] / fact[n]) * mpmath.fdot(taylor[: d - n], u[n:])
+             for n in range(d)]
+        return np.array([complex(z) for z in c])
+
+
+_STATE_VECTORS = {
+    **{f"squeezed_vacuum xi={xi}": (lambda xi=xi: squeezed_vacuum(xi))
+       for xi in (0.3 - 0.35j, 0.6j, 0.8)},
+    **{kind: (lambda kind=kind: nonlinear_cs(kind, 1.2 - 0.5j).coeffs)
+       for kind in ("f1", "f2", "canonical")},
+}
+
+
+@pytest.mark.parametrize("name", list(_STATE_VECTORS))
+@pytest.mark.parametrize("lam", [-3.0, -2.37, 1.27, 2.9])
+def test_to_lambda_matches_mpmath(lam, name):
+    # the terminating inverse T-operator series against 60 digits, scaled by
+    # the largest coefficient; the dense triangular solve it replaced was off
+    # by up to 1e70 of that scale here (lam = -3, xi = 0.8, d = 319)
+    v = np.asarray(_STATE_VECTORS[name](), dtype=complex)
+    got = to_lambda(v, LambdaBasis(lam, len(v)))
+    want = _to_lambda_mpmath(v, lam)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("lam, d", [(0.3, 5), (0.3, 30), (0.3, 60),
+                                    (0.8, 5), (0.8, 30)])
+def test_to_lambda_matches_triangular_solve(lam, d):
+    # where E^T is well conditioned, back substitution is a valid oracle; at
+    # lam = 0.8 it drifts from 60-digit mpmath by 1.7e-12 (d = 40) and 2.2e-11
+    # (d = 60) of the largest coefficient on these vectors, to_lambda by 6e-16
+    basis = LambdaBasis(lam, 64)
+    rng = np.random.default_rng(d)
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    want = solve_triangular(expansion_matrix(basis, d).T, v, lower=False)
+    got = to_lambda(v, basis)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    for n in range(0, d, 7):  # and the forward T-operator inverts exactly
+        unit = to_lambda(apply_t_operator(n, basis, d), basis)
+        assert np.max(np.abs(unit - np.eye(d)[n])) <= 1e-12
+
+
+def test_to_lambda_overflow_is_a_domain_error():
+    # sqrt(L_n(-lam^2)) leaves the double range; no numpy warning escapes
+    basis = LambdaBasis(1e100, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflow"):
+            to_lambda(np.ones(8), basis)
+
+
+def test_lambda_with_overflowing_square_rejected():
+    with pytest.raises(ValueError, match="finite square"):
+        LambdaBasis(1e200, 8)
+    basis = LambdaBasis(-1e150, 8)  # lam^2 = 1e300 still fits
+    assert np.all(np.isfinite(basis.log_laguerre))
+    assert np.all(np.isfinite(basis.rho))
