@@ -20,7 +20,7 @@ basis = LambdaBasis(lam, 1604)
 state = lambda_squeezed(xi, basis)
 print(f"\n|xi, lam> at xi = {xi}, lam = {lam}: "
       f"{state.truncation} components, even indices only")
-print(f"  norm constant via Gram form:   {state.norm_constant:.12f}")
+print(f"  norm constant, closed form:     {state.norm_constant:.12f}")
 print(f"  norm constant via triple sum:  {squeezed_norm_constant(xi, basis):.12f}")
 
 print("\nquadrature variances vs xi (vacuum reference is 1/2):")

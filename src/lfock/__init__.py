@@ -28,7 +28,7 @@ from .states import (DomainError, LambdaCoherent, LambdaSqueezed,
                      squeezed_norm_constant, squeezed_operator_form,
                      squeezed_vacuum)
 from .stats import (QuadratureReport, StatisticsReport, number_moments,
-                    p_lambda, quadrature_variances)
+                    p_lambda, quadrature_variances, squeezed_moments)
 from .sweeps import SweepResult, sweep_fig1, sweep_fig2, sweep_fig3
 
 __version__ = "0.1.0"
@@ -48,7 +48,7 @@ __all__ = [
     "lambda_squeezed", "squeezed_norm_constant", "squeezed_operator_form",
     "radius_estimate", "radius_min",
     "StatisticsReport", "QuadratureReport", "p_lambda", "number_moments",
-    "quadrature_variances",
+    "quadrature_variances", "squeezed_moments",
     "NonlinearCS", "nonlinear_spectrum", "classical_frequency", "nonlinear_cs",
     "penson_solomon_cs", "identify_bound_state_nonlinearity",
     "SweepResult", "sweep_fig1", "sweep_fig2", "sweep_fig3",

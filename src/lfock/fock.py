@@ -288,8 +288,8 @@ def expansion_matrix(basis: LambdaBasis, size: int) -> np.ndarray:
     return built[:size, :size]
 
 
-def gram(basis: LambdaBasis, size: int) -> np.ndarray:
-    """Gram matrix G[m, n] = <m|n>_lamlam, built by the ladder recurrence.
+def _gram_rows(basis: LambdaBasis, size: int):
+    """Yield the rows G[m, :size], m < size, of the ladder recurrence.
 
     Row 0 is the vacuum overlap lam^n / sqrt(n! L_n); resolving <m|a|n> two
     ways (lowering to the right, raising to the left) gives
@@ -297,34 +297,46 @@ def gram(basis: LambdaBasis, size: int) -> np.ndarray:
         G[m+1, n] = rho_{m+1} (sqrt(n) rho_n G[m, n-1] + lam G[m, n]) / sqrt(m+1)
 
     with rho_n = sqrt(L_{n-1}/L_n). Entries are inner products of unit
-    vectors, bounded by 1, so the recursion cannot overflow. Must agree with
-    overlap_analytic entrywise; the output is symmetrized (raw asymmetry is
-    at roundoff level). Returns a read-only view of the largest matrix built
-    so far, which is cached on the basis.
+    vectors, bounded by 1, so the recursion cannot overflow. Rows come
+    unsymmetrized (the raw asymmetry is at roundoff level), one at a time.
+    """
+    lam = basis.lam
+    if lam == 0.0:
+        for m in range(size):
+            row = np.zeros(size)
+            row[m] = 1.0
+            yield row
+        return
+    lf = log_factorial_table(size - 1)[: size]
+    lL = basis.log_laguerre[:size]
+    rho = basis.rho[:size]
+    n = np.arange(size)
+    shift = np.sqrt(n[1:].astype(float)) * rho[1:]
+    signs = np.where(n % 2 == 0, 1.0, math.copysign(1.0, lam))
+    row = signs * np.exp(n * math.log(abs(lam)) - 0.5 * (lf + lL))
+    yield row
+    for m in range(size - 1):
+        nxt = lam * row
+        nxt[1:] += shift * row[:-1]
+        row = nxt * (rho[m + 1] / math.sqrt(m + 1.0))
+        yield row
+
+
+def gram(basis: LambdaBasis, size: int) -> np.ndarray:
+    """Gram matrix G[m, n] = <m|n>_lamlam, built by the ladder recurrence.
+
+    The rows of _gram_rows, symmetrized in place. Must agree with
+    overlap_analytic entrywise. Returns a read-only view of the largest
+    matrix built so far, which is cached on the basis.
     """
     basis._check(size - 1)
     built = basis._gram
     if built is None or built.shape[0] < size:
-        lam = basis.lam
-        if lam == 0.0:
-            G = np.eye(size)
-        else:
-            lf = log_factorial_table(size - 1)[: size]
-            lL = basis.log_laguerre[:size]
-            rho = basis.rho[:size]
-            n = np.arange(size)
-            sqrtn = np.sqrt(n.astype(float))
-            signs = np.where(n % 2 == 0, 1.0, math.copysign(1.0, lam))
-            G = np.empty((size, size))
-            G[0] = signs * np.exp(n * math.log(abs(lam))
-                                  - 0.5 * (lf + lL))
-            for m in range(size - 1):
-                prev = G[m]
-                nxt = lam * prev
-                nxt[1:] += sqrtn[1:] * rho[1:] * prev[:-1]
-                G[m + 1] = nxt * (rho[m + 1] / math.sqrt(m + 1.0))
-            for m in range(1, size):  # G <- (G + G^T)/2, in place
-                G[m, :m] = G[:m, m] = 0.5 * (G[m, :m] + G[:m, m])
+        G = np.empty((size, size))
+        for m, row in enumerate(_gram_rows(basis, size)):
+            G[m] = row
+        for m in range(1, size):  # G <- (G + G^T)/2, in place
+            G[m, :m] = G[:m, m] = 0.5 * (G[m, :m] + G[:m, m])
         G.setflags(write=False)
         basis._gram = built = G
     return built[:size, :size]
@@ -385,7 +397,15 @@ class LambdaExpansion:
         return out
 
     def norm(self) -> float:
-        """Norm through the analytic Gram quadratic form."""
-        G = gram(self.basis, self.support)
+        """Norm through the Gram quadratic form c^H G c, streamed row by row.
+
+        Each row of the ladder recurrence is used once and dropped, so the
+        memory is O(d), not the (d x d) Gram matrix.
+        """
+        self.basis._check(self.support - 1)
         c = np.asarray(self.coeffs, dtype=complex)
-        return math.sqrt(max(float(np.real(np.vdot(c, _matvec(G, c)))), 0.0))
+        total = 0.0
+        for cm, row in zip(c, _gram_rows(self.basis, self.support)):
+            if cm != 0:
+                total += float(np.real(np.conj(cm) * _matvec(row, c)))
+        return math.sqrt(max(total, 0.0))

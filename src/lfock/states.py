@@ -6,6 +6,13 @@ standard basis. The squeezed family solves (a - xi a_dag_lam)|psi> = 0 with
 support on even deformed indices; its normalization series has a finite
 convergence radius R(lam) that is estimated numerically and enforced as a
 construction guard.
+
+Through |n>_lam = e^{lam a}|n>/sqrt(L_n) the squeezed state is Gaussian,
+psi = C_0 e^{xi lam^2/2} g(xi, xi lam) with g(xi, mu) = e^{xi a_dag^2/2 +
+mu a_dag}|0>, and its frame projections are <m|_lam psi = C_0 e^{xi lam^2/2}
+g_m(xi, lam(1+xi))/sqrt(L_m). The Gaussian kernel below (recurrence for g_m,
+closed-form norm and moments) serves the auto-truncated state; the Gram
+route, the triple sum and the operator form stay as its oracles.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,12 +58,28 @@ class LambdaCoherent:
 
 @dataclass(frozen=True)
 class LambdaSqueezed:
-    """Solution of (a - xi a_dag_lam)|psi> = 0 over even deformed indices."""
+    """Solution of (a - xi a_dag_lam)|psi> = 0 over even deformed indices.
+
+    With n_terms None the state is the exact Gaussian, C_0 is its closed-form
+    norm constant and its statistics come from the Gaussian kernel; the
+    expansion C_0 sum_n d_n |2n>_lam, cut where the terms fall below 1e-20 of
+    the norm, is built on first use. With n_terms given the state is that
+    truncated frame series, normalized through the Gram quadratic form.
+    """
 
     xi: complex
     basis: LambdaBasis
-    expansion: LambdaExpansion = field(repr=False)
     norm_constant: float = 1.0
+    n_terms: int | None = None
+
+    @cached_property
+    def expansion(self) -> LambdaExpansion:
+        if self.xi == 0:
+            return LambdaExpansion(self.basis, np.ones(1, dtype=complex))
+        u = _squeezed_series(self.xi, self.basis, self.n_terms)
+        coeffs = np.zeros(2 * u.shape[0] - 1, dtype=complex)
+        coeffs[::2] = self.norm_constant * u
+        return LambdaExpansion(self.basis, coeffs)
 
     @property
     def truncation(self) -> int:
@@ -360,36 +384,118 @@ def _squeezed_terms(xi: complex, basis: LambdaBasis,
         T = min(2 * T, (basis.max_n // 2) + 1)
 
 
+def _squeezed_series(xi: complex, basis: LambdaBasis,
+                     n_terms: int | None) -> np.ndarray:
+    """d_n = xi^n sqrt(L_2n (2n-1)!!/(2n)!!) for n < _squeezed_terms."""
+    T = _squeezed_terms(xi, basis, n_terms) - 1
+    logs = 0.5 * (np.asarray(basis.log_laguerre[0: 2 * T + 1: 2])
+                  + _even_log_weights(T))
+    return xi ** np.arange(T + 1) * np.exp(logs)
+
+
+def _gaussian_amplitudes(xi, mu, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """g_m(xi, mu) for m < M, one column per entry of the xi array.
+
+    g(xi, mu) = e^{xi a_dag^2/2 + mu a_dag}|0> obeys a g = (mu + xi a_dag) g,
+    i.e. sqrt(m+1) g_{m+1} = mu g_m + xi sqrt(m) g_{m-1} with g_0 = 1: the
+    Hermite recurrence of DLMF 18.9 in the form of displaced squeezed states
+    (Yuen, Phys. Rev. A 13, 2226 (1976)). Every few steps the last two rows
+    are rescaled by a power of two, exactly, so a large |mu| cannot overflow;
+    only entries some 300 orders below g_0 = 1 can underflow. Returns
+    (mant, expo) with g_m = mant[m] * 2**expo[m].
+    """
+    xi = np.atleast_1d(np.asarray(xi, dtype=complex))
+    mu = np.broadcast_to(np.asarray(mu, dtype=complex), xi.shape)
+    mant = np.zeros((M, xi.size), dtype=complex)
+    expo = np.zeros((M, xi.size), dtype=np.int64)
+    mant[0] = 1.0
+    root = np.sqrt(np.arange(M, dtype=float))
+    # g_m = (mu/sqrt m) g_{m-1} + xi sqrt((m-1)/m) g_{m-2}
+    A = mu[None, :] / root[1:, None]
+    B = xi[None, :] * (root[:-1] / root[1:])[:, None]
+    # |g| grows at most by (|mu| + 1) per step; rescale before 2^900
+    grow = math.log2(2.0 + float(np.max(np.abs(mu), initial=0.0)))
+    every = int(min(32.0, max(1.0, 900.0 // grow)))
+    e = np.zeros(xi.size, dtype=np.int64)
+    done = 0
+    rows, A, B = list(mant), list(A), list(B)  # row views: no indexing per step
+    tmp = np.empty(xi.size, dtype=complex)
+    for m in range(1, M):
+        np.multiply(A[m - 1], rows[m - 1], out=rows[m])
+        if m > 1:
+            np.multiply(B[m - 1], rows[m - 2], out=tmp)
+            rows[m] += tmp
+        if m % every == 0:
+            expo[done: m - 1] = e
+            _, f = np.frexp(np.maximum(np.abs(mant[m - 1]), np.abs(mant[m])))
+            mant[m - 1: m + 1] *= np.ldexp(1.0, -f)
+            e += f
+            done = m - 1
+    expo[done:] = e
+    return mant, expo
+
+
+def _gaussian_log_norm(xi, mu):
+    """ln ||g(xi, mu)||^2 = -ln(1-|xi|^2)/2 + (|mu|^2 + Re(conj(xi) mu^2))/(1-|xi|^2).
+
+    Elementwise over complex scalars or arrays; finite for every |xi| < 1 and
+    every mu.
+    """
+    x2 = xi.real ** 2 + xi.imag ** 2
+    return -0.5 * np.log1p(-x2) \
+        + (mu.real ** 2 + mu.imag ** 2 + (xi.conjugate() * mu * mu).real) / (1.0 - x2)
+
+
+def _gaussian_moments(xi, mu):
+    """Standard-basis moments of g(xi, mu)/||g||, elementwise over complex
+    scalars or arrays.
+
+    Returns (<a>, n_s, s, Var n) with <a> = (mu + xi conj(mu))/(1-|xi|^2),
+    n_s = <b_dag b> = |xi|^2/(1-|xi|^2) and s = <b b> = xi/(1-|xi|^2) for
+    b = a - <a>, and Var n = |<a>|^2 (2 n_s + 1) + 2 Re(conj(<a>)^2 s) + |s|^2
+    + n_s^2 + n_s; the mean is <n> = |<a>|^2 + n_s.
+    """
+    x2 = xi.real ** 2 + xi.imag ** 2
+    a = (mu + xi * mu.conjugate()) / (1.0 - x2)
+    ns = x2 / (1.0 - x2)
+    s = xi / (1.0 - x2)
+    a2 = a.real ** 2 + a.imag ** 2
+    var = a2 * (2.0 * ns + 1.0) + 2.0 * (a.conjugate() ** 2 * s).real \
+        + (s.real ** 2 + s.imag ** 2) + ns * ns + ns
+    return a, ns, s, var
+
+
 def lambda_squeezed(xi: complex, basis: LambdaBasis,
                     n_terms: int | None = None) -> LambdaSqueezed:
     """Construct the deformed squeezed state C_0 sum_n d_n |2n>_lam.
 
-    d_n = xi^n sqrt(L_2n (2n-1)!!/(2n)!!); C_0 normalizes through the Gram
-    quadratic form. Guarded to |xi| < 0.95 R(lam) with R the scan minimum
-    over phase rays.
+    d_n = xi^n sqrt(L_2n (2n-1)!!/(2n)!!). Guarded to |xi| < 0.95 R(lam) with
+    R the scan minimum over phase rays. With n_terms None, C_0 normalizes the
+    exact state, psi = C_0 e^{xi lam^2/2} g(xi, xi lam):
+    ln C_0 = -Re(xi) lam^2/2 - ln ||g(xi, xi lam)||^2 / 2. With n_terms given,
+    C_0 normalizes the truncated series through the Gram quadratic form.
     """
     xi = complex(xi)
     rmin = _guard_xi(xi, basis)
     if xi == 0:
-        return LambdaSqueezed(xi, basis,
-                              LambdaExpansion(basis, np.ones(1, dtype=complex)),
-                              norm_constant=1.0)
-    T = _squeezed_terms(xi, basis, n_terms) - 1
-    n = np.arange(T + 1)
-    logs = 0.5 * (np.asarray(basis.log_laguerre[0: 2 * T + 1: 2])
-                  + _even_log_weights(T))
-    u = xi ** n * np.exp(logs)
-    G_even = gram(basis, 2 * T + 1)[::2, ::2]
+        return LambdaSqueezed(xi, basis, 1.0, n_terms)
+    lam = basis.lam
+    if n_terms is None:
+        with np.errstate(over="ignore", under="ignore"):
+            c0 = float(np.exp(-0.5 * xi.real * lam * lam
+                              - 0.5 * _gaussian_log_norm(xi, xi * lam)))
+        if not (c0 > 0 and math.isfinite(c0)):
+            raise DomainError(f"normalization constant at |xi|={abs(xi):.4f} "
+                              "leaves the double range", radius=rmin)
+        return LambdaSqueezed(xi, basis, c0)
+    u = _squeezed_series(xi, basis, n_terms)
+    G_even = gram(basis, 2 * u.shape[0] - 1)[::2, ::2]
     norm2 = float(np.real(np.vdot(u, _matvec(G_even, u))))
     if not (norm2 > 0 and math.isfinite(norm2)):
         raise DomainError(
             f"normalization series not summable at |xi|={abs(xi):.4f}",
             radius=rmin)
-    c0 = 1.0 / math.sqrt(norm2)
-    coeffs = np.zeros(2 * T + 1, dtype=complex)
-    coeffs[2 * n] = c0 * u
-    return LambdaSqueezed(xi, basis, LambdaExpansion(basis, coeffs),
-                          norm_constant=c0)
+    return LambdaSqueezed(xi, basis, 1.0 / math.sqrt(norm2), n_terms)
 
 
 def squeezed_norm_constant(xi: complex, basis: LambdaBasis,

@@ -17,10 +17,12 @@ import numpy as np
 from . import operators
 from .fock import LambdaBasis, LambdaExpansion, _matvec, gram
 from .specfun import log_factorial_table
-from .states import LambdaCoherent
+from .states import (LambdaCoherent, LambdaSqueezed, _gaussian_amplitudes,
+                     _gaussian_log_norm, _gaussian_moments)
 
 _TAIL_TOL = 1e-12
 _NORM_TOL = 1e-8
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -75,11 +77,19 @@ def number_moments(state, cutoff: int | None = None) -> StatisticsReport:
     A plain array is read as a standard-basis vector: P(m) = |psi_m|^2 over
     its support. Anything else is read in the deformed basis,
     P(m) = |<m|_lam psi>|^2: a LambdaCoherent takes the closed form p_lambda
-    of the exact eigenvector, and a LambdaExpansion c (or a state carrying
-    one) takes |(G c)_m|^2, since <m|_lam psi> = (E E^T c)_m. Without a
-    cutoff the sum runs until the m^2 P(m) tail drops below 1e-12 (the second
-    moment converges slower than the mean).
+    of the exact eigenvector, an auto-truncated LambdaSqueezed takes the
+    Gaussian kernel (squeezed_moments), and a LambdaExpansion c (or a state
+    carrying one) takes |(G c)_m|^2, since <m|_lam psi> = (E E^T c)_m.
+    Without a cutoff the sum runs until the m^2 P(m) tail drops below 1e-12
+    (the second moment converges slower than the mean).
     """
+    if isinstance(state, LambdaSqueezed) and state.n_terms is None:
+        rep = squeezed_moments([state], "lambda", cutoff)[0]
+        if rep is None:
+            raise operators.TruncationError(
+                "m^2 P(m) tail not below 1e-12 at the basis horizon; "
+                "build a LambdaBasis with a larger max_n")
+        return rep
     if isinstance(state, LambdaCoherent):
         basis, alpha = state.basis, state.alpha
         # P(k)/P(k-1) = |lam+alpha|^2 rho_k^2 / k falls with k: the weights
@@ -126,11 +136,78 @@ def number_moments(state, cutoff: int | None = None) -> StatisticsReport:
     return _report_from_probs(P, "lambda")
 
 
+def _squeezed_frame_weights(xi: np.ndarray, basis: LambdaBasis,
+                            cutoff: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Frame weights |g_m(xi, lam(1+xi))|^2 / (L_m ||g(xi, xi lam)||^2).
+
+    One recurrence for all columns (one per xi). Without a cutoff the horizon
+    doubles from 64 until every column's last 8 rows pass the tail rule
+    m^2 P(m) < 1e-12 min(1, sum P): the absolute rule of number_moments for
+    weights of order one, relative where all weights are tiny (they can
+    start below 1e-12 and peak far out at large lam). Every column is summed
+    to that common horizon. Returns (P, ok), ok False for a column that is
+    still not settled at the basis horizon.
+    """
+    lam = basis.lam
+    log_norm = _gaussian_log_norm(xi, xi * lam)
+
+    def weights(M: int) -> np.ndarray:
+        mant, expo = _gaussian_amplitudes(xi, lam * (1.0 + xi), M)
+        with np.errstate(divide="ignore"):
+            logs = np.log(mant.real ** 2 + mant.imag ** 2) + (2.0 * _LN2) * expo
+        return np.exp(logs - basis.log_laguerre[:M, None] - log_norm)
+
+    if cutoff is not None:
+        basis._check(cutoff - 1, "cutoff")
+        return weights(cutoff), np.ones(xi.shape, dtype=bool)
+    M = min(64, basis.max_n + 1)
+    while True:
+        P = weights(M)
+        m = np.arange(M - 8, M, dtype=float)
+        ok = np.max((m[:, None] ** 2 + 1.0) * P[-8:], axis=0) \
+            < _TAIL_TOL * np.minimum(1.0, P.sum(axis=0))
+        if ok.all() or M > basis.max_n:
+            return P, ok
+        M = min(2 * M, basis.max_n + 1)
+
+
+def squeezed_moments(column, basis_tag: str = "lambda",
+                     cutoff: int | None = None) -> list:
+    """Number moments of auto-truncated squeezed states on one basis at once.
+
+    psi = C_0 e^{xi lam^2/2} g(xi, xi lam), so the standard basis takes the
+    closed-form <n> and Var n of g(xi, xi lam) (prob_sum is 1 exactly), and
+    the lambda frame takes P(m) = |g_m(xi, lam(1+xi))|^2 / (L_m
+    ||g(xi, xi lam)||^2) from one recurrence over the whole column. Returns
+    one StatisticsReport per state, or None where the frame tail is not
+    below 1e-12 at the basis horizon.
+    """
+    if not column:
+        return []
+    basis = column[0].basis
+    xi = np.array([st.xi for st in column], dtype=complex)
+    if basis_tag == "standard":
+        a, ns, _, var = _gaussian_moments(xi, xi * basis.lam)
+        mean = a.real ** 2 + a.imag ** 2 + ns
+        return [StatisticsReport(float(mu), float(v + mu * mu),
+                                 float(v / mu - 1.0) if mu > 0 else math.nan,
+                                 1.0, "standard", bool(mu > 0))
+                for mu, v in zip(mean, var)]
+    P, ok = _squeezed_frame_weights(xi, basis, cutoff)
+    m = np.arange(P.shape[0], dtype=float)[:, None]
+    sums = zip(P.sum(axis=0), (m * P).sum(axis=0), (m * m * P).sum(axis=0))
+    return [_report(float(p), float(mean), float(second), "lambda")
+            if good else None for good, (p, mean, second) in zip(ok, sums)]
+
+
 def _report_from_probs(P: np.ndarray, tag: str) -> StatisticsReport:
     m = np.arange(P.shape[0], dtype=float)
-    prob_sum = float(np.sum(P))
-    mean = float(np.sum(m * P))
-    second = float(np.sum(m * m * P))
+    return _report(float(np.sum(P)), float(np.sum(m * P)),
+                   float(np.sum(m * m * P)), tag)
+
+
+def _report(prob_sum: float, mean: float, second: float,
+            tag: str) -> StatisticsReport:
     if mean > 0.0:
         q = (second - mean * mean) / mean - 1.0
         return StatisticsReport(mean, second, q, prob_sum, tag, True)
@@ -198,11 +275,18 @@ def _quadratures_from_expectations(e_a: complex, e_ad: complex, e_a2: complex,
 def quadrature_variances(state, basis: LambdaBasis | None = None) -> QuadratureReport:
     """(Delta x)^2 and (Delta p)^2 for a normalized state.
 
-    Standard-basis arrays go through the dense ladder matrices; deformed
-    expansions go through the closed ladder scalars contracted with the Gram
-    matrix, with a_dag rewritten as (a_dag + lam) - lam. The two routes must
-    agree wherever both apply.
+    An auto-truncated LambdaSqueezed takes the Gaussian closed form
+    1/2 + n_s +- Re s, i.e. var_x = |1+xi|^2 / (2(1-|xi|^2)) and
+    var_p = |1-xi|^2 / (2(1-|xi|^2)), free of lam. Standard-basis arrays go
+    through the dense ladder matrices; deformed expansions go through the
+    closed ladder scalars contracted with the Gram matrix, with a_dag
+    rewritten as (a_dag + lam) - lam. The routes must agree wherever they
+    all apply.
     """
+    if isinstance(state, LambdaSqueezed) and state.n_terms is None:
+        _, ns, s, _ = _gaussian_moments(state.xi, 0j)
+        var_x, var_p = float(0.5 + ns + s.real), float(0.5 + ns - s.real)
+        return QuadratureReport(var_x, var_p, var_x * var_p)
     expansion = getattr(state, "expansion", state)
     if isinstance(expansion, LambdaExpansion):
         return _lambda_quadratures(expansion)

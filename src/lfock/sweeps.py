@@ -11,6 +11,7 @@ the run.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -19,12 +20,13 @@ import numpy as np
 from . import operators
 from .fock import LambdaBasis
 from .states import DomainError, lambda_coherent, lambda_squeezed
-from .stats import number_moments, quadrature_variances
+from .stats import number_moments, quadrature_variances, squeezed_moments
 
 # Covers the radius-scan horizon (2 * 800), so the guard, the state
 # construction, and the statistics all share one basis and one Gram cache.
 _SWEEP_MAX_N = 1604
-_FIG1_MAX_N = 320
+_FIG1_MIN_N = 320
+_FIG1_MAX_N = 4000
 
 
 @dataclass
@@ -88,7 +90,12 @@ def sweep_fig1(alphas=None, lambda_range=(0.0, 5.0, 200),
     lams = _axis(lambda_range)
     series: dict[str, list] = {f"Q[alpha={_fmt_num(a)}]": [] for a in alphas}
     for lam in lams:
-        basis = LambdaBasis(lam, _FIG1_MAX_N)
+        # p_lambda(m) rises only while |lam+alpha|^2 rho_m^2 >= m, and
+        # rho_m <= 1, so the weights peak below |lam+alpha|^2; the horizon
+        # adds a tail margin past that peak (cells past the cap stay empty)
+        top = max(abs(lam + a) ** 2 for a in alphas)
+        horizon = min(_FIG1_MAX_N, int(top + 12.0 * math.sqrt(top)) + 64)
+        basis = LambdaBasis(lam, max(_FIG1_MIN_N, horizon))
         for a in alphas:
             key = f"Q[alpha={_fmt_num(a)}]"
             try:
@@ -160,21 +167,29 @@ def sweep_fig3(basis_tag: str, lambdas=None, xi_range=(0.02, 0.9, 150),
     series: dict[str, list] = {}
     for lam in lambdas:
         tag = _fmt_num(lam)
-        col: list = []
+        col: list = [None] * len(xis)  # xi = 0 (vacuum): Mandel Q undefined
         basis = LambdaBasis(lam, _SWEEP_MAX_N)
+        admitted: list = []  # (index, state) for the Gaussian kernel
         skipped = 0
-        for xi in xis:
+        for i, xi in enumerate(xis):
             if xi == 0.0:
-                col.append(None)  # vacuum: Mandel Q undefined
                 continue
             try:
                 st = lambda_squeezed(complex(xi), basis, truncation)
+                if truncation is None:
+                    admitted.append((i, st))
+                    continue
                 rep = number_moments(st if basis_tag == "lambda"
                                      else st.to_standard())
-                col.append(float(rep.mandel_q) if rep.q_defined else None)
+                col[i] = float(rep.mandel_q) if rep.q_defined else None
             except (DomainError, operators.TruncationError):
-                col.append(None)
                 skipped += 1
+        reps = squeezed_moments([st for _, st in admitted], basis_tag)
+        for (i, _), rep in zip(admitted, reps):
+            if rep is None:
+                skipped += 1
+            elif rep.q_defined:
+                col[i] = float(rep.mandel_q)
         if skipped:
             _warn(f"fig3 lambda={tag}: {skipped} xi point(s) outside the "
                   "guarded convergence disk, emitted as empty cells")

@@ -200,6 +200,10 @@ def _suite_squeezed() -> list[Check]:
             out.append(Check(f"norm constant routes {tag}",
                              abs(c0_series - st.norm_constant)
                              / abs(st.norm_constant), 1e-9))
+            # the kernel's closed-form C_0 normalizes the exact state; the
+            # Gram quadratic form reads the truncated series it stores
+            out.append(Check(f"Gaussian kernel vs Gram route C_0 {tag}",
+                             abs(st.expansion.norm() - 1.0), 1e-12))
             odd = float(np.max(np.abs(st.expansion.coeffs[1::2]))) \
                 if st.expansion.support > 1 else 0.0
             out.append(Check(f"odd coefficients {tag}", odd, 0.0))
@@ -213,6 +217,15 @@ def _suite_squeezed() -> list[Check]:
     direct = operators.expm_apply(0.5 * xi * (adl @ adl), e0)
     out.append(Check("three-route series vs printed operator",
                      _normalized_mismatch(series_vec, op_vec), 1e-8))
+    # psi = C_0 e^{xi lam^2/2} g(xi, xi lam), g from the kernel recurrence;
+    # the operator form is parallel to psi up to a positive scalar
+    mant, expo = states._gaussian_amplitudes(xi, xi * basis.lam, 200)
+    kernel_vec = states.lambda_squeezed(xi, basis).norm_constant \
+        * cmath.exp(0.5 * xi * basis.lam ** 2) * mant[:, 0] * np.exp2(expo[:, 0])
+    out.append(Check("Gaussian kernel vs operator form",
+                     float(np.max(np.abs(kernel_vec
+                                         - op_vec / np.linalg.norm(op_vec)))),
+                     1e-12))
     out.append(Check("three-route series vs deformed exponential",
                      _normalized_mismatch(series_vec, direct), 1e-8))
     out.append(Check("radius at lam=0 near 1",
@@ -268,6 +281,19 @@ def _suite_stats() -> list[Check]:
     out.append(Check("quadrature route equivalence",
                      max(abs(lam_route.var_x - dense_route.var_x),
                          abs(lam_route.var_p - dense_route.var_p)), 1e-8))
+    gram_route = stats.quadrature_variances(st.expansion)
+    out.append(Check("Gaussian kernel vs Gram route var_x/var_p",
+                     max(abs(lam_route.var_x - gram_route.var_x),
+                         abs(lam_route.var_p - gram_route.var_p)), 1e-12))
+    kernel_q = stats.number_moments(st).mandel_q
+    out.append(Check("Gaussian kernel vs Gram route frame Q",
+                     _scaled_err(kernel_q,
+                                 stats.number_moments(st.expansion).mandel_q),
+                     1e-12))
+    kernel_q = stats.squeezed_moments([st], "standard")[0].mandel_q
+    out.append(Check("Gaussian kernel vs Gram route standard Q",
+                     _scaled_err(kernel_q, stats.number_moments(
+                         st.to_standard()).mandel_q), 1e-12))
     ccs = states.lambda_coherent(1.5, LambdaBasis(0.0, 128))
     rep = stats.number_moments(ccs.to_standard())
     out.append(Check("canonical CS Mandel Q", abs(rep.mandel_q), 1e-8))

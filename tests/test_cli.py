@@ -206,6 +206,30 @@ def test_near_unit_xi_squeezed_vacuum_runs_in_linear_memory(tmp_path):
     assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
 
 
+def test_lambda_ket_norm_gram_streams_in_linear_memory(tmp_path):
+    # norm_gram is c^H G c over 10001 rows; the whole Gram matrix is 800 MB
+    path = tmp_path / "ket.csv"
+    tracemalloc.start()
+    try:
+        assert main(["state", "lambda_ket", "-n", "10000", "--lambda", "1.3",
+                     "--out", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    meta = json.loads(path.read_text().splitlines()[0][2:])
+    assert meta["norm_gram"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cli_import_loads_no_scipy_mpmath_or_logging():
+    # each of these would add to every command's start-up time
+    done = _python("-c", "import sys, lfock.cli\n"
+                         "print(sorted(m for m in ('scipy', 'mpmath', 'logging')"
+                         " if m in sys.modules))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_coherent_coefficient_overflow_is_a_clean_domain_error():
     # C_n passes 1e308 inside the truncation: exit 3 naming the overflow,
     # not raw numpy warnings and a truncation message
