@@ -163,7 +163,7 @@ def _squeezed_frame_weights(xi: np.ndarray, basis: LambdaBasis,
     M = min(64, basis.max_n + 1)
     while True:
         P = weights(M)
-        m = np.arange(M - 8, M, dtype=float)
+        m = np.arange(max(M - 8, 0), M, dtype=float)
         ok = np.max((m[:, None] ** 2 + 1.0) * P[-8:], axis=0) \
             < _TAIL_TOL * np.minimum(1.0, P.sum(axis=0))
         if ok.all() or M > basis.max_n:

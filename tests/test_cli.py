@@ -222,12 +222,18 @@ def test_lambda_ket_norm_gram_streams_in_linear_memory(tmp_path):
 
 
 def test_cli_import_loads_no_scipy_mpmath_or_logging():
-    # each of these would add to every command's start-up time
+    # each of these would add to every command's start-up time, and
+    # lfock.verify is compiled only for the verify command
     done = _python("-c", "import sys, lfock.cli\n"
-                         "print(sorted(m for m in ('scipy', 'mpmath', 'logging')"
-                         " if m in sys.modules))")
+                         "print(sorted(m for m in ('scipy', 'mpmath', 'logging',"
+                         " 'lfock.verify') if m in sys.modules))")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_names_every_verify_suite():
+    from lfock import cli, verify
+    assert sorted(cli._VERIFY_SUITES) == sorted(verify.SUITES)
 
 
 def test_coherent_coefficient_overflow_is_a_clean_domain_error():

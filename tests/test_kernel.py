@@ -184,3 +184,9 @@ def test_negative_xi_cells_at_lam_4_match_the_series_definition():
     res = sweeps.sweep_fig2([4.0], (-0.7, -0.6, 2))
     assert res.series["var_x[lambda=4]"] == pytest.approx(
         [0.3 ** 2 / (2 * 0.51), 0.4 ** 2 / (2 * 0.64)], rel=1e-14)
+
+
+def test_frame_tail_unsettled_on_a_tiny_basis_is_a_truncation_error():
+    # five rows cannot hold the tail window of eight: exit 3, not a crash
+    with pytest.raises(TruncationError):
+        number_moments(lambda_squeezed(0.2, LambdaBasis(1.0, 4)))
