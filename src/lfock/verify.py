@@ -209,7 +209,8 @@ def _suite_squeezed() -> list[Check]:
             out.append(Check(f"odd coefficients {tag}", odd, 0.0))
     basis = LambdaBasis(1.0, 256)
     xi = 0.3
-    series_vec = states.lambda_squeezed(xi, basis).to_standard(200)
+    st = states.lambda_squeezed(xi, basis)
+    series_vec = st.to_standard(200)
     op_vec = states.squeezed_operator_form(xi, basis, 200)
     e0 = np.zeros(200, dtype=complex)
     e0[0] = 1.0
@@ -220,8 +221,8 @@ def _suite_squeezed() -> list[Check]:
     # psi = C_0 e^{xi lam^2/2} g(xi, xi lam), g from the kernel recurrence;
     # the operator form is parallel to psi up to a positive scalar
     mant, expo = states._gaussian_amplitudes(xi, xi * basis.lam, 200)
-    kernel_vec = states.lambda_squeezed(xi, basis).norm_constant \
-        * cmath.exp(0.5 * xi * basis.lam ** 2) * mant[:, 0] * np.exp2(expo[:, 0])
+    kernel_vec = st.norm_constant * cmath.exp(0.5 * xi * basis.lam ** 2) \
+        * mant[:, 0] * np.exp2(expo[:, 0])
     out.append(Check("Gaussian kernel vs operator form",
                      float(np.max(np.abs(kernel_vec
                                          - op_vec / np.linalg.norm(op_vec)))),
