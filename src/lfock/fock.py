@@ -11,7 +11,8 @@ where L_n is laguerre0(n, lam). That is the paper's operator form
 diag(sqrt L_n) e^{-lam a} v (to_lambda). Everything downstream (coherent and
 squeezed constructions, photon statistics) reduces to the overlaps and
 operator matrix elements here, in log space with sign tracking so that
-negative lam and large n stay representable.
+negative lam and large n stay representable, and to the Gaussian vectors
+g(xi, mu) = e^{xi a_dag^2/2 + mu a_dag}|0> of both state families.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ class LambdaBasis:
     """Immutable container for one deformation parameter.
 
     Holds lam, the tables of log Laguerre values ln L_n and ladder ratios
-    rho_n = sqrt(L_{n-1}/L_n) up to max_n, and lazy caches for the expansion
-    matrix and the Gram matrix. Cache fills are idempotent and the cached
-    arrays are read-only, so the object is observationally immutable and safe
-    to share. The matrices live and die with the basis.
+    rho_n = sqrt(L_{n-1}/L_n) up to max_n, and a lazy cache for the Gram
+    matrix. Cache fills are idempotent and the cached array is read-only, so
+    the object is observationally immutable and safe to share. The matrix
+    lives and dies with the basis.
 
     Parameters
     ----------
@@ -60,7 +61,6 @@ class LambdaBasis:
         self.log_laguerre, self.rho = _laguerre_table(self.lam, self.max_n)
         self.log_laguerre.setflags(write=False)
         self.rho.setflags(write=False)
-        self._expansion: np.ndarray | None = None
         self._gram: np.ndarray | None = None
 
     @property
@@ -148,6 +148,78 @@ def _exp_lowering(mu: float, v: np.ndarray) -> np.ndarray:
         out[: term.shape[0]] += term
         k += 1
     return out
+
+
+def _gaussian_amplitudes(xi, mu, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """g_m(xi, mu) for m < M, one column per entry of the xi array.
+
+    g(xi, mu) = e^{xi a_dag^2/2 + mu a_dag}|0> obeys a g = (mu + xi a_dag) g,
+    i.e. sqrt(m+1) g_{m+1} = mu g_m + xi sqrt(m) g_{m-1} with g_0 = 1: the
+    Hermite recurrence of DLMF 18.9 in the form of displaced squeezed states
+    (Yuen, Phys. Rev. A 13, 2226 (1976)). Every few steps the last two rows
+    are rescaled by a power of two, exactly, so a large |mu| cannot overflow;
+    only entries some 300 orders below g_0 = 1 can underflow. Returns
+    (mant, expo) with g_m = mant[m] * 2**expo[m].
+    """
+    xi = np.atleast_1d(np.asarray(xi, dtype=complex))
+    mu = np.broadcast_to(np.asarray(mu, dtype=complex), xi.shape)
+    mant = np.zeros((M, xi.size), dtype=complex)
+    expo = np.zeros((M, xi.size), dtype=np.int64)
+    mant[0] = 1.0
+    root = np.sqrt(np.arange(M, dtype=float))
+    # g_m = (mu/sqrt m) g_{m-1} + xi sqrt((m-1)/m) g_{m-2}
+    A = mu[None, :] / root[1:, None]
+    B = xi[None, :] * (root[:-1] / root[1:])[:, None]
+    # |g| grows at most by (|mu| + 1) per step; rescale before 2^900
+    grow = math.log2(2.0 + float(np.max(np.abs(mu), initial=0.0)))
+    every = int(min(32.0, max(1.0, 900.0 // grow)))
+    e = np.zeros(xi.size, dtype=np.int64)
+    done = 0
+    rows, A, B = list(mant), list(A), list(B)  # row views: no indexing per step
+    tmp = np.empty(xi.size, dtype=complex)
+    for m in range(1, M):
+        np.multiply(A[m - 1], rows[m - 1], out=rows[m])
+        if m > 1:
+            np.multiply(B[m - 1], rows[m - 2], out=tmp)
+            rows[m] += tmp
+        if m % every == 0:
+            expo[done: m - 1] = e
+            _, f = np.frexp(np.maximum(np.abs(mant[m - 1]), np.abs(mant[m])))
+            mant[m - 1: m + 1] *= np.ldexp(1.0, -f)
+            e += f
+            done = m - 1
+    expo[done:] = e
+    return mant, expo
+
+
+def _gaussian_log_norm(xi, mu):
+    """ln ||g(xi, mu)||^2 = -ln(1-|xi|^2)/2 + (|mu|^2 + Re(conj(xi) mu^2))/(1-|xi|^2).
+
+    Elementwise over complex scalars or arrays; finite for every |xi| < 1 and
+    every mu.
+    """
+    x2 = xi.real ** 2 + xi.imag ** 2
+    return -0.5 * np.log1p(-x2) \
+        + (mu.real ** 2 + mu.imag ** 2 + (xi.conjugate() * mu * mu).real) / (1.0 - x2)
+
+
+def _gaussian_moments(xi, mu):
+    """Standard-basis moments of g(xi, mu)/||g||, elementwise over complex
+    scalars or arrays.
+
+    Returns (<a>, n_s, s, Var n) with <a> = (mu + xi conj(mu))/(1-|xi|^2),
+    n_s = <b_dag b> = |xi|^2/(1-|xi|^2) and s = <b b> = xi/(1-|xi|^2) for
+    b = a - <a>, and Var n = |<a>|^2 (2 n_s + 1) + 2 Re(conj(<a>)^2 s) + |s|^2
+    + n_s^2 + n_s; the mean is <n> = |<a>|^2 + n_s.
+    """
+    x2 = xi.real ** 2 + xi.imag ** 2
+    a = (mu + xi * mu.conjugate()) / (1.0 - x2)
+    ns = x2 / (1.0 - x2)
+    s = xi / (1.0 - x2)
+    a2 = a.real ** 2 + a.imag ** 2
+    var = a2 * (2.0 * ns + 1.0) + 2.0 * (a.conjugate() ** 2 * s).real \
+        + (s.real ** 2 + s.imag ** 2) + ns * ns + ns
+    return a, ns, s, var
 
 
 def _sign_for_parity(lam: float, exponent_parity: int) -> int:
@@ -271,21 +343,15 @@ def expansion_matrix(basis: LambdaBasis, size: int) -> np.ndarray:
 
     Row n is the lambda_ket(n) expansion; the diagonal exp(-log L_n / 2) is
     strictly positive, so E is an exact triangular factor of the Gram matrix.
-    Returns a read-only view of a matrix cached on the basis, which grows by
-    the missing rows when a larger size is asked for.
+    An oracle for the T-operator routes (to_lambda, to_standard): built fresh
+    on each call and returned read-only.
     """
     basis._check(size - 1)
-    built = basis._expansion
-    done = 0 if built is None else built.shape[0]
-    if done < size:
-        E = np.zeros((size, size))
-        if built is not None:
-            E[:done, :done] = built
-        for n in range(done, size):
-            E[n, : n + 1] = basis._row(n)
-        E.setflags(write=False)
-        basis._expansion = built = E
-    return built[:size, :size]
+    E = np.zeros((size, size))
+    for n in range(size):
+        E[n, : n + 1] = basis._row(n)
+    E.setflags(write=False)
+    return E
 
 
 def _gram_rows(basis: LambdaBasis, size: int):
@@ -361,7 +427,7 @@ def to_lambda(v: np.ndarray, basis: LambdaBasis) -> np.ndarray:
 
     The paper's T-operator form |n>_lam = e^{lam a}|n> / sqrt(L_n) inverts to
     c = diag(sqrt L_n) e^{-lam a} v, a terminating series in O(d) memory, the
-    exact inverse of LambdaExpansion.to_standard inside the horizon. Raises
+    exact inverse of LambdaExpansion.to_standard. Raises
     DomainError when a coefficient leaves the double range.
     """
     v = np.asarray(v, dtype=complex)
@@ -385,15 +451,17 @@ class LambdaExpansion:
         return int(self.coeffs.shape[0])
 
     def to_standard(self, N: int | None = None) -> np.ndarray:
-        """Standard-basis image, padded with zeros to length N."""
+        """T-operator image e^{lam a} diag(L^{-1/2}) c, zero-padded to length N."""
         d = self.support
         if N is None:
             N = d
         if N < d:
             raise ValueError("truncation shorter than the expansion support")
-        E = expansion_matrix(self.basis, d)
+        basis = self.basis
+        basis._check(d - 1)
         out = np.zeros(N, dtype=complex)
-        out[:d] = _matvec(E.T, np.asarray(self.coeffs, dtype=complex))
+        out[:d] = _exp_lowering(basis.lam,
+                                np.exp(-0.5 * basis.log_laguerre[:d]) * self.coeffs)
         return out
 
     def norm(self) -> float:

@@ -7,25 +7,27 @@ support on even deformed indices; its normalization series has a finite
 convergence radius R(lam) that is estimated numerically and enforced as a
 construction guard.
 
-Through |n>_lam = e^{lam a}|n>/sqrt(L_n) the squeezed state is Gaussian,
-psi = C_0 e^{xi lam^2/2} g(xi, xi lam) with g(xi, mu) = e^{xi a_dag^2/2 +
-mu a_dag}|0>, and its frame projections are <m|_lam psi = C_0 e^{xi lam^2/2}
-g_m(xi, lam(1+xi))/sqrt(L_m). The Gaussian kernel below (recurrence for g_m,
-closed-form norm and moments) serves the auto-truncated state; the Gram
-route, the triple sum and the operator form stay as its oracles.
+Through |n>_lam = e^{lam a}|n>/sqrt(L_n) both families are Gaussian, phase
+g(xi, mu)/||g|| with g(xi, mu) = e^{xi a_dag^2/2 + mu a_dag}|0>: coherent at
+(0, alpha, e^{i lam Im alpha}), squeezed at (xi, xi lam, e^{i Im(xi) lam^2/2}),
+with frame projections phase g_m(xi, mu + lam)/(sqrt(L_m) ||g||). The kernel
+in fock (recurrence for g_m, closed-form norm and moments) serves these exact
+states; a state built with an explicit truncation is that frame series. The
+Gram route, the triple sum and the operator forms stay as oracles.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from . import operators
-from .fock import DomainError, LambdaBasis, LambdaExpansion, _matvec, gram
+from .fock import (DomainError, LambdaBasis, LambdaExpansion,
+                   _gaussian_amplitudes, _gaussian_log_norm, _matvec, gram)
 from .specfun import log_factorial_table, logsumexp_positive
 
 _LN2 = math.log(2.0)
@@ -33,35 +35,55 @@ _LOG_DBL_MAX = math.log(np.finfo(float).max)
 _HARD_CAP = 512
 
 
-@dataclass(frozen=True)
-class LambdaCoherent:
-    """Eigenvector of a with eigenvalue alpha, expanded over |n>_lam.
-
-    (alpha, basis) name the exact eigenvector, whose statistics come from
-    closed forms; the expansion, C_n = C_0 alpha^n sqrt(L_n/n!) up to the
-    truncation, is only storage for to_standard. Any accumulated global phase
-    (from time evolution) is carried separately in `phase`.
-    """
-
-    alpha: complex
-    basis: LambdaBasis
-    expansion: LambdaExpansion = field(repr=False)
-    phase: complex = 1.0 + 0.0j
+class _Family:
+    """What both families share: _gaussian names the exact state
+    phase g(xi, mu)/||g||, or is None for a truncated frame series."""
 
     @property
     def truncation(self) -> int:
         return self.expansion.support
 
     def to_standard(self, N: int | None = None) -> np.ndarray:
-        return self.phase * self.expansion.to_standard(N)
+        """Components m < N (default: the truncation), from the kernel, or
+        for a truncated series its T-operator image."""
+        if self._gaussian is None:
+            return getattr(self, "phase", 1.0) * self.expansion.to_standard(N)
+        xi, mu, phase = self._gaussian
+        mant, expo = _gaussian_amplitudes(xi, mu, self.truncation if N is None else N)
+        half = 0.5 * float(_gaussian_log_norm(complex(xi), complex(mu)))
+        k = round(half / _LN2)  # 2^expo / ||g|| = 2^(expo - k) e^{k ln 2 - half}
+        return phase * math.exp(k * _LN2 - half) * mant[:, 0] * np.exp2(expo[:, 0] - k)
 
 
 @dataclass(frozen=True)
-class LambdaSqueezed:
+class LambdaCoherent(_Family):
+    """Eigenvector of a with eigenvalue alpha, expanded over |n>_lam.
+
+    (alpha, basis) name the exact eigenvector, whose vector and statistics
+    come from the kernel; the expansion C_n = C_0 alpha^n sqrt(L_n/n!) stores
+    its frame coefficients, and is the state when built with an explicit N.
+    Any accumulated global phase (from time evolution) is in `phase`.
+    """
+
+    alpha: complex
+    basis: LambdaBasis
+    expansion: LambdaExpansion = field(repr=False)
+    phase: complex = 1.0 + 0.0j
+    _truncated: bool = field(default=False, repr=False)
+
+    @property
+    def _gaussian(self) -> tuple[complex, complex, complex] | None:
+        lam = self.basis.lam
+        return None if self._truncated else (
+            0j, self.alpha, self.phase * cmath.exp(1j * lam * self.alpha.imag))
+
+
+@dataclass(frozen=True)
+class LambdaSqueezed(_Family):
     """Solution of (a - xi a_dag_lam)|psi> = 0 over even deformed indices.
 
     With n_terms None the state is the exact Gaussian, C_0 is its closed-form
-    norm constant and its statistics come from the Gaussian kernel; the
+    norm constant and its vector and statistics come from the kernel; the
     expansion C_0 sum_n d_n |2n>_lam, cut where the terms fall below 1e-20 of
     the norm, is built on first use. With n_terms given the state is that
     truncated frame series, normalized through the Gram quadratic form.
@@ -82,11 +104,10 @@ class LambdaSqueezed:
         return LambdaExpansion(self.basis, coeffs)
 
     @property
-    def truncation(self) -> int:
-        return self.expansion.support
-
-    def to_standard(self, N: int | None = None) -> np.ndarray:
-        return self.expansion.to_standard(N)
+    def _gaussian(self) -> tuple[complex, complex, complex] | None:
+        lam = self.basis.lam
+        return None if self.n_terms is not None else (
+            self.xi, self.xi * lam, cmath.exp(0.5j * self.xi.imag * lam * lam))
 
 
 def _coherent_coeffs(alpha: complex, basis: LambdaBasis, N: int) -> np.ndarray:
@@ -128,7 +149,8 @@ def lambda_coherent(alpha: complex, basis: LambdaBasis,
     if N is not None:
         basis._check(N - 1, "truncation")
         return LambdaCoherent(alpha, basis,
-                              LambdaExpansion(basis, _coherent_coeffs(alpha, basis, N)))
+                              LambdaExpansion(basis, _coherent_coeffs(alpha, basis, N)),
+                              _truncated=True)
     mean = abs(basis.lam + alpha) ** 2
     N = min(max(32, int(mean + 12.0 * math.sqrt(mean + 1.0) + 25.0)), cap)
     while True:
@@ -156,13 +178,9 @@ def coherent_overlap(alpha: complex, beta: complex,
     """
     sa = lambda_coherent(alpha, basis)
     sb = lambda_coherent(beta, basis)
-    size = max(sa.truncation, sb.truncation)
-    G = gram(basis, size)
-    ca = np.zeros(size, dtype=complex)
-    cb = np.zeros(size, dtype=complex)
-    ca[: sa.truncation] = sa.expansion.coeffs
-    cb[: sb.truncation] = sb.expansion.coeffs
-    return complex(np.vdot(ca, _matvec(G, cb)))
+    G = gram(basis, max(sa.truncation, sb.truncation))
+    return complex(np.vdot(sa.expansion.coeffs, _matvec(
+        G[: sa.truncation, : sb.truncation], sb.expansion.coeffs)))
 
 
 def displaced_form(alpha: complex, basis: LambdaBasis,
@@ -188,15 +206,13 @@ def displaced_form(alpha: complex, basis: LambdaBasis,
 def evolve(state: LambdaCoherent, t: float) -> LambdaCoherent:
     """Time evolution under the deformed oscillator: spectrum n + 1/2.
 
-    Returns e^{-it/2} |alpha e^{-it}, lam>. The rotated state is rebuilt from
-    its own normalization constant, which keeps it on the unit sphere even
-    when Re(alpha) changes; rotating the coefficients by e^{-int} alone would
-    leave the old constant in place and drift off normalization.
+    Returns e^{-it/2} |alpha e^{-it}, lam>, rebuilt at the rotated amplitude
+    with its own normalization constant (rotating the coefficients by e^{-int}
+    alone would keep the old constant and drift off normalization).
     """
     rotated = complex(state.alpha) * cmath.exp(-1j * t)
-    fresh = lambda_coherent(rotated, state.basis)
-    return LambdaCoherent(rotated, state.basis, fresh.expansion,
-                          phase=state.phase * cmath.exp(-0.5j * t))
+    return replace(lambda_coherent(rotated, state.basis),
+                   phase=state.phase * cmath.exp(-0.5j * t))
 
 
 def _even_log_weights(T: int) -> np.ndarray:
@@ -307,14 +323,8 @@ def _scan_radii(basis: LambdaBasis, phases: list[float],
 
 def radius_estimate(basis: LambdaBasis, phase: float = 0.0,
                     factor: float = 1.05) -> float:
-    """Numerical convergence radius of the squeezed normalization series.
-
-    Scans r upward on a geometric grid over [0.01, 2] and tests, for each r,
-    whether the partial sums of ||sum_n (r e^{i phase})^n sqrt(L_2n
-    (2n-1)!!/(2n)!!) |2n>_lam||^2 go Cauchy: a run of 20 consecutive
-    increments below 1e-12 within 800 terms. Returns the last r that passes
-    before the first failure, or the grid upper bound 2 if none fails.
-    """
+    """Numerical convergence radius of the squeezed normalization series on
+    the ray of `phase` (the scan of _scan_radii), cached per argument."""
     key = (basis.lam, float(phase), float(factor))
     hit = _RADIUS_CACHE.get(key)
     if hit is None:
@@ -393,78 +403,6 @@ def _squeezed_series(xi: complex, basis: LambdaBasis,
     return xi ** np.arange(T + 1) * np.exp(logs)
 
 
-def _gaussian_amplitudes(xi, mu, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """g_m(xi, mu) for m < M, one column per entry of the xi array.
-
-    g(xi, mu) = e^{xi a_dag^2/2 + mu a_dag}|0> obeys a g = (mu + xi a_dag) g,
-    i.e. sqrt(m+1) g_{m+1} = mu g_m + xi sqrt(m) g_{m-1} with g_0 = 1: the
-    Hermite recurrence of DLMF 18.9 in the form of displaced squeezed states
-    (Yuen, Phys. Rev. A 13, 2226 (1976)). Every few steps the last two rows
-    are rescaled by a power of two, exactly, so a large |mu| cannot overflow;
-    only entries some 300 orders below g_0 = 1 can underflow. Returns
-    (mant, expo) with g_m = mant[m] * 2**expo[m].
-    """
-    xi = np.atleast_1d(np.asarray(xi, dtype=complex))
-    mu = np.broadcast_to(np.asarray(mu, dtype=complex), xi.shape)
-    mant = np.zeros((M, xi.size), dtype=complex)
-    expo = np.zeros((M, xi.size), dtype=np.int64)
-    mant[0] = 1.0
-    root = np.sqrt(np.arange(M, dtype=float))
-    # g_m = (mu/sqrt m) g_{m-1} + xi sqrt((m-1)/m) g_{m-2}
-    A = mu[None, :] / root[1:, None]
-    B = xi[None, :] * (root[:-1] / root[1:])[:, None]
-    # |g| grows at most by (|mu| + 1) per step; rescale before 2^900
-    grow = math.log2(2.0 + float(np.max(np.abs(mu), initial=0.0)))
-    every = int(min(32.0, max(1.0, 900.0 // grow)))
-    e = np.zeros(xi.size, dtype=np.int64)
-    done = 0
-    rows, A, B = list(mant), list(A), list(B)  # row views: no indexing per step
-    tmp = np.empty(xi.size, dtype=complex)
-    for m in range(1, M):
-        np.multiply(A[m - 1], rows[m - 1], out=rows[m])
-        if m > 1:
-            np.multiply(B[m - 1], rows[m - 2], out=tmp)
-            rows[m] += tmp
-        if m % every == 0:
-            expo[done: m - 1] = e
-            _, f = np.frexp(np.maximum(np.abs(mant[m - 1]), np.abs(mant[m])))
-            mant[m - 1: m + 1] *= np.ldexp(1.0, -f)
-            e += f
-            done = m - 1
-    expo[done:] = e
-    return mant, expo
-
-
-def _gaussian_log_norm(xi, mu):
-    """ln ||g(xi, mu)||^2 = -ln(1-|xi|^2)/2 + (|mu|^2 + Re(conj(xi) mu^2))/(1-|xi|^2).
-
-    Elementwise over complex scalars or arrays; finite for every |xi| < 1 and
-    every mu.
-    """
-    x2 = xi.real ** 2 + xi.imag ** 2
-    return -0.5 * np.log1p(-x2) \
-        + (mu.real ** 2 + mu.imag ** 2 + (xi.conjugate() * mu * mu).real) / (1.0 - x2)
-
-
-def _gaussian_moments(xi, mu):
-    """Standard-basis moments of g(xi, mu)/||g||, elementwise over complex
-    scalars or arrays.
-
-    Returns (<a>, n_s, s, Var n) with <a> = (mu + xi conj(mu))/(1-|xi|^2),
-    n_s = <b_dag b> = |xi|^2/(1-|xi|^2) and s = <b b> = xi/(1-|xi|^2) for
-    b = a - <a>, and Var n = |<a>|^2 (2 n_s + 1) + 2 Re(conj(<a>)^2 s) + |s|^2
-    + n_s^2 + n_s; the mean is <n> = |<a>|^2 + n_s.
-    """
-    x2 = xi.real ** 2 + xi.imag ** 2
-    a = (mu + xi * mu.conjugate()) / (1.0 - x2)
-    ns = x2 / (1.0 - x2)
-    s = xi / (1.0 - x2)
-    a2 = a.real ** 2 + a.imag ** 2
-    var = a2 * (2.0 * ns + 1.0) + 2.0 * (a.conjugate() ** 2 * s).real \
-        + (s.real ** 2 + s.imag ** 2) + ns * ns + ns
-    return a, ns, s, var
-
-
 def lambda_squeezed(xi: complex, basis: LambdaBasis,
                     n_terms: int | None = None) -> LambdaSqueezed:
     """Construct the deformed squeezed state C_0 sum_n d_n |2n>_lam.
@@ -495,6 +433,12 @@ def lambda_squeezed(xi: complex, basis: LambdaBasis,
         raise DomainError(
             f"normalization series not summable at |xi|={abs(xi):.4f}",
             radius=rmin)
+    # u^H G u cancels over an alternating series, to a relative error
+    # kappa eps with kappa = |u|^T |G| |u| / |u^H G u|
+    kappa = float(np.abs(u) @ (np.abs(G_even) @ np.abs(u))) / norm2
+    if kappa * np.finfo(float).eps > 1e-12:
+        raise DomainError(f"the truncated series cancels in its norm "
+                          f"(condition number {kappa:.3g})")
     return LambdaSqueezed(xi, basis, 1.0 / math.sqrt(norm2), n_terms)
 
 

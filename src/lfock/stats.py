@@ -15,14 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators
-from .fock import LambdaBasis, LambdaExpansion, _matvec, gram
+from .fock import (LambdaBasis, LambdaExpansion, _gaussian_amplitudes,
+                   _gaussian_log_norm, _gaussian_moments, _matvec, gram)
 from .specfun import log_factorial_table
-from .states import (LambdaCoherent, LambdaSqueezed, _gaussian_amplitudes,
-                     _gaussian_log_norm, _gaussian_moments)
 
 _TAIL_TOL = 1e-12
 _NORM_TOL = 1e-8
 _LN2 = math.log(2.0)
+_LOG_TINY = -600.0  # frame weights all below e^_LOG_TINY are summed rescaled
+_TAIL_UNSETTLED = ("m^2 P(m) tail not below 1e-12 at the basis horizon; "
+                  "build a LambdaBasis with a larger max_n")
 
 
 @dataclass(frozen=True)
@@ -54,20 +56,15 @@ def p_lambda(m: int | np.ndarray, alpha: complex,
 
     The binomial theorem collapses the double sum over the expansion to
     e^{-|alpha|^2} |lam + alpha|^{2m} / (m! L_m), one all-positive term
-    evaluated in log space. Poissonian at lam = 0. m is an int (float result)
-    or an integer array (array result).
+    evaluated in log space (_frame_weights at xi = 0). Poissonian at lam = 0.
+    m is an int (float result) or an integer array (array result).
     """
     m = np.asarray(m)
     basis._check(int(np.min(m)))
-    basis._check(int(np.max(m)))
-    alpha = complex(alpha)
-    r = abs(basis.lam + alpha)
-    if r == 0.0:
-        P = np.where(m == 0, math.exp(-abs(alpha) ** 2), 0.0)
-    else:
-        lf = log_factorial_table(int(np.max(m)))
-        P = np.exp(2.0 * m * math.log(r) - abs(alpha) ** 2 - lf[m]
-                   - basis.log_laguerre[m])
+    P, shift, _ = _frame_weights(np.zeros(1, dtype=complex),
+                                 np.array([alpha], dtype=complex), basis,
+                                 int(np.max(m)) + 1)
+    P = P[m, 0] * math.exp(shift[0])
     return float(P) if P.ndim == 0 else P
 
 
@@ -76,111 +73,109 @@ def number_moments(state, cutoff: int | None = None) -> StatisticsReport:
 
     A plain array is read as a standard-basis vector: P(m) = |psi_m|^2 over
     its support. Anything else is read in the deformed basis,
-    P(m) = |<m|_lam psi>|^2: a LambdaCoherent takes the closed form p_lambda
-    of the exact eigenvector, an auto-truncated LambdaSqueezed takes the
-    Gaussian kernel (squeezed_moments), and a LambdaExpansion c (or a state
-    carrying one) takes |(G c)_m|^2, since <m|_lam psi> = (E E^T c)_m.
-    Without a cutoff the sum runs until the m^2 P(m) tail drops below 1e-12
-    (the second moment converges slower than the mean).
+    P(m) = |<m|_lam psi>|^2: an exact Gaussian state takes _frame_weights,
+    and a LambdaExpansion c (or a state carrying one) takes
+    |(G c)_m|^2, since <m|_lam psi> = (E E^T c)_m. Without a cutoff the sum
+    runs until the m^2 P(m) tail drops below 1e-12 (the second moment
+    converges slower than the mean).
     """
-    if isinstance(state, LambdaSqueezed) and state.n_terms is None:
-        rep = squeezed_moments([state], "lambda", cutoff)[0]
+    if getattr(state, "_gaussian", None) is not None:
+        xi, mu, _ = np.array([state._gaussian], dtype=complex).T
+        rep = _frame_moments(xi, mu, state.basis, cutoff)[0]
         if rep is None:
-            raise operators.TruncationError(
-                "m^2 P(m) tail not below 1e-12 at the basis horizon; "
-                "build a LambdaBasis with a larger max_n")
+            raise operators.TruncationError(_TAIL_UNSETTLED)
         return rep
-    if isinstance(state, LambdaCoherent):
-        basis, alpha = state.basis, state.alpha
-        # P(k)/P(k-1) = |lam+alpha|^2 rho_k^2 / k falls with k: the weights
-        # have a single peak, and the tail is only sought past it
-        rising = abs(basis.lam + alpha) ** 2 * basis.rho[1:] ** 2 \
-            >= np.arange(1, basis.max_n + 1)
-        start = max(32, int(np.count_nonzero(rising)) + 9)
+    expansion = getattr(state, "expansion", state)
+    if isinstance(expansion, np.ndarray):
+        hi = expansion.shape[0] if cutoff is None else min(cutoff, expansion.shape[0])
+        return _reports((np.abs(expansion[:hi]) ** 2)[:, None], "standard")[0]
+    if not isinstance(expansion, LambdaExpansion):
+        raise TypeError("state must be a standard-basis array or carry a "
+                        "LambdaExpansion")
+    basis = expansion.basis
+    c = np.asarray(expansion.coeffs, dtype=complex)
+    d = c.shape[0]
 
-        def weights(lo: int, hi: int) -> np.ndarray:
-            return p_lambda(np.arange(lo, hi), alpha, basis)
-    else:
-        expansion = getattr(state, "expansion", state)
-        if isinstance(expansion, np.ndarray):
-            v = np.asarray(expansion)
-            hi = v.shape[0] if cutoff is None else min(cutoff, v.shape[0])
-            return _report_from_probs(np.abs(v[:hi]) ** 2, "standard")
-        if not isinstance(expansion, LambdaExpansion):
-            raise TypeError("state must be a standard-basis array or carry a "
-                            "LambdaExpansion")
-        basis = expansion.basis
-        c = np.asarray(expansion.coeffs, dtype=complex)
-        d = c.shape[0]
-        start = min(d + 32, basis.max_n + 1)
+    def weights(lo: int, hi: int) -> np.ndarray:
+        return np.abs(_matvec(gram(basis, max(hi, d))[lo:hi, :d], c)) ** 2
 
-        def weights(lo: int, hi: int) -> np.ndarray:
-            return np.abs(_matvec(gram(basis, max(hi, d))[lo:hi, :d], c)) ** 2
     if cutoff is not None:
         basis._check(cutoff - 1, "cutoff")
-        return _report_from_probs(weights(0, cutoff), "lambda")
-    hi = min(start, basis.max_n + 1)
+        return _reports(weights(0, cutoff)[:, None], "lambda")[0]
+    hi = min(d + 32, basis.max_n + 1)
     P = weights(0, hi)
     while True:
         m = np.arange(hi - 8, hi)
-        if hi >= start and \
-                float(np.max((m.astype(float) ** 2 + 1.0) * P[-8:])) < _TAIL_TOL:
+        if float(np.max((m.astype(float) ** 2 + 1.0) * P[-8:])) < _TAIL_TOL:
             break
         if hi > basis.max_n:
-            raise operators.TruncationError(
-                "m^2 P(m) tail not below 1e-12 at the basis horizon; "
-                "build a LambdaBasis with a larger max_n")
+            raise operators.TruncationError(_TAIL_UNSETTLED)
         nxt = min(hi + 32, basis.max_n + 1)
         P = np.concatenate([P, weights(hi, nxt)])
         hi = nxt
-    return _report_from_probs(P, "lambda")
+    return _reports(P[:, None], "lambda")[0]
 
 
-def _squeezed_frame_weights(xi: np.ndarray, basis: LambdaBasis,
-                            cutoff: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Frame weights |g_m(xi, lam(1+xi))|^2 / (L_m ||g(xi, xi lam)||^2).
-
-    One recurrence for all columns (one per xi). Without a cutoff the horizon
-    doubles from 64 until every column's last 8 rows pass the tail rule
-    m^2 P(m) < 1e-12 min(1, sum P): the absolute rule of number_moments for
-    weights of order one, relative where all weights are tiny (they can
-    start below 1e-12 and peak far out at large lam). Every column is summed
-    to that common horizon. Returns (P, ok), ok False for a column that is
-    still not settled at the basis horizon.
+def _frame_weights(xi: np.ndarray, mu: np.ndarray, basis: LambdaBasis,
+                   cutoff: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frame weights |g_m(xi, mu+lam)|^2 / (L_m ||g(xi, mu)||^2) of the exact
+    states phase g(xi, mu)/||g||, a column per entry of the xi and mu arrays:
+    e^{-|mu|^2} |mu+lam|^{2m} / (m! L_m) where all xi are 0 (coherent states),
+    else one g_m recurrence. A column whose weights all lie below e^-600 is
+    divided by its largest, e^shift (shift 0 elsewhere). Without a cutoff the
+    horizon doubles from 64 until every column's last 8 rows pass m^2 P(m) <
+    1e-12 min(1, sum P), relative since at large lam all weights can be tiny.
+    Returns (P, shift, ok), ok False where unsettled at the basis horizon.
     """
     lam = basis.lam
-    log_norm = _gaussian_log_norm(xi, xi * lam)
+    log_norm = _gaussian_log_norm(xi, mu)
+    # mu + lam, exact for both families: lam(1+xi) and lam + alpha
+    frame = lam * (1.0 + xi) + (mu - xi * lam)
+    lL = basis.log_laguerre
 
-    def weights(M: int) -> np.ndarray:
-        mant, expo = _gaussian_amplitudes(xi, lam * (1.0 + xi), M)
-        with np.errstate(divide="ignore"):
-            logs = np.log(mant.real ** 2 + mant.imag ** 2) + (2.0 * _LN2) * expo
-        return np.exp(logs - basis.log_laguerre[:M, None] - log_norm)
+    def weights(M: int) -> tuple[np.ndarray, np.ndarray]:
+        if xi.any():
+            mant, expo = _gaussian_amplitudes(xi, frame, M)
+            with np.errstate(divide="ignore"):
+                logs = np.log(mant.real ** 2 + mant.imag ** 2) + (2.0 * _LN2) * expo
+            logs = logs - lL[:M, None] - log_norm
+        else:  # one row per column, transposed: each column sums pairwise
+            m = np.arange(M)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                logs = np.where(m == 0, 0.0, 2.0 * m * np.log(np.abs(frame))[:, None])
+            logs = (logs - log_norm[:, None] - log_factorial_table(M - 1) - lL[:M]).T
+        peak = np.max(logs, axis=0)
+        shift = np.where(peak < _LOG_TINY, peak, 0.0)
+        return np.exp(logs - shift), shift
 
-    if cutoff is not None:
-        basis._check(cutoff - 1, "cutoff")
-        return weights(cutoff), np.ones(xi.shape, dtype=bool)
-    M = min(64, basis.max_n + 1)
+    M = min(64, basis.max_n + 1) if cutoff is None else cutoff
+    basis._check(M - 1, "cutoff")
     while True:
-        P = weights(M)
+        P, shift = weights(M)
         m = np.arange(max(M - 8, 0), M, dtype=float)
-        ok = np.max((m[:, None] ** 2 + 1.0) * P[-8:], axis=0) \
-            < _TAIL_TOL * np.minimum(1.0, P.sum(axis=0))
+        total = P.sum(axis=0)
+        ok = (cutoff is not None) | (np.max((m[:, None] ** 2 + 1.0) * P[-8:], axis=0)
+              < _TAIL_TOL * np.where(shift < 0.0, total, np.minimum(1.0, total)))
         if ok.all() or M > basis.max_n:
-            return P, ok
+            return P, shift, ok
         M = min(2 * M, basis.max_n + 1)
+
+
+def _frame_moments(xi: np.ndarray, mu: np.ndarray, basis: LambdaBasis,
+                   cutoff: int | None = None) -> list:
+    """Frame-basis reports of _frame_weights' columns (None: unsettled)."""
+    P, shift, ok = _frame_weights(xi, mu, basis, cutoff)
+    return [rep if good else None
+            for rep, good in zip(_reports(P, "lambda", np.exp(shift)), ok)]
 
 
 def squeezed_moments(column, basis_tag: str = "lambda",
                      cutoff: int | None = None) -> list:
     """Number moments of auto-truncated squeezed states on one basis at once.
 
-    psi = C_0 e^{xi lam^2/2} g(xi, xi lam), so the standard basis takes the
-    closed-form <n> and Var n of g(xi, xi lam) (prob_sum is 1 exactly), and
-    the lambda frame takes P(m) = |g_m(xi, lam(1+xi))|^2 / (L_m
-    ||g(xi, xi lam)||^2) from one recurrence over the whole column. Returns
-    one StatisticsReport per state, or None where the frame tail is not
-    below 1e-12 at the basis horizon.
+    The standard basis takes the closed-form <n> and Var n of g(xi, xi lam)
+    (prob_sum is 1 exactly), the lambda frame one _frame_weights column per
+    state. Returns a report per state, None where the frame tail is unsettled.
     """
     if not column:
         return []
@@ -193,25 +188,20 @@ def squeezed_moments(column, basis_tag: str = "lambda",
                                  float(v / mu - 1.0) if mu > 0 else math.nan,
                                  1.0, "standard", bool(mu > 0))
                 for mu, v in zip(mean, var)]
-    P, ok = _squeezed_frame_weights(xi, basis, cutoff)
+    return _frame_moments(xi, xi * basis.lam, basis, cutoff)
+
+
+def _reports(P: np.ndarray, tag: str, scale=None) -> list:
+    """A report per column of P, the weights being scale * P (Q stays exact
+    where scale underflows)."""
     m = np.arange(P.shape[0], dtype=float)[:, None]
-    sums = zip(P.sum(axis=0), (m * P).sum(axis=0), (m * m * P).sum(axis=0))
-    return [_report(float(p), float(mean), float(second), "lambda")
-            if good else None for good, (p, mean, second) in zip(ok, sums)]
-
-
-def _report_from_probs(P: np.ndarray, tag: str) -> StatisticsReport:
-    m = np.arange(P.shape[0], dtype=float)
-    return _report(float(np.sum(P)), float(np.sum(m * P)),
-                   float(np.sum(m * m * P)), tag)
-
-
-def _report(prob_sum: float, mean: float, second: float,
-            tag: str) -> StatisticsReport:
-    if mean > 0.0:
-        q = (second - mean * mean) / mean - 1.0
-        return StatisticsReport(mean, second, q, prob_sum, tag, True)
-    return StatisticsReport(mean, second, math.nan, prob_sum, tag, False)
+    sums = zip(np.ones(P.shape[1]) if scale is None else scale, P.sum(axis=0),
+               (m * P).sum(axis=0), (m * m * P).sum(axis=0))
+    return [StatisticsReport(float(s * mean), float(s * second),
+                             float((second - s * mean * mean) / mean - 1.0)
+                             if mean > 0.0 else math.nan,
+                             float(s * p), tag, bool(mean > 0.0))
+            for s, p, mean, second in sums]
 
 
 def _dense_quadratures(v: np.ndarray) -> QuadratureReport:
@@ -219,17 +209,14 @@ def _dense_quadratures(v: np.ndarray) -> QuadratureReport:
     nrm = float(np.linalg.norm(v))
     if abs(nrm - 1.0) > _NORM_TOL:
         raise ValueError(f"state norm {nrm!r} differs from 1 beyond 1e-8")
-    N = v.shape[0]
-    a, a_dag, _ = operators.build_ladders(max(N, 2))
-    a = a[:N, :N]
-    a_dag = a_dag[:N, :N]
-    av = a @ v
-    e_a = complex(np.vdot(v, av))
-    e_a2 = complex(np.vdot(v, a @ av))
-    e_ad = complex(np.vdot(v, a_dag @ v))
-    e_ad2 = complex(np.vdot(v, a_dag @ (a_dag @ v)))
-    e_n = complex(np.vdot(v, a_dag @ av))
-    return _quadratures_from_expectations(e_a, e_ad, e_a2, e_ad2, e_n)
+    # (a v)_i = sqrt(i+1) v_{i+1} on the truncated space, a_dag its adjoint
+    root = np.sqrt(np.arange(1.0, v.shape[0]))
+    av = root * v[1:]
+    e_a = complex(np.vdot(v[:-1], av))
+    e_a2 = complex(np.vdot(v[:-2], root[:-1] * av[1:]))
+    e_n = float(np.vdot(av, av).real)
+    return _quadratures_from_expectations(e_a, e_a.conjugate(), e_a2,
+                                          e_a2.conjugate(), e_n)
 
 
 def _lambda_quadratures(expansion: LambdaExpansion) -> QuadratureReport:
@@ -275,16 +262,17 @@ def _quadratures_from_expectations(e_a: complex, e_ad: complex, e_a2: complex,
 def quadrature_variances(state, basis: LambdaBasis | None = None) -> QuadratureReport:
     """(Delta x)^2 and (Delta p)^2 for a normalized state.
 
-    An auto-truncated LambdaSqueezed takes the Gaussian closed form
-    1/2 + n_s +- Re s, i.e. var_x = |1+xi|^2 / (2(1-|xi|^2)) and
-    var_p = |1-xi|^2 / (2(1-|xi|^2)), free of lam. Standard-basis arrays go
+    An exact Gaussian state takes the closed form 1/2 + n_s +- Re s, i.e.
+    var_x = |1+xi|^2 / (2(1-|xi|^2)) and var_p = |1-xi|^2 / (2(1-|xi|^2)),
+    free of lam and mu (1/2 for a coherent state). Standard-basis arrays go
     through the dense ladder matrices; deformed expansions go through the
     closed ladder scalars contracted with the Gram matrix, with a_dag
     rewritten as (a_dag + lam) - lam. The routes must agree wherever they
     all apply.
     """
-    if isinstance(state, LambdaSqueezed) and state.n_terms is None:
-        _, ns, s, _ = _gaussian_moments(state.xi, 0j)
+    gauss = getattr(state, "_gaussian", None)
+    if gauss is not None:
+        _, ns, s, _ = _gaussian_moments(gauss[0], 0j)
         var_x, var_p = float(0.5 + ns + s.real), float(0.5 + ns - s.real)
         return QuadratureReport(var_x, var_p, var_x * var_p)
     expansion = getattr(state, "expansion", state)

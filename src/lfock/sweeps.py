@@ -19,8 +19,9 @@ import numpy as np
 
 from . import operators
 from .fock import LambdaBasis
-from .states import DomainError, lambda_coherent, lambda_squeezed
-from .stats import number_moments, quadrature_variances, squeezed_moments
+from .states import DomainError, lambda_squeezed
+from .stats import (_TAIL_UNSETTLED, _frame_moments, number_moments,
+                    quadrature_variances, squeezed_moments)
 
 # Covers the radius-scan horizon (2 * 800), so the guard, the state
 # construction, and the statistics all share one basis and one Gram cache.
@@ -81,6 +82,31 @@ def _warn(message: str) -> None:
     print(f"lfock: warning: {message}", file=sys.stderr)
 
 
+def _metadata(command: str, basis: str, grid, truncation, **axes) -> dict:
+    return {"command": command, "basis": basis, **axes,
+            "grid": [grid[0], grid[1], int(grid[2])],
+            "truncation": "auto" if truncation is None else int(truncation)}
+
+
+def _admit(xis: list, basis: LambdaBasis, truncation: int | None, where: str,
+           vacuum: bool) -> tuple[list, int]:
+    """(index, state) for each xi that lambda_squeezed admits, and the count
+    of points refused at the guard; a domain error without a guard radius is
+    not the guard's and is warned about alone. vacuum False skips xi = 0."""
+    admitted, refused = [], 0
+    for i, xi in enumerate(xis):
+        if xi == 0.0 and not vacuum:
+            continue
+        try:
+            admitted.append((i, lambda_squeezed(complex(xi), basis, truncation)))
+        except (DomainError, operators.TruncationError) as exc:
+            if isinstance(exc, DomainError) and exc.radius is None:
+                _warn(f"{where} xi={xi:g} skipped: {exc}")
+            else:
+                refused += 1
+    return admitted, refused
+
+
 def sweep_fig1(alphas=None, lambda_range=(0.0, 5.0, 200),
                truncation: int | None = None) -> SweepResult:
     """Mandel Q of the deformed coherent state vs lam, one series per alpha."""
@@ -89,6 +115,7 @@ def sweep_fig1(alphas=None, lambda_range=(0.0, 5.0, 200),
     alphas = [complex(a) for a in alphas]
     lams = _axis(lambda_range)
     series: dict[str, list] = {f"Q[alpha={_fmt_num(a)}]": [] for a in alphas}
+    mu = np.array(alphas, dtype=complex)  # the coherent state is g(0, alpha)
     for lam in lams:
         # p_lambda(m) rises only while |lam+alpha|^2 rho_m^2 >= m, and
         # rho_m <= 1, so the weights peak below |lam+alpha|^2; the horizon
@@ -96,24 +123,16 @@ def sweep_fig1(alphas=None, lambda_range=(0.0, 5.0, 200),
         top = max(abs(lam + a) ** 2 for a in alphas)
         horizon = min(_FIG1_MAX_N, int(top + 12.0 * math.sqrt(top)) + 64)
         basis = LambdaBasis(lam, max(_FIG1_MIN_N, horizon))
-        for a in alphas:
-            key = f"Q[alpha={_fmt_num(a)}]"
-            try:
-                # closed-form moments: one stored coefficient is enough
-                rep = number_moments(lambda_coherent(a, basis, 1),
-                                     cutoff=truncation)
-                series[key].append(float(rep.mandel_q) if rep.q_defined else None)
-            except (DomainError, operators.TruncationError) as exc:
-                _warn(f"fig1 lambda={lam:g} alpha={_fmt_num(a)} skipped: {exc}")
-                series[key].append(None)
-    metadata = {
-        "command": "fig1",
-        "basis": "lambda",
-        "alphas": [[a.real, a.imag] for a in alphas],
-        "grid": [lambda_range[0], lambda_range[1], int(lambda_range[2])],
-        "truncation": "auto" if truncation is None else int(truncation),
-    }
-    return SweepResult("lambda", lams, series, metadata)
+        reps = _frame_moments(np.zeros_like(mu), mu, basis, truncation)
+        for a, rep in zip(alphas, reps):
+            if rep is None:
+                _warn(f"fig1 lambda={lam:g} alpha={_fmt_num(a)} skipped: "
+                      f"{_TAIL_UNSETTLED}")
+            series[f"Q[alpha={_fmt_num(a)}]"].append(
+                float(rep.mandel_q) if rep is not None and rep.q_defined else None)
+    return SweepResult("lambda", lams, series, _metadata(
+        "fig1", "lambda", lambda_range, truncation,
+        alphas=[[a.real, a.imag] for a in alphas]))
 
 
 def sweep_fig2(lambdas=None, xi_range=(0.02, 0.9, 150),
@@ -126,33 +145,20 @@ def sweep_fig2(lambdas=None, xi_range=(0.02, 0.9, 150),
     series: dict[str, list] = {}
     for lam in lambdas:
         tag = _fmt_num(lam)
-        col_x: list = []
-        col_p: list = []
-        basis = LambdaBasis(lam, _SWEEP_MAX_N)
-        skipped = 0
-        for xi in xis:
-            try:
-                st = lambda_squeezed(complex(xi), basis, truncation)
-                rep = quadrature_variances(st)
-                col_x.append(float(rep.var_x))
-                col_p.append(float(rep.var_p))
-            except (DomainError, operators.TruncationError):
-                col_x.append(None)
-                col_p.append(None)
-                skipped += 1
+        col_x: list = [None] * len(xis)
+        col_p: list = [None] * len(xis)
+        admitted, skipped = _admit(xis, LambdaBasis(lam, _SWEEP_MAX_N),
+                                   truncation, f"fig2 lambda={tag}", True)
+        for i, st in admitted:
+            rep = quadrature_variances(st)
+            col_x[i], col_p[i] = float(rep.var_x), float(rep.var_p)
         if skipped:
             _warn(f"fig2 lambda={tag}: {skipped} xi point(s) outside the "
                   "guarded convergence disk, emitted as empty cells")
         series[f"var_x[lambda={tag}]"] = col_x
         series[f"var_p[lambda={tag}]"] = col_p
-    metadata = {
-        "command": "fig2",
-        "basis": "lambda",
-        "lambdas": lambdas,
-        "grid": [xi_range[0], xi_range[1], int(xi_range[2])],
-        "truncation": "auto" if truncation is None else int(truncation),
-    }
-    return SweepResult("xi", xis, series, metadata)
+    return SweepResult("xi", xis, series, _metadata(
+        "fig2", "lambda", xi_range, truncation, lambdas=lambdas))
 
 
 def sweep_fig3(basis_tag: str, lambdas=None, xi_range=(0.02, 0.9, 150),
@@ -168,23 +174,12 @@ def sweep_fig3(basis_tag: str, lambdas=None, xi_range=(0.02, 0.9, 150),
     for lam in lambdas:
         tag = _fmt_num(lam)
         col: list = [None] * len(xis)  # xi = 0 (vacuum): Mandel Q undefined
-        basis = LambdaBasis(lam, _SWEEP_MAX_N)
-        admitted: list = []  # (index, state) for the Gaussian kernel
-        skipped = 0
-        for i, xi in enumerate(xis):
-            if xi == 0.0:
-                continue
-            try:
-                st = lambda_squeezed(complex(xi), basis, truncation)
-                if truncation is None:
-                    admitted.append((i, st))
-                    continue
-                rep = number_moments(st if basis_tag == "lambda"
-                                     else st.to_standard())
-                col[i] = float(rep.mandel_q) if rep.q_defined else None
-            except (DomainError, operators.TruncationError):
-                skipped += 1
-        reps = squeezed_moments([st for _, st in admitted], basis_tag)
+        admitted, skipped = _admit(xis, LambdaBasis(lam, _SWEEP_MAX_N),
+                                   truncation, f"fig3 lambda={tag}", False)
+        if truncation is None:  # one Gaussian kernel column
+            reps = squeezed_moments([st for _, st in admitted], basis_tag)
+        else:
+            reps = [_series_moments(st, basis_tag) for _, st in admitted]
         for (i, _), rep in zip(admitted, reps):
             if rep is None:
                 skipped += 1
@@ -194,11 +189,14 @@ def sweep_fig3(basis_tag: str, lambdas=None, xi_range=(0.02, 0.9, 150),
             _warn(f"fig3 lambda={tag}: {skipped} xi point(s) outside the "
                   "guarded convergence disk, emitted as empty cells")
         series[f"Q[lambda={tag}]"] = col
-    metadata = {
-        "command": "fig3a" if basis_tag == "lambda" else "fig3b",
-        "basis": basis_tag,
-        "lambdas": lambdas,
-        "grid": [xi_range[0], xi_range[1], int(xi_range[2])],
-        "truncation": "auto" if truncation is None else int(truncation),
-    }
-    return SweepResult("xi", xis, series, metadata)
+    return SweepResult("xi", xis, series, _metadata(
+        "fig3a" if basis_tag == "lambda" else "fig3b", basis_tag, xi_range,
+        truncation, lambdas=lambdas))
+
+
+def _series_moments(st, basis_tag: str):
+    """Moments of a truncated series (Gram route), None past the horizon."""
+    try:
+        return number_moments(st if basis_tag == "lambda" else st.to_standard())
+    except operators.TruncationError:
+        return None

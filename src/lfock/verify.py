@@ -72,6 +72,9 @@ def _suite_overlaps() -> list[Check]:
             fock.apply_t_operator(n, basis, n_hi + 1)
             - fock.lambda_ket(n, basis, n_hi + 1)))) for n in range(n_hi + 1))
         out.append(Check(f"series vs T-operator lam={lam:g}", t_err, 1e-12))
+        c = np.cos(np.arange(n_hi + 1.0)) + 0.5j  # an arbitrary expansion
+        out.append(Check(f"T-operator image vs E^T c lam={lam:g}", float(np.max(
+            np.abs(fock.LambdaExpansion(basis, c).to_standard() - E.T @ c))), 1e-12))
         out.append(Check(f"analytic vs dot lam={lam:g}",
                          float(np.max(np.abs(G_an - G_dot))), 1e-10))
         out.append(Check(f"recurrence vs analytic lam={lam:g}",
@@ -159,6 +162,8 @@ def _suite_coherent() -> list[Check]:
             disp = states.displaced_form(alpha, basis, N)
             out.append(Check(f"displaced identity {tag}",
                              _normalized_mismatch(vec, disp), 1e-10))
+            out.append(Check(f"Gaussian kernel vs frame series {tag}", float(np.max(
+                np.abs(vec - st.expansion.to_standard()))), 1e-10))
             a, _, _ = operators.build_ladders(N)
             out.append(Check(f"eigen residual {tag}",
                              operators.eigen_residual(a, vec, alpha), 1e-9))
@@ -188,11 +193,8 @@ def _suite_squeezed() -> list[Check]:
         for xi in (0.2 + 0j, 0.3 * cmath.exp(1j * math.pi / 4)):
             tag = f"lam={lam:g} xi={abs(xi):g}e^{{i{cmath.phase(xi):g}}}"
             st = states.lambda_squeezed(xi, basis)
-            vec = st.to_standard()
-            N = vec.shape[0] + 2
-            v = np.zeros(N, dtype=complex)
-            v[: vec.shape[0]] = vec
-            a, _, adl = operators.build_ladders(N, lam)
+            v = st.to_standard(st.truncation + 2)
+            a, _, adl = operators.build_ladders(v.shape[0], lam)
             out.append(Check(f"defining equation {tag}",
                              operators.eigen_residual(a - xi * adl, v, 0.0),
                              1e-8))
@@ -210,7 +212,7 @@ def _suite_squeezed() -> list[Check]:
     basis = LambdaBasis(1.0, 256)
     xi = 0.3
     st = states.lambda_squeezed(xi, basis)
-    series_vec = st.to_standard(200)
+    series_vec = st.expansion.to_standard(200)
     op_vec = states.squeezed_operator_form(xi, basis, 200)
     e0 = np.zeros(200, dtype=complex)
     e0[0] = 1.0
@@ -218,15 +220,9 @@ def _suite_squeezed() -> list[Check]:
     direct = operators.expm_apply(0.5 * xi * (adl @ adl), e0)
     out.append(Check("three-route series vs printed operator",
                      _normalized_mismatch(series_vec, op_vec), 1e-8))
-    # psi = C_0 e^{xi lam^2/2} g(xi, xi lam), g from the kernel recurrence;
-    # the operator form is parallel to psi up to a positive scalar
-    mant, expo = states._gaussian_amplitudes(xi, xi * basis.lam, 200)
-    kernel_vec = st.norm_constant * cmath.exp(0.5 * xi * basis.lam ** 2) \
-        * mant[:, 0] * np.exp2(expo[:, 0])
-    out.append(Check("Gaussian kernel vs operator form",
-                     float(np.max(np.abs(kernel_vec
-                                         - op_vec / np.linalg.norm(op_vec)))),
-                     1e-12))
+    # the operator form is parallel to the state up to a positive scalar
+    out.append(Check("Gaussian kernel vs operator form", float(np.max(np.abs(
+        st.to_standard(200) - op_vec / np.linalg.norm(op_vec)))), 1e-12))
     out.append(Check("three-route series vs deformed exponential",
                      _normalized_mismatch(series_vec, direct), 1e-8))
     out.append(Check("radius at lam=0 near 1",
@@ -263,6 +259,11 @@ def _suite_stats() -> list[Check]:
                                       "mandel_q")))
             out.append(Check(f"coherent moments, closed form vs |G c|^2 "
                              f"lam={lam:g} alpha={alpha:g}", err, 1e-10))
+            q, g = stats.quadrature_variances(st), \
+                stats._lambda_quadratures(st.expansion)
+            out.append(Check(f"coherent quadratures, closed form vs Gram route "
+                             f"lam={lam:g} alpha={alpha:g}",
+                             max(abs(q.var_x - g.var_x), abs(q.var_p - g.var_p)), 1e-12))
     vac = np.zeros(8, dtype=complex)
     vac[0] = 1.0
     rep = stats.quadrature_variances(vac)

@@ -6,20 +6,21 @@ The oracles share no code with the kernel: g_m from the explicit double sum,
 norms and moments by summing |g_m|^2 to convergence, L_m by its recurrence.
 """
 
+import json
 import math
+import os
 import sys
 
 import mpmath
 import numpy as np
 import pytest
 
-from lfock import fock, states, stats, sweeps
+from lfock import cli, fock, states, stats, sweeps
 from lfock.fock import LambdaBasis
-from lfock.states import (DomainError, _gaussian_amplitudes,
-                          _gaussian_log_norm, _gaussian_moments,
-                          lambda_squeezed)
+from lfock.fock import _gaussian_amplitudes, _gaussian_log_norm, _gaussian_moments
+from lfock.states import DomainError, lambda_squeezed
 from lfock.operators import TruncationError
-from lfock.stats import _squeezed_frame_weights, number_moments, squeezed_moments
+from lfock.stats import _frame_weights, number_moments, squeezed_moments
 
 DPS = 50
 # complex xi, negative lam, and lam = 10, 40 just inside the guard
@@ -111,7 +112,7 @@ def test_frame_weights_and_frame_q(lam, xi):
         assert abs(rep.mandel_q - want_q) <= 1e-12 * max(1.0, abs(want_q))
         assert _rel(rep.prob_sum, mpmath.fsum(P)) <= 1e-12
         K = min(M, basis.max_n + 1)
-        got, _ = _squeezed_frame_weights(np.array([complex(xi)]), basis, K)
+        got, _, _ = _frame_weights(np.array([complex(xi)]), np.array([xi * lam]), basis, K)
         for m in range(K):
             if P[m] > mpmath.mpf(10) ** -250:
                 assert _rel(got[m, 0], P[m]) <= 1e-12, m
@@ -166,6 +167,10 @@ def test_auto_sweeps_use_the_gram_only_in_the_guard_scan(monkeypatch):
     sweeps.sweep_fig2([1.0, 3.0], (0.02, 0.9, 30))
     sweeps.sweep_fig3("lambda", [1.0, 3.0], (0.02, 0.9, 30))
     sweeps.sweep_fig3("standard", [1.0, 3.0], (0.02, 0.9, 30))
+    sweeps.sweep_fig1([1.0, -2.0 + 1.0j], (0.0, 5.0, 20))
+    for argv in (["lambda_cs", "--lambda=3", "--alpha=-2,1"],
+                 ["lambda_ss", "--lambda=2", "--xi=-0.4,0.2"]):
+        assert cli.main(["state", *argv, "--out", os.devnull]) == 0
     assert callers  # the guard scans ran
     assert set(callers) == {("gram", "_scan_radii")}
 
@@ -190,3 +195,96 @@ def test_frame_tail_unsettled_on_a_tiny_basis_is_a_truncation_error():
     # five rows cannot hold the tail window of eight: exit 3, not a crash
     with pytest.raises(TruncationError):
         number_moments(lambda_squeezed(0.2, LambdaBasis(1.0, 4)))
+
+
+def _squeezed_series_standard(lam, xi, d, dps=40):
+    # the definition C_0 sum_n d_n |2n>_lam expanded term by term: the
+    # sqrt(L_2n) of d_n cancels the ket's, leaving psi_m = C_0/sqrt(m!) *
+    # sum_{2n >= m} (xi/2)^n (2n)!/(n! (2n-m)!) lam^(2n-m), each sum run past
+    # its peak to 1e-45 of it. Components are summed until four in a row fall
+    # below 1e-25 of the largest (the rest, zeros here, are far below the
+    # test tolerance); C_0 > 0 normalizes them
+    with mpmath.workdps(dps):
+        lam, xi = mpmath.mpf(lam), mpmath.mpc(xi)
+        fact, tiny = mpmath.factorial, mpmath.mpf(10) ** -45
+        psi, mags, x = [], [], xi * lam ** 2
+        while len(psi) < 8 or max(mags[-4:]) > mpmath.mpf(10) ** -25 * max(mags):
+            m = len(psi)
+            n = (m + 1) // 2
+            t = (xi / 2) ** n * fact(2 * n) / (fact(n) * fact(2 * n - m)) \
+                * lam ** (2 * n - m)
+            total, a, prev = t, abs(t), abs(t) + 1
+            top = a
+            while a >= prev or a > tiny * top:
+                # t_{n+1}/t_n = xi lam^2 (2n+1)/((2n-m+1)(2n-m+2))
+                t *= x * (2 * n + 1) / ((2 * n - m + 1) * (2 * n - m + 2))
+                n += 1
+                total, prev, a = total + t, a, abs(t)
+                top = max(top, a)
+            psi.append(total / mpmath.sqrt(fact(m)))
+            mags.append(abs(psi[-1]))
+        norm = mpmath.sqrt(mpmath.fsum(abs(z) ** 2 for z in psi))
+        out = np.zeros(d, dtype=complex)
+        out[: min(d, len(psi))] = [complex(z / norm) for z in psi[:d]]
+        return out
+
+
+def _coherent_standard(lam, alpha, d, dps=60):
+    # C_0 sum_n alpha^n sqrt(L_n/n!) |n>_lam term by term: the sum over n >= m
+    # of each component is C_0 alpha^m e^{alpha lam} / sqrt(m!)
+    with mpmath.workdps(dps):
+        lam, alpha = mpmath.mpf(lam), mpmath.mpc(alpha)
+        c0 = mpmath.exp(-lam * alpha.real - abs(alpha) ** 2 / 2)
+        return np.array([complex(c0 * mpmath.exp(alpha * lam) * alpha ** m
+                                 / mpmath.sqrt(mpmath.factorial(m)))
+                         for m in range(d)])
+
+
+@pytest.mark.parametrize("kind, lam, z", [
+    ("lambda_ss", 2.0, -0.8), ("lambda_ss", 4.0, -0.6),
+    ("lambda_ss", 2.9, -0.4 + 0.2j), ("lambda_cs", 3.0, -2.0),
+    ("lambda_cs", 3.0, -2.0 + 1.0j)])
+def test_state_dump_standard_columns_match_mpmath(kind, lam, z, capsys):
+    # the frame series summed through E^T c cancelled here: off by 2.7e-8,
+    # 1.35e-8, 2.2e-11, 4.8e-11 and 8.0e-11
+    flag = "--xi" if kind == "lambda_ss" else "--alpha"
+    assert cli.main(["state", kind, f"--lambda={lam}",
+                     f"{flag}={z.real},{z.imag}", "--format=json"]) == 0
+    got = np.array([complex(*pair) for pair in
+                    json.loads(capsys.readouterr().out)["standard"]])
+    oracle = _squeezed_series_standard if kind == "lambda_ss" else _coherent_standard
+    assert np.max(np.abs(got - oracle(lam, z, got.shape[0]))) <= 1e-14
+
+
+@pytest.mark.parametrize("command", ["fig2", "fig3b"])
+def test_cancelling_truncated_series_is_refused_not_misprinted(command, capsys):
+    # kappa = |u|^T |G| |u| / |u^H G u| is 1.07e13 at (lam 4, xi -0.6): the
+    # Gram route printed Q = -0.17485493897125992 (fig3b) or exited 1 on its
+    # norm check (fig2). The series oracle (the truncation at 300 terms is the
+    # whole series here): the 60-digit values of the test above, and the
+    # closed-form variances
+    want = {"fig3b": [[0.15595776772247338], [-0.17500000000000004]],
+            "fig2": [[0.3 ** 2 / (2 * 0.51), 1.7 ** 2 / (2 * 0.51)],
+                     [0.4 ** 2 / (2 * 0.64), 1.6 ** 2 / (2 * 0.64)]]}[command]
+    code = cli.main([command, "--truncation", "300", "--lambda=4",
+                     "--grid=-0.7:-0.6:2"])
+    assert code in (0, 3)
+    out, err = capsys.readouterr()
+    if code == 3:
+        return
+    rows = [line.split(",")[1:] for line in out.splitlines()[2:]]
+    for row, values, xi in zip(rows, want, ("-0.7", "-0.6")):
+        for cell, value in zip(row, values):
+            if cell:
+                assert abs(float(cell) - value) <= 1e-12 * max(1.0, abs(value))
+            elif xi == "-0.6":  # refused for the cancellation, not the guard
+                assert f"xi={xi} skipped: the truncated series cancels" in err
+
+
+def test_cancelling_series_is_a_domain_error_without_guard_radius():
+    basis = LambdaBasis(4.0, 1604)
+    with pytest.raises(DomainError, match="condition number") as info:
+        lambda_squeezed(-0.6, basis, 300)
+    assert info.value.radius is None
+    # positive real xi: every term of u^H G u is positive, kappa = 1
+    assert lambda_squeezed(0.3, basis, 300).n_terms == 300

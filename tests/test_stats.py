@@ -270,3 +270,25 @@ def test_frame_weights_match_row_dot_oracle(lam, xi):
     want_q = (second - mean * mean) / mean - 1.0
     got_q = number_moments(state).mandel_q
     assert abs(got_q - want_q) <= 1e-10 * max(1.0, abs(want_q))
+
+
+def test_fig1_cell_with_underflowing_weights_matches_mpmath(capsys):
+    # at lam 29.9, alpha -30 every weight carries e^{-|alpha|^2} = e^{-900}
+    # and their sum is 1.4e-391, yet Q is well defined; at lam 30,
+    # lam + alpha = 0 and Q is undefined (an empty cell, no warning)
+    res = sweep_fig1([-30.0, 1.0], (29.9, 30.0, 2))
+    got, undefined = res.series["Q[alpha=-30]"]
+    with mpmath.workdps(40):
+        x, r2 = mpmath.mpf(29.9) ** 2, (mpmath.mpf(29.9) - 30) ** 2
+        lag_prev, lag, P, m = mpmath.mpf(1), mpmath.mpf(1), mpmath.exp(-900), 0
+        first, sums = P, [mpmath.mpf(0)] * 3
+        while P > mpmath.mpf(10) ** -40 * first:
+            sums = [s + m ** j * P for j, s in enumerate(sums)]
+            lag_prev, lag = lag, ((2 * m + 1 + x) * lag - m * lag_prev) / (m + 1)
+            m += 1
+            P = P * r2 * lag_prev / (m * lag)
+        _, mean, second = sums
+        want = float((second - mean * mean) / mean - 1)
+    assert abs(got - want) <= 1e-12
+    assert undefined is None
+    assert "alpha=-30" not in capsys.readouterr().err
