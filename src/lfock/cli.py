@@ -18,7 +18,8 @@ from . import families, fock, states, sweeps
 from .fock import DomainError, LambdaBasis, LambdaExpansion
 from .operators import TruncationError
 
-# lambda_ss shares the sweep horizon so its Gram cache covers the radius scan
+# lambda_ss shares the sweep horizon, so the radius scan runs on its basis
+# instead of building a second one
 _SS_BASIS_MAX_N = 1604
 
 # The names of verify.SUITES: the verify module is imported only by the verify
@@ -186,6 +187,17 @@ def _residual(w: np.ndarray, v: np.ndarray) -> float:
     return float(np.linalg.norm(w)) / float(np.linalg.norm(v))
 
 
+def _norm_gram(expansion: LambdaExpansion) -> dict:
+    """{"norm_gram": sqrt(c^H G c)}, or {} with a warning where that form
+    cancels past 1e-12; the standard column does not depend on it."""
+    norm, kappa = expansion.norm_and_condition()
+    if fock._cancels(kappa):
+        sweeps._warn(f"norm_gram omitted: the Gram form cancels over the "
+                     f"series (condition number {kappa:.3g})")
+        return {}
+    return {"norm_gram": norm}
+
+
 def _state_payload(args) -> tuple[dict, np.ndarray, np.ndarray]:
     """Build the requested state; return (metadata, standard, lambda) columns."""
     kind = args.kind
@@ -201,7 +213,7 @@ def _state_payload(args) -> tuple[dict, np.ndarray, np.ndarray]:
         lamc[n] = 1.0
         meta.update(n=n, residual_kind="number_eigenvector",
                     residual=_residual(_ladder(_ladder(std), lam) - n * std, std),
-                    norm_gram=LambdaExpansion(basis, lamc).norm())
+                    **_norm_gram(LambdaExpansion(basis, lamc)))
     elif kind == "lambda_cs":
         alpha = complex(args.alpha)
         st = states.lambda_coherent(alpha, LambdaBasis(lam, 512), trunc)
@@ -209,7 +221,7 @@ def _state_payload(args) -> tuple[dict, np.ndarray, np.ndarray]:
         lamc = np.asarray(st.expansion.coeffs, dtype=complex)
         meta.update(alpha=_pair(alpha), residual_kind="annihilation_eigenvector",
                     residual=_residual(_ladder(std) - alpha * std, std),
-                    norm_gram=st.expansion.norm())
+                    **_norm_gram(st.expansion))
     elif kind == "lambda_ss":
         xi = complex(args.xi)
         st = states.lambda_squeezed(xi, LambdaBasis(lam, _SS_BASIS_MAX_N), trunc)
@@ -219,7 +231,7 @@ def _state_payload(args) -> tuple[dict, np.ndarray, np.ndarray]:
         meta.update(xi=_pair(xi), residual_kind="squeezing_kernel",
                     residual=_residual(_ladder(v) - xi * _ladder(v, lam), v),
                     norm_constant=st.norm_constant,
-                    norm_gram=st.expansion.norm())
+                    **_norm_gram(st.expansion))
     elif kind == "squeezed_vacuum":
         xi = complex(args.xi)
         std = states.squeezed_vacuum(xi, trunc)

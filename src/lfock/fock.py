@@ -388,24 +388,39 @@ def _gram_rows(basis: LambdaBasis, size: int):
         yield row
 
 
+def _gram_block(basis: LambdaBasis, size: int, step: int = 1) -> np.ndarray:
+    """G[m, n] on every step-th index m, n < size: one pass of _gram_rows,
+    then G <- (G + G^T)/2 in place pair by pair, so a block (step 2: the guard
+    scan's even block) holds the bits of the full matrix in its own size."""
+    G = np.empty((len(range(0, size, step)),) * 2)
+    for m, row in enumerate(_gram_rows(basis, size)):
+        if m % step == 0:
+            G[m // step] = row[::step]
+    for m in range(1, G.shape[0]):
+        G[m, :m] = G[:m, m] = 0.5 * (G[m, :m] + G[:m, m])
+    return G
+
+
 def gram(basis: LambdaBasis, size: int) -> np.ndarray:
     """Gram matrix G[m, n] = <m|n>_lamlam, built by the ladder recurrence.
 
-    The rows of _gram_rows, symmetrized in place. Must agree with
+    The rows of _gram_rows, symmetrized (_gram_block). Must agree with
     overlap_analytic entrywise. Returns a read-only view of the largest
     matrix built so far, which is cached on the basis.
     """
     basis._check(size - 1)
     built = basis._gram
     if built is None or built.shape[0] < size:
-        G = np.empty((size, size))
-        for m, row in enumerate(_gram_rows(basis, size)):
-            G[m] = row
-        for m in range(1, size):  # G <- (G + G^T)/2, in place
-            G[m, :m] = G[:m, m] = 0.5 * (G[m, :m] + G[:m, m])
+        G = _gram_block(basis, size)
         G.setflags(write=False)
         basis._gram = built = G
     return built[:size, :size]
+
+
+def _cancels(kappa: float) -> bool:
+    """Whether a sum with condition number kappa (sum of |terms| over |sum|)
+    can lose more than 1e-12 of its value to rounding."""
+    return kappa * np.finfo(float).eps > 1e-12
 
 
 def _matvec(M: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -451,7 +466,11 @@ class LambdaExpansion:
         return int(self.coeffs.shape[0])
 
     def to_standard(self, N: int | None = None) -> np.ndarray:
-        """T-operator image e^{lam a} diag(L^{-1/2}) c, zero-padded to length N."""
+        """T-operator image e^{lam a} diag(L^{-1/2}) c, zero-padded to length N.
+
+        Raises DomainError where that sum cancels past 1e-12 (its condition
+        number times eps), as the truncated squeezed series does in its norm.
+        """
         d = self.support
         if N is None:
             N = d
@@ -459,21 +478,38 @@ class LambdaExpansion:
             raise ValueError("truncation shorter than the expansion support")
         basis = self.basis
         basis._check(d - 1)
+        scale = np.exp(-0.5 * basis.log_laguerre[:d])
+        image = _exp_lowering(basis.lam, scale * self.coeffs)
+        # the e^{lam a} sum cancels to about kappa eps, with kappa the norm
+        # of the image of |c| (every term added with one sign) relative to it
+        size = float(np.linalg.norm(image))
+        kappa = float(np.linalg.norm(_exp_lowering(
+            abs(basis.lam), scale * np.abs(self.coeffs)))) / size if size else 1.0
+        if _cancels(kappa):
+            raise DomainError(f"the T-operator image of the series cancels "
+                              f"(condition number {kappa:.3g})")
         out = np.zeros(N, dtype=complex)
-        out[:d] = _exp_lowering(basis.lam,
-                                np.exp(-0.5 * basis.log_laguerre[:d]) * self.coeffs)
+        out[:d] = image
         return out
 
     def norm(self) -> float:
-        """Norm through the Gram quadratic form c^H G c, streamed row by row.
+        """Norm through the Gram quadratic form c^H G c (norm_and_condition)."""
+        return self.norm_and_condition()[0]
+
+    def norm_and_condition(self) -> tuple[float, float]:
+        """sqrt(c^H G c) and its condition number kappa = |c|^T |G| |c| / c^H G c,
+        streamed row by row.
 
         Each row of the ladder recurrence is used once and dropped, so the
-        memory is O(d), not the (d x d) Gram matrix.
+        memory is O(d), not the (d x d) Gram matrix. Over an alternating
+        series the form cancels to a relative error of about kappa eps.
         """
         self.basis._check(self.support - 1)
         c = np.asarray(self.coeffs, dtype=complex)
-        total = 0.0
+        mag = np.abs(c)
+        total = bound = 0.0
         for cm, row in zip(c, _gram_rows(self.basis, self.support)):
             if cm != 0:
                 total += float(np.real(np.conj(cm) * _matvec(row, c)))
-        return math.sqrt(max(total, 0.0))
+                bound += abs(cm) * float(np.abs(row) @ mag)
+        return math.sqrt(max(total, 0.0)), bound / total if total > 0 else math.inf

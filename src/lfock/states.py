@@ -27,7 +27,8 @@ import numpy as np
 
 from . import operators
 from .fock import (DomainError, LambdaBasis, LambdaExpansion,
-                   _gaussian_amplitudes, _gaussian_log_norm, _matvec, gram)
+                   _cancels, _gaussian_amplitudes, _gaussian_log_norm,
+                   _gram_block, _matvec, gram)
 from .specfun import log_factorial_table, logsumexp_positive
 
 _LN2 = math.log(2.0)
@@ -252,8 +253,8 @@ def squeezed_vacuum(xi: complex, N: int | None = None) -> np.ndarray:
 
 
 # Guard radii per (lam, phase, grid factor) and per lam. Both hold floats
-# only, one entry per distinct lam a process asks about; the Gram matrices the
-# scan reads are cached on (and freed with) their LambdaBasis, not here.
+# only, one entry per distinct lam a process asks about; the scan's even Gram
+# block lives only while _scan_radii runs.
 _RADIUS_CACHE: dict[tuple[float, float, float], float] = {}
 _RADIUS_MIN_CACHE: dict[float, float] = {}
 _SCAN_T_MAX = 800
@@ -278,20 +279,24 @@ def _scan_radii(basis: LambdaBasis, phases: list[float],
     scanned terms; a term past the overflow guard fails every ray. Since
     every Gram entry is at most 1, |Delta S_T| <= |u_T| (2 sum_{k<T} |u_k| +
     |u_T|), a bound free of the phase: where it passes, every ray passes.
-    Elsewhere each running ray takes the exact increments
-    2 Re(conj(u_T) (L u)_T) + G_TT |u_T|^2, L the strict lower triangle of
-    the even Gram block. A ray's radius is the last r that passes before its
-    first failure, or 2 if none fails.
+    Elsewhere the running rays take the exact increments
+    2 Re(conj(u_T) (L u)_T) + G_TT |u_T|^2 from one product L U, L the strict
+    lower triangle of the even Gram block (streamed, freed on return) and U
+    the real and imaginary parts of every running ray. A ray's radius is the
+    last r that passes before its first failure, or 2 if none fails.
     """
     T = _SCAN_T_MAX
     work = basis if basis.max_n >= 2 * T else LambdaBasis(basis.lam, 2 * T)
     base_logs = 0.5 * (work.log_laguerre[0: 2 * T + 1: 2]
                        + _even_log_weights(T))
     k = np.arange(T + 1)
-    G_even = gram(work, 2 * T + 1)[::2, ::2]
-    lower = np.tril(G_even, -1)
-    diag = np.diagonal(G_even)
-    rays = [(np.cos(phase * k), np.sin(phase * k)) for phase in phases]
+    lower = _gram_block(work, 2 * T + 1, 2)  # the even block G[2i, 2j]
+    diag = lower.diagonal().copy()
+    for i in range(T + 1):  # keep its strict lower triangle, in place
+        lower[: i + 1, i] = 0.0
+    # rays[:, i] = (cos, sin)(phase_i k)
+    rays = np.stack([np.stack([np.cos(phase * k), np.sin(phase * k)], axis=1)
+                     for phase in phases], axis=1)
     radii = [2.0] * len(phases)
     running = list(range(len(phases)))
     last_ok = 0.0
@@ -306,13 +311,12 @@ def _scan_radii(basis: LambdaBasis, phases: list[float],
                 csum = np.cumsum(mags) - mags
                 failed = []
                 if not _has_cauchy_run(mags * (2.0 * csum + mags) < _SCAN_TOL):
-                    on_diag = diag * mags * mags
-                    for i in running:
-                        ur, ui = mags * rays[i][0], mags * rays[i][1]
-                        inc = np.abs(2.0 * (ur * (lower @ ur) + ui * (lower @ ui))
-                                     + on_diag)
-                        if not _has_cauchy_run(inc < _SCAN_TOL):
-                            failed.append(i)
+                    U = mags[:, None, None] * rays[:, running]
+                    LU = (lower @ U.reshape(T + 1, -1)).reshape(U.shape)
+                    inc = np.abs(2.0 * (U * LU).sum(axis=2)
+                                 + (diag * mags * mags)[:, None])
+                    failed = [i for j, i in enumerate(running)
+                              if not _has_cauchy_run(inc[:, j] < _SCAN_TOL)]
         for i in failed:
             radii[i] = last_ok
         running = [i for i in running if i not in failed]
@@ -436,7 +440,7 @@ def lambda_squeezed(xi: complex, basis: LambdaBasis,
     # u^H G u cancels over an alternating series, to a relative error
     # kappa eps with kappa = |u|^T |G| |u| / |u^H G u|
     kappa = float(np.abs(u) @ (np.abs(G_even) @ np.abs(u))) / norm2
-    if kappa * np.finfo(float).eps > 1e-12:
+    if _cancels(kappa):
         raise DomainError(f"the truncated series cancels in its norm "
                           f"(condition number {kappa:.3g})")
     return LambdaSqueezed(xi, basis, 1.0 / math.sqrt(norm2), n_terms)

@@ -23,8 +23,9 @@ from .states import DomainError, lambda_squeezed
 from .stats import (_TAIL_UNSETTLED, _frame_moments, number_moments,
                     quadrature_variances, squeezed_moments)
 
-# Covers the radius-scan horizon (2 * 800), so the guard, the state
-# construction, and the statistics all share one basis and one Gram cache.
+# Covers the radius-scan horizon (2 * 800), so the guard scan, the state
+# construction and the statistics share one basis (and, for --truncation
+# series, its Gram cache) per lambda.
 _SWEEP_MAX_N = 1604
 _FIG1_MIN_N = 320
 _FIG1_MAX_N = 4000

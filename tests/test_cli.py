@@ -254,3 +254,28 @@ def test_lambda_with_overflowing_square_is_a_usage_error(argv, capsys):
     # lam^2 = inf used to give NaN coefficients / an all-empty fig2, exit 0
     assert main(argv) == 1
     assert "finite square" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["lambda_ss", "--lambda", "4", "--xi=-0.6"],
+    ["lambda_cs", "--lambda", "3", "--alpha", "-2"],
+])
+def test_cancelling_norm_gram_is_left_out_with_a_warning(argv, capsys):
+    # c^H G c cancels over these alternating frame series (it printed
+    # 1.000032651448759 and 0.9999994959253147); the standard column is
+    # exact, so the dump keeps exit 0 and drops only norm_gram
+    assert main(["state", *argv, "--format", "json"]) == 0
+    out = capsys.readouterr()
+    meta = json.loads(out.out)["metadata"]
+    assert "norm_gram" not in meta
+    assert meta["norm_euclidean"] == pytest.approx(1.0, abs=1e-14)
+    assert "norm_gram omitted" in out.err and "condition number" in out.err
+
+
+def test_cancelling_truncated_coherent_image_exits_three(capsys):
+    # C_0 = e^6 and 90 frame terms: the e^{lam a} image of the truncated
+    # series cancels (condition number 2.3e7) and was 2.9e-9 off its
+    # 60-digit value with exit 0
+    assert main(["state", "lambda_cs", "--lambda", "4", "--alpha=-2,1",
+                 "--truncation", "90"]) == 3
+    assert "cancels" in capsys.readouterr().err

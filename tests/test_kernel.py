@@ -147,7 +147,10 @@ def test_kernel_matches_gram_route_and_truncation_keeps_it():
         assert cut.expansion.norm() == pytest.approx(1.0, abs=1e-14)
 
 
-def test_auto_sweeps_use_the_gram_only_in_the_guard_scan(monkeypatch):
+def test_auto_sweeps_and_exact_dumps_build_no_dense_matrix(monkeypatch):
+    # the guard scan streams its even Gram block, the kernel serves the
+    # states and norm_gram streams rows: neither gram nor expansion_matrix
+    # runs, in any caller
     monkeypatch.setattr(states, "_RADIUS_MIN_CACHE", {})
     monkeypatch.setattr(states, "_RADIUS_CACHE", {})
     callers = []
@@ -171,8 +174,8 @@ def test_auto_sweeps_use_the_gram_only_in_the_guard_scan(monkeypatch):
     for argv in (["lambda_cs", "--lambda=3", "--alpha=-2,1"],
                  ["lambda_ss", "--lambda=2", "--xi=-0.4,0.2"]):
         assert cli.main(["state", *argv, "--out", os.devnull]) == 0
-    assert callers  # the guard scans ran
-    assert set(callers) == {("gram", "_scan_radii")}
+    assert set(states._RADIUS_MIN_CACHE) == {1.0, 2.0, 3.0}  # the guard ran
+    assert callers == []
 
 
 def test_negative_xi_cells_at_lam_4_match_the_series_definition():

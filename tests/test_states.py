@@ -2,13 +2,14 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lfock import states
-from lfock.fock import LambdaBasis, gram
+from lfock.fock import LambdaBasis, _gram_block, gram
 from lfock.operators import TruncationError, build_ladders, eigen_residual
 from lfock.states import (DomainError, _coherent_coeffs, _even_log_weights,
                           coherent_overlap, displaced_form, evolve,
@@ -287,3 +288,26 @@ def test_shared_radius_scan_matches_per_ray_oracle(lam, monkeypatch):
         assert got == want
         if factor == 1.05:
             assert radius_min(basis) == min(want)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.7, -1.3, 2.9])
+def test_streamed_even_block_is_the_gram_even_block(lam):
+    basis = LambdaBasis(lam, 1604)
+    block = _gram_block(basis, 1601, 2)
+    assert np.array_equal(block, gram(basis, 1601)[::2, ::2])
+
+
+def test_radius_scan_holds_no_gram_matrix(monkeypatch):
+    # the full 1601 x 1601 Gram (20 MB) was built and cached on the basis
+    monkeypatch.setattr(states, "_RADIUS_CACHE", {})
+    monkeypatch.setattr(states, "_RADIUS_MIN_CACHE", {})
+    tracemalloc.start()
+    try:
+        basis = LambdaBasis(1.5, 1604)
+        radius_min(basis)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+    assert held < 1e6
+    assert basis._gram is None
