@@ -63,11 +63,6 @@ class LambdaBasis:
         self.rho.setflags(write=False)
         self._gram: np.ndarray | None = None
 
-    @property
-    def eta(self) -> float:
-        """The (0,1] reparametrization 1/(1+lam^2)."""
-        return 1.0 / (1.0 + self.lam * self.lam)
-
     def __repr__(self):
         return f"LambdaBasis(lam={self.lam}, max_n={self.max_n})"
 

@@ -6,8 +6,8 @@ machinery also powers the operator-form state constructions (displaced and
 squeezed vacua), so it is production code, not test-only scaffolding.
 
 Dense matrices only. N stays in the low hundreds, where sparsity buys nothing
-and dense keeps the computations obviously correct. scipy.linalg is imported
-on first use: most commands never need it, and it dominates import time.
+and dense keeps the computations obviously correct. The exponential is a
+numpy Taylor action on the dense matrix, so no route here needs scipy.
 """
 
 from __future__ import annotations
@@ -52,28 +52,37 @@ def number_operator(N: int) -> np.ndarray:
 
 
 def expm_apply(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """e^M v by scaling-and-squaring on the dense matrix."""
-    from scipy.linalg import expm
-    out = expm(np.asarray(M, dtype=complex)) @ np.asarray(v, dtype=complex)
-    if not np.all(np.isfinite(out)):
+    """e^M v, v a vector or columns: s = ceil(||M||_1) steps of the Taylor
+    series of e^{M/s}, each ended once two consecutive terms fall below
+    eps ||w|| (the action of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011)."""
+    s = max(1, math.ceil(float(np.linalg.norm(M, 1))))
+    A = np.asarray(M, dtype=complex) / s
+    w = np.array(v, dtype=complex)
+    for _ in range(s):
+        term, size = w, math.inf
+        for k in range(1, 60):  # ||A||_1 <= 1 keeps the k-th term below 1/k!
+            term = (A @ term) / k
+            w += term
+            last, size = size, float(np.linalg.norm(term))
+            if max(last, size) <= np.finfo(float).eps * float(np.linalg.norm(w)):
+                break
+    if not np.all(np.isfinite(w)):
         raise TruncationError("matrix exponential did not converge; "
                               "truncation too small or input ill-conditioned")
-    return out
+    return w
 
 
 def displacement(alpha: complex, N: int) -> np.ndarray:
     """D(alpha) = expm(alpha a_dag - conj(alpha) a)."""
-    from scipy.linalg import expm
     a, a_dag, _ = build_ladders(N)
-    return expm(alpha * a_dag - np.conj(alpha) * a)
+    return expm_apply(alpha * a_dag - np.conj(alpha) * a, np.eye(N))
 
 
 def squeeze(xi: complex, N: int) -> np.ndarray:
     """expm(xi (a_dag)^2 / 2). Not unitary; acts on the vacuum to produce the
     even squeezed series xi^n sqrt((2n-1)!!/(2n)!!) on |2n>."""
-    from scipy.linalg import expm
     _, a_dag, _ = build_ladders(N)
-    return expm(0.5 * xi * (a_dag @ a_dag))
+    return expm_apply(0.5 * xi * (a_dag @ a_dag), np.eye(N))
 
 
 def eigen_residual(M: np.ndarray, v: np.ndarray, z: complex,

@@ -209,14 +209,14 @@ def _dense_quadratures(v: np.ndarray) -> QuadratureReport:
     nrm = float(np.linalg.norm(v))
     if abs(nrm - 1.0) > _NORM_TOL:
         raise ValueError(f"state norm {nrm!r} differs from 1 beyond 1e-8")
-    # (a v)_i = sqrt(i+1) v_{i+1} on the truncated space, a_dag its adjoint
-    root = np.sqrt(np.arange(1.0, v.shape[0]))
-    av = root * v[1:]
-    e_a = complex(np.vdot(v[:-1], av))
-    e_a2 = complex(np.vdot(v[:-2], root[:-1] * av[1:]))
-    e_n = float(np.vdot(av, av).real)
-    return _quadratures_from_expectations(e_a, e_a.conjugate(), e_a2,
-                                          e_a2.conjugate(), e_n)
+    # the state v / ||v||, padded by one so that a_dag acts on it exactly;
+    # Var X = ||(X - <X>) w||^2 is free of the cancellation in <X^2> - <X>^2
+    w = np.append(v / nrm, 0.0)
+    root = np.sqrt(np.arange(1.0, w.shape[0]))
+    down, up = np.append(root * w[1:], 0.0), np.insert(root * w[:-1], 0, 0.0)
+    var = [float(np.linalg.norm(xw - np.vdot(w, xw).real * w)) ** 2 for xw in
+           ((down + up) / math.sqrt(2.0), 1j * (up - down) / math.sqrt(2.0))]
+    return QuadratureReport(var[0], var[1], var[0] * var[1])
 
 
 def _lambda_quadratures(expansion: LambdaExpansion) -> QuadratureReport:
@@ -228,10 +228,9 @@ def _lambda_quadratures(expansion: LambdaExpansion) -> QuadratureReport:
     c[:d] = expansion.coeffs
     # G is real symmetric, so <psi|X|psi> = c^H G (X c) = (G c)^H (X c)
     Gc = _matvec(gram(basis, D), c)
-    norm2 = float(np.real(np.vdot(c, Gc)))
-    if abs(math.sqrt(max(norm2, 0.0)) - 1.0) > _NORM_TOL:
-        raise ValueError(f"lambda-basis norm {math.sqrt(max(norm2, 0.0))!r} "
-                         "differs from 1 beyond 1e-8")
+    nrm = math.sqrt(max(float(np.real(np.vdot(c, Gc))), 0.0))
+    if abs(nrm - 1.0) > _NORM_TOL:
+        raise ValueError(f"lambda-basis norm {nrm!r} differs from 1 beyond 1e-8")
     lam = basis.lam
     n = np.arange(D, dtype=float)
     # a |n>_lam = down[n-1] |n-1>_lam, (a_dag + lam) |n-1>_lam = up[n-1] |n>_lam
@@ -246,16 +245,9 @@ def _lambda_quadratures(expansion: LambdaExpansion) -> QuadratureReport:
     e_ad = e_up - lam
     e_ad2 = e_up2 - 2.0 * lam * e_up + lam * lam
     e_n = e_num - lam * e_a
-    return _quadratures_from_expectations(e_a, e_ad, e_a2, e_ad2, e_n)
-
-
-def _quadratures_from_expectations(e_a: complex, e_ad: complex, e_a2: complex,
-                                   e_ad2: complex, e_n: complex) -> QuadratureReport:
     # x = (a + a_dag)/sqrt2, p = (a - a_dag)/(i sqrt2)
-    var_x = 0.5 * float(np.real(1.0 + e_a2 + e_ad2 + 2.0 * e_n
-                                - (e_a + e_ad) ** 2))
-    var_p = 0.5 * float(np.real(1.0 - e_a2 - e_ad2 + 2.0 * e_n
-                                + (e_a - e_ad) ** 2))
+    var_x = 0.5 * float(np.real(1.0 + e_a2 + e_ad2 + 2.0 * e_n - (e_a + e_ad) ** 2))
+    var_p = 0.5 * float(np.real(1.0 - e_a2 - e_ad2 + 2.0 * e_n + (e_a - e_ad) ** 2))
     return QuadratureReport(var_x, var_p, var_x * var_p)
 
 
@@ -264,11 +256,11 @@ def quadrature_variances(state, basis: LambdaBasis | None = None) -> QuadratureR
 
     An exact Gaussian state takes the closed form 1/2 + n_s +- Re s, i.e.
     var_x = |1+xi|^2 / (2(1-|xi|^2)) and var_p = |1-xi|^2 / (2(1-|xi|^2)),
-    free of lam and mu (1/2 for a coherent state). Standard-basis arrays go
-    through the dense ladder matrices; deformed expansions go through the
-    closed ladder scalars contracted with the Gram matrix, with a_dag
-    rewritten as (a_dag + lam) - lam. The routes must agree wherever they
-    all apply.
+    free of lam and mu (1/2 for a coherent state). Standard-basis arrays take
+    the centred norms ||(X - <X>) v||^2 over O(N) ladder shifts; deformed
+    expansions go through the closed ladder scalars contracted with the Gram
+    matrix, with a_dag rewritten as (a_dag + lam) - lam. The routes must
+    agree wherever they all apply.
     """
     gauss = getattr(state, "_gaussian", None)
     if gauss is not None:

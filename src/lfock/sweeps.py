@@ -151,7 +151,11 @@ def sweep_fig2(lambdas=None, xi_range=(0.02, 0.9, 150),
         admitted, skipped = _admit(xis, LambdaBasis(lam, _SWEEP_MAX_N),
                                    truncation, f"fig2 lambda={tag}", True)
         for i, st in admitted:
-            rep = quadrature_variances(st)
+            try:  # a truncated series through its T-operator image
+                rep = quadrature_variances(st if truncation is None else st.to_standard())
+            except DomainError as exc:
+                _warn(f"fig2 lambda={tag} xi={xis[i]:g} skipped: {exc}")
+                continue
             col_x[i], col_p[i] = float(rep.var_x), float(rep.var_p)
         if skipped:
             _warn(f"fig2 lambda={tag}: {skipped} xi point(s) outside the "

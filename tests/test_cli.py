@@ -155,12 +155,18 @@ def test_squeezed_vacuum_lambda_column_regression(capsys):
     assert round(max(math.hypot(re, im) for re, im in lamc), 1) == 52000.2
 
 
-def test_state_dumps_do_not_import_scipy():
+def test_no_command_imports_scipy():
+    # every verify suite, every figure and every state kind in one interpreter:
+    # scipy is a test-only dependency, and importing it would dominate a job
     code = ("import os, sys\n"
-            "from lfock.cli import main\n"
-            f"for kind in {_STATE_KINDS!r}:\n"
-            "    assert main(['state', kind, '--lambda', '0.7',"
-            " '--out', os.devnull]) == 0, kind\n"
+            "from lfock.cli import _STATE_KINDS, _VERIFY_SUITES, main\n"
+            "runs = [['verify', s, '--out', os.devnull] for s in _VERIFY_SUITES]\n"
+            "runs += [[f, '--grid', '0.1:0.3:2', '--out', os.devnull]\n"
+            "         for f in ('fig1', 'fig2', 'fig3a', 'fig3b')]\n"
+            "runs += [['state', k, '--lambda', '0.7', '--out', os.devnull]\n"
+            "         for k in _STATE_KINDS]\n"
+            "for argv in runs:\n"
+            "    assert main(argv) == 0, argv\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
     done = _python("-c", code)
     assert done.returncode == 0, done.stderr

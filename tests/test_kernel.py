@@ -284,6 +284,28 @@ def test_cancelling_truncated_series_is_refused_not_misprinted(command, capsys):
                 assert f"xi={xi} skipped: the truncated series cancels" in err
 
 
+def test_truncated_fig2_cells_match_the_series(capsys):
+    # the Gram route (G c)^H (X c) printed var_p 0.7499999999983555 at xi -0.2
+    # (exact 0.75). For -0.2 <= xi <= 0.7 the 300 terms are the whole series,
+    # whose variances are the closed forms; at xi 0.75 the truncated series
+    # is 3e-9 off the exact state, and the reference is its 60-digit value
+    assert cli.main(["fig2", "--truncation", "300", "--lambda=4",
+                     "--grid=-0.9:0.9:37"]) == 0
+    printed = []
+    for line in capsys.readouterr().out.splitlines()[2:]:
+        xi, var_x, var_p = line.split(",")
+        if not var_x:
+            continue
+        xi = float(xi)
+        want = ((1 + xi) ** 2 / (2 - 2 * xi * xi), (1 - xi) ** 2 / (2 - 2 * xi * xi))
+        if xi > 0.72:
+            want = (3.4999999999997767233, 0.071428571428577805152)
+        assert abs(float(var_x) - want[0]) <= 1e-13
+        assert abs(float(var_p) - want[1]) <= 1e-13
+        printed.append(round(xi, 2))
+    assert printed == [round(x, 2) for x in np.arange(-0.2, 0.76, 0.05)]
+
+
 def test_cancelling_series_is_a_domain_error_without_guard_radius():
     basis = LambdaBasis(4.0, 1604)
     with pytest.raises(DomainError, match="condition number") as info:

@@ -126,3 +126,40 @@ def test_with_margin_flags_cutoff_sensitivity():
 
     with pytest.raises(TruncationError):
         with_margin(build, 30)
+
+
+def _generators(N: int) -> dict:
+    a, a_dag, _ = build_ladders(N)
+    gens = {f"displace {mu}": mu * a_dag - np.conj(mu) * a
+            for mu in (0.6, 2.0, -1.2 + 0.9j, 2j)}
+    gens.update({f"squeeze {xi}": 0.5 * xi * (a_dag @ a_dag)
+                 for xi in (0.6, -0.45, 0.3 - 0.4j)})
+    for lam in (0.5, 1.0):
+        adl = a_dag + lam * np.eye(N)
+        gens.update({f"deformed squeeze {xi} lam {lam}": 0.5 * xi * (adl @ adl)
+                     for xi in (0.6, -0.5 + 0.2j)})
+    return gens
+
+
+@pytest.mark.parametrize("name", sorted(_generators(4)))
+def test_expm_apply_matches_scipy_on_the_oracle_generators(name):
+    # the generators of the operator routes, at their default truncation
+    from scipy.linalg import expm
+    N = 200
+    M = _generators(N)[name]
+    e0 = np.zeros(N, dtype=complex)
+    e0[0] = 1.0
+    want = expm(M) @ e0
+    assert np.linalg.norm(expm_apply(M, e0) - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("name", ["displace (-1.2+0.9j)", "squeeze (0.3-0.4j)",
+                                  "deformed squeeze 0.6 lam 1.0"])
+def test_expm_apply_on_columns_matches_scipy(name):
+    # the displacement / squeeze path: v is the identity, the result e^M itself
+    from scipy.linalg import expm
+    N = 60
+    M = _generators(N)[name]
+    want = expm(M)
+    got = expm_apply(M, np.eye(N))
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
