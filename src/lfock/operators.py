@@ -55,7 +55,8 @@ def expm_apply(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """e^M v, v a vector or columns: s = ceil(||M||_1) steps of the Taylor
     series of e^{M/s}, each ended once two consecutive terms fall below
     eps ||w|| (the action of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011)."""
-    s = max(1, math.ceil(float(np.linalg.norm(M, 1))))
+    norm = float(np.linalg.norm(M, 1))
+    s = max(1, math.ceil(norm)) if math.isfinite(norm) else 1  # NaN: caught below
     A = np.asarray(M, dtype=complex) / s
     w = np.array(v, dtype=complex)
     for _ in range(s):

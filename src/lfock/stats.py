@@ -205,7 +205,6 @@ def _reports(P: np.ndarray, tag: str, scale=None) -> list:
 
 
 def _dense_quadratures(v: np.ndarray) -> QuadratureReport:
-    v = np.asarray(v, dtype=complex)
     nrm = float(np.linalg.norm(v))
     if abs(nrm - 1.0) > _NORM_TOL:
         raise ValueError(f"state norm {nrm!r} differs from 1 beyond 1e-8")

@@ -51,6 +51,14 @@ def test_expm_apply_number_phase():
     assert np.linalg.norm(np.delete(got, 1)) < 1e-12
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_expm_apply_non_finite_generator_is_a_truncation_error():
+    with pytest.raises(TruncationError):
+        expm_apply(np.full((3, 3), np.nan), np.ones(3))
+    with pytest.raises(TruncationError):
+        expm_apply(np.diag([0.0, np.inf]), np.ones(2))
+
+
 def test_displacement_unitary_and_vacuum_action():
     N = 40
     alpha = 0.8 + 0.3j
