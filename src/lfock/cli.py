@@ -133,9 +133,6 @@ def _build_parser() -> _Parser:
         p3.add_argument("--grid", type=_parse_grid, default=(0.02, 0.9, 150),
                         metavar="MIN:MAX:STEPS",
                         help="xi grid (default 0.02:0.9:150)")
-        p3.add_argument("--basis", choices=("lambda", "standard"),
-                        default=basis_tag,
-                        help=f"statistics basis (default {basis_tag})")
         common(p3)
 
     ps = sub.add_parser("state", help="dump one state's coefficients in both bases")
@@ -300,8 +297,8 @@ def _dispatch(args) -> int:
     elif args.command == "fig2":
         res = sweeps.sweep_fig2(args.lambdas, args.grid, args.truncation)
     elif args.command in ("fig3a", "fig3b"):
-        res = sweeps.sweep_fig3(args.basis, args.lambdas, args.grid,
-                                args.truncation)
+        basis_tag = "lambda" if args.command == "fig3a" else "standard"
+        res = sweeps.sweep_fig3(basis_tag, args.lambdas, args.grid, args.truncation)
     elif args.command == "state":
         meta, std, lamc = _state_payload(args)
         _emit(_state_text(meta, std, lamc, args.format), args.out)

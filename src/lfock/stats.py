@@ -169,16 +169,27 @@ def _frame_moments(xi: np.ndarray, mu: np.ndarray, basis: LambdaBasis,
             for rep, good in zip(_reports(P, "lambda", np.exp(shift)), ok)]
 
 
-def squeezed_moments(column, basis_tag: str = "lambda",
-                     cutoff: int | None = None) -> list:
-    """Number moments of auto-truncated squeezed states on one basis at once.
+def squeezed_moments(column, basis_tag: str = "lambda") -> list:
+    """Number moments of squeezed states on one basis, in one call per column.
 
-    The standard basis takes the closed-form <n> and Var n of g(xi, xi lam)
-    (prob_sum is 1 exactly), the lambda frame one _frame_weights column per
-    state. Returns a report per state, None where the frame tail is unsettled.
+    A column of exact states takes the kernel: the closed-form <n> and Var n
+    of g(xi, xi lam) in the standard basis (prob_sum is 1 exactly), one
+    _frame_weights column per state in the lambda frame. A column holding a
+    truncated series takes number_moments per state: the Gram route in the
+    frame, the T-operator image in the standard basis. Returns a report per
+    state, None where the tail is unsettled at the basis horizon.
     """
     if not column:
         return []
+    if any(st._gaussian is None for st in column):
+        reps = []
+        for st in column:
+            try:
+                reps.append(number_moments(
+                    st if basis_tag == "lambda" else st.to_standard()))
+            except operators.TruncationError:
+                reps.append(None)
+        return reps
     basis = column[0].basis
     xi = np.array([st.xi for st in column], dtype=complex)
     if basis_tag == "standard":
@@ -188,7 +199,7 @@ def squeezed_moments(column, basis_tag: str = "lambda",
                                  float(v / mu - 1.0) if mu > 0 else math.nan,
                                  1.0, "standard", bool(mu > 0))
                 for mu, v in zip(mean, var)]
-    return _frame_moments(xi, xi * basis.lam, basis, cutoff)
+    return _frame_moments(xi, xi * basis.lam, basis)
 
 
 def _reports(P: np.ndarray, tag: str, scale=None) -> list:
@@ -250,26 +261,25 @@ def _lambda_quadratures(expansion: LambdaExpansion) -> QuadratureReport:
     return QuadratureReport(var_x, var_p, var_x * var_p)
 
 
-def quadrature_variances(state, basis: LambdaBasis | None = None) -> QuadratureReport:
+def quadrature_variances(state) -> QuadratureReport:
     """(Delta x)^2 and (Delta p)^2 for a normalized state.
 
     An exact Gaussian state takes the closed form 1/2 + n_s +- Re s, i.e.
     var_x = |1+xi|^2 / (2(1-|xi|^2)) and var_p = |1-xi|^2 / (2(1-|xi|^2)),
-    free of lam and mu (1/2 for a coherent state). Standard-basis arrays take
-    the centred norms ||(X - <X>) v||^2 over O(N) ladder shifts; deformed
-    expansions go through the closed ladder scalars contracted with the Gram
-    matrix, with a_dag rewritten as (a_dag + lam) - lam. The routes must
-    agree wherever they all apply.
+    free of lam and mu (1/2 for a coherent state). A standard-basis array
+    takes the centred norms ||(X - <X>) v||^2 over O(N) ladder shifts, and
+    any other deformed series (a truncated state or a LambdaExpansion) takes
+    them on its T-operator image. _lambda_quadratures, the Gram route, is the
+    oracle the routes are checked against.
     """
     gauss = getattr(state, "_gaussian", None)
     if gauss is not None:
         _, ns, s, _ = _gaussian_moments(gauss[0], 0j)
         var_x, var_p = float(0.5 + ns + s.real), float(0.5 + ns - s.real)
         return QuadratureReport(var_x, var_p, var_x * var_p)
-    expansion = getattr(state, "expansion", state)
-    if isinstance(expansion, LambdaExpansion):
-        return _lambda_quadratures(expansion)
-    if isinstance(expansion, np.ndarray):
-        return _dense_quadratures(expansion)
+    if isinstance(state, np.ndarray):
+        return _dense_quadratures(state)
+    if isinstance(getattr(state, "expansion", state), LambdaExpansion):
+        return _dense_quadratures(state.to_standard())
     raise TypeError("state must be a standard-basis array or carry a "
                     "LambdaExpansion")

@@ -20,8 +20,8 @@ import numpy as np
 from . import operators
 from .fock import LambdaBasis
 from .states import DomainError, lambda_squeezed
-from .stats import (_TAIL_UNSETTLED, _frame_moments, number_moments,
-                    quadrature_variances, squeezed_moments)
+from .stats import (_TAIL_UNSETTLED, _frame_moments, quadrature_variances,
+                    squeezed_moments)
 
 # Covers the radius-scan horizon (2 * 800), so the guard scan, the state
 # construction and the statistics share one basis (and, for --truncation
@@ -151,8 +151,8 @@ def sweep_fig2(lambdas=None, xi_range=(0.02, 0.9, 150),
         admitted, skipped = _admit(xis, LambdaBasis(lam, _SWEEP_MAX_N),
                                    truncation, f"fig2 lambda={tag}", True)
         for i, st in admitted:
-            try:  # a truncated series through its T-operator image
-                rep = quadrature_variances(st if truncation is None else st.to_standard())
+            try:
+                rep = quadrature_variances(st)
             except DomainError as exc:
                 _warn(f"fig2 lambda={tag} xi={xis[i]:g} skipped: {exc}")
                 continue
@@ -181,10 +181,7 @@ def sweep_fig3(basis_tag: str, lambdas=None, xi_range=(0.02, 0.9, 150),
         col: list = [None] * len(xis)  # xi = 0 (vacuum): Mandel Q undefined
         admitted, skipped = _admit(xis, LambdaBasis(lam, _SWEEP_MAX_N),
                                    truncation, f"fig3 lambda={tag}", False)
-        if truncation is None:  # one Gaussian kernel column
-            reps = squeezed_moments([st for _, st in admitted], basis_tag)
-        else:
-            reps = [_series_moments(st, basis_tag) for _, st in admitted]
+        reps = squeezed_moments([st for _, st in admitted], basis_tag)
         for (i, _), rep in zip(admitted, reps):
             if rep is None:
                 skipped += 1
@@ -198,10 +195,3 @@ def sweep_fig3(basis_tag: str, lambdas=None, xi_range=(0.02, 0.9, 150),
         "fig3a" if basis_tag == "lambda" else "fig3b", basis_tag, xi_range,
         truncation, lambdas=lambdas))
 
-
-def _series_moments(st, basis_tag: str):
-    """Moments of a truncated series (Gram route), None past the horizon."""
-    try:
-        return number_moments(st if basis_tag == "lambda" else st.to_standard())
-    except operators.TruncationError:
-        return None

@@ -283,7 +283,7 @@ def _suite_stats() -> list[Check]:
     out.append(Check("quadrature route equivalence",
                      max(abs(lam_route.var_x - dense_route.var_x),
                          abs(lam_route.var_p - dense_route.var_p)), 1e-8))
-    gram_route = stats.quadrature_variances(st.expansion)
+    gram_route = stats._lambda_quadratures(st.expansion)
     out.append(Check("Gaussian kernel vs Gram route var_x/var_p",
                      max(abs(lam_route.var_x - gram_route.var_x),
                          abs(lam_route.var_p - gram_route.var_p)), 1e-12))
