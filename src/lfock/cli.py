@@ -18,10 +18,6 @@ from . import families, fock, states, sweeps
 from .fock import DomainError, LambdaBasis, LambdaExpansion
 from .operators import TruncationError
 
-# lambda_ss shares the sweep horizon, so the radius scan runs on its basis
-# instead of building a second one
-_SS_BASIS_MAX_N = 1604
-
 # The names of verify.SUITES: the verify module is imported only by the verify
 # command, so no other command pays for compiling it at start-up
 _VERIFY_SUITES = ("overlaps", "ladders", "matel", "coherent", "squeezed",
@@ -213,7 +209,7 @@ def _state_payload(args) -> tuple[dict, np.ndarray, np.ndarray]:
                     **_norm_gram(LambdaExpansion(basis, lamc)))
     elif kind == "lambda_cs":
         alpha = complex(args.alpha)
-        st = states.lambda_coherent(alpha, LambdaBasis(lam, 512), trunc)
+        st = states.lambda_coherent(alpha, LambdaBasis(lam, states._HARD_CAP), trunc)
         std = st.to_standard()
         lamc = np.asarray(st.expansion.coeffs, dtype=complex)
         meta.update(alpha=_pair(alpha), residual_kind="annihilation_eigenvector",
@@ -221,7 +217,8 @@ def _state_payload(args) -> tuple[dict, np.ndarray, np.ndarray]:
                     **_norm_gram(st.expansion))
     elif kind == "lambda_ss":
         xi = complex(args.xi)
-        st = states.lambda_squeezed(xi, LambdaBasis(lam, _SS_BASIS_MAX_N), trunc)
+        st = states.lambda_squeezed(xi, LambdaBasis(lam, states._SQUEEZED_MAX_N),
+                                    trunc)
         std = st.to_standard()
         lamc = np.asarray(st.expansion.coeffs, dtype=complex)
         v = np.append(std, [0j, 0j])

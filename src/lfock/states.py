@@ -36,6 +36,15 @@ _LOG_DBL_MAX = math.log(np.finfo(float).max)
 _HARD_CAP = 512
 
 
+def _check_truncation(n: int, largest: int) -> None:
+    """Refuse an explicit truncation outside 1..largest, naming both."""
+    if n < 1:
+        raise ValueError("truncation must be positive")
+    if n > largest:
+        raise ValueError(f"truncation {n} beyond the basis horizon "
+                         f"(largest accepted {largest})")
+
+
 class _Family:
     """What both families share: _gaussian names the exact state
     phase g(xi, mu)/||g||, or is None for a truncated frame series."""
@@ -148,7 +157,7 @@ def lambda_coherent(alpha: complex, basis: LambdaBasis,
                               LambdaExpansion(basis, np.ones(1, dtype=complex)))
     cap = min(_HARD_CAP, basis.max_n + 1)
     if N is not None:
-        basis._check(N - 1, "truncation")
+        _check_truncation(N, basis.max_n + 1)
         return LambdaCoherent(alpha, basis,
                               LambdaExpansion(basis, _coherent_coeffs(alpha, basis, N)),
                               _truncated=True)
@@ -258,6 +267,9 @@ def squeezed_vacuum(xi: complex, N: int | None = None) -> np.ndarray:
 _RADIUS_CACHE: dict[tuple[float, float, float], float] = {}
 _RADIUS_MIN_CACHE: dict[float, float] = {}
 _SCAN_T_MAX = 800
+# The squeezed family's basis horizon: it covers the scan's 2 * _SCAN_T_MAX
+# rows, so the guard scan and the states share one basis per lam
+_SQUEEZED_MAX_N = 1604
 _SCAN_WINDOW = 20
 _SCAN_TOL = 1e-12
 
@@ -377,7 +389,7 @@ def _squeezed_terms(xi: complex, basis: LambdaBasis,
     equation residual well under 1e-8) and the last five terms decrease.
     """
     if n_terms is not None:
-        basis._check(2 * (n_terms - 1), "truncation")
+        _check_truncation(n_terms, basis.max_n // 2 + 1)
         return n_terms
     lL = basis.log_laguerre
     T = 4

@@ -19,14 +19,11 @@ import numpy as np
 
 from . import operators
 from .fock import LambdaBasis
-from .states import DomainError, lambda_squeezed
+from .states import (_SQUEEZED_MAX_N, DomainError, _check_truncation,
+                     lambda_squeezed)
 from .stats import (_TAIL_UNSETTLED, _frame_moments, quadrature_variances,
                     squeezed_moments)
 
-# Covers the radius-scan horizon (2 * 800), so the guard scan, the state
-# construction and the statistics share one basis (and, for --truncation
-# series, its Gram cache) per lambda.
-_SWEEP_MAX_N = 1604
 _FIG1_MIN_N = 320
 _FIG1_MAX_N = 4000
 
@@ -117,13 +114,16 @@ def sweep_fig1(alphas=None, lambda_range=(0.0, 5.0, 200),
     lams = _axis(lambda_range)
     series: dict[str, list] = {f"Q[alpha={_fmt_num(a)}]": [] for a in alphas}
     mu = np.array(alphas, dtype=complex)  # the coherent state is g(0, alpha)
+    if truncation is not None:
+        _check_truncation(truncation, _FIG1_MAX_N + 1)
     for lam in lams:
         # p_lambda(m) rises only while |lam+alpha|^2 rho_m^2 >= m, and
         # rho_m <= 1, so the weights peak below |lam+alpha|^2; the horizon
         # adds a tail margin past that peak (cells past the cap stay empty)
+        # and covers an explicit truncation
         top = max(abs(lam + a) ** 2 for a in alphas)
         horizon = min(_FIG1_MAX_N, int(top + 12.0 * math.sqrt(top)) + 64)
-        basis = LambdaBasis(lam, max(_FIG1_MIN_N, horizon))
+        basis = LambdaBasis(lam, max(_FIG1_MIN_N, horizon, (truncation or 1) - 1))
         reps = _frame_moments(np.zeros_like(mu), mu, basis, truncation)
         for a, rep in zip(alphas, reps):
             if rep is None:
@@ -148,7 +148,7 @@ def sweep_fig2(lambdas=None, xi_range=(0.02, 0.9, 150),
         tag = _fmt_num(lam)
         col_x: list = [None] * len(xis)
         col_p: list = [None] * len(xis)
-        admitted, skipped = _admit(xis, LambdaBasis(lam, _SWEEP_MAX_N),
+        admitted, skipped = _admit(xis, LambdaBasis(lam, _SQUEEZED_MAX_N),
                                    truncation, f"fig2 lambda={tag}", True)
         for i, st in admitted:
             try:
@@ -179,7 +179,7 @@ def sweep_fig3(basis_tag: str, lambdas=None, xi_range=(0.02, 0.9, 150),
     for lam in lambdas:
         tag = _fmt_num(lam)
         col: list = [None] * len(xis)  # xi = 0 (vacuum): Mandel Q undefined
-        admitted, skipped = _admit(xis, LambdaBasis(lam, _SWEEP_MAX_N),
+        admitted, skipped = _admit(xis, LambdaBasis(lam, _SQUEEZED_MAX_N),
                                    truncation, f"fig3 lambda={tag}", False)
         reps = squeezed_moments([st for _, st in admitted], basis_tag)
         for (i, _), rep in zip(admitted, reps):

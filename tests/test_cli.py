@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lfock.cli import _STATE_KINDS, main
+from lfock.cli import _STATE_KINDS, _build_parser, main
 from lfock.operators import build_ladders, eigen_residual
 
 
@@ -285,3 +286,54 @@ def test_cancelling_truncated_coherent_image_exits_three(capsys):
     assert main(["state", "lambda_cs", "--lambda", "4", "--alpha=-2,1",
                  "--truncation", "90"]) == 3
     assert "cancels" in capsys.readouterr().err
+
+
+def test_fig1_truncation_past_the_default_horizon_runs(capsys):
+    # caps from 322 rows exited 1 naming the default horizon max_n=320; the
+    # basis now covers the cap, and the extra rows leave the sums as they are
+    assert main(["fig1", "--grid", "0:1:2"]) == 0
+    auto = capsys.readouterr().out.splitlines()[1:]
+    for n in ("400", "4001"):
+        assert main(["fig1", "--truncation", n, "--grid", "0:1:2"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == auto
+
+
+@pytest.mark.parametrize("argv, n, largest", [
+    (["fig1", "--truncation", "4002", "--grid", "0:1:2"], 4002, 4001),
+    (["fig3a", "--truncation", "900"], 900, 803),
+    (["state", "lambda_ss", "--truncation", "804"], 804, 803),
+    (["state", "lambda_cs", "--truncation", "600"], 600, 513),
+])
+def test_horizon_errors_name_the_truncation_passed(argv, n, largest, capsys):
+    # these named an internal index against max_n (1798 against 1604 for
+    # fig3a --truncation 900, 599 against 512 for lambda_cs)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"truncation {n} beyond the basis horizon " \
+           f"(largest accepted {largest})" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["state", "lambda_ss", "--truncation", "803"],
+    ["state", "lambda_cs", "--truncation", "513"],
+])
+def test_largest_accepted_truncation_runs(argv):
+    assert main([*argv, "--out", os.devnull]) == 0
+
+
+def test_readme_commands_parse():
+    # every lfock line in the README's code blocks parses (nothing is run),
+    # so the docs cannot keep an option the parser no longer has
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          os.pardir, "README.md")
+    commands, fenced = [], False
+    with open(readme, encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("```"):
+                fenced = not fenced
+            elif fenced and line.startswith("lfock "):
+                commands.append(shlex.split(line)[1:])
+    assert commands
+    parser = _build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

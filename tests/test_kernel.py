@@ -138,7 +138,7 @@ def test_kernel_matches_gram_route_and_truncation_keeps_it():
         assert number_moments(st).mandel_q == pytest.approx(
             gram_rep.mandel_q, rel=1e-12)
         kern = stats.quadrature_variances(st)
-        gram = stats.quadrature_variances(st.expansion)
+        gram = stats._lambda_quadratures(st.expansion)
         assert kern.var_x == pytest.approx(gram.var_x, rel=1e-12)
         assert kern.var_p == pytest.approx(gram.var_p, rel=1e-12)
         # --truncation N: the same series, on the Gram route throughout
@@ -313,3 +313,21 @@ def test_cancelling_series_is_a_domain_error_without_guard_radius():
     assert info.value.radius is None
     # positive real xi: every term of u^H G u is positive, kappa = 1
     assert lambda_squeezed(0.3, basis, 300).n_terms == 300
+
+
+def test_library_returns_the_cli_numbers_for_a_truncated_series(capsys):
+    # one route per (state, statistic): the Gram form gives var_p
+    # 2.3334475558068064 here, 3.8e-12 from the fig2 cell, and the kernel
+    # column reads a truncated series as the exact state
+    st = lambda_squeezed(-0.6, LambdaBasis(4.0, states._SQUEEZED_MAX_N), 40)
+    argv = ["--truncation", "40", "--lambda=4", "--grid=-0.6:-0.6:2",
+            "--format=json"]
+    assert cli.main(["fig2", *argv]) == 0
+    series = json.loads(capsys.readouterr().out)["series"]
+    q = stats.quadrature_variances(st)
+    assert series["var_x[lambda=4]"] == [q.var_x, q.var_x]
+    assert series["var_p[lambda=4]"] == [q.var_p, q.var_p]
+    for command, tag in (("fig3a", "lambda"), ("fig3b", "standard")):
+        assert cli.main([command, *argv]) == 0
+        cells = json.loads(capsys.readouterr().out)["series"]["Q[lambda=4]"]
+        assert cells == [squeezed_moments([st], tag)[0].mandel_q] * 2
