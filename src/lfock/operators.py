@@ -1,9 +1,12 @@
 """Dense truncated ladder operators and matrix exponentials.
 
 This is the brute-force side of the package: every closed-form expression in
-the other modules is validated against matrix arithmetic built here. The same
-machinery also powers the operator-form state constructions (displaced and
-squeezed vacua), so it is production code, not test-only scaffolding.
+the other modules is validated against matrix arithmetic built here. The
+operator-form states built on it (states.displaced_form and
+states.squeezed_operator_form) are oracles too: only `verify` and the tests
+reach this machinery, and no figure or state dump runs through it. Its
+TruncationError is the package's error for a tolerance that a truncation
+cannot reach.
 
 Dense matrices only. N stays in the low hundreds, where sparsity buys nothing
 and dense keeps the computations obviously correct. The exponential is a

@@ -367,14 +367,15 @@ def radius_min(basis: LambdaBasis) -> float:
     return rmin
 
 
-def _guard_xi(xi: complex, basis: LambdaBasis) -> float:
+def _guard_xi(xi: complex, basis: LambdaBasis) -> None:
+    """Refuse |xi| >= 0.95 R(lam): the only squeezed error carrying a radius
+    (besides squeezed_vacuum's |xi| >= 1), which the sweeps count."""
     rmin = radius_min(basis)
     if abs(xi) >= 0.95 * rmin:
         raise DomainError(
             f"|xi|={abs(xi):.4f} outside the guarded disk 0.95*R = "
             f"{0.95 * rmin:.4f} (estimated R({basis.lam}) = {rmin:.4f})",
             radius=rmin)
-    return rmin
 
 
 _SQUEEZED_TAIL = math.log(1e-20)
@@ -430,7 +431,7 @@ def lambda_squeezed(xi: complex, basis: LambdaBasis,
     C_0 normalizes the truncated series through the Gram quadratic form.
     """
     xi = complex(xi)
-    rmin = _guard_xi(xi, basis)
+    _guard_xi(xi, basis)
     if xi == 0:
         return LambdaSqueezed(xi, basis, 1.0, n_terms)
     lam = basis.lam
@@ -440,15 +441,14 @@ def lambda_squeezed(xi: complex, basis: LambdaBasis,
                               - 0.5 * _gaussian_log_norm(xi, xi * lam)))
         if not (c0 > 0 and math.isfinite(c0)):
             raise DomainError(f"normalization constant at |xi|={abs(xi):.4f} "
-                              "leaves the double range", radius=rmin)
+                              "leaves the double range")
         return LambdaSqueezed(xi, basis, c0)
     u = _squeezed_series(xi, basis, n_terms)
     G_even = gram(basis, 2 * u.shape[0] - 1)[::2, ::2]
     norm2 = float(np.real(np.vdot(u, _matvec(G_even, u))))
     if not (norm2 > 0 and math.isfinite(norm2)):
         raise DomainError(
-            f"normalization series not summable at |xi|={abs(xi):.4f}",
-            radius=rmin)
+            f"normalization series not summable at |xi|={abs(xi):.4f}")
     # u^H G u cancels over an alternating series, to a relative error
     # kappa eps with kappa = |u|^T |G| |u| / |u^H G u|
     kappa = float(np.abs(u) @ (np.abs(G_even) @ np.abs(u))) / norm2
@@ -458,8 +458,7 @@ def lambda_squeezed(xi: complex, basis: LambdaBasis,
     return LambdaSqueezed(xi, basis, 1.0 / math.sqrt(norm2), n_terms)
 
 
-def squeezed_norm_constant(xi: complex, basis: LambdaBasis,
-                           n_terms: int | None = None) -> float:
+def squeezed_norm_constant(xi: complex, basis: LambdaBasis) -> float:
     """C_0 from the explicit triple sum, free of any Laguerre evaluation.
 
     The series is sum_{m,n} conj(xi)^m xi^n w_m w_n g(2m, 2n) with
@@ -475,7 +474,7 @@ def squeezed_norm_constant(xi: complex, basis: LambdaBasis,
     if xi == 0:
         return 1.0
     lam = basis.lam
-    T = _squeezed_terms(xi, basis, n_terms) - 1
+    T = _squeezed_terms(xi, basis, None) - 1
     lf = log_factorial_table(4 * T)
     half_w = 0.5 * _even_log_weights(T)
     loglam = math.log(abs(lam)) if lam != 0.0 else None

@@ -17,14 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import operators
 from .fock import LambdaBasis
 from .states import (_SQUEEZED_MAX_N, DomainError, _check_truncation,
                      lambda_squeezed)
 from .stats import (_TAIL_UNSETTLED, _frame_moments, quadrature_variances,
                     squeezed_moments)
 
-_FIG1_MIN_N = 320
 _FIG1_MAX_N = 4000
 
 
@@ -86,23 +84,44 @@ def _metadata(command: str, basis: str, grid, truncation, **axes) -> dict:
             "truncation": "auto" if truncation is None else int(truncation)}
 
 
-def _admit(xis: list, basis: LambdaBasis, truncation: int | None, where: str,
-           vacuum: bool) -> tuple[list, int]:
-    """(index, state) for each xi that lambda_squeezed admits, and the count
-    of points refused at the guard; a domain error without a guard radius is
-    not the guard's and is warned about alone. vacuum False skips xi = 0."""
-    admitted, refused = [], 0
-    for i, xi in enumerate(xis):
-        if xi == 0.0 and not vacuum:
-            continue
-        try:
-            admitted.append((i, lambda_squeezed(complex(xi), basis, truncation)))
-        except (DomainError, operators.TruncationError) as exc:
-            if isinstance(exc, DomainError) and exc.radius is None:
-                _warn(f"{where} xi={xi:g} skipped: {exc}")
+def _squeezed_sweep(command: str, basis_tag: str, names: tuple, lambdas,
+                    xi_range, truncation: int | None, measure,
+                    vacuum: bool) -> SweepResult:
+    """Series name[lambda=tag] per name and lam: lambda_squeezed at each xi
+    on one basis per lam, then one measure(states) call giving each state its
+    cells (a tuple in the order of names) or, as a string, why it has none.
+    Guard refusals are counted per column, every other empty cell is warned
+    about with its reason. vacuum False skips xi = 0 (Mandel Q undefined)."""
+    lambdas = [float(g) for g in lambdas]
+    xis = _axis(xi_range)
+    series: dict[str, list] = {}
+    for lam in lambdas:
+        here = f"{command[:4]} lambda={_fmt_num(lam)}"  # fig3a, fig3b: fig3
+        basis = LambdaBasis(lam, _SQUEEZED_MAX_N)
+        built, refused = [], 0
+        for i, xi in enumerate(xis):
+            if xi == 0.0 and not vacuum:
+                continue
+            try:
+                built.append((i, lambda_squeezed(complex(xi), basis, truncation)))
+            except DomainError as exc:
+                if exc.radius is None:
+                    _warn(f"{here} xi={xi:g} skipped: {exc}")
+                else:
+                    refused += 1
+        cells = [(None,) * len(names)] * len(xis)
+        for (i, _), out in zip(built, measure([st for _, st in built])):
+            if isinstance(out, str):
+                _warn(f"{here} xi={xis[i]:g} skipped: {out}")
             else:
-                refused += 1
-    return admitted, refused
+                cells[i] = out
+        if refused:
+            _warn(f"{here}: {refused} xi point(s) outside the guarded "
+                  "convergence disk, emitted as empty cells")
+        for name, column in zip(names, zip(*cells)):
+            series[f"{name}[lambda={_fmt_num(lam)}]"] = list(column)
+    return SweepResult("xi", xis, series, _metadata(
+        command, basis_tag, xi_range, truncation, lambdas=lambdas))
 
 
 def sweep_fig1(alphas=None, lambda_range=(0.0, 5.0, 200),
@@ -116,14 +135,17 @@ def sweep_fig1(alphas=None, lambda_range=(0.0, 5.0, 200),
     mu = np.array(alphas, dtype=complex)  # the coherent state is g(0, alpha)
     if truncation is not None:
         _check_truncation(truncation, _FIG1_MAX_N + 1)
-    for lam in lams:
-        # p_lambda(m) rises only while |lam+alpha|^2 rho_m^2 >= m, and
-        # rho_m <= 1, so the weights peak below |lam+alpha|^2; the horizon
-        # adds a tail margin past that peak (cells past the cap stay empty)
-        # and covers an explicit truncation
-        top = max(abs(lam + a) ** 2 for a in alphas)
-        horizon = min(_FIG1_MAX_N, int(top + 12.0 * math.sqrt(top)) + 64)
-        basis = LambdaBasis(lam, max(_FIG1_MIN_N, horizon, (truncation or 1) - 1))
+    # the weights peak below |lam+alpha|^2 (they rise only while |lam+alpha|^2
+    # rho_m^2 >= m, rho_m <= 1); each basis adds a tail margin, max_n
+    # int((x + 6)^2 - 36) + 64 at x = |lam+alpha|, and covers a truncation
+    tops = [max(abs(lam + a) ** 2 for a in alphas) for lam in lams]
+    horizons = [int(top + 12.0 * math.sqrt(top)) + 64 for top in tops]
+    if max(horizons) > _FIG1_MAX_N:
+        raise ValueError(f"|lambda+alpha| = {math.sqrt(max(tops)):g} needs max_n "
+                         f"{max(horizons)}, beyond {_FIG1_MAX_N} (largest accepted "
+                         f"|lambda+alpha| {math.sqrt(_FIG1_MAX_N - 27) - 6:.4f})")
+    for lam, horizon in zip(lams, horizons):
+        basis = LambdaBasis(lam, max(horizon, (truncation or 1) - 1))
         reps = _frame_moments(np.zeros_like(mu), mu, basis, truncation)
         for a, rep in zip(alphas, reps):
             if rep is None:
@@ -136,34 +158,24 @@ def sweep_fig1(alphas=None, lambda_range=(0.0, 5.0, 200),
         alphas=[[a.real, a.imag] for a in alphas]))
 
 
+def _quadrature_cells(column: list):
+    """(var_x, var_p) per state, or why quadrature_variances refused it."""
+    for st in column:
+        try:
+            rep = quadrature_variances(st)
+        except DomainError as exc:
+            yield str(exc)
+        else:
+            yield float(rep.var_x), float(rep.var_p)
+
+
 def sweep_fig2(lambdas=None, xi_range=(0.02, 0.9, 150),
                truncation: int | None = None) -> SweepResult:
     """Quadrature variances of the deformed squeezed state vs real xi."""
     if lambdas is None:
         lambdas = [0.5, 1.0, 2.0, 3.0]
-    lambdas = [float(g) for g in lambdas]
-    xis = _axis(xi_range)
-    series: dict[str, list] = {}
-    for lam in lambdas:
-        tag = _fmt_num(lam)
-        col_x: list = [None] * len(xis)
-        col_p: list = [None] * len(xis)
-        admitted, skipped = _admit(xis, LambdaBasis(lam, _SQUEEZED_MAX_N),
-                                   truncation, f"fig2 lambda={tag}", True)
-        for i, st in admitted:
-            try:
-                rep = quadrature_variances(st)
-            except DomainError as exc:
-                _warn(f"fig2 lambda={tag} xi={xis[i]:g} skipped: {exc}")
-                continue
-            col_x[i], col_p[i] = float(rep.var_x), float(rep.var_p)
-        if skipped:
-            _warn(f"fig2 lambda={tag}: {skipped} xi point(s) outside the "
-                  "guarded convergence disk, emitted as empty cells")
-        series[f"var_x[lambda={tag}]"] = col_x
-        series[f"var_p[lambda={tag}]"] = col_p
-    return SweepResult("xi", xis, series, _metadata(
-        "fig2", "lambda", xi_range, truncation, lambdas=lambdas))
+    return _squeezed_sweep("fig2", "lambda", ("var_x", "var_p"), lambdas,
+                           xi_range, truncation, _quadrature_cells, True)
 
 
 def sweep_fig3(basis_tag: str, lambdas=None, xi_range=(0.02, 0.9, 150),
@@ -173,25 +185,12 @@ def sweep_fig3(basis_tag: str, lambdas=None, xi_range=(0.02, 0.9, 150),
         raise ValueError(f"basis must be 'lambda' or 'standard', not {basis_tag!r}")
     if lambdas is None:
         lambdas = [0.5, 1.0, 2.0]
-    lambdas = [float(g) for g in lambdas]
-    xis = _axis(xi_range)
-    series: dict[str, list] = {}
-    for lam in lambdas:
-        tag = _fmt_num(lam)
-        col: list = [None] * len(xis)  # xi = 0 (vacuum): Mandel Q undefined
-        admitted, skipped = _admit(xis, LambdaBasis(lam, _SQUEEZED_MAX_N),
-                                   truncation, f"fig3 lambda={tag}", False)
-        reps = squeezed_moments([st for _, st in admitted], basis_tag)
-        for (i, _), rep in zip(admitted, reps):
-            if rep is None:
-                skipped += 1
-            elif rep.q_defined:
-                col[i] = float(rep.mandel_q)
-        if skipped:
-            _warn(f"fig3 lambda={tag}: {skipped} xi point(s) outside the "
-                  "guarded convergence disk, emitted as empty cells")
-        series[f"Q[lambda={tag}]"] = col
-    return SweepResult("xi", xis, series, _metadata(
-        "fig3a" if basis_tag == "lambda" else "fig3b", basis_tag, xi_range,
-        truncation, lambdas=lambdas))
 
+    def mandel_cells(column: list) -> list:
+        return [_TAIL_UNSETTLED if rep is None
+                else (float(rep.mandel_q) if rep.q_defined else None,)
+                for rep in squeezed_moments(column, basis_tag)]
+
+    return _squeezed_sweep("fig3a" if basis_tag == "lambda" else "fig3b",
+                           basis_tag, ("Q",), lambdas, xi_range, truncation,
+                           mandel_cells, False)
