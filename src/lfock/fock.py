@@ -349,7 +349,7 @@ def expansion_matrix(basis: LambdaBasis, size: int) -> np.ndarray:
     return E
 
 
-def _gram_rows(basis: LambdaBasis, size: int):
+def _gram_rows(basis: LambdaBasis, size: int, from_diagonal: bool = False):
     """Yield the rows G[m, :size], m < size, of the ladder recurrence.
 
     Row 0 is the vacuum overlap lam^n / sqrt(n! L_n); resolving <m|a|n> two
@@ -360,13 +360,15 @@ def _gram_rows(basis: LambdaBasis, size: int):
     with rho_n = sqrt(L_{n-1}/L_n). Entries are inner products of unit
     vectors, bounded by 1, so the recursion cannot overflow. Rows come
     unsymmetrized (the raw asymmetry is at roundoff level), one at a time.
+    With from_diagonal, row m is G[m, m:size]: row m+1 there reads only row m
+    there, so the triangle is closed and bit for bit that of the full rows.
     """
     lam = basis.lam
     if lam == 0.0:
         for m in range(size):
             row = np.zeros(size)
             row[m] = 1.0
-            yield row
+            yield row[m:] if from_diagonal else row
         return
     lf = log_factorial_table(size - 1)[: size]
     lL = basis.log_laguerre[:size]
@@ -377,36 +379,29 @@ def _gram_rows(basis: LambdaBasis, size: int):
     row = signs * np.exp(n * math.log(abs(lam)) - 0.5 * (lf + lL))
     yield row
     for m in range(size - 1):
-        nxt = lam * row
-        nxt[1:] += shift * row[:-1]
+        if from_diagonal:  # row m covers columns m.., row m+1 columns m+1..
+            nxt = lam * row[1:]
+            nxt += shift[m:] * row[:-1]
+        else:
+            nxt = lam * row
+            nxt[1:] += shift * row[:-1]
         row = nxt * (rho[m + 1] / math.sqrt(m + 1.0))
         yield row
-
-
-def _gram_block(basis: LambdaBasis, size: int, step: int = 1) -> np.ndarray:
-    """G[m, n] on every step-th index m, n < size: one pass of _gram_rows,
-    then G <- (G + G^T)/2 in place pair by pair, so a block (step 2: the guard
-    scan's even block) holds the bits of the full matrix in its own size."""
-    G = np.empty((len(range(0, size, step)),) * 2)
-    for m, row in enumerate(_gram_rows(basis, size)):
-        if m % step == 0:
-            G[m // step] = row[::step]
-    for m in range(1, G.shape[0]):
-        G[m, :m] = G[:m, m] = 0.5 * (G[m, :m] + G[:m, m])
-    return G
 
 
 def gram(basis: LambdaBasis, size: int) -> np.ndarray:
     """Gram matrix G[m, n] = <m|n>_lamlam, built by the ladder recurrence.
 
-    The rows of _gram_rows, symmetrized (_gram_block). Must agree with
-    overlap_analytic entrywise. Returns a read-only view of the largest
-    matrix built so far, which is cached on the basis.
+    The rows of _gram_rows, then G <- (G + G^T)/2 in place pair by pair.
+    Must agree with overlap_analytic entrywise. Returns a read-only view of
+    the largest matrix built so far, which is cached on the basis.
     """
     basis._check(size - 1)
     built = basis._gram
     if built is None or built.shape[0] < size:
-        G = _gram_block(basis, size)
+        G = np.fromiter(_gram_rows(basis, size), np.dtype((float, size)), size)
+        for m in range(1, size):
+            G[m, :m] = G[:m, m] = 0.5 * (G[m, :m] + G[:m, m])
         G.setflags(write=False)
         basis._gram = built = G
     return built[:size, :size]

@@ -19,6 +19,7 @@ Gram route, the triple sum and the operator forms stay as oracles.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -28,7 +29,7 @@ import numpy as np
 from . import operators
 from .fock import (DomainError, LambdaBasis, LambdaExpansion,
                    _cancels, _gaussian_amplitudes, _gaussian_log_norm,
-                   _gram_block, _matvec, gram)
+                   _gram_rows, _matvec, gram)
 from .specfun import log_factorial_table, logsumexp_positive
 
 _LN2 = math.log(2.0)
@@ -263,7 +264,7 @@ def squeezed_vacuum(xi: complex, N: int | None = None) -> np.ndarray:
 
 # Guard radii per (lam, phase, grid factor) and per lam. Both hold floats
 # only, one entry per distinct lam a process asks about; the scan's even Gram
-# block lives only while _scan_radii runs.
+# triangle lives only while _scan_radii runs.
 _RADIUS_CACHE: dict[tuple[float, float, float], float] = {}
 _RADIUS_MIN_CACHE: dict[float, float] = {}
 _SCAN_T_MAX = 800
@@ -274,10 +275,25 @@ _SCAN_WINDOW = 20
 _SCAN_TOL = 1e-12
 
 
-def _has_cauchy_run(flags: np.ndarray) -> bool:
-    run = np.convolve(flags.astype(int), np.ones(_SCAN_WINDOW, dtype=int),
-                      mode="valid")
-    return bool(run.size) and bool(np.any(run == _SCAN_WINDOW))
+def _cauchy_runs(flags: np.ndarray) -> np.ndarray:
+    """Per row of flags, whether it holds _SCAN_WINDOW consecutive Trues."""
+    run = np.cumsum(np.pad(flags, ((0, 0), (1, 0))), axis=1)
+    return (run[:, _SCAN_WINDOW:] - run[:, :-_SCAN_WINDOW] == _SCAN_WINDOW).any(axis=1)
+
+
+def _bound_steps(base_logs: np.ndarray, k: np.ndarray, grid: list[float]):
+    """Yield (r, a term passes the overflow guard, the phase-free bound
+    passes) along grid, the bound evaluated for 16 r at a time."""
+    for start in range(0, len(grid), 16):
+        rs = grid[start: start + 16]
+        mags = np.multiply.outer([math.log(r) for r in rs], k) + base_logs
+        over = mags.max(axis=1) > 300.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.exp(mags, out=mags)
+            bound = mags * (2.0 * (np.cumsum(mags, axis=1) - mags) + mags)
+        passes = _cauchy_runs(bound < _SCAN_TOL)
+        del mags, bound  # only flags stay alive while the scan runs
+        yield from zip(rs, over, passes)
 
 
 def _scan_radii(basis: LambdaBasis, phases: list[float],
@@ -290,50 +306,49 @@ def _scan_radii(basis: LambdaBasis, phases: list[float],
     consecutive increments |S_T - S_{T-1}| fall below 1e-12 within the
     scanned terms; a term past the overflow guard fails every ray. Since
     every Gram entry is at most 1, |Delta S_T| <= |u_T| (2 sum_{k<T} |u_k| +
-    |u_T|), a bound free of the phase: where it passes, every ray passes.
-    Elsewhere the running rays take the exact increments
-    2 Re(conj(u_T) (L u)_T) + G_TT |u_T|^2 from one product L U, L the strict
-    lower triangle of the even Gram block (streamed, freed on return) and U
-    the real and imaginary parts of every running ray. A ray's radius is the
-    last r that passes before its first failure, or 2 if none fails.
+    |u_T|), a bound free of the phase, tested for 16 r at a time: where it
+    passes, every ray passes. Elsewhere the running rays take the exact
+    increments 2 Re(conj(u_T) (U^T u)_T) + G_TT |u_T|^2 from one product
+    U^T X, X the real and imaginary parts of every running ray and U the
+    raw strict upper triangle of the even Gram block (from the closed triangle
+    of the recurrence, built at the first such r, freed on return). A ray's
+    radius is the last r that passes before its first failure, or 2.
     """
     T = _SCAN_T_MAX
     work = basis if basis.max_n >= 2 * T else LambdaBasis(basis.lam, 2 * T)
     base_logs = 0.5 * (work.log_laguerre[0: 2 * T + 1: 2]
                        + _even_log_weights(T))
     k = np.arange(T + 1)
-    lower = _gram_block(work, 2 * T + 1, 2)  # the even block G[2i, 2j]
-    diag = lower.diagonal().copy()
-    for i in range(T + 1):  # keep its strict lower triangle, in place
-        lower[: i + 1, i] = 0.0
     # rays[:, i] = (cos, sin)(phase_i k)
-    rays = np.stack([np.stack([np.cos(phase * k), np.sin(phase * k)], axis=1)
-                     for phase in phases], axis=1)
+    rays = np.stack([f(np.multiply.outer(k, phases)) for f in (np.cos, np.sin)], axis=2)
+    grid = [0.01]
+    while grid[-1] * factor <= 2.0:
+        grid.append(grid[-1] * factor)
     radii = [2.0] * len(phases)
     running = list(range(len(phases)))
+    upper = None
     last_ok = 0.0
-    r = 0.01
-    while r <= 2.0 and running:
-        logs = base_logs + k * math.log(r)
-        if float(np.max(logs)) > 300.0:
-            failed = running  # past the overflow guard every ray fails
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                mags = np.exp(logs)
-                csum = np.cumsum(mags) - mags
-                failed = []
-                if not _has_cauchy_run(mags * (2.0 * csum + mags) < _SCAN_TOL):
-                    U = mags[:, None, None] * rays[:, running]
-                    LU = (lower @ U.reshape(T + 1, -1)).reshape(U.shape)
-                    inc = np.abs(2.0 * (U * LU).sum(axis=2)
-                                 + (diag * mags * mags)[:, None])
-                    failed = [i for j, i in enumerate(running)
-                              if not _has_cauchy_run(inc[:, j] < _SCAN_TOL)]
+    for r, over, bound_ok in _bound_steps(base_logs, k, grid):
+        if not running:
+            break
+        failed = running if over else []  # past the overflow guard all fail
+        if not (over or bound_ok):
+            if upper is None:
+                upper, diag = np.zeros((T + 1, T + 1)), np.empty(T + 1)
+                rows = _gram_rows(work, 2 * T + 1, from_diagonal=True)
+                for i, row in enumerate(itertools.islice(rows, 0, None, 2)):
+                    diag[i], upper[i, i + 1:] = row[0], row[2::2]
+            mags = np.exp(base_logs + k * math.log(r))  # <= e^300: no overflow
+            X = mags[:, None, None] * rays[:, running]
+            UX = (upper.T @ X.reshape(T + 1, -1)).reshape(X.shape)
+            inc = np.abs(2.0 * (X * UX).sum(axis=2)
+                         + (diag * mags * mags)[:, None])
+            ok = _cauchy_runs((inc < _SCAN_TOL).T)
+            failed = [i for i, passed in zip(running, ok) if not passed]
         for i in failed:
             radii[i] = last_ok
         running = [i for i in running if i not in failed]
         last_ok = r
-        r *= factor
     return radii
 
 
@@ -417,6 +432,10 @@ def _squeezed_series(xi: complex, basis: LambdaBasis,
     T = _squeezed_terms(xi, basis, n_terms) - 1
     logs = 0.5 * (np.asarray(basis.log_laguerre[0: 2 * T + 1: 2])
                   + _even_log_weights(T))
+    top = int(np.argmax(logs))
+    if logs[top] > _LOG_DBL_MAX:
+        raise DomainError(f"the Laguerre factor of series term d_{top} overflows "
+                          f"the double range (ln|d_{top}/xi^{top}| = {logs[top]:.4g})")
     return xi ** np.arange(T + 1) * np.exp(logs)
 
 
@@ -446,13 +465,14 @@ def lambda_squeezed(xi: complex, basis: LambdaBasis,
     u = _squeezed_series(xi, basis, n_terms)
     G_even = gram(basis, 2 * u.shape[0] - 1)[::2, ::2]
     norm2 = float(np.real(np.vdot(u, _matvec(G_even, u))))
-    if not (norm2 > 0 and math.isfinite(norm2)):
+    if not math.isfinite(norm2):
         raise DomainError(
             f"normalization series not summable at |xi|={abs(xi):.4f}")
-    # u^H G u cancels over an alternating series, to a relative error
-    # kappa eps with kappa = |u|^T |G| |u| / |u^H G u|
-    kappa = float(np.abs(u) @ (np.abs(G_even) @ np.abs(u))) / norm2
-    if _cancels(kappa):
+    # u^H G u cancels over an alternating series, to a relative error kappa
+    # eps with kappa = |u|^T |G| |u| / |u^H G u|, or to a non-positive value
+    bound = float(np.abs(u) @ (np.abs(G_even) @ np.abs(u)))
+    kappa = bound / abs(norm2) if norm2 else math.inf
+    if norm2 <= 0 or _cancels(kappa):
         raise DomainError(f"the truncated series cancels in its norm "
                           f"(condition number {kappa:.3g})")
     return LambdaSqueezed(xi, basis, 1.0 / math.sqrt(norm2), n_terms)

@@ -253,6 +253,20 @@ def test_coherent_coefficient_overflow_is_a_clean_domain_error():
     assert "RuntimeWarning" not in done.stderr
 
 
+def test_squeezed_series_overflow_warns_each_cell_without_numpy_warnings():
+    # at lam 50 the Laguerre factors of the 300-term series pass 1e308 inside
+    # the guarded disk (0.95 R(50) = 0.12): each cell is skipped with its
+    # reason, with no raw numpy RuntimeWarning before them
+    done = _python("-m", "lfock.cli", "fig3a", "--truncation", "300",
+                   "--lambda", "50", "--grid", "0.01:0.1:3")
+    assert done.returncode == 0
+    assert "RuntimeWarning" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 3
+    assert all("skipped: the Laguerre factor of series term d_299 overflows "
+               "the double range" in line for line in lines)
+
+
 @pytest.mark.parametrize("argv", [
     ["state", "lambda_ket", "-n", "2", "--lambda", "1e200"],
     ["fig2", "--lambda", "1e200"],

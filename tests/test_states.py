@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lfock import states
-from lfock.fock import LambdaBasis, _gram_block, gram
+from lfock.fock import LambdaBasis, _gram_rows, gram
 from lfock.operators import TruncationError, build_ladders, eigen_residual
 from lfock.states import (DomainError, _coherent_coeffs, _even_log_weights,
                           coherent_overlap, displaced_form, evolve,
@@ -231,6 +231,17 @@ def test_overlap_magnitude_bounded(x, y):
     assert abs(val) <= 1.0 + 1e-10
 
 
+def test_non_positive_truncated_norm_is_named_cancellation():
+    # lam 4, N 300, xi -0.7: the series has converged (last term 9.5e-8), but
+    # u^H G u evaluates to a negative number against |u|^T |G| |u| = 2.3e16
+    basis = LambdaBasis(4.0, 1604)
+    with pytest.raises(DomainError, match=r"cancels in its norm \(condition "
+                       r"number \S+e\+1[5-9]\)") as info:
+        lambda_squeezed(-0.7, basis, 300)
+    assert info.value.radius is None
+    assert abs(states._squeezed_series(-0.7, basis, 300)[-1]) < 1e-7
+
+
 # The per-ray radius scan as it stood before the rays shared one scan: each
 # ray walks the r grid alone and builds the complex increment matrix G u u^H.
 # Kept here as the oracle the shared scan must reproduce bit for bit.
@@ -291,10 +302,12 @@ def test_shared_radius_scan_matches_per_ray_oracle(lam, monkeypatch):
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.7, -1.3, 2.9])
-def test_streamed_even_block_is_the_gram_even_block(lam):
+def test_triangle_rows_are_the_full_rows_from_the_diagonal(lam):
+    # the guard scan reads its even block from the closed upper triangle
     basis = LambdaBasis(lam, 1604)
-    block = _gram_block(basis, 1601, 2)
-    assert np.array_equal(block, gram(basis, 1601)[::2, ::2])
+    rows = zip(_gram_rows(basis, 1601, from_diagonal=True), _gram_rows(basis, 1601))
+    for m, (tri, full) in enumerate(rows):
+        assert np.array_equal(tri, full[m:])
 
 
 def test_radius_scan_holds_no_gram_matrix(monkeypatch):
@@ -308,6 +321,6 @@ def test_radius_scan_holds_no_gram_matrix(monkeypatch):
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 12e6
+    assert peak < 6e6
     assert held < 1e6
     assert basis._gram is None
