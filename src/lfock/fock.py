@@ -39,9 +39,10 @@ class LambdaBasis:
 
     Holds lam, the tables of log Laguerre values ln L_n and ladder ratios
     rho_n = sqrt(L_{n-1}/L_n) up to max_n, and a lazy cache for the Gram
-    matrix. Cache fills are idempotent and the cached array is read-only, so
-    the object is observationally immutable and safe to share. The matrix
-    lives and dies with the basis.
+    matrix (exactly symmetric, from the triangle rows of _gram_rows). Cache
+    fills are idempotent and the cached array is read-only, so the object is
+    observationally immutable and safe to share. The matrix lives and dies
+    with the basis.
 
     Parameters
     ----------
@@ -349,26 +350,25 @@ def expansion_matrix(basis: LambdaBasis, size: int) -> np.ndarray:
     return E
 
 
-def _gram_rows(basis: LambdaBasis, size: int, from_diagonal: bool = False):
-    """Yield the rows G[m, :size], m < size, of the ladder recurrence.
+def _gram_rows(basis: LambdaBasis, size: int):
+    """Yield the closed upper triangle G[m, m:size], m < size, of the ladder
+    recurrence, one row at a time.
 
     Row 0 is the vacuum overlap lam^n / sqrt(n! L_n); resolving <m|a|n> two
     ways (lowering to the right, raising to the left) gives
 
         G[m+1, n] = rho_{m+1} (sqrt(n) rho_n G[m, n-1] + lam G[m, n]) / sqrt(m+1)
 
-    with rho_n = sqrt(L_{n-1}/L_n). Entries are inner products of unit
-    vectors, bounded by 1, so the recursion cannot overflow. Rows come
-    unsymmetrized (the raw asymmetry is at roundoff level), one at a time.
-    With from_diagonal, row m is G[m, m:size]: row m+1 there reads only row m
-    there, so the triangle is closed and bit for bit that of the full rows.
+    with rho_n = sqrt(L_{n-1}/L_n). Row m+1 on columns n > m reads only row m
+    on columns n-1 >= m, so the triangle is closed. Entries are inner
+    products of unit vectors, bounded by 1, so the recursion cannot overflow.
     """
     lam = basis.lam
     if lam == 0.0:
         for m in range(size):
-            row = np.zeros(size)
-            row[m] = 1.0
-            yield row[m:] if from_diagonal else row
+            row = np.zeros(size - m)
+            row[0] = 1.0
+            yield row
         return
     lf = log_factorial_table(size - 1)[: size]
     lL = basis.log_laguerre[:size]
@@ -379,12 +379,8 @@ def _gram_rows(basis: LambdaBasis, size: int, from_diagonal: bool = False):
     row = signs * np.exp(n * math.log(abs(lam)) - 0.5 * (lf + lL))
     yield row
     for m in range(size - 1):
-        if from_diagonal:  # row m covers columns m.., row m+1 columns m+1..
-            nxt = lam * row[1:]
-            nxt += shift[m:] * row[:-1]
-        else:
-            nxt = lam * row
-            nxt[1:] += shift * row[:-1]
+        nxt = lam * row[1:]
+        nxt += shift[m:] * row[:-1]
         row = nxt * (rho[m + 1] / math.sqrt(m + 1.0))
         yield row
 
@@ -392,16 +388,17 @@ def _gram_rows(basis: LambdaBasis, size: int, from_diagonal: bool = False):
 def gram(basis: LambdaBasis, size: int) -> np.ndarray:
     """Gram matrix G[m, n] = <m|n>_lamlam, built by the ladder recurrence.
 
-    The rows of _gram_rows, then G <- (G + G^T)/2 in place pair by pair.
-    Must agree with overlap_analytic entrywise. Returns a read-only view of
-    the largest matrix built so far, which is cached on the basis.
+    Each triangle row of _gram_rows is written with its mirror in place, so
+    G is exactly symmetric. Must agree with overlap_analytic entrywise.
+    Returns a read-only view of the largest matrix built so far, which is
+    cached on the basis.
     """
     basis._check(size - 1)
     built = basis._gram
     if built is None or built.shape[0] < size:
-        G = np.fromiter(_gram_rows(basis, size), np.dtype((float, size)), size)
-        for m in range(1, size):
-            G[m, :m] = G[:m, m] = 0.5 * (G[m, :m] + G[:m, m])
+        G = np.empty((size, size))
+        for m, row in enumerate(_gram_rows(basis, size)):
+            G[m, m:] = G[m:, m] = row
         G.setflags(write=False)
         basis._gram = built = G
     return built[:size, :size]
@@ -488,18 +485,21 @@ class LambdaExpansion:
 
     def norm_and_condition(self) -> tuple[float, float]:
         """sqrt(c^H G c) and its condition number kappa = |c|^T |G| |c| / c^H G c,
-        streamed row by row.
+        streamed over the triangle rows of the ladder recurrence.
 
-        Each row of the ladder recurrence is used once and dropped, so the
-        memory is O(d), not the (d x d) Gram matrix. Over an alternating
-        series the form cancels to a relative error of about kappa eps.
+        Each row G[m, m:] adds its diagonal term plus twice the real part of
+        its strict-upper product, and is dropped, so the memory is O(d), not
+        the (d x d) Gram matrix. Over an alternating series the form cancels
+        to a relative error of about kappa eps.
         """
         self.basis._check(self.support - 1)
         c = np.asarray(self.coeffs, dtype=complex)
         mag = np.abs(c)
         total = bound = 0.0
-        for cm, row in zip(c, _gram_rows(self.basis, self.support)):
-            if cm != 0:
-                total += float(np.real(np.conj(cm) * _matvec(row, c)))
-                bound += abs(cm) * float(np.abs(row) @ mag)
+        for m, row in enumerate(_gram_rows(self.basis, self.support)):
+            if c[m] != 0:
+                cross = np.conj(c[m]) * _matvec(row[1:], c[m + 1:])
+                total += row[0] * mag[m] ** 2 + 2.0 * float(cross.real)
+                bound += mag[m] * (row[0] * mag[m]
+                                   + 2.0 * float(np.abs(row[1:]) @ mag[m + 1:]))
         return math.sqrt(max(total, 0.0)), bound / total if total > 0 else math.inf

@@ -335,7 +335,7 @@ def _scan_radii(basis: LambdaBasis, phases: list[float],
         if not (over or bound_ok):
             if upper is None:
                 upper, diag = np.zeros((T + 1, T + 1)), np.empty(T + 1)
-                rows = _gram_rows(work, 2 * T + 1, from_diagonal=True)
+                rows = _gram_rows(work, 2 * T + 1)
                 for i, row in enumerate(itertools.islice(rows, 0, None, 2)):
                     diag[i], upper[i, i + 1:] = row[0], row[2::2]
             mags = np.exp(base_logs + k * math.log(r))  # <= e^300: no overflow

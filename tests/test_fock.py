@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import cholesky, solve_triangular
 
 from lfock.families import nonlinear_cs
-from lfock.fock import (DomainError, LambdaBasis, LambdaExpansion,
+from lfock.fock import (DomainError, LambdaBasis, LambdaExpansion, _gram_rows,
                         apply_t_operator, expansion_matrix, gram,
                         gram_coefficient,
                         iterated_lowering_norm, ladder_down, ladder_up,
@@ -272,6 +272,24 @@ def test_cached_matrices_are_read_only_and_grow_exactly(lam):
             with pytest.raises(ValueError):
                 M[0, 0] = 2.0
             assert np.array_equal(M, want[: M.shape[0], : M.shape[0]])
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.7, -1.3, 2.9])
+def test_gram_and_norm_read_one_triangle_of_the_recurrence(lam):
+    # gram() writes each closed-triangle row of _gram_rows with its mirror;
+    # norm_and_condition streams the same rows (diagonal plus twice the
+    # strict-upper product) in place of the matrix
+    basis = LambdaBasis(lam, 1604)
+    G = gram(basis, 1601)
+    assert np.array_equal(G, G.T)
+    for m, row in enumerate(_gram_rows(basis, 1601)):
+        assert np.array_equal(G[m, m:], row)
+    rng = np.random.default_rng(13)
+    c = rng.standard_normal(1601) + 1j * rng.standard_normal(1601)
+    form = float(np.real(np.vdot(c, G @ c)))
+    norm, kappa = LambdaExpansion(basis, c).norm_and_condition()
+    assert norm == pytest.approx(math.sqrt(form), rel=1e-13)
+    assert kappa == pytest.approx(np.abs(c) @ np.abs(G) @ np.abs(c) / form, rel=1e-13)
 
 
 def _to_lambda_mpmath(v, lam, dps=60):

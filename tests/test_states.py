@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lfock import states
-from lfock.fock import LambdaBasis, _gram_rows, gram
+from lfock.fock import LambdaBasis, gram
 from lfock.operators import TruncationError, build_ladders, eigen_residual
 from lfock.states import (DomainError, _coherent_coeffs, _even_log_weights,
                           coherent_overlap, displaced_form, evolve,
@@ -299,15 +299,6 @@ def test_shared_radius_scan_matches_per_ray_oracle(lam, monkeypatch):
         assert got == want
         if factor == 1.05:
             assert radius_min(basis) == min(want)
-
-
-@pytest.mark.parametrize("lam", [0.0, 0.7, -1.3, 2.9])
-def test_triangle_rows_are_the_full_rows_from_the_diagonal(lam):
-    # the guard scan reads its even block from the closed upper triangle
-    basis = LambdaBasis(lam, 1604)
-    rows = zip(_gram_rows(basis, 1601, from_diagonal=True), _gram_rows(basis, 1601))
-    for m, (tri, full) in enumerate(rows):
-        assert np.array_equal(tri, full[m:])
 
 
 def test_radius_scan_holds_no_gram_matrix(monkeypatch):
