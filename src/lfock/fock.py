@@ -25,6 +25,8 @@ import numpy as np
 from .specfun import (LogValue, _laguerre_table, log_factorial_table,
                       logsumexp_positive)
 
+_LOG_DBL_MAX = math.log(np.finfo(float).max)
+
 
 class DomainError(ValueError):
     """A parameter lies outside the domain where a construction converges."""
@@ -144,6 +146,19 @@ def _exp_lowering(mu: float, v: np.ndarray) -> np.ndarray:
         out[: term.shape[0]] += term
         k += 1
     return out
+
+
+def _phased_exp(logs: np.ndarray, z: complex, symbol: str) -> np.ndarray:
+    """exp(logs[n]) (z/|z|)^n for coefficients symbol_n of log-magnitude
+    logs[n]: the largest log is checked against the double range before the
+    one exponential, and only the unit phase is accumulated as a product."""
+    top = int(np.argmax(logs))
+    if logs[top] > _LOG_DBL_MAX:
+        raise DomainError(f"coefficient {symbol}_{top} overflows the double range "
+                          f"(ln|{symbol}_{top}| = {logs[top]:.4g})")
+    phases = np.ones(logs.shape[0], dtype=complex)
+    phases[1:] = np.cumprod(np.full(logs.shape[0] - 1, z / abs(z)))
+    return np.exp(logs) * phases
 
 
 def _gaussian_amplitudes(xi, mu, M: int) -> tuple[np.ndarray, np.ndarray]:

@@ -29,11 +29,10 @@ import numpy as np
 from . import operators
 from .fock import (DomainError, LambdaBasis, LambdaExpansion,
                    _cancels, _gaussian_amplitudes, _gaussian_log_norm,
-                   _gram_rows, _matvec, gram)
+                   _gram_rows, _matvec, _phased_exp, gram)
 from .specfun import log_factorial_table, logsumexp_positive
 
 _LN2 = math.log(2.0)
-_LOG_DBL_MAX = math.log(np.finfo(float).max)
 _HARD_CAP = 512
 
 
@@ -132,16 +131,11 @@ def _coherent_coeffs(alpha: complex, basis: LambdaBasis, N: int) -> np.ndarray:
     n = np.arange(N)
     logs = log_c0 + n * math.log(abs(alpha)) \
         + 0.5 * (basis.log_laguerre[:N] - log_factorial_table(N - 1))
-    top = int(np.argmax(logs))
-    if logs[top] > _LOG_DBL_MAX:
-        raise DomainError(f"coefficient C_{top} overflows the double range "
-                          f"(ln|C_{top}| = {logs[top]:.4g})")
+    c = _phased_exp(logs, alpha, "C")
     if math.exp(log_c0) == 0.0:
         raise DomainError("normalization constant exp(-lam Re a - |a|^2/2) "
                           "underflows for these parameters")
-    phases = np.ones(N, dtype=complex)
-    phases[1:] = np.cumprod(np.full(N - 1, alpha / abs(alpha)))
-    return np.exp(logs) * phases
+    return c
 
 
 def lambda_coherent(alpha: complex, basis: LambdaBasis,
@@ -428,15 +422,18 @@ def _squeezed_terms(xi: complex, basis: LambdaBasis,
 
 def _squeezed_series(xi: complex, basis: LambdaBasis,
                      n_terms: int | None) -> np.ndarray:
-    """d_n = xi^n sqrt(L_2n (2n-1)!!/(2n)!!) for n < _squeezed_terms."""
+    """d_n = xi^n sqrt(L_2n (2n-1)!!/(2n)!!) for n < _squeezed_terms.
+
+    ln|d_n| is summed in log space and xi^n enters as ln|xi| plus the unit
+    phase, so small terms with a huge Laguerre factor stay representable.
+    Inside the guarded disk the range check cannot fire for n <= 800: the
+    scan's overflow guard caps ln|d_n| at 300 at every passing r, and ln|d_n|
+    grows with |xi|. It guards longer series and unguarded states.
+    """
     T = _squeezed_terms(xi, basis, n_terms) - 1
-    logs = 0.5 * (np.asarray(basis.log_laguerre[0: 2 * T + 1: 2])
-                  + _even_log_weights(T))
-    top = int(np.argmax(logs))
-    if logs[top] > _LOG_DBL_MAX:
-        raise DomainError(f"the Laguerre factor of series term d_{top} overflows "
-                          f"the double range (ln|d_{top}/xi^{top}| = {logs[top]:.4g})")
-    return xi ** np.arange(T + 1) * np.exp(logs)
+    logs = np.arange(T + 1) * math.log(abs(xi)) + 0.5 * (
+        np.asarray(basis.log_laguerre[0: 2 * T + 1: 2]) + _even_log_weights(T))
+    return _phased_exp(logs, xi, "d")
 
 
 def lambda_squeezed(xi: complex, basis: LambdaBasis,
