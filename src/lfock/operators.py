@@ -89,25 +89,13 @@ def squeeze(xi: complex, N: int) -> np.ndarray:
     return expm_apply(0.5 * xi * (a_dag @ a_dag), np.eye(N))
 
 
-def eigen_residual(M: np.ndarray, v: np.ndarray, z: complex,
-                   gram: np.ndarray | None = None) -> float:
-    """|| M v - z v || / || v || in the basis-appropriate norm.
-
-    With gram=None the norm is Euclidean (standard basis). For coefficient
-    vectors over a non-orthogonal basis pass the Gram matrix; the norm is then
-    sqrt(w_dag G w).
-    """
+def eigen_residual(M: np.ndarray, v: np.ndarray, z: complex) -> float:
+    """|| M v - z v || / || v || in the Euclidean norm (standard basis)."""
     v = np.asarray(v, dtype=complex)
-    w = M @ v - z * v
-    if gram is None:
-        den = float(np.linalg.norm(v))
-        num = float(np.linalg.norm(w))
-    else:
-        den = math.sqrt(max(float(np.real(np.vdot(v, gram @ v))), 0.0))
-        num = math.sqrt(max(float(np.real(np.vdot(w, gram @ w))), 0.0))
+    den = float(np.linalg.norm(v))
     if den == 0.0:
         raise ValueError("residual undefined for the zero vector")
-    return num / den
+    return float(np.linalg.norm(M @ v - z * v)) / den
 
 
 def with_margin(build, N: int, margin: int = 20, tol: float = 1e-9) -> np.ndarray:

@@ -101,15 +101,6 @@ def test_eigen_residual_exact_eigenvector():
     assert eigen_residual(M, v, 2.0) == 0.0
 
 
-def test_eigen_residual_with_gram_norm():
-    M = np.diag([1.0, 2.0]).astype(complex)
-    v = np.array([0.0, 1.0], dtype=complex)
-    G = np.array([[1.0, 0.5], [0.5, 1.0]])
-    # residual vector is e1 with squared Gram norm G[1,1] = 1; v also has
-    # Gram norm 1, so the ratio is exactly 1
-    assert eigen_residual(M, v, 1.0, gram=G) == pytest.approx(1.0, rel=1e-12)
-
-
 def test_eigen_residual_rejects_zero_vector():
     M = np.eye(2, dtype=complex)
     with pytest.raises(ValueError):
