@@ -197,15 +197,16 @@ def displaced_form(alpha: complex, basis: LambdaBasis,
     alpha = complex(alpha)
     if N is None:
         N = max(48, int(abs(alpha) ** 2 + 12.0 * math.sqrt(abs(alpha) ** 2 + 1.0) + 30.0))
-
-    def build(M: int) -> np.ndarray:
-        e0 = np.zeros(M, dtype=complex)
-        e0[0] = 1.0
-        a, a_dag, _ = operators.build_ladders(M)
-        return operators.expm_apply(alpha * a_dag - np.conj(alpha) * a, e0)
-
-    vec = operators.with_margin(build, N)
+    vec = operators.with_margin(lambda M: _displaced_vacuum(alpha, M), N)
     return cmath.exp(1j * basis.lam * alpha.imag) * vec
+
+
+def _displaced_vacuum(mu: complex, M: int) -> np.ndarray:
+    """D(mu)|0> in M dimensions through the dense matrix exponential."""
+    e0 = np.zeros(M, dtype=complex)
+    e0[0] = 1.0
+    a, a_dag, _ = operators.build_ladders(M)
+    return operators.expm_apply(mu * a_dag - np.conj(mu) * a, e0)
 
 
 def evolve(state: LambdaCoherent, t: float) -> LambdaCoherent:
@@ -546,12 +547,9 @@ def squeezed_operator_form(xi: complex, basis: LambdaBasis,
         N = 200
 
     def build(M: int) -> np.ndarray:
-        e0 = np.zeros(M, dtype=complex)
-        e0[0] = 1.0
-        a, a_dag, _ = operators.build_ladders(M)
-        mu = xi * lam
-        displaced = operators.expm_apply(mu * a_dag - np.conj(mu) * a, e0)
-        return operators.expm_apply(0.5 * xi * (a_dag @ a_dag), displaced)
+        _, a_dag, _ = operators.build_ladders(M)
+        return operators.expm_apply(0.5 * xi * (a_dag @ a_dag),
+                                    _displaced_vacuum(xi * lam, M))
 
     vec = operators.with_margin(build, N)
     c0 = squeezed_norm_constant(xi, basis)
