@@ -123,9 +123,8 @@ class LambdaSqueezed(_Family):
 def _coherent_coeffs(alpha: complex, basis: LambdaBasis, N: int) -> np.ndarray:
     """C_n = C_0 alpha^n sqrt(L_n/n!) for n < N and alpha != 0.
 
-    Magnitudes are summed in log space and only the unit phase
-    (alpha/|alpha|)^n is accumulated as a product; the largest log is checked
-    against the double range before the one final exponential.
+    Magnitudes are summed in log space and exponentiated with the unit
+    phase (alpha/|alpha|)^n by _phased_exp, as the squeezed series is.
     """
     log_c0 = -basis.lam * alpha.real - abs(alpha) ** 2 / 2.0
     n = np.arange(N)
