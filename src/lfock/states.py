@@ -196,15 +196,17 @@ def displaced_form(alpha: complex, basis: LambdaBasis,
     alpha = complex(alpha)
     if N is None:
         N = max(48, int(abs(alpha) ** 2 + 12.0 * math.sqrt(abs(alpha) ** 2 + 1.0) + 30.0))
-    vec = operators.with_margin(lambda M: _displaced_vacuum(alpha, M), N)
+    vec = operators.with_margin(
+        lambda M: _displaced_vacuum(alpha, operators.build_ladders(M)), N)
     return cmath.exp(1j * basis.lam * alpha.imag) * vec
 
 
-def _displaced_vacuum(mu: complex, M: int) -> np.ndarray:
-    """D(mu)|0> in M dimensions through the dense matrix exponential."""
-    e0 = np.zeros(M, dtype=complex)
+def _displaced_vacuum(mu: complex, ladders: tuple) -> np.ndarray:
+    """D(mu)|0> through the dense matrix exponential, on the ladders
+    (a, a_dag, n) of operators.build_ladders."""
+    a, a_dag, _ = ladders
+    e0 = np.zeros(a.shape[0], dtype=complex)
     e0[0] = 1.0
-    a, a_dag, _ = operators.build_ladders(M)
     return operators.expm_apply(mu * a_dag - np.conj(mu) * a, e0)
 
 
@@ -431,8 +433,8 @@ def _squeezed_series(xi: complex, basis: LambdaBasis,
     grows with |xi|. It guards longer series and unguarded states.
     """
     T = _squeezed_terms(xi, basis, n_terms) - 1
-    logs = np.arange(T + 1) * math.log(abs(xi)) + 0.5 * (
-        np.asarray(basis.log_laguerre[0: 2 * T + 1: 2]) + _even_log_weights(T))
+    logs = np.arange(T + 1) * math.log(abs(xi)) \
+        + 0.5 * (basis.log_laguerre[0: 2 * T + 1: 2] + _even_log_weights(T))
     return _phased_exp(logs, xi, "d")
 
 
@@ -546,9 +548,9 @@ def squeezed_operator_form(xi: complex, basis: LambdaBasis,
         N = 200
 
     def build(M: int) -> np.ndarray:
-        _, a_dag, _ = operators.build_ladders(M)
-        return operators.expm_apply(0.5 * xi * (a_dag @ a_dag),
-                                    _displaced_vacuum(xi * lam, M))
+        ladders = operators.build_ladders(M)
+        displaced = _displaced_vacuum(xi * lam, ladders)
+        return operators.expm_apply(0.5 * xi * (ladders[1] @ ladders[1]), displaced)
 
     vec = operators.with_margin(build, N)
     c0 = squeezed_norm_constant(xi, basis)

@@ -257,7 +257,7 @@ def test_squeezed_series_overflow_warns_each_cell_without_numpy_warnings():
     # at lam 50 the Laguerre factors of the 300-term series pass 1e308 inside
     # the guarded disk, but the terms d_n do not (ln|d_299| = -595 at xi
     # 0.01): the series is formed in log space, so every cell is printed,
-    # finite, with no warning (each cell used to be skipped)
+    # finite, with no warning
     done = _python("-m", "lfock.cli", "fig3a", "--truncation", "300",
                    "--lambda", "50", "--grid", "0.01:0.1:3")
     assert done.returncode == 0
