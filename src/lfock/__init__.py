@@ -20,7 +20,7 @@ from .fock import (LambdaBasis, LambdaExpansion, apply_t_operator,
 from .operators import (TruncationError, build_ladders, displacement,
                         eigen_residual, expm_apply, number_operator, squeeze,
                         with_margin)
-from .specfun import (LogValue, laguerre0, laguerre0_log, log_double_factorial,
+from .specfun import (laguerre0, laguerre0_log, log_double_factorial,
                       log_factorial)
 from .states import (DomainError, LambdaCoherent, LambdaSqueezed,
                      coherent_overlap, displaced_form, evolve, lambda_coherent,
@@ -34,8 +34,7 @@ from .sweeps import SweepResult, sweep_fig1, sweep_fig2, sweep_fig3
 __version__ = "0.1.0"
 
 __all__ = [
-    "LogValue", "log_factorial", "log_double_factorial", "laguerre0",
-    "laguerre0_log",
+    "log_factorial", "log_double_factorial", "laguerre0", "laguerre0_log",
     "LambdaBasis", "LambdaExpansion", "lambda_ket", "apply_t_operator",
     "overlap_analytic", "ladder_down", "ladder_up", "iterated_lowering_norm",
     "lowering_scalar", "raising_scalar", "matel_creation_power",

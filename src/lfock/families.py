@@ -107,23 +107,15 @@ def nonlinear_cs(family: str, alpha: complex, N: int | None = None) -> Nonlinear
 
 
 def penson_solomon_cs(Z: complex, C, N: int | None = None) -> NonlinearCS:
-    """Generalized series Z^n/sqrt(C(n)), C a callable or positive sequence.
+    """Generalized series Z^n/sqrt(C(n)), C a callable positive on n >= 0.
 
     C(n) = n! reproduces the canonical family, (n!)^2 reproduces f2, and
     (n!)^3 reproduces f1. The truncation window must see a convergent tail.
     """
     Z = complex(Z)
-    if callable(C):
-        seq = None
-    else:
-        seq = list(C)
-        if N is None:
-            N = len(seq)
-        if N > len(seq):
-            raise ValueError("C sequence shorter than the requested truncation")
 
     def c_at(n: int) -> float:
-        v = float(C(n)) if seq is None else float(seq[n])
+        v = float(C(n))
         if not v > 0:
             raise ValueError(f"C({n}) = {v} is not positive")
         return v

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import (LogValue, _laguerre_table, log_factorial_table,
+from .specfun import (_laguerre_table, log_factorial_table,
                       logsumexp_positive)
 
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
@@ -261,7 +261,7 @@ def overlap_analytic(m: int, n: int, basis: LambdaBasis) -> float:
         + 0.5 * (lf[hi] + lf[lo]) - lf[k] - lf[lo - k] - lf[hi - lo + k]
     mag = logsumexp_positive(logs) \
         - 0.5 * float(basis.log_laguerre[hi] + basis.log_laguerre[lo])
-    return LogValue(mag, _sign_for_parity(basis.lam, hi - lo)).value()
+    return _sign_for_parity(basis.lam, hi - lo) * math.exp(mag)
 
 
 def ladder_down(n: int, basis: LambdaBasis) -> tuple[float, int]:
@@ -346,7 +346,7 @@ def matel_normal_ordered(m: int, n: int, r: int, k: int, basis: LambdaBasis) -> 
     mag = logsumexp_positive(logs) + float(lf[top] - lf[n - k]) \
         + 0.5 * (float(lf[n] + lf[m])
                  - float(basis.log_laguerre[n] + basis.log_laguerre[m]))
-    return LogValue(mag, _sign_for_parity(basis.lam, m - top)).value()
+    return _sign_for_parity(basis.lam, m - top) * math.exp(mag)
 
 
 def expansion_matrix(basis: LambdaBasis, size: int) -> np.ndarray:

@@ -19,6 +19,10 @@ import math
 
 import numpy as np
 
+# with_margin's second truncation N + _MARGIN and its head tolerance
+_MARGIN = 20
+_MARGIN_TOL = 1e-9
+
 
 class TruncationError(RuntimeError):
     """Raised when results at truncation N and N + margin disagree."""
@@ -98,18 +102,18 @@ def eigen_residual(M: np.ndarray, v: np.ndarray, z: complex) -> float:
     return float(np.linalg.norm(M @ v - z * v)) / den
 
 
-def with_margin(build, N: int, margin: int = 20, tol: float = 1e-9) -> np.ndarray:
-    """Truncation self-check: run build at N and N + margin, demand agreement.
+def with_margin(build, N: int) -> np.ndarray:
+    """Truncation self-check: run build at N and N + 20, demand agreement.
 
-    build(dim) must return a vector of length dim. The first N - margin
-    components of the two runs must agree to tol, otherwise the tail was not
+    build(dim) must return a vector of length dim. The first N - 20
+    components of the two runs must agree to 1e-9, otherwise the tail was not
     negligible and a TruncationError is raised. Returns the length-N result.
     """
     v1 = np.asarray(build(N), dtype=complex)
-    v2 = np.asarray(build(N + margin), dtype=complex)
-    head = max(N - margin, 0)
+    v2 = np.asarray(build(N + _MARGIN), dtype=complex)
+    head = max(N - _MARGIN, 0)
     err = float(np.max(np.abs(v1[:head] - v2[:head]))) if head else 0.0
-    if err > tol:
-        raise TruncationError(
-            f"truncation N={N} unstable: head disagreement {err:.3e} > {tol:.1e}")
+    if err > _MARGIN_TOL:
+        raise TruncationError(f"truncation N={N} unstable: head disagreement "
+                              f"{err:.3e} > {_MARGIN_TOL:.1e}")
     return v1

@@ -2,13 +2,12 @@
 
 Factorials, double factorials and the Laguerre values L_n^{(0)}(-lambda^2)
 appear inside products that overflow double precision long before the final
-result does, so everything here works with natural logs and explicit signs.
+result does, so everything here works with natural logs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,40 +16,6 @@ _EXACT_FACT_MAX = 20
 
 _LOG_FACT_SMALL = tuple(math.log(math.factorial(n)) if n > 1 else 0.0
                         for n in range(_EXACT_FACT_MAX + 1))
-
-
-@dataclass(frozen=True)
-class LogValue:
-    """A real number stored as (log of magnitude, sign).
-
-    sign is -1, 0 or +1; sign == 0 means the value is exactly zero and
-    magnitude_log is ignored. Multiplication adds logs and multiplies signs.
-    """
-
-    magnitude_log: float
-    sign: int
-
-    @classmethod
-    def from_value(cls, x: float) -> "LogValue":
-        if x == 0:
-            return cls(0.0, 0)
-        return cls(math.log(abs(x)), 1 if x > 0 else -1)
-
-    @classmethod
-    def zero(cls) -> "LogValue":
-        return cls(0.0, 0)
-
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        if self.sign == 0 or other.sign == 0:
-            return LogValue(0.0, 0)
-        return LogValue(self.magnitude_log + other.magnitude_log,
-                        self.sign * other.sign)
-
-    def value(self) -> float:
-        """Back to an ordinary float. Raises OverflowError if too large."""
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.magnitude_log)
 
 
 def log_factorial(n: int) -> float:

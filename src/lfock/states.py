@@ -215,10 +215,12 @@ def evolve(state: LambdaCoherent, t: float) -> LambdaCoherent:
 
     Returns e^{-it/2} |alpha e^{-it}, lam>, rebuilt at the rotated amplitude
     with its own normalization constant (rotating the coefficients by e^{-int}
-    alone would keep the old constant and drift off normalization).
+    alone would keep the old constant and drift off normalization), and at
+    the input's truncation when it was built with one.
     """
     rotated = complex(state.alpha) * cmath.exp(-1j * t)
-    return replace(lambda_coherent(rotated, state.basis),
+    N = state.truncation if state._truncated else None
+    return replace(lambda_coherent(rotated, state.basis, N),
                    phase=state.phase * cmath.exp(-0.5j * t))
 
 
@@ -258,11 +260,14 @@ def squeezed_vacuum(xi: complex, N: int | None = None) -> np.ndarray:
     return v
 
 
-# Guard radii per (lam, phase, grid factor) and per lam. Both hold floats
-# only, one entry per distinct lam a process asks about; the scan's even Gram
-# triangle lives only while _scan_radii runs.
-_RADIUS_CACHE: dict[tuple[float, float, float], float] = {}
-_RADIUS_MIN_CACHE: dict[float, float] = {}
+# The guard's rays k pi/4 for k = 0..4 (rays phi and 2 pi - phi give identical
+# partial sums, the expansion rows being real) and its r-grid factor
+_SCAN_PHASES = [k * math.pi / 4.0 for k in range(5)]
+_SCAN_FACTOR = 1.05
+# The five ray radii per lam, from one _scan_radii pass: floats only, one
+# entry per distinct lam a process asks about; the scan's even Gram triangle
+# lives only while _scan_radii runs.
+_GUARD_RADII: dict[float, list[float]] = {}
 _SCAN_T_MAX = 800
 # The squeezed family's basis horizon: it covers the scan's 2 * _SCAN_T_MAX
 # rows, so the guard scan and the states share one basis per lam
@@ -292,12 +297,13 @@ def _bound_steps(base_logs: np.ndarray, k: np.ndarray, grid: list[float]):
         yield from zip(rs, over, passes)
 
 
-def _scan_radii(basis: LambdaBasis, phases: list[float],
-                factor: float) -> list[float]:
-    """Convergence radius of the squeezed normalization series on each ray.
+def _scan_radii(basis: LambdaBasis) -> list[float]:
+    """Convergence radius of the squeezed normalization series on each ray
+    of _SCAN_PHASES.
 
-    Walks r over the grid 0.01 * factor^j <= 2 for all rays at once. At each
-    r the partial sums S_T = ||sum_{n<=T} u_n |2n>_lam||^2, with
+    Walks r over the grid 0.01 * factor^j <= 2, factor = _SCAN_FACTOR, for
+    all rays at once. At each r the partial sums
+    S_T = ||sum_{n<=T} u_n |2n>_lam||^2, with
     u_n = (r e^{i phase})^n sqrt(L_2n (2n-1)!!/(2n)!!), pass when 20
     consecutive increments |S_T - S_{T-1}| fall below 1e-12 within the
     scanned terms; a term past the overflow guard fails every ray. Since
@@ -315,6 +321,7 @@ def _scan_radii(basis: LambdaBasis, phases: list[float],
     base_logs = 0.5 * (work.log_laguerre[0: 2 * T + 1: 2]
                        + _even_log_weights(T))
     k = np.arange(T + 1)
+    phases, factor = _SCAN_PHASES, _SCAN_FACTOR
     # rays[:, i] = (cos, sin)(phase_i k)
     rays = np.stack([f(np.multiply.outer(k, phases)) for f in (np.cos, np.sin)], axis=2)
     grid = [0.01]
@@ -348,34 +355,25 @@ def _scan_radii(basis: LambdaBasis, phases: list[float],
     return radii
 
 
-def radius_estimate(basis: LambdaBasis, phase: float = 0.0,
-                    factor: float = 1.05) -> float:
+def _ray_radii(basis: LambdaBasis) -> list[float]:
+    """The five ray radii of basis.lam, from one _scan_radii pass per lam."""
+    radii = _GUARD_RADII.get(basis.lam)
+    if radii is None:
+        radii = _GUARD_RADII[basis.lam] = _scan_radii(basis)
+    return radii
+
+
+def radius_estimate(basis: LambdaBasis) -> float:
     """Numerical convergence radius of the squeezed normalization series on
-    the ray of `phase` (the scan of _scan_radii), cached per argument."""
-    key = (basis.lam, float(phase), float(factor))
-    hit = _RADIUS_CACHE.get(key)
-    if hit is None:
-        hit = _RADIUS_CACHE[key] = _scan_radii(basis, [float(phase)],
-                                               float(factor))[0]
-    return hit
+    the positive real ray (phase 0), read from the scan radius_min shares."""
+    return _ray_radii(basis)[0]
 
 
 def radius_min(basis: LambdaBasis) -> float:
-    """min of radius_estimate over 8 phase rays: the phase-uniform guard.
-
-    Rays phi and 2 pi - phi give identical partial sums (the expansion rows
-    are real), so only the 5 rays in [0, pi] are computed, in one scan.
-    """
-    hit = _RADIUS_MIN_CACHE.get(basis.lam)
-    if hit is not None:
-        return hit
-    phases = [k * math.pi / 4.0 for k in range(5)]
-    radii = _scan_radii(basis, phases, 1.05)
-    _RADIUS_CACHE.update(((basis.lam, p, 1.05), radius)
-                         for p, radius in zip(phases, radii))
-    rmin = min(radii)
-    _RADIUS_MIN_CACHE[basis.lam] = rmin
-    return rmin
+    """min of the convergence radius over 8 phase rays (the 5 in [0, pi]
+    are scanned): the phase-uniform guard, from the scan radius_estimate
+    shares."""
+    return min(_ray_radii(basis))
 
 
 def _guard_xi(xi: complex, basis: LambdaBasis) -> None:

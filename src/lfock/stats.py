@@ -68,27 +68,27 @@ def p_lambda(m: int | np.ndarray, alpha: complex,
     return float(P) if P.ndim == 0 else P
 
 
-def number_moments(state, cutoff: int | None = None) -> StatisticsReport:
+def number_moments(state) -> StatisticsReport:
     """Number moments <m>, <m^2>, Mandel Q in the state's declared basis.
 
     A plain array is read as a standard-basis vector: P(m) = |psi_m|^2 over
     its support. Anything else is read in the deformed basis,
     P(m) = |<m|_lam psi>|^2: an exact Gaussian state takes _frame_weights,
     and a LambdaExpansion c (or a state carrying one) takes
-    |(G c)_m|^2, since <m|_lam psi> = (E E^T c)_m. Without a cutoff the sum
-    runs until the m^2 P(m) tail drops below 1e-12 (the second moment
-    converges slower than the mean).
+    |(G c)_m|^2, since <m|_lam psi> = (E E^T c)_m. The deformed sum runs
+    until the m^2 P(m) tail drops below 1e-12 (the second moment converges
+    slower than the mean). fig1's --truncation fixes the cutoff through
+    _frame_weights instead.
     """
     if getattr(state, "_gaussian", None) is not None:
         xi, mu, _ = np.array([state._gaussian], dtype=complex).T
-        rep = _frame_moments(xi, mu, state.basis, cutoff)[0]
+        rep = _frame_moments(xi, mu, state.basis)[0]
         if rep is None:
             raise operators.TruncationError(_TAIL_UNSETTLED)
         return rep
     expansion = getattr(state, "expansion", state)
     if isinstance(expansion, np.ndarray):
-        hi = expansion.shape[0] if cutoff is None else min(cutoff, expansion.shape[0])
-        return _reports((np.abs(expansion[:hi]) ** 2)[:, None], "standard")[0]
+        return _reports((np.abs(expansion) ** 2)[:, None], "standard")[0]
     if not isinstance(expansion, LambdaExpansion):
         raise TypeError("state must be a standard-basis array or carry a "
                         "LambdaExpansion")
@@ -99,9 +99,6 @@ def number_moments(state, cutoff: int | None = None) -> StatisticsReport:
     def weights(lo: int, hi: int) -> np.ndarray:
         return np.abs(_matvec(gram(basis, max(hi, d))[lo:hi, :d], c)) ** 2
 
-    if cutoff is not None:
-        basis._check(cutoff - 1, "cutoff")
-        return _reports(weights(0, cutoff)[:, None], "lambda")[0]
     hi = min(d + 32, basis.max_n + 1)
     P = weights(0, hi)
     while True:

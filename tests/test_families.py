@@ -37,10 +37,6 @@ def test_generalized_series_reduces_to_named_families(family, power):
     fact = [math.factorial(k) for k in range(T)]
     via_c = penson_solomon_cs(alpha, lambda n: float(fact[n]) ** power, N=T)
     assert np.max(np.abs(direct.coeffs - via_c.coeffs)) < 1e-12
-    # same through an explicit sequence window
-    via_seq = penson_solomon_cs(alpha, [float(fact[k]) ** power
-                                        for k in range(T)])
-    assert np.max(np.abs(direct.coeffs - via_seq.coeffs)) < 1e-12
 
 
 @pytest.mark.parametrize("family", ["f1", "f2", "canonical"])
@@ -88,17 +84,12 @@ def test_divergent_window_rejected():
     with pytest.raises(ValueError):
         penson_solomon_cs(1.5, lambda n: 1.0)
     with pytest.raises(ValueError):
-        penson_solomon_cs(0.9, [1.0] * 12, N=12)
+        penson_solomon_cs(0.9, lambda n: 1.0, N=12)
 
 
 def test_nonpositive_c_rejected():
     with pytest.raises(ValueError):
         penson_solomon_cs(0.5, lambda n: float(n))  # C(0) = 0
-
-
-def test_short_c_sequence_rejected():
-    with pytest.raises(ValueError):
-        penson_solomon_cs(0.5, [1.0, 1.0], N=8)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])

@@ -151,8 +151,7 @@ def test_auto_sweeps_and_exact_dumps_build_no_dense_matrix(monkeypatch):
     # the guard scan streams its even Gram block, the kernel serves the
     # states and norm_gram streams rows: neither gram nor expansion_matrix
     # runs, in any caller
-    monkeypatch.setattr(states, "_RADIUS_MIN_CACHE", {})
-    monkeypatch.setattr(states, "_RADIUS_CACHE", {})
+    monkeypatch.setattr(states, "_GUARD_RADII", {})
     callers = []
 
     def spy(fn):
@@ -174,7 +173,7 @@ def test_auto_sweeps_and_exact_dumps_build_no_dense_matrix(monkeypatch):
     for argv in (["lambda_cs", "--lambda=3", "--alpha=-2,1"],
                  ["lambda_ss", "--lambda=2", "--xi=-0.4,0.2"]):
         assert cli.main(["state", *argv, "--out", os.devnull]) == 0
-    assert set(states._RADIUS_MIN_CACHE) == {1.0, 2.0, 3.0}  # the guard ran
+    assert set(states._GUARD_RADII) == {1.0, 2.0, 3.0}  # the guard ran
     assert callers == []
 
 

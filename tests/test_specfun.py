@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import eval_laguerre
 
-from lfock.specfun import (LogValue, _laguerre_table, laguerre0,
-                           laguerre0_log, log_double_factorial, log_factorial,
+from lfock.specfun import (_laguerre_table, laguerre0, laguerre0_log,
+                           log_double_factorial, log_factorial,
                            log_factorial_table, logsumexp_positive)
 
 
@@ -113,22 +113,6 @@ def test_laguerre_log_even_and_nonnegative(n, lam):
 @settings(max_examples=200, deadline=None)
 def test_laguerre_log_monotone_in_order(n, lam):
     assert laguerre0_log(n + 1, lam) >= laguerre0_log(n, lam) - 1e-12
-
-
-@given(st.floats(-1e6, 1e6, allow_nan=False),
-       st.floats(-1e6, 1e6, allow_nan=False))
-@settings(max_examples=300)
-def test_logvalue_multiplication(x, y):
-    got = (LogValue.from_value(x) * LogValue.from_value(y)).value()
-    assert got == pytest.approx(x * y, rel=1e-12, abs=1e-280)
-
-
-def test_logvalue_zero_handling():
-    assert LogValue.zero().value() == 0.0
-    assert LogValue.from_value(0.0).sign == 0
-    assert (LogValue.zero() * LogValue.from_value(3.0)).sign == 0
-    assert LogValue.from_value(-2.0).sign == -1
-    assert LogValue.from_value(-2.0).value() == pytest.approx(-2.0, rel=1e-15)
 
 
 @given(st.lists(st.floats(-500.0, 500.0, allow_nan=False),

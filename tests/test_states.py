@@ -101,6 +101,16 @@ def test_evolution_composes():
     assert np.max(np.abs(one.to_standard(N) - two.to_standard(N))) < 1e-10
 
 
+@pytest.mark.parametrize("N", [None, 6])
+def test_evolution_at_zero_time_is_the_identity(N):
+    # a state built with an explicit truncation keeps it
+    state = lambda_coherent(1.0 + 0.5j, LambdaBasis(1.0, 256), N)
+    moved = evolve(state, 0.0)
+    assert moved.truncation == state.truncation
+    assert np.array_equal(moved.expansion.coeffs, state.expansion.coeffs)
+    assert np.array_equal(moved.to_standard(), state.to_standard())
+
+
 def test_coherent_truncation_cap_is_reported():
     basis = LambdaBasis(3.0, 512)
     with pytest.raises(TruncationError):
@@ -211,16 +221,37 @@ def test_radius_shrinks_with_deformation():
     assert r_two <= r_half <= 1.0
 
 
-def test_radius_grid_refinement_stable():
+def test_radius_grid_refinement_stable(monkeypatch):
+    monkeypatch.setattr(states, "_GUARD_RADII", {})
     basis = LambdaBasis(1.0, 1600)
-    coarse = radius_estimate(basis, factor=1.05)
-    fine = radius_estimate(basis, factor=math.sqrt(1.05))
+    coarse = radius_estimate(basis)
+    monkeypatch.setattr(states, "_GUARD_RADII", {})
+    monkeypatch.setattr(states, "_SCAN_FACTOR", math.sqrt(1.05))
+    fine = radius_estimate(basis)
     assert abs(fine - coarse) / coarse < 0.05
 
 
 def test_radius_min_no_larger_than_axis_ray():
     basis = LambdaBasis(1.0, 1600)
     assert radius_min(basis) <= radius_estimate(basis) + 1e-15
+
+
+@pytest.mark.parametrize("first, second", [(radius_estimate, radius_min),
+                                           (radius_min, radius_estimate)])
+def test_both_radius_readings_share_one_scan(first, second, monkeypatch):
+    monkeypatch.setattr(states, "_GUARD_RADII", {})
+    scans = []
+    scan = states._scan_radii
+
+    def spy(basis):
+        scans.append(basis.lam)
+        return scan(basis)
+
+    monkeypatch.setattr(states, "_scan_radii", spy)
+    basis = LambdaBasis(1.3, 1604)
+    first(basis)
+    second(basis)
+    assert scans == [1.3]
 
 
 @given(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
@@ -289,22 +320,20 @@ def _oracle_radius(basis, phase, factor):
 @pytest.mark.parametrize("lam", [0.0, 0.3, 0.88, 1.089041095890411, 1.8,
                                  2.0753424657534247, 2.9, 4.0, -1.0])
 def test_shared_radius_scan_matches_per_ray_oracle(lam, monkeypatch):
-    monkeypatch.setattr(states, "_RADIUS_CACHE", {})
-    monkeypatch.setattr(states, "_RADIUS_MIN_CACHE", {})
     basis = LambdaBasis(lam, 1604)
     phases = [k * math.pi / 4.0 for k in range(5)]
     for factor in (1.05, math.sqrt(1.05)):
+        monkeypatch.setattr(states, "_GUARD_RADII", {})
+        monkeypatch.setattr(states, "_SCAN_FACTOR", factor)
         want = [_oracle_radius(basis, p, factor) for p in phases]
-        got = [radius_estimate(basis, p, factor) for p in phases]
-        assert got == want
-        if factor == 1.05:
-            assert radius_min(basis) == min(want)
+        assert radius_estimate(basis) == want[0]
+        assert states._GUARD_RADII[lam] == want
+        assert radius_min(basis) == min(want)
 
 
 def test_radius_scan_holds_no_gram_matrix(monkeypatch):
     # the full 1601 x 1601 Gram (20 MB) was built and cached on the basis
-    monkeypatch.setattr(states, "_RADIUS_CACHE", {})
-    monkeypatch.setattr(states, "_RADIUS_MIN_CACHE", {})
+    monkeypatch.setattr(states, "_GUARD_RADII", {})
     tracemalloc.start()
     try:
         basis = LambdaBasis(1.5, 1604)

@@ -11,8 +11,8 @@ from lfock.fock import LambdaBasis, LambdaExpansion, lambda_ket
 from lfock.specfun import laguerre0
 from lfock.states import (DomainError, lambda_coherent, lambda_squeezed,
                           squeezed_vacuum)
-from lfock.stats import (QuadratureReport, StatisticsReport, number_moments,
-                         p_lambda, quadrature_variances)
+from lfock.stats import (QuadratureReport, StatisticsReport, _frame_weights,
+                         number_moments, p_lambda, quadrature_variances)
 from lfock.sweeps import sweep_fig1
 
 
@@ -253,18 +253,18 @@ def test_fig1_cells_match_mpmath_closed_form(lam, alpha):
 @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0, -1.0])
 @pytest.mark.parametrize("xi", [0.3, 0.6, 0.4j])
 def test_frame_weights_match_row_dot_oracle(lam, xi):
-    # non-coherent states are read through |(G c)_m|^2; the oracle projects
-    # the standard-basis vector onto each bra <m|_lam. Every cutoff's
-    # prob_sum pins one more weight, and the auto-cutoff Mandel Q must agree
+    # the oracle projects the standard-basis vector onto each bra <m|_lam;
+    # every weight at a fixed cutoff must agree, and so must the auto-cutoff
+    # Mandel Q
     basis = LambdaBasis(lam, 1604)
     state = lambda_squeezed(xi, basis)
     M = state.truncation + 64
     psi = state.to_standard(M)
     P = np.array([abs(lambda_ket(m, basis, M) @ psi) ** 2 for m in range(M)])
-    cum = np.cumsum(P)
-    for cutoff in range(1, M + 1):
-        got = number_moments(state, cutoff=cutoff).prob_sum
-        assert abs(got - cum[cutoff - 1]) <= 1e-12 * max(1.0, cum[cutoff - 1])
+    gxi, gmu, _ = np.array([state._gaussian], dtype=complex).T
+    weights, shift, _ = _frame_weights(gxi, gmu, basis, M)
+    got = weights[:, 0] * math.exp(shift[0])
+    assert np.all(np.abs(got - P) <= 1e-12 * np.maximum(1.0, P))
     m = np.arange(M, dtype=float)
     mean, second = float(m @ P), float(m * m @ P)
     want_q = (second - mean * mean) / mean - 1.0
