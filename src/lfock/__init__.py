@@ -17,11 +17,9 @@ from .fock import (LambdaBasis, LambdaExpansion, apply_t_operator,
                    lowering_scalar, matel_annihilation_power,
                    matel_creation_power, matel_normal_ordered,
                    overlap_analytic, raising_scalar, to_lambda)
-from .operators import (TruncationError, build_ladders, displacement,
-                        eigen_residual, expm_apply, number_operator, squeeze,
-                        with_margin)
-from .specfun import (laguerre0, laguerre0_log, log_double_factorial,
-                      log_factorial)
+from .operators import (TruncationError, build_ladders, eigen_residual,
+                        expm_apply, number_operator, with_margin)
+from .specfun import laguerre0_log, log_factorial
 from .states import (DomainError, LambdaCoherent, LambdaSqueezed,
                      coherent_overlap, displaced_form, evolve, lambda_coherent,
                      lambda_squeezed, radius_estimate, radius_min,
@@ -34,14 +32,14 @@ from .sweeps import SweepResult, sweep_fig1, sweep_fig2, sweep_fig3
 __version__ = "0.1.0"
 
 __all__ = [
-    "log_factorial", "log_double_factorial", "laguerre0", "laguerre0_log",
+    "log_factorial", "laguerre0_log",
     "LambdaBasis", "LambdaExpansion", "lambda_ket", "apply_t_operator",
     "overlap_analytic", "ladder_down", "ladder_up", "iterated_lowering_norm",
     "lowering_scalar", "raising_scalar", "matel_creation_power",
     "matel_annihilation_power", "matel_normal_ordered", "expansion_matrix",
     "gram", "gram_coefficient", "to_lambda",
     "TruncationError", "build_ladders", "number_operator", "expm_apply",
-    "displacement", "squeeze", "eigen_residual", "with_margin",
+    "eigen_residual", "with_margin",
     "DomainError", "LambdaCoherent", "LambdaSqueezed", "lambda_coherent",
     "coherent_overlap", "displaced_form", "evolve", "squeezed_vacuum",
     "lambda_squeezed", "squeezed_norm_constant", "squeezed_operator_form",

@@ -6,13 +6,16 @@ neighbours, with
 
     |n>_lam = sum_m sqrt(n!) lam^{n-m} / [(n-m)! sqrt(m! L_n)] |m>,
 
-where L_n is laguerre0(n, lam). That is the paper's operator form
-|n>_lam = e^{lam a}|n> / sqrt(L_n), so a standard vector v has the coefficients
-diag(sqrt L_n) e^{-lam a} v (to_lambda). Everything downstream (coherent and
-squeezed constructions, photon statistics) reduces to the overlaps and
-operator matrix elements here, in log space with sign tracking so that
-negative lam and large n stay representable, and to the Gaussian vectors
-g(xi, mu) = e^{xi a_dag^2/2 + mu a_dag}|0> of both state families.
+where L_n is the Laguerre value L_n^{(0)}(-lam^2), tabulated as ln L_n on the
+basis. That is the paper's operator form |n>_lam = e^{lam a}|n> / sqrt(L_n),
+so a standard vector v has the coefficients diag(sqrt L_n) e^{-lam a} v
+(to_lambda). Everything downstream (coherent and squeezed constructions,
+photon statistics) reduces to the overlaps and operator matrix elements here,
+in log space with sign tracking so that negative lam and large n stay
+representable, and to the Gaussian vectors g(xi, mu) =
+e^{xi a_dag^2/2 + mu a_dag}|0> of both state families. The overlap sum is the
+only factorial sum: a normal-ordered matrix element is a lowering scalar times
+a raising scalar times one overlap.
 """
 
 from __future__ import annotations
@@ -283,10 +286,9 @@ def ladder_up(n: int, basis: LambdaBasis) -> tuple[float, int]:
 
 
 def iterated_lowering_norm(n: int, basis: LambdaBasis) -> float:
-    """The scalar sqrt(n!/L_n) in a^n |n>_lam = sqrt(n!/L_n) |0>_lam."""
-    basis._check(n)
-    lf = log_factorial_table(n)
-    return math.exp(0.5 * (float(lf[n]) - float(basis.log_laguerre[n])))
+    """The scalar sqrt(n!/L_n) in a^n |n>_lam = sqrt(n!/L_n) |0>_lam:
+    lowering_scalar(n, n), since ln 0! = ln L_0 = 0 exactly."""
+    return lowering_scalar(n, n, basis)
 
 
 def lowering_scalar(n: int, k: int, basis: LambdaBasis) -> float:
@@ -322,31 +324,17 @@ def matel_annihilation_power(m: int, n: int, k: int, basis: LambdaBasis) -> floa
 def matel_normal_ordered(m: int, n: int, r: int, k: int, basis: LambdaBasis) -> float:
     """<m| (a_dag + lam)^r a^k |n> between deformed basis states.
 
-    Closed form: [(n-k+r)!/(n-k)!] sqrt(n! m!/(L_m L_n)) *
-    sum_l lam^{2l+m-n+k-r} / [l! (n-k+r-l)! (m-n+k-r+l)!],
-    l over max(0, n-k+r-m) <= l <= n-k+r; returns 0 when k > n. At k = 0 it
+    The ladder relations take |n>_lam to lowering_scalar(n, k) |n-k>_lam
+    and then to raising_scalar(n-k, r) |n-k+r>_lam, so the element is those
+    two scalars times overlap_analytic(m, n-k+r); 0 when k > n. At k = 0 it
     is matel_creation_power, at r = 0 matel_annihilation_power.
     """
     basis._check(m)
     basis._check(n)
     if k > n:
         return 0.0
-    basis._check(n - k + r, "raised index")
-    top = n - k + r
-    if basis.lam == 0.0:
-        if m != top:
-            return 0.0
-        lf = log_factorial_table(max(n, top))
-        return math.exp(0.5 * float(lf[n] - lf[n - k])
-                        + 0.5 * float(lf[top] - lf[n - k]))
-    lf = log_factorial_table(max(m, n, top))
-    l = np.arange(max(0, top - m), top + 1)
-    logs = (2 * l + m - top) * math.log(abs(basis.lam)) \
-        - lf[l] - lf[top - l] - lf[m - top + l]
-    mag = logsumexp_positive(logs) + float(lf[top] - lf[n - k]) \
-        + 0.5 * (float(lf[n] + lf[m])
-                 - float(basis.log_laguerre[n] + basis.log_laguerre[m]))
-    return _sign_for_parity(basis.lam, m - top) * math.exp(mag)
+    return lowering_scalar(n, k, basis) * raising_scalar(n - k, r, basis) \
+        * overlap_analytic(m, n - k + r, basis)
 
 
 def expansion_matrix(basis: LambdaBasis, size: int) -> np.ndarray:

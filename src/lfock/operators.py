@@ -80,19 +80,6 @@ def expm_apply(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     return w
 
 
-def displacement(alpha: complex, N: int) -> np.ndarray:
-    """D(alpha) = expm(alpha a_dag - conj(alpha) a)."""
-    a, a_dag, _ = build_ladders(N)
-    return expm_apply(alpha * a_dag - np.conj(alpha) * a, np.eye(N))
-
-
-def squeeze(xi: complex, N: int) -> np.ndarray:
-    """expm(xi (a_dag)^2 / 2). Not unitary; acts on the vacuum to produce the
-    even squeezed series xi^n sqrt((2n-1)!!/(2n)!!) on |2n>."""
-    _, a_dag, _ = build_ladders(N)
-    return expm_apply(0.5 * xi * (a_dag @ a_dag), np.eye(N))
-
-
 def eigen_residual(M: np.ndarray, v: np.ndarray, z: complex) -> float:
     """|| M v - z v || / || v || in the Euclidean norm (standard basis)."""
     v = np.asarray(v, dtype=complex)

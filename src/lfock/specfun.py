@@ -1,8 +1,8 @@
 """Log-domain special functions shared by every formula in the package.
 
-Factorials, double factorials and the Laguerre values L_n^{(0)}(-lambda^2)
-appear inside products that overflow double precision long before the final
-result does, so everything here works with natural logs.
+Factorials and the Laguerre values L_n^{(0)}(-lambda^2) appear inside
+products that overflow double precision long before the final result does,
+so everything here works with natural logs.
 """
 
 from __future__ import annotations
@@ -25,23 +25,6 @@ def log_factorial(n: int) -> float:
     if n <= _EXACT_FACT_MAX:
         return _LOG_FACT_SMALL[n]
     return math.lgamma(n + 1.0)
-
-
-def log_double_factorial(n: int) -> float:
-    """ln(n!!) with the conventions (-1)!! = 0!! = 1.
-
-    Even n = 2m reduces to m ln 2 + ln m!; odd n = 2m+1 to
-    ln (2m+2)! - (m+1) ln 2 - ln (m+1)!.
-    """
-    if n < -1:
-        raise ValueError("double factorial defined for n >= -1")
-    if n <= 0:
-        return 0.0
-    if n % 2 == 0:
-        m = n // 2
-        return m * math.log(2.0) + log_factorial(m)
-    m = (n - 1) // 2
-    return log_factorial(2 * m + 2) - (m + 1) * math.log(2.0) - log_factorial(m + 1)
 
 
 # Growing table of ln k! used by the vectorized series sums. Idempotent fill:
@@ -102,11 +85,3 @@ def _laguerre_table(lam: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
         log_lag[k] = total
     return log_lag, 1.0 / np.sqrt(1.0 + s)
 
-
-def laguerre0(n: int, lam: float) -> float:
-    """L_n^{(0)}(-lambda^2) as a plain float.
-
-    Always >= 1, exactly 1 at lambda = 0. Raises OverflowError when the value
-    exceeds the double range; callers needing large n use laguerre0_log.
-    """
-    return math.exp(laguerre0_log(n, lam))

@@ -169,12 +169,13 @@ def _frame_moments(xi: np.ndarray, mu: np.ndarray, basis: LambdaBasis,
 def squeezed_moments(column, basis_tag: str = "lambda") -> list:
     """Number moments of squeezed states on one basis, in one call per column.
 
-    A column of exact states takes the kernel: the closed-form <n> and Var n
-    of g(xi, xi lam) in the standard basis (prob_sum is 1 exactly), one
-    _frame_weights column per state in the lambda frame. A column holding a
-    truncated series takes number_moments per state: the Gram route in the
-    frame, the T-operator image in the standard basis. Returns a report per
-    state, None where the tail is unsettled at the basis horizon.
+    A column of exact states, of either family, takes the kernel at each
+    state's own (xi, mu): the closed-form <n> and Var n of g(xi, mu) in the
+    standard basis (prob_sum is 1 exactly), one _frame_weights column per
+    state in the lambda frame. A column holding a truncated series takes
+    number_moments per state: the Gram route in the frame, the T-operator
+    image in the standard basis. Returns a report per state, None where the
+    tail is unsettled at the basis horizon.
     """
     if not column:
         return []
@@ -187,16 +188,15 @@ def squeezed_moments(column, basis_tag: str = "lambda") -> list:
             except operators.TruncationError:
                 reps.append(None)
         return reps
-    basis = column[0].basis
-    xi = np.array([st.xi for st in column], dtype=complex)
+    xi, mu, _ = np.array([st._gaussian for st in column], dtype=complex).T
     if basis_tag == "standard":
-        a, ns, _, var = _gaussian_moments(xi, xi * basis.lam)
+        a, ns, _, var = _gaussian_moments(xi, mu)
         mean = a.real ** 2 + a.imag ** 2 + ns
-        return [StatisticsReport(float(mu), float(v + mu * mu),
-                                 float(v / mu - 1.0) if mu > 0 else math.nan,
-                                 1.0, "standard", bool(mu > 0))
-                for mu, v in zip(mean, var)]
-    return _frame_moments(xi, xi * basis.lam, basis)
+        return [StatisticsReport(float(m), float(v + m * m),
+                                 float(v / m - 1.0) if m > 0 else math.nan,
+                                 1.0, "standard", bool(m > 0))
+                for m, v in zip(mean, var)]
+    return _frame_moments(xi, mu, column[0].basis)
 
 
 def _reports(P: np.ndarray, tag: str, scale=None) -> list:

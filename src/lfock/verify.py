@@ -76,9 +76,9 @@ def _suite_overlaps() -> list[Check]:
         out.append(Check(f"T-operator image vs E^T c lam={lam:g}", float(np.max(
             np.abs(fock.LambdaExpansion(basis, c).to_standard() - E.T @ c))), 1e-12))
         out.append(Check(f"analytic vs dot lam={lam:g}",
-                         float(np.max(np.abs(G_an - G_dot))), 1e-10))
+                         float(np.max(np.abs(G_an - G_dot))), 1e-12))
         out.append(Check(f"recurrence vs analytic lam={lam:g}",
-                         float(np.max(np.abs(G_rec - G_an))), 1e-11))
+                         float(np.max(np.abs(G_rec - G_an))), 1e-12))
         out.append(Check(f"symmetry lam={lam:g}",
                          float(np.max(np.abs(G_an - G_an.T))), 0.0))
         series = np.array([specfun.laguerre0_log(n, lam)
@@ -106,9 +106,9 @@ def _suite_ladders() -> list[Check]:
             coef, idx = fock.ladder_up(n, basis)
             up = max(up, float(np.linalg.norm(adl @ kets[n] - coef * kets[idx])))
             num = max(num, float(np.linalg.norm(adl @ (a @ kets[n]) - n * kets[n])))
-        out.append(Check(f"lowering lam={lam:g}", down, 1e-10))
-        out.append(Check(f"raising lam={lam:g}", up, 1e-10))
-        out.append(Check(f"number eigenvalue lam={lam:g}", num, 1e-10))
+        out.append(Check(f"lowering lam={lam:g}", down, 1e-12))
+        out.append(Check(f"raising lam={lam:g}", up, 1e-12))
+        out.append(Check(f"number eigenvalue lam={lam:g}", num, 1e-12))
         prod_err = 0.0
         for n in range(1, 26):
             prod = 1.0
@@ -116,7 +116,7 @@ def _suite_ladders() -> list[Check]:
                 prod *= fock.ladder_down(j, basis)[0]
             prod_err = max(prod_err,
                            _scaled_err(prod, fock.iterated_lowering_norm(n, basis)))
-        out.append(Check(f"iterated lowering lam={lam:g}", prod_err, 1e-10))
+        out.append(Check(f"iterated lowering lam={lam:g}", prod_err, 1e-12))
     return out
 
 
@@ -146,7 +146,7 @@ def _suite_matel() -> list[Check]:
                                                       _scaled_err(
                             fock.matel_normal_ordered(m, n, r, k, basis), dense))
         for label, err in worst.items():
-            out.append(Check(f"{label} lam={lam:g}", err, 1e-9))
+            out.append(Check(f"{label} lam={lam:g}", err, 1e-12))
     return out
 
 

@@ -131,6 +131,24 @@ def test_coherent_coefficients_match_ratio_recurrence(alpha):
     assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-300)) < 1e-12
 
 
+def _double_factorial(n: int) -> int:
+    out = 1
+    while n > 1:
+        out *= n
+        n -= 2
+    return out
+
+
+def test_even_log_weights_match_double_factorial_products():
+    # the package's double factorials: ln[(2n-1)!!/(2n)!!] against the exact
+    # integer products, (-1)!! = 0!! = 1 included
+    got = _even_log_weights(24)
+    want = [math.log(_double_factorial(2 * n - 1))
+            - math.log(_double_factorial(2 * n)) for n in range(25)]
+    assert got.shape == (25,) and got[0] == 0.0
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
 def test_squeezed_vacuum_normalization_constant():
     for xi in (0.2, 0.5 + 0.3j, 0.9):
         v = squeezed_vacuum(xi)

@@ -8,11 +8,12 @@ import pytest
 from scipy.stats import poisson
 
 from lfock.fock import LambdaBasis, LambdaExpansion, lambda_ket
-from lfock.specfun import laguerre0
+from lfock.specfun import laguerre0_log
 from lfock.states import (DomainError, lambda_coherent, lambda_squeezed,
                           squeezed_vacuum)
 from lfock.stats import (QuadratureReport, StatisticsReport, _frame_weights,
-                         number_moments, p_lambda, quadrature_variances)
+                         number_moments, p_lambda, quadrature_variances,
+                         squeezed_moments)
 from lfock.sweeps import sweep_fig1
 
 
@@ -20,7 +21,7 @@ def _p_collapsed(m, alpha, lam, basis):
     # binomial collapse of the double sum: e^{-|a|^2} |lam+a|^{2m} / (m! L_m)
     alpha = complex(alpha)
     return (math.exp(-abs(alpha) ** 2) * abs(lam + alpha) ** (2 * m)
-            / (math.factorial(m) * laguerre0(m, lam)))
+            / (math.factorial(m) * math.exp(laguerre0_log(m, lam))))
 
 
 @pytest.mark.parametrize("lam", [0.3, 1.0, 2.0])
@@ -270,6 +271,27 @@ def test_frame_weights_match_row_dot_oracle(lam, xi):
     want_q = (second - mean * mean) / mean - 1.0
     got_q = number_moments(state).mandel_q
     assert abs(got_q - want_q) <= 1e-10 * max(1.0, abs(want_q))
+
+
+def test_fig1_stated_tolerance_at_lambda_zero():
+    # at lam = 0 the frame weights are Poisson and Q is exactly 0; a cell
+    # carries up to about 2 eps x^4 ln x with x = |lam + alpha|
+    alphas = [2.0, 5.0, 10.0, 20.0, 40.0, 56.0]
+    res = sweep_fig1(alphas, (0.0, 1.0, 2))
+    for alpha in alphas:
+        got = res.series[f"Q[alpha={alpha:g}]"][0]
+        bound = 2.0 * np.finfo(float).eps * alpha ** 4 * math.log(alpha)
+        assert abs(got) <= bound, alpha
+
+
+def test_squeezed_moments_reads_coherent_columns():
+    # the kernel parameters come from each state's own (xi, mu), so a column
+    # of exact coherent states is served like a squeezed one
+    state = lambda_coherent(1.0, LambdaBasis(0.5, 256))
+    assert squeezed_moments([state]) == [number_moments(state)]
+    standard = squeezed_moments([state], "standard")[0]
+    assert standard.basis_tag == "standard" and standard.prob_sum == 1.0
+    assert abs(standard.mandel_q) <= 1e-15
 
 
 def test_fig1_cell_with_underflowing_weights_matches_mpmath(capsys):
