@@ -34,6 +34,26 @@ def test_log_factorial_table_is_consistent_prefix():
     assert np.array_equal(t2, t[:11])
 
 
+def _double_factorial(n: int) -> int:
+    out = 1
+    while n > 1:
+        out *= n
+        n -= 2
+    return out
+
+
+@pytest.mark.parametrize("n", [-1, 0] + list(range(1, 25)))
+def test_log_double_factorial_matches_product(n):
+    # the factorial-table splits the squeezed weights are built from:
+    # (2m)!! = 2^m m! and (2m-1)!! = (2m)! / (2^m m!), with (-1)!! = 0!! = 1
+    lf = log_factorial_table(25)
+    m = (n + 1) // 2
+    even = m * math.log(2.0) + lf[m]
+    got = even if n % 2 == 0 else lf[2 * m] - even
+    want = math.log(_double_factorial(n)) if n > 1 else 0.0
+    assert got == pytest.approx(want, abs=1e-13)
+
+
 @pytest.mark.parametrize("lam", [0.1, 0.5, 1.0, 2.0, 4.0])
 def test_laguerre_matches_three_term_recurrence(lam):
     # (n+1) L_{n+1} = (2n+1-x) L_n - n L_{n-1} at x = -lam^2; every quantity
