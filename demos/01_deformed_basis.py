@@ -5,8 +5,9 @@ Run: python3 demos/01_deformed_basis.py
 
 import numpy as np
 
-from lfock import (LambdaBasis, apply_t_operator, gram, ladder_down,
-                   ladder_up, lambda_ket, overlap_analytic)
+from lfock import (LambdaBasis, gram, ladder_down, ladder_up, lambda_ket,
+                   overlap_analytic)
+from lfock.operators import apply_t_operator
 
 np.set_printoptions(precision=6, suppress=True, linewidth=100)
 

@@ -8,8 +8,9 @@ import math
 
 import numpy as np
 
-from lfock import (LambdaBasis, build_ladders, coherent_overlap,
-                   displaced_form, eigen_residual, evolve, lambda_coherent)
+from lfock import LambdaBasis, evolve, lambda_coherent
+from lfock.operators import (build_ladders, coherent_overlap, displaced_form,
+                             eigen_residual)
 
 lam = 0.5
 alpha = 1.0 + 0.5j

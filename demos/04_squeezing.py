@@ -6,8 +6,8 @@ Run: python3 demos/04_squeezing.py
 import numpy as np
 
 from lfock import (DomainError, LambdaBasis, lambda_squeezed, number_moments,
-                   quadrature_variances, radius_estimate,
-                   squeezed_norm_constant, squeezed_vacuum)
+                   quadrature_variances, radius_estimate, squeezed_vacuum)
+from lfock.operators import squeezed_norm_constant
 
 print("normalization series radius by the convergence scan:")
 for lam in (0.0, 0.5, 1.0, 2.0, 3.0):

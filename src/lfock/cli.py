@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from . import families, fock, states, sweeps
-from .fock import DomainError, LambdaBasis, LambdaExpansion
-from .operators import TruncationError
+from .fock import (DomainError, LambdaBasis, LambdaExpansion, TruncationError,
+                   _ladder)
 
 # The names of verify.SUITES: the verify module is imported only by the verify
 # command, so no other command pays for compiling it at start-up
@@ -162,18 +162,6 @@ def _emit(text: str, out: str | None) -> None:
 
 def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
-
-
-def _ladder(v: np.ndarray, lam: float | None = None) -> np.ndarray:
-    """a v, or (a_dag + lam) v when lam is given, truncated to len(v), in O(N)."""
-    root = np.sqrt(np.arange(1.0, v.shape[0]))
-    out = np.zeros_like(v)
-    if lam is None:
-        out[:-1] = root * v[1:]
-    else:
-        out[1:] = root * v[:-1]
-        out += lam * v
-    return out
 
 
 def _residual(w: np.ndarray, v: np.ndarray) -> float:

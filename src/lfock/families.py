@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import LambdaBasis
+from .fock import LambdaBasis, TruncationError
 
 _FAMILY_RULES = {
     "f1": "alpha^n / (n!)^{3/2}",
@@ -56,7 +56,8 @@ def classical_frequency(alpha: complex) -> float:
 
 
 def _series_from_ratio(alpha: complex, step, N: int | None) -> np.ndarray:
-    """Unnormalized coefficients c_0 = 1, c_n = c_{n-1} * step(n)."""
+    """Unnormalized coefficients c_0 = 1, c_n = c_{n-1} * step(n), to N terms
+    or (N None) to a 1e-18 tail, raising TruncationError past 600 terms."""
     if N is not None:
         c = np.zeros(N, dtype=complex)
         c[0] = 1.0
@@ -72,8 +73,8 @@ def _series_from_ratio(alpha: complex, step, N: int | None) -> np.ndarray:
         peak = max(peak, a)
         if a < _TAIL * peak and abs(c[-2]) < _TAIL * peak:
             return np.array(c)
-    raise ValueError("series tail not below 1e-18 within 600 terms; "
-                     "|alpha| too large or C(n) grows too slowly")
+    raise TruncationError("series tail not below 1e-18 within 600 terms; "
+                          "|alpha| too large or C(n) grows too slowly")
 
 
 def _normalized(alpha, family: str, c: np.ndarray) -> NonlinearCS:

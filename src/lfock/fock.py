@@ -39,6 +39,10 @@ class DomainError(ValueError):
         self.radius = radius
 
 
+class TruncationError(RuntimeError):
+    """A tolerance that the truncation or the basis horizon cannot reach."""
+
+
 class LambdaBasis:
     """Immutable container for one deformation parameter.
 
@@ -121,22 +125,6 @@ def lambda_ket(n: int, basis: LambdaBasis, N: int | None = None) -> np.ndarray:
     return v
 
 
-def apply_t_operator(n: int, basis: LambdaBasis, N: int | None = None) -> np.ndarray:
-    """e^{lam a}|n> / sqrt(L_n) by the finite exponential series.
-
-    a is nilpotent on |n>, so the series ends after n+1 terms. Must agree with
-    lambda_ket componentwise; the two routes share no arithmetic.
-    """
-    basis._check(n)
-    if N is None:
-        N = n + 1
-    if n >= N:
-        raise ValueError(f"truncation N={N} too small for index n={n}")
-    v = np.zeros(N)
-    v[n] = 1.0
-    return _exp_lowering(basis.lam, v) * math.exp(-0.5 * float(basis.log_laguerre[n]))
-
-
 def _exp_lowering(mu: float, v: np.ndarray) -> np.ndarray:
     """e^{mu a} v = sum_k mu^k/k! a^k v, exact: with (a w)_i = sqrt(i+1) w_{i+1}
     each term is one entry shorter, and the sum stops at the first term that
@@ -148,6 +136,18 @@ def _exp_lowering(mu: float, v: np.ndarray) -> np.ndarray:
         term = (mu / k) * (root[: term.shape[0] - 1] * term[1:])
         out[: term.shape[0]] += term
         k += 1
+    return out
+
+
+def _ladder(v: np.ndarray, lam: float | None = None) -> np.ndarray:
+    """a v, or (a_dag + lam) v when lam is given, truncated to len(v), in O(N)."""
+    root = np.sqrt(np.arange(1.0, v.shape[0]))
+    out = np.zeros_like(v)
+    if lam is None:
+        out[:-1] = root * v[1:]
+    else:
+        out[1:] = root * v[:-1]
+        out += lam * v
     return out
 
 
@@ -285,12 +285,6 @@ def ladder_up(n: int, basis: LambdaBasis) -> tuple[float, int]:
     return math.sqrt(n + 1.0) / float(basis.rho[n + 1]), n + 1
 
 
-def iterated_lowering_norm(n: int, basis: LambdaBasis) -> float:
-    """The scalar sqrt(n!/L_n) in a^n |n>_lam = sqrt(n!/L_n) |0>_lam:
-    lowering_scalar(n, n), since ln 0! = ln L_0 = 0 exactly."""
-    return lowering_scalar(n, n, basis)
-
-
 def lowering_scalar(n: int, k: int, basis: LambdaBasis) -> float:
     """Scalar s with a^k |n>_lam = s |n-k>_lam (0 if k > n)."""
     basis._check(n)
@@ -311,23 +305,12 @@ def raising_scalar(n: int, k: int, basis: LambdaBasis) -> float:
                            + float(lL[n + k] - lL[n])))
 
 
-def matel_creation_power(m: int, n: int, k: int, basis: LambdaBasis) -> float:
-    """<m| (a_dag + lam)^k |n> between deformed basis states."""
-    return matel_normal_ordered(m, n, k, 0, basis)
-
-
-def matel_annihilation_power(m: int, n: int, k: int, basis: LambdaBasis) -> float:
-    """<m| a^k |n> between deformed basis states; 0 when k > n."""
-    return matel_normal_ordered(m, n, 0, k, basis)
-
-
 def matel_normal_ordered(m: int, n: int, r: int, k: int, basis: LambdaBasis) -> float:
     """<m| (a_dag + lam)^r a^k |n> between deformed basis states.
 
     The ladder relations take |n>_lam to lowering_scalar(n, k) |n-k>_lam
     and then to raising_scalar(n-k, r) |n-k+r>_lam, so the element is those
-    two scalars times overlap_analytic(m, n-k+r); 0 when k > n. At k = 0 it
-    is matel_creation_power, at r = 0 matel_annihilation_power.
+    two scalars times overlap_analytic(m, n-k+r); 0 when k > n.
     """
     basis._check(m)
     basis._check(n)
@@ -335,22 +318,6 @@ def matel_normal_ordered(m: int, n: int, r: int, k: int, basis: LambdaBasis) -> 
         return 0.0
     return lowering_scalar(n, k, basis) * raising_scalar(n - k, r, basis) \
         * overlap_analytic(m, n - k + r, basis)
-
-
-def expansion_matrix(basis: LambdaBasis, size: int) -> np.ndarray:
-    """Lower-triangular E with E[n, m] the |m> coefficient of |n>_lam.
-
-    Row n is the lambda_ket(n) expansion; the diagonal exp(-log L_n / 2) is
-    strictly positive, so E is an exact triangular factor of the Gram matrix.
-    An oracle for the T-operator routes (to_lambda, to_standard): built fresh
-    on each call and returned read-only.
-    """
-    basis._check(size - 1)
-    E = np.zeros((size, size))
-    for n in range(size):
-        E[n, : n + 1] = basis._row(n)
-    E.setflags(write=False)
-    return E
 
 
 def _gram_rows(basis: LambdaBasis, size: int):
@@ -419,12 +386,6 @@ def _matvec(M: np.ndarray, c: np.ndarray) -> np.ndarray:
     Two real products, so M is never cast (copied) to complex.
     """
     return M @ c.real + 1j * (M @ c.imag)
-
-
-def gram_coefficient(basis: LambdaBasis, size: int) -> np.ndarray:
-    """Gram matrix from raw coefficient dot products (cross-check route)."""
-    E = expansion_matrix(basis, size)
-    return E @ E.T
 
 
 def to_lambda(v: np.ndarray, basis: LambdaBasis) -> np.ndarray:

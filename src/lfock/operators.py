@@ -1,31 +1,36 @@
-"""Dense truncated ladder operators and matrix exponentials.
+"""The oracle module: the independent routes that check the production code.
 
-This is the brute-force side of the package: every closed-form expression in
-the other modules is validated against matrix arithmetic built here. The
-operator-form states built on it (states.displaced_form and
-states.squeezed_operator_form) are oracles too: only `verify` and the tests
-reach this machinery, and no figure or state dump runs through it. Its
-TruncationError is the package's error for a tolerance that a truncation
-cannot reach.
+Only `verify`, the tests and the demos import this module; no figure, state
+dump or other command loads it. It holds dense truncated ladders and the
+action of the matrix exponential, eigen residuals and the truncation
+self-check; the expansion matrix E (E E^T is the coefficient-dot Gram route)
+and the T-operator on one number state; the operator forms of both state
+families, the Gram double sum of the coherent overlap and the triple sum for
+the squeezed C_0; and the Gram-route quadratures (G c)^H (X c).
 
-Dense matrices only. N stays in the low hundreds, where sparsity buys nothing
+Dense matrices only: N stays in the low hundreds, where sparsity buys nothing
 and dense keeps the computations obviously correct. The exponential is a
-numpy Taylor action on the dense matrix, so no route here needs scipy.
+numpy Taylor action, so no route here needs scipy. TruncationError lives in
+fock and is importable from here too.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
+from .fock import (DomainError, LambdaBasis, LambdaExpansion, TruncationError,
+                   _exp_lowering, _matvec, gram)
+from .specfun import log_factorial_table, logsumexp_positive
+from .states import (_even_log_weights, _guard_xi, _squeezed_terms,
+                     lambda_coherent)
+from .stats import _NORM_TOL, QuadratureReport
+
 # with_margin's second truncation N + _MARGIN and its head tolerance
 _MARGIN = 20
 _MARGIN_TOL = 1e-9
-
-
-class TruncationError(RuntimeError):
-    """Raised when results at truncation N and N + margin disagree."""
 
 
 def build_ladders(N: int, lam: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -104,3 +109,187 @@ def with_margin(build, N: int) -> np.ndarray:
         raise TruncationError(f"truncation N={N} unstable: head disagreement "
                               f"{err:.3e} > {_MARGIN_TOL:.1e}")
     return v1
+
+
+def expansion_matrix(basis: LambdaBasis, size: int) -> np.ndarray:
+    """Lower-triangular E with E[n, m] the |m> coefficient of |n>_lam.
+
+    Row n is the lambda_ket(n) expansion; the diagonal exp(-log L_n / 2) is
+    strictly positive, so E is an exact triangular factor of the Gram matrix.
+    An oracle for the T-operator routes (to_lambda, to_standard): built fresh
+    on each call and returned read-only.
+    """
+    basis._check(size - 1)
+    E = np.zeros((size, size))
+    for n in range(size):
+        E[n, : n + 1] = basis._row(n)
+    E.setflags(write=False)
+    return E
+
+
+def apply_t_operator(n: int, basis: LambdaBasis, N: int | None = None) -> np.ndarray:
+    """e^{lam a}|n> / sqrt(L_n) by the finite exponential series.
+
+    a is nilpotent on |n>, so the series ends after n+1 terms. Must agree with
+    lambda_ket componentwise; the two routes share no arithmetic.
+    """
+    basis._check(n)
+    if N is None:
+        N = n + 1
+    if n >= N:
+        raise ValueError(f"truncation N={N} too small for index n={n}")
+    v = np.zeros(N)
+    v[n] = 1.0
+    return _exp_lowering(basis.lam, v) * math.exp(-0.5 * float(basis.log_laguerre[n]))
+
+
+def coherent_overlap(alpha: complex, beta: complex,
+                     basis: LambdaBasis) -> complex:
+    """<alpha, lam | beta, lam> by the Gram double sum.
+
+    The normalization constants of the two states supply the prefactor
+    exp(-lam Re(alpha) - lam Re(beta) - |alpha|^2/2 - |beta|^2/2); the double
+    sum over alpha*^m beta^n sqrt(L_m L_n / (m! n!)) contracts with the Gram
+    matrix. Equals the canonical coherent overlap times e^{i lam (Im beta -
+    Im alpha)}.
+    """
+    sa = lambda_coherent(alpha, basis)
+    sb = lambda_coherent(beta, basis)
+    G = gram(basis, max(sa.truncation, sb.truncation))
+    return complex(np.vdot(sa.expansion.coeffs, _matvec(
+        G[: sa.truncation, : sb.truncation], sb.expansion.coeffs)))
+
+
+def displaced_form(alpha: complex, basis: LambdaBasis,
+                   N: int | None = None) -> np.ndarray:
+    """e^{i lam Im(alpha)} D(alpha)|0> through the dense matrix exponential.
+
+    Independent of the series construction; the two must agree componentwise.
+    """
+    alpha = complex(alpha)
+    if N is None:
+        N = max(48, int(abs(alpha) ** 2 + 12.0 * math.sqrt(abs(alpha) ** 2 + 1.0) + 30.0))
+    vec = with_margin(lambda M: _displaced_vacuum(alpha, build_ladders(M)), N)
+    return cmath.exp(1j * basis.lam * alpha.imag) * vec
+
+
+def _displaced_vacuum(mu: complex, ladders: tuple) -> np.ndarray:
+    """D(mu)|0> through the dense matrix exponential, on the ladders
+    (a, a_dag, n) of build_ladders."""
+    a, a_dag, _ = ladders
+    e0 = np.zeros(a.shape[0], dtype=complex)
+    e0[0] = 1.0
+    return expm_apply(mu * a_dag - np.conj(mu) * a, e0)
+
+
+def squeezed_norm_constant(xi: complex, basis: LambdaBasis) -> float:
+    """C_0 from the explicit triple sum, free of any Laguerre evaluation.
+
+    The series is sum_{m,n} conj(xi)^m xi^n w_m w_n g(2m, 2n) with
+    w_n = sqrt((2n-1)!!/(2n)!!) and g the unnormalized overlap k-sum
+    g(2m, 2n) = sum_k lam^{2k+2m-2n} sqrt((2n)!(2m)!)/[k!(2n-k)!(2m-2n+k)!];
+    the sqrt(L) factors of the coefficients cancel the overlap normalization
+    exactly, so this route shares no code with the Gram route it is checked
+    against. Divergence is reported when the partial-sum increments stop
+    decreasing.
+    """
+    xi = complex(xi)
+    _guard_xi(xi, basis)
+    if xi == 0:
+        return 1.0
+    lam = basis.lam
+    T = _squeezed_terms(xi, basis, None) - 1
+    lf = log_factorial_table(4 * T)
+    half_w = 0.5 * _even_log_weights(T)
+    loglam = math.log(abs(lam)) if lam != 0.0 else None
+
+    def log_g(mm: int, nn: int) -> float:
+        # unnormalized overlap of |2mm>_lam, |2nn>_lam in logs, mm >= nn
+        a, b = 2 * mm, 2 * nn
+        if loglam is None:
+            return 0.0 if a == b else -math.inf
+        k = np.arange(b + 1)
+        terms = (2 * k + a - b) * loglam + 0.5 * (lf[a] + lf[b]) \
+            - lf[k] - lf[b - k] - lf[a - b + k]
+        return logsumexp_positive(terms)
+
+    kernel = np.empty((T + 1, T + 1))
+    for mm in range(T + 1):
+        for nn in range(mm + 1):
+            v = math.exp(log_g(mm, nn) + half_w[mm] + half_w[nn])
+            kernel[mm, nn] = kernel[nn, mm] = v
+    w = xi ** np.arange(T + 1)
+    total = 0.0
+    increments = []
+    for t in range(T + 1):
+        delta = float(np.real(np.conj(w[t]) * np.dot(kernel[t, :t], w[:t]))) * 2.0 \
+            + abs(w[t]) ** 2 * kernel[t, t]
+        total += delta
+        increments.append(abs(delta))
+        if t >= 5 and total > 0:
+            last = increments[-5:]
+            if all(b >= a for a, b in zip(last, last[1:])) \
+                    and last[-1] > 1e-13 * total:
+                raise DomainError(
+                    f"partial-sum increments non-decreasing at |xi|={abs(xi):.4f}: "
+                    "normalization series diverging")
+    return 1.0 / math.sqrt(total)
+
+
+def squeezed_operator_form(xi: complex, basis: LambdaBasis,
+                           N: int | None = None) -> np.ndarray:
+    """C_0 e^{xi lam^2/2} expm(xi a_dag^2/2) D(xi lam) |0> in the standard basis.
+
+    Operator route for the deformed squeezed state. It is parallel to both
+    expm(xi a_dag_lam^2/2)|0> (the two products differ by the positive scalar
+    exp(|xi lam|^2/2), since the displacement normalization is absorbed
+    differently) and to the series construction; comparisons are made after
+    normalization, where such scalars drop out.
+    """
+    xi = complex(xi)
+    _guard_xi(xi, basis)
+    lam = basis.lam
+    if N is None:
+        N = 200
+
+    def build(M: int) -> np.ndarray:
+        ladders = build_ladders(M)
+        displaced = _displaced_vacuum(xi * lam, ladders)
+        return expm_apply(0.5 * xi * (ladders[1] @ ladders[1]), displaced)
+
+    vec = with_margin(build, N)
+    c0 = squeezed_norm_constant(xi, basis)
+    return c0 * cmath.exp(0.5 * xi * lam * lam) * vec
+
+
+def _lambda_quadratures(expansion: LambdaExpansion) -> QuadratureReport:
+    """Quadrature variances by the Gram route, <psi|X|psi> = (G c)^H (X c)."""
+    basis = expansion.basis
+    d = expansion.support
+    basis._check(d + 1, "raised support")
+    D = d + 2
+    c = np.zeros(D, dtype=complex)
+    c[:d] = expansion.coeffs
+    # G is real symmetric, so <psi|X|psi> = c^H G (X c) = (G c)^H (X c)
+    Gc = _matvec(gram(basis, D), c)
+    nrm = math.sqrt(max(float(np.real(np.vdot(c, Gc))), 0.0))
+    if abs(nrm - 1.0) > _NORM_TOL:
+        raise ValueError(f"lambda-basis norm {nrm!r} differs from 1 beyond 1e-8")
+    lam = basis.lam
+    n = np.arange(D, dtype=float)
+    # a |n>_lam = down[n-1] |n-1>_lam, (a_dag + lam) |n-1>_lam = up[n-1] |n>_lam
+    down = np.sqrt(n[1:]) * basis.rho[1:D]
+    up = np.sqrt(n[1:]) / basis.rho[1:D]
+    e_a = complex(np.vdot(Gc[:-1], c[1:] * down))
+    e_a2 = complex(np.vdot(Gc[:-2], c[2:] * down[1:] * down[:-1]))
+    e_up = complex(np.vdot(Gc[1:], c[:-1] * up))
+    e_up2 = complex(np.vdot(Gc[2:], c[:-2] * up[1:] * up[:-1]))
+    e_num = complex(np.vdot(Gc, n * c))  # (a_dag + lam) a |n>_lam = n |n>_lam
+    # Translate to the undeformed creation operator: a_dag = (a_dag + lam) - lam
+    e_ad = e_up - lam
+    e_ad2 = e_up2 - 2.0 * lam * e_up + lam * lam
+    e_n = e_num - lam * e_a
+    # x = (a + a_dag)/sqrt2, p = (a - a_dag)/(i sqrt2)
+    var_x = 0.5 * float(np.real(1.0 + e_a2 + e_ad2 + 2.0 * e_n - (e_a + e_ad) ** 2))
+    var_p = 0.5 * float(np.real(1.0 - e_a2 - e_ad2 + 2.0 * e_n + (e_a - e_ad) ** 2))
+    return QuadratureReport(var_x, var_p, var_x * var_p)

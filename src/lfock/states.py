@@ -13,7 +13,8 @@ g(xi, mu)/||g|| with g(xi, mu) = e^{xi a_dag^2/2 + mu a_dag}|0>: coherent at
 with frame projections phase g_m(xi, mu + lam)/(sqrt(L_m) ||g||). The kernel
 in fock (recurrence for g_m, closed-form norm and moments) serves these exact
 states; a state built with an explicit truncation is that frame series. The
-Gram route, the triple sum and the operator forms stay as oracles.
+routes that check them (the Gram-route overlap, the triple sum for C_0 and
+the operator forms) live in operators, which this module does not import.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import operators
-from .fock import (DomainError, LambdaBasis, LambdaExpansion,
+from .fock import (DomainError, LambdaBasis, LambdaExpansion, TruncationError,
                    _cancels, _gaussian_amplitudes, _gaussian_log_norm,
                    _gram_rows, _matvec, _phased_exp, gram)
 from .specfun import log_factorial_table, logsumexp_positive
@@ -164,50 +164,10 @@ def lambda_coherent(alpha: complex, basis: LambdaBasis,
         if a_last == 0.0 or (ratio < 0.9 and a_last * ratio / (1 - ratio) < 1e-14):
             return LambdaCoherent(alpha, basis, LambdaExpansion(basis, c))
         if N >= cap:
-            raise operators.TruncationError(
+            raise TruncationError(
                 f"coherent tail not below 1e-14 at the truncation cap {cap}; "
                 "alpha or lam too large for this basis horizon")
         N = min(2 * N, cap)
-
-
-def coherent_overlap(alpha: complex, beta: complex,
-                     basis: LambdaBasis) -> complex:
-    """<alpha, lam | beta, lam> by the Gram double sum.
-
-    The normalization constants of the two states supply the prefactor
-    exp(-lam Re(alpha) - lam Re(beta) - |alpha|^2/2 - |beta|^2/2); the double
-    sum over alpha*^m beta^n sqrt(L_m L_n / (m! n!)) contracts with the Gram
-    matrix. Equals the canonical coherent overlap times e^{i lam (Im beta -
-    Im alpha)}.
-    """
-    sa = lambda_coherent(alpha, basis)
-    sb = lambda_coherent(beta, basis)
-    G = gram(basis, max(sa.truncation, sb.truncation))
-    return complex(np.vdot(sa.expansion.coeffs, _matvec(
-        G[: sa.truncation, : sb.truncation], sb.expansion.coeffs)))
-
-
-def displaced_form(alpha: complex, basis: LambdaBasis,
-                   N: int | None = None) -> np.ndarray:
-    """e^{i lam Im(alpha)} D(alpha)|0> through the dense matrix exponential.
-
-    Independent of the series construction; the two must agree componentwise.
-    """
-    alpha = complex(alpha)
-    if N is None:
-        N = max(48, int(abs(alpha) ** 2 + 12.0 * math.sqrt(abs(alpha) ** 2 + 1.0) + 30.0))
-    vec = operators.with_margin(
-        lambda M: _displaced_vacuum(alpha, operators.build_ladders(M)), N)
-    return cmath.exp(1j * basis.lam * alpha.imag) * vec
-
-
-def _displaced_vacuum(mu: complex, ladders: tuple) -> np.ndarray:
-    """D(mu)|0> through the dense matrix exponential, on the ladders
-    (a, a_dag, n) of operators.build_ladders."""
-    a, a_dag, _ = ladders
-    e0 = np.zeros(a.shape[0], dtype=complex)
-    e0[0] = 1.0
-    return operators.expm_apply(mu * a_dag - np.conj(mu) * a, e0)
 
 
 def evolve(state: LambdaCoherent, t: float) -> LambdaCoherent:
@@ -406,7 +366,7 @@ def _squeezed_terms(xi: complex, basis: LambdaBasis,
     log_axi = math.log(abs(xi))
     while True:
         if 2 * T > basis.max_n:
-            raise operators.TruncationError(
+            raise TruncationError(
                 f"normalization tail still not negligible at the basis "
                 f"horizon max_n={basis.max_n}; build a LambdaBasis with a "
                 "larger max_n")
@@ -473,83 +433,3 @@ def lambda_squeezed(xi: complex, basis: LambdaBasis,
         raise DomainError(f"the truncated series cancels in its norm "
                           f"(condition number {kappa:.3g})")
     return LambdaSqueezed(xi, basis, 1.0 / math.sqrt(norm2), n_terms)
-
-
-def squeezed_norm_constant(xi: complex, basis: LambdaBasis) -> float:
-    """C_0 from the explicit triple sum, free of any Laguerre evaluation.
-
-    The series is sum_{m,n} conj(xi)^m xi^n w_m w_n g(2m, 2n) with
-    w_n = sqrt((2n-1)!!/(2n)!!) and g the unnormalized overlap k-sum
-    g(2m, 2n) = sum_k lam^{2k+2m-2n} sqrt((2n)!(2m)!)/[k!(2n-k)!(2m-2n+k)!];
-    the sqrt(L) factors of the coefficients cancel the overlap normalization
-    exactly, so this route shares no code with the Gram route it is checked
-    against. Divergence is reported when the partial-sum increments stop
-    decreasing.
-    """
-    xi = complex(xi)
-    _guard_xi(xi, basis)
-    if xi == 0:
-        return 1.0
-    lam = basis.lam
-    T = _squeezed_terms(xi, basis, None) - 1
-    lf = log_factorial_table(4 * T)
-    half_w = 0.5 * _even_log_weights(T)
-    loglam = math.log(abs(lam)) if lam != 0.0 else None
-
-    def log_g(mm: int, nn: int) -> float:
-        # unnormalized overlap of |2mm>_lam, |2nn>_lam in logs, mm >= nn
-        a, b = 2 * mm, 2 * nn
-        if loglam is None:
-            return 0.0 if a == b else -math.inf
-        k = np.arange(b + 1)
-        terms = (2 * k + a - b) * loglam + 0.5 * (lf[a] + lf[b]) \
-            - lf[k] - lf[b - k] - lf[a - b + k]
-        return logsumexp_positive(terms)
-
-    kernel = np.empty((T + 1, T + 1))
-    for mm in range(T + 1):
-        for nn in range(mm + 1):
-            v = math.exp(log_g(mm, nn) + half_w[mm] + half_w[nn])
-            kernel[mm, nn] = kernel[nn, mm] = v
-    w = xi ** np.arange(T + 1)
-    total = 0.0
-    increments = []
-    for t in range(T + 1):
-        delta = float(np.real(np.conj(w[t]) * np.dot(kernel[t, :t], w[:t]))) * 2.0 \
-            + abs(w[t]) ** 2 * kernel[t, t]
-        total += delta
-        increments.append(abs(delta))
-        if t >= 5 and total > 0:
-            last = increments[-5:]
-            if all(b >= a for a, b in zip(last, last[1:])) \
-                    and last[-1] > 1e-13 * total:
-                raise DomainError(
-                    f"partial-sum increments non-decreasing at |xi|={abs(xi):.4f}: "
-                    "normalization series diverging")
-    return 1.0 / math.sqrt(total)
-
-
-def squeezed_operator_form(xi: complex, basis: LambdaBasis,
-                           N: int | None = None) -> np.ndarray:
-    """C_0 e^{xi lam^2/2} expm(xi a_dag^2/2) D(xi lam) |0> in the standard basis.
-
-    Operator route for the deformed squeezed state. It is parallel to both
-    expm(xi a_dag_lam^2/2)|0> (the two products differ by the positive scalar
-    exp(|xi lam|^2/2), since the displacement normalization is absorbed
-    differently) and to the series construction; comparisons are made after
-    normalization, where such scalars drop out.
-    """
-    xi = complex(xi)
-    _guard_xi(xi, basis)
-    lam = basis.lam
-    if N is None:
-        N = 200
-
-    def build(M: int) -> np.ndarray:
-        ladders = operators.build_ladders(M)
-        displaced = _displaced_vacuum(xi * lam, ladders)
-        return operators.expm_apply(0.5 * xi * (ladders[1] @ ladders[1]), displaced)
-
-    vec = operators.with_margin(build, N)
-    c0 = squeezed_norm_constant(xi, basis)
-    return c0 * cmath.exp(0.5 * xi * lam * lam) * vec

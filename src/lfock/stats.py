@@ -4,7 +4,8 @@ P_lambda(m) is the squared magnitude of the projection onto the deformed
 bra <m|_lam. The deformed kets are not orthogonal, so these are frame
 coefficients, not probabilities of a projective measurement: their sum is
 reported as a diagnostic (prob_sum) and never used to renormalize, and the
-moment sums feed the Mandel formula exactly as defined.
+moment sums feed the Mandel formula exactly as defined. The Gram-route
+quadratures (G c)^H (X c) that check these routes live in operators.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import operators
-from .fock import (LambdaBasis, LambdaExpansion, _gaussian_amplitudes,
-                   _gaussian_log_norm, _gaussian_moments, _matvec, gram)
+from .fock import (LambdaBasis, LambdaExpansion, TruncationError,
+                   _gaussian_amplitudes, _gaussian_log_norm, _gaussian_moments,
+                   _ladder, _matvec, gram)
 from .specfun import log_factorial_table
 
 _TAIL_TOL = 1e-12
@@ -84,7 +85,7 @@ def number_moments(state) -> StatisticsReport:
         xi, mu, _ = np.array([state._gaussian], dtype=complex).T
         rep = _frame_moments(xi, mu, state.basis)[0]
         if rep is None:
-            raise operators.TruncationError(_TAIL_UNSETTLED)
+            raise TruncationError(_TAIL_UNSETTLED)
         return rep
     expansion = getattr(state, "expansion", state)
     if isinstance(expansion, np.ndarray):
@@ -106,7 +107,7 @@ def number_moments(state) -> StatisticsReport:
         if float(np.max((m.astype(float) ** 2 + 1.0) * P[-8:])) < _TAIL_TOL:
             break
         if hi > basis.max_n:
-            raise operators.TruncationError(_TAIL_UNSETTLED)
+            raise TruncationError(_TAIL_UNSETTLED)
         nxt = min(hi + 32, basis.max_n + 1)
         P = np.concatenate([P, weights(hi, nxt)])
         hi = nxt
@@ -185,7 +186,7 @@ def squeezed_moments(column, basis_tag: str = "lambda") -> list:
             try:
                 reps.append(number_moments(
                     st if basis_tag == "lambda" else st.to_standard()))
-            except operators.TruncationError:
+            except TruncationError:
                 reps.append(None)
         return reps
     xi, mu, _ = np.array([st._gaussian for st in column], dtype=complex).T
@@ -219,43 +220,10 @@ def _dense_quadratures(v: np.ndarray) -> QuadratureReport:
     # the state v / ||v||, padded by one so that a_dag acts on it exactly;
     # Var X = ||(X - <X>) w||^2 is free of the cancellation in <X^2> - <X>^2
     w = np.append(v / nrm, 0.0)
-    root = np.sqrt(np.arange(1.0, w.shape[0]))
-    down, up = np.append(root * w[1:], 0.0), np.insert(root * w[:-1], 0, 0.0)
+    down, up = _ladder(w), _ladder(w, 0.0)
     var = [float(np.linalg.norm(xw - np.vdot(w, xw).real * w)) ** 2 for xw in
            ((down + up) / math.sqrt(2.0), 1j * (up - down) / math.sqrt(2.0))]
     return QuadratureReport(var[0], var[1], var[0] * var[1])
-
-
-def _lambda_quadratures(expansion: LambdaExpansion) -> QuadratureReport:
-    basis = expansion.basis
-    d = expansion.support
-    basis._check(d + 1, "raised support")
-    D = d + 2
-    c = np.zeros(D, dtype=complex)
-    c[:d] = expansion.coeffs
-    # G is real symmetric, so <psi|X|psi> = c^H G (X c) = (G c)^H (X c)
-    Gc = _matvec(gram(basis, D), c)
-    nrm = math.sqrt(max(float(np.real(np.vdot(c, Gc))), 0.0))
-    if abs(nrm - 1.0) > _NORM_TOL:
-        raise ValueError(f"lambda-basis norm {nrm!r} differs from 1 beyond 1e-8")
-    lam = basis.lam
-    n = np.arange(D, dtype=float)
-    # a |n>_lam = down[n-1] |n-1>_lam, (a_dag + lam) |n-1>_lam = up[n-1] |n>_lam
-    down = np.sqrt(n[1:]) * basis.rho[1:D]
-    up = np.sqrt(n[1:]) / basis.rho[1:D]
-    e_a = complex(np.vdot(Gc[:-1], c[1:] * down))
-    e_a2 = complex(np.vdot(Gc[:-2], c[2:] * down[1:] * down[:-1]))
-    e_up = complex(np.vdot(Gc[1:], c[:-1] * up))
-    e_up2 = complex(np.vdot(Gc[2:], c[:-2] * up[1:] * up[:-1]))
-    e_num = complex(np.vdot(Gc, n * c))  # (a_dag + lam) a |n>_lam = n |n>_lam
-    # Translate to the undeformed creation operator: a_dag = (a_dag + lam) - lam
-    e_ad = e_up - lam
-    e_ad2 = e_up2 - 2.0 * lam * e_up + lam * lam
-    e_n = e_num - lam * e_a
-    # x = (a + a_dag)/sqrt2, p = (a - a_dag)/(i sqrt2)
-    var_x = 0.5 * float(np.real(1.0 + e_a2 + e_ad2 + 2.0 * e_n - (e_a + e_ad) ** 2))
-    var_p = 0.5 * float(np.real(1.0 - e_a2 - e_ad2 + 2.0 * e_n + (e_a - e_ad) ** 2))
-    return QuadratureReport(var_x, var_p, var_x * var_p)
 
 
 def quadrature_variances(state) -> QuadratureReport:
@@ -266,8 +234,7 @@ def quadrature_variances(state) -> QuadratureReport:
     free of lam and mu (1/2 for a coherent state). A standard-basis array
     takes the centred norms ||(X - <X>) v||^2 over O(N) ladder shifts, and
     any other deformed series (a truncated state or a LambdaExpansion) takes
-    them on its T-operator image. _lambda_quadratures, the Gram route, is the
-    oracle the routes are checked against.
+    them on its T-operator image.
     """
     gauss = getattr(state, "_gaussian", None)
     if gauss is not None:

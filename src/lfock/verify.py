@@ -60,7 +60,7 @@ def _suite_overlaps() -> list[Check]:
     n_hi = 25
     for lam in (0.3, 1.0, 2.0):
         basis = LambdaBasis(lam, 64)
-        E = fock.expansion_matrix(basis, n_hi + 1)
+        E = operators.expansion_matrix(basis, n_hi + 1)
         G_dot = E @ E.T
         G_an = np.array([[fock.overlap_analytic(m, n, basis)
                           for n in range(n_hi + 1)] for m in range(n_hi + 1)])
@@ -69,7 +69,7 @@ def _suite_overlaps() -> list[Check]:
                          float(np.max(np.abs(np.linalg.norm(E, axis=1) - 1.0))),
                          1e-12))
         t_err = max(float(np.max(np.abs(
-            fock.apply_t_operator(n, basis, n_hi + 1)
+            operators.apply_t_operator(n, basis, n_hi + 1)
             - fock.lambda_ket(n, basis, n_hi + 1)))) for n in range(n_hi + 1))
         out.append(Check(f"series vs T-operator lam={lam:g}", t_err, 1e-12))
         c = np.cos(np.arange(n_hi + 1.0)) + 0.5j  # an arbitrary expansion
@@ -115,7 +115,7 @@ def _suite_ladders() -> list[Check]:
             for j in range(n, 0, -1):
                 prod *= fock.ladder_down(j, basis)[0]
             prod_err = max(prod_err,
-                           _scaled_err(prod, fock.iterated_lowering_norm(n, basis)))
+                           _scaled_err(prod, fock.lowering_scalar(n, n, basis)))
         out.append(Check(f"iterated lowering lam={lam:g}", prod_err, 1e-12))
     return out
 
@@ -136,10 +136,10 @@ def _suite_matel() -> list[Check]:
                 for k in range(3):
                     dense = float(kets[m] @ upow[k] @ kets[n])
                     worst["creation"] = max(worst["creation"], _scaled_err(
-                        fock.matel_creation_power(m, n, k, basis), dense))
+                        fock.matel_normal_ordered(m, n, k, 0, basis), dense))
                     dense = float(kets[m] @ apow[k] @ kets[n])
                     worst["annihilation"] = max(worst["annihilation"], _scaled_err(
-                        fock.matel_annihilation_power(m, n, k, basis), dense))
+                        fock.matel_normal_ordered(m, n, 0, k, basis), dense))
                     for r in range(3):
                         dense = float(kets[m] @ upow[r] @ apow[k] @ kets[n])
                         worst["normal ordered"] = max(worst["normal ordered"],
@@ -159,7 +159,7 @@ def _suite_coherent() -> list[Check]:
             st = states.lambda_coherent(alpha, basis)
             vec = st.to_standard()
             N = vec.shape[0]
-            disp = states.displaced_form(alpha, basis, N)
+            disp = operators.displaced_form(alpha, basis, N)
             out.append(Check(f"displaced identity {tag}",
                              _normalized_mismatch(vec, disp), 1e-10))
             out.append(Check(f"Gaussian kernel vs frame series {tag}", float(np.max(
@@ -167,14 +167,14 @@ def _suite_coherent() -> list[Check]:
             a, _, _ = operators.build_ladders(N)
             out.append(Check(f"eigen residual {tag}",
                              operators.eigen_residual(a, vec, alpha), 1e-9))
-        got = states.coherent_overlap(1.0, -1.0, basis)
+        got = operators.coherent_overlap(1.0, -1.0, basis)
         out.append(Check(f"overlap kernel lam={lam:g}",
                          abs(got - math.exp(-2.0)), 1e-9))
         beta = 0.7 + 0.4j
         want = cmath.exp(1j * lam * (beta.imag - 0.0)) \
             * cmath.exp(1.0 * beta - 0.5 - 0.5 * abs(beta) ** 2)
         out.append(Check(f"overlap kernel complex lam={lam:g}",
-                         abs(states.coherent_overlap(1.0, beta, basis) - want),
+                         abs(operators.coherent_overlap(1.0, beta, basis) - want),
                          1e-9))
         st = states.lambda_coherent(1.0, basis)
         for t in (0.1, math.pi):
@@ -198,7 +198,7 @@ def _suite_squeezed() -> list[Check]:
             out.append(Check(f"defining equation {tag}",
                              operators.eigen_residual(a - xi * adl, v, 0.0),
                              1e-8))
-            c0_series = states.squeezed_norm_constant(xi, basis)
+            c0_series = operators.squeezed_norm_constant(xi, basis)
             out.append(Check(f"norm constant routes {tag}",
                              abs(c0_series - st.norm_constant)
                              / abs(st.norm_constant), 1e-9))
@@ -213,7 +213,7 @@ def _suite_squeezed() -> list[Check]:
     xi = 0.3
     st = states.lambda_squeezed(xi, basis)
     series_vec = st.expansion.to_standard(200)
-    op_vec = states.squeezed_operator_form(xi, basis, 200)
+    op_vec = operators.squeezed_operator_form(xi, basis, 200)
     e0 = np.zeros(200, dtype=complex)
     e0[0] = 1.0
     _, _, adl = operators.build_ladders(200, basis.lam)
@@ -260,7 +260,7 @@ def _suite_stats() -> list[Check]:
             out.append(Check(f"coherent moments, closed form vs |G c|^2 "
                              f"lam={lam:g} alpha={alpha:g}", err, 1e-10))
             q, g = stats.quadrature_variances(st), \
-                stats._lambda_quadratures(st.expansion)
+                operators._lambda_quadratures(st.expansion)
             out.append(Check(f"coherent quadratures, closed form vs Gram route "
                              f"lam={lam:g} alpha={alpha:g}",
                              max(abs(q.var_x - g.var_x), abs(q.var_p - g.var_p)), 1e-12))
@@ -269,7 +269,7 @@ def _suite_stats() -> list[Check]:
     rep = stats.quadrature_variances(vac)
     out.append(Check("vacuum quadratures",
                      max(abs(rep.var_x - 0.5), abs(rep.var_p - 0.5)), 1e-10))
-    cs = states.displaced_form(1.0 + 0.5j, LambdaBasis(0.0, 8), 64)
+    cs = operators.displaced_form(1.0 + 0.5j, LambdaBasis(0.0, 8), 64)
     rep = stats.quadrature_variances(cs)
     out.append(Check("coherent quadratures",
                      max(abs(rep.var_x - 0.5), abs(rep.var_p - 0.5)), 1e-8))
@@ -283,7 +283,7 @@ def _suite_stats() -> list[Check]:
     out.append(Check("quadrature route equivalence",
                      max(abs(lam_route.var_x - dense_route.var_x),
                          abs(lam_route.var_p - dense_route.var_p)), 1e-8))
-    gram_route = stats._lambda_quadratures(st.expansion)
+    gram_route = operators._lambda_quadratures(st.expansion)
     out.append(Check("Gaussian kernel vs Gram route var_x/var_p",
                      max(abs(lam_route.var_x - gram_route.var_x),
                          abs(lam_route.var_p - gram_route.var_p)), 1e-12))

@@ -16,19 +16,18 @@ from scipy.linalg import cholesky
 from scipy.stats import poisson
 
 from lfock import cli, sweeps
-from lfock.fock import (LambdaBasis, apply_t_operator, expansion_matrix,
-                        gram, iterated_lowering_norm, ladder_down, ladder_up,
-                        lambda_ket, matel_annihilation_power,
-                        matel_creation_power, matel_normal_ordered,
+from lfock.fock import (LambdaBasis, gram, ladder_down, ladder_up, lambda_ket,
+                        lowering_scalar, matel_normal_ordered,
                         overlap_analytic)
 from lfock.families import (identify_bound_state_nonlinearity, nonlinear_cs,
                             nonlinear_spectrum, penson_solomon_cs)
-from lfock.operators import build_ladders, eigen_residual, expm_apply, number_operator
+from lfock.operators import (apply_t_operator, build_ladders, coherent_overlap,
+                             displaced_form, eigen_residual, expansion_matrix,
+                             expm_apply, number_operator,
+                             squeezed_norm_constant, squeezed_operator_form)
 from lfock.specfun import log_factorial_table
-from lfock.states import (DomainError, coherent_overlap, displaced_form,
-                          evolve, lambda_coherent, lambda_squeezed,
-                          radius_estimate, squeezed_norm_constant,
-                          squeezed_operator_form, squeezed_vacuum)
+from lfock.states import (DomainError, evolve, lambda_coherent,
+                          lambda_squeezed, radius_estimate, squeezed_vacuum)
 from lfock.stats import number_moments, p_lambda, quadrature_variances
 
 
@@ -83,7 +82,7 @@ def test_criterion_02_ladder_and_number_structure():
                 want_up = c_up * lambda_ket(up, basis, N)
                 assert np.max(np.abs(adl @ v - want_up)) <= 1e-10, (lam, n)
             assert np.max(np.abs((adl @ (a @ v)) - n * v)) <= 1e-10, (lam, n)
-            full = iterated_lowering_norm(n, basis)
+            full = lowering_scalar(n, n, basis)
             closed = math.exp(0.5 * (lf[n] - basis.log_laguerre[n]))
             prod, m = 1.0, n
             for _ in range(n):
@@ -112,7 +111,7 @@ def test_criterion_03_matrix_element_formulas():
             dense_cr = (K @ (upow[r] @ K.T)).real
             for m in range(hi):
                 for n in range(hi):
-                    got = matel_creation_power(m, n, r, basis)
+                    got = matel_normal_ordered(m, n, r, 0, basis)
                     err = abs(got - dense_cr[m, n]) / max(1.0,
                                                           abs(dense_cr[m, n]))
                     assert err <= 1e-9, (lam, m, n, r, "creation")
@@ -120,7 +119,7 @@ def test_criterion_03_matrix_element_formulas():
             dense_an = (K @ (apow[k] @ K.T)).real
             for m in range(hi):
                 for n in range(hi):
-                    got = matel_annihilation_power(m, n, k, basis)
+                    got = matel_normal_ordered(m, n, 0, k, basis)
                     err = abs(got - dense_an[m, n]) / max(1.0,
                                                           abs(dense_an[m, n]))
                     assert err <= 1e-9, (lam, m, n, k, "annihilation")

@@ -230,10 +230,11 @@ def test_lambda_ket_norm_gram_streams_in_linear_memory(tmp_path):
 
 def test_cli_import_loads_no_scipy_mpmath_or_logging():
     # each of these would add to every command's start-up time, and
-    # lfock.verify is compiled only for the verify command
+    # lfock.verify and the oracle module lfock.operators are compiled only
+    # for the verify command
     done = _python("-c", "import sys, lfock.cli\n"
                          "print(sorted(m for m in ('scipy', 'mpmath', 'logging',"
-                         " 'lfock.verify') if m in sys.modules))")
+                         " 'lfock.verify', 'lfock.operators') if m in sys.modules))")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
 
@@ -251,6 +252,17 @@ def test_coherent_coefficient_overflow_is_a_clean_domain_error():
     assert done.returncode == 3
     assert "overflows the double range" in done.stderr
     assert "RuntimeWarning" not in done.stderr
+
+
+def test_family_series_past_its_horizon_is_a_truncation_error():
+    # the f1 coefficients alpha^n/(n!)^{3/2} peak near n = 2150 at alpha
+    # 1e5, past the 600-term horizon: exit 3, as any unreachable tolerance,
+    # with no traceback
+    done = _python("-m", "lfock.cli", "state", "f1", "--alpha", "1e5")
+    assert done.returncode == 3
+    assert done.stderr == ("lfock: truncation error: series tail not below "
+                           "1e-18 within 600 terms; |alpha| too large or C(n) "
+                           "grows too slowly\n")
 
 
 def test_squeezed_series_overflow_warns_each_cell_without_numpy_warnings():

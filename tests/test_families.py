@@ -9,7 +9,7 @@ from scipy.special import iv
 from lfock.families import (NonlinearCS, classical_frequency,
                             identify_bound_state_nonlinearity, nonlinear_cs,
                             nonlinear_spectrum, penson_solomon_cs)
-from lfock.fock import LambdaBasis
+from lfock.fock import LambdaBasis, TruncationError
 
 
 def test_spectrum_values():
@@ -81,7 +81,8 @@ def test_unknown_family_rejected():
 
 def test_divergent_window_rejected():
     # constant C gives a plain geometric series; at |Z| >= 1 there is no tail
-    with pytest.raises(ValueError):
+    # within the 600-term horizon, or in the window N
+    with pytest.raises(TruncationError):
         penson_solomon_cs(1.5, lambda n: 1.0)
     with pytest.raises(ValueError):
         penson_solomon_cs(0.9, lambda n: 1.0, N=12)

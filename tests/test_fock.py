@@ -11,13 +11,10 @@ from scipy.linalg import cholesky, solve_triangular
 
 from lfock.families import nonlinear_cs
 from lfock.fock import (DomainError, LambdaBasis, LambdaExpansion, _gram_rows,
-                        apply_t_operator, expansion_matrix, gram,
-                        gram_coefficient,
-                        iterated_lowering_norm, ladder_down, ladder_up,
-                        lambda_ket, lowering_scalar, matel_annihilation_power,
-                        matel_creation_power, matel_normal_ordered,
+                        gram, ladder_down, ladder_up, lambda_ket,
+                        lowering_scalar, matel_normal_ordered,
                         overlap_analytic, raising_scalar, to_lambda)
-from lfock.operators import build_ladders
+from lfock.operators import apply_t_operator, build_ladders, expansion_matrix
 from lfock.specfun import laguerre0_log
 from lfock.states import squeezed_vacuum
 
@@ -82,7 +79,8 @@ def test_overlap_diagonal_and_lambda_zero():
 def test_gram_routes_agree(lam):
     basis = LambdaBasis(lam, 36)
     G = gram(basis, 30)
-    G_coeff = gram_coefficient(basis, 30)
+    E = expansion_matrix(basis, 30)
+    G_coeff = E @ E.T
     assert np.max(np.abs(G - G_coeff)) < 1e-10
     for m in range(0, 30, 5):
         for n in range(0, 30, 5):
@@ -157,8 +155,6 @@ def test_iterated_scalars_compose():
         while m > 0:
             c, m = ladder_down(m, basis)
             full *= c
-        assert iterated_lowering_norm(n, basis) == pytest.approx(full,
-                                                                 rel=1e-12)
         assert lowering_scalar(n, n, basis) == pytest.approx(full, rel=1e-12)
     assert lowering_scalar(2, 5, basis) == 0.0
     up = raising_scalar(4, 2, basis)
@@ -189,21 +185,15 @@ def test_matrix_elements_against_dense_oracle(lam):
                     dense = kets[m] @ (upow[r] @ (apow[k] @ kets[n]))
                     got = matel_normal_ordered(m, n, r, k, basis)
                     assert err(got, dense) <= 2e-14, (m, n, r, k)
-                    if k == 0:
-                        got = matel_creation_power(m, n, r, basis)
-                        assert err(got, dense) <= 2e-14, (m, n, r, "cr")
-                    if r == 0:
-                        got = matel_annihilation_power(m, n, k, basis)
-                        assert err(got, dense) <= 2e-14, (m, n, k, "an")
 
 
 def test_matrix_elements_flat_limit():
     # lam=0 collapses everything to the usual Fock matrix elements
     basis = LambdaBasis(0.0, 16)
-    assert matel_creation_power(5, 3, 2, basis) == pytest.approx(
+    assert matel_normal_ordered(5, 3, 2, 0, basis) == pytest.approx(
         math.sqrt(5 * 4), rel=1e-12)
-    assert matel_creation_power(5, 3, 1, basis) == 0.0
-    assert matel_annihilation_power(3, 5, 2, basis) == pytest.approx(
+    assert matel_normal_ordered(5, 3, 1, 0, basis) == 0.0
+    assert matel_normal_ordered(3, 5, 0, 2, basis) == pytest.approx(
         math.sqrt(5 * 4), rel=1e-12)
     assert matel_normal_ordered(4, 4, 2, 2, basis) == pytest.approx(
         4 * 3, rel=1e-12)

@@ -15,11 +15,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from lfock import cli, fock, states, stats, sweeps
-from lfock.fock import LambdaBasis
+from lfock import cli, fock, operators, states, stats, sweeps
+from lfock.fock import LambdaBasis, TruncationError
 from lfock.fock import _gaussian_amplitudes, _gaussian_log_norm, _gaussian_moments
 from lfock.states import DomainError, lambda_squeezed
-from lfock.operators import TruncationError
 from lfock.stats import _frame_weights, number_moments, squeezed_moments
 
 DPS = 50
@@ -138,7 +137,7 @@ def test_kernel_matches_gram_route_and_truncation_keeps_it():
         assert number_moments(st).mandel_q == pytest.approx(
             gram_rep.mandel_q, rel=1e-12)
         kern = stats.quadrature_variances(st)
-        gram = stats._lambda_quadratures(st.expansion)
+        gram = operators._lambda_quadratures(st.expansion)
         assert kern.var_x == pytest.approx(gram.var_x, rel=1e-12)
         assert kern.var_p == pytest.approx(gram.var_p, rel=1e-12)
         # --truncation N: the same series, on the Gram route throughout
@@ -160,9 +159,9 @@ def test_auto_sweeps_and_exact_dumps_build_no_dense_matrix(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    for original in (fock.gram, fock.expansion_matrix):
+    for original in (fock.gram, operators.expansion_matrix):
         wrapped = spy(original)
-        for module in (fock, states, stats):
+        for module in (fock, operators, states, stats):
             for name, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, name, wrapped)

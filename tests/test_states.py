@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from lfock import states
 from lfock.fock import LambdaBasis, gram
-from lfock.operators import TruncationError, build_ladders, eigen_residual
+from lfock.operators import (TruncationError, build_ladders, coherent_overlap,
+                             displaced_form, eigen_residual, expm_apply,
+                             squeezed_norm_constant, squeezed_operator_form)
 from lfock.states import (DomainError, _coherent_coeffs, _even_log_weights,
-                          coherent_overlap, displaced_form, evolve,
-                          lambda_coherent, lambda_squeezed, radius_estimate,
-                          radius_min, squeezed_norm_constant,
-                          squeezed_operator_form, squeezed_vacuum)
+                          evolve, lambda_coherent, lambda_squeezed,
+                          radius_estimate, radius_min, squeezed_vacuum)
 
 
 def _mismatch(u, v):
@@ -213,7 +213,6 @@ def test_squeezed_three_routes_agree():
     e0 = np.zeros(N, dtype=complex)
     e0[0] = 1.0
     _, _, adl = build_ladders(N, lam)
-    from lfock.operators import expm_apply
     direct = expm_apply(0.5 * xi * (adl @ adl), e0)
     assert _mismatch(series, operator) < 1e-8
     assert _mismatch(series, direct) < 1e-8
