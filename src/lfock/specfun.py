@@ -71,17 +71,19 @@ def _laguerre_table(lam: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     L_n(-lam^2) is the dominant solution, so the forward pass is stable, and
     ln L_n = sum_{k<=n} log1p(s_k) has only positive terms, summed with Kahan
     compensation, so it keeps full relative precision as lam -> 0 and about
-    one ulp of the log at large n. rho_0 = 1 by convention; laguerre0_log is
-    the independent oracle.
+    one ulp of the log at large n. The loop runs on Python floats and fills
+    lists, one array each at the end. rho_0 = 1 by convention; laguerre0_log
+    is the independent oracle.
     """
     x = lam * lam
-    s = np.zeros(n_max + 1)
-    log_lag = np.zeros(n_max + 1)
-    total = comp = 0.0
+    s, log_lag = [0.0], [0.0]
+    sk = total = comp = 0.0
+    log1p = math.log1p
     for k in range(1, n_max + 1):
-        s[k] = x if k == 1 else (x + (k - 1) * s[k - 1] / (1.0 + s[k - 1])) / k
-        y = math.log1p(s[k]) - comp
-        total, comp = total + y, ((total + y) - total) - y
-        log_lag[k] = total
-    return log_lag, 1.0 / np.sqrt(1.0 + s)
-
+        sk = (x + (k - 1) * sk / (1.0 + sk)) / k  # s_1 = x exactly
+        y = log1p(sk) - comp
+        t = total + y
+        total, comp = t, (t - total) - y
+        s.append(sk)
+        log_lag.append(total)
+    return np.array(log_lag), 1.0 / np.sqrt(1.0 + np.array(s))

@@ -57,14 +57,15 @@ def p_lambda(m: int | np.ndarray, alpha: complex,
 
     The binomial theorem collapses the double sum over the expansion to
     e^{-|alpha|^2} |lam + alpha|^{2m} / (m! L_m), one all-positive term
-    evaluated in log space (_frame_weights at xi = 0). Poissonian at lam = 0.
-    m is an int (float result) or an integer array (array result).
+    evaluated in log space (_coherent_weights on a one-basis column).
+    Poissonian at lam = 0. m is an int (float result) or an integer array
+    (array result).
     """
     m = np.asarray(m)
     basis._check(int(np.min(m)))
-    P, shift, _ = _frame_weights(np.zeros(1, dtype=complex),
-                                 np.array([alpha], dtype=complex), basis,
-                                 int(np.max(m)) + 1)
+    basis._check(int(np.max(m)))
+    [(_, P, shift, _)] = _coherent_weights(np.array([alpha], dtype=complex),
+                                           [basis], int(np.max(m)) + 1)
     P = P[m, 0] * math.exp(shift[0])
     return float(P) if P.ndim == 0 else P
 
@@ -117,54 +118,109 @@ def number_moments(state) -> StatisticsReport:
 def _frame_weights(xi: np.ndarray, mu: np.ndarray, basis: LambdaBasis,
                    cutoff: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Frame weights |g_m(xi, mu+lam)|^2 / (L_m ||g(xi, mu)||^2) of the exact
-    states phase g(xi, mu)/||g||, a column per entry of the xi and mu arrays:
-    e^{-|mu|^2} |mu+lam|^{2m} / (m! L_m) where all xi are 0 (coherent states),
-    else one g_m recurrence. A column whose weights all lie below e^-600 is
-    divided by its largest, e^shift (shift 0 elsewhere). Without a cutoff the
-    horizon doubles from 64 until every column's last 8 rows pass m^2 P(m) <
-    1e-12 min(1, sum P), relative since at large lam all weights can be tiny.
-    Returns (P, shift, ok), ok False where unsettled at the basis horizon.
+    states phase g(xi, mu)/||g||, a column per entry of the xi and mu arrays,
+    from one g_m recurrence (coherent columns take _coherent_weights). A
+    column whose weights all lie below e^-600 is divided by its largest,
+    e^shift (shift 0 elsewhere). Without a cutoff the horizon doubles from 64
+    until every column's last 8 rows pass m^2 P(m) < 1e-12 min(1, sum P),
+    relative since at large lam all weights can be tiny. Returns
+    (P, shift, ok), ok False where unsettled at the basis horizon.
     """
     lam = basis.lam
     log_norm = _gaussian_log_norm(xi, mu)
     # mu + lam, exact for both families: lam(1+xi) and lam + alpha
     frame = lam * (1.0 + xi) + (mu - xi * lam)
-    lL = basis.log_laguerre
-
-    def weights(M: int) -> tuple[np.ndarray, np.ndarray]:
-        if xi.any():
-            mant, expo = _gaussian_amplitudes(xi, frame, M)
-            with np.errstate(divide="ignore"):
-                logs = np.log(mant.real ** 2 + mant.imag ** 2) + (2.0 * _LN2) * expo
-            logs = logs - lL[:M, None] - log_norm
-        else:  # one row per column, transposed: each column sums pairwise
-            m = np.arange(M)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                logs = np.where(m == 0, 0.0, 2.0 * m * np.log(np.abs(frame))[:, None])
-            logs = (logs - log_norm[:, None] - log_factorial_table(M - 1) - lL[:M]).T
-        peak = np.max(logs, axis=0)
-        shift = np.where(peak < _LOG_TINY, peak, 0.0)
-        return np.exp(logs - shift), shift
-
     M = min(64, basis.max_n + 1) if cutoff is None else cutoff
     basis._check(M - 1, "cutoff")
     while True:
-        P, shift = weights(M)
-        m = np.arange(max(M - 8, 0), M, dtype=float)
-        total = P.sum(axis=0)
-        ok = (cutoff is not None) | (np.max((m[:, None] ** 2 + 1.0) * P[-8:], axis=0)
-              < _TAIL_TOL * np.where(shift < 0.0, total, np.minimum(1.0, total)))
+        mant, expo = _gaussian_amplitudes(xi, frame, M)
+        with np.errstate(divide="ignore"):
+            logs = np.log(mant.real ** 2 + mant.imag ** 2) + (2.0 * _LN2) * expo
+        P, shift, ok = _scaled_weights(
+            logs - basis.log_laguerre[:M, None] - log_norm, cutoff)
         if ok.all() or M > basis.max_n:
             return P, shift, ok
         M = min(2 * M, basis.max_n + 1)
 
 
-def _frame_moments(xi: np.ndarray, mu: np.ndarray, basis: LambdaBasis,
-                   cutoff: int | None = None) -> list:
-    """Frame-basis reports of _frame_weights' columns (None: unsettled)."""
-    P, shift, ok = _frame_weights(xi, mu, basis, cutoff)
+def _scaled_weights(logs: np.ndarray, cutoff: int | None):
+    """(P, shift, ok) from the logs of frame weights, rows m along axis 0:
+    P = exp(logs - shift) and each column's tail test, as _frame_weights
+    documents them."""
+    peak = np.max(logs, axis=0)
+    shift = np.where(peak < _LOG_TINY, peak, 0.0)
+    P = np.exp(logs - shift)
+    M = P.shape[0]
+    m = np.arange(max(M - 8, 0), M, dtype=float)
+    total = P.sum(axis=0)
+    ok = (cutoff is not None) | (np.max((m[:, None] ** 2 + 1.0) * P[-8:], axis=0)
+          < _TAIL_TOL * np.where(shift < 0.0, total, np.minimum(1.0, total)))
+    return P, shift, ok
+
+
+def _coherent_weights(mu: np.ndarray, bases: list, cutoff: int | None) -> list:
+    """Frame weights e^{-|mu|^2} |mu+lam|^{2m} / (m! L_m) of the coherent
+    states g(0, mu)/||g||, for every mu on every basis of a column.
+
+    Each basis gets what _frame_weights would give it alone: the cutoff, or
+    its own horizon M from the same doubling rule, and the same shift and
+    tail test. Bases that share M are evaluated as one array with a
+    contiguous row of M weights per (basis, mu), so every sum runs over the
+    same M contiguous rows. Returns a list of (rows, P, shift, ok), one per
+    evaluated group: P is (M, len(rows) * len(mu)), its column j * len(mu) + k
+    holding bases[rows[j]] at mu[k]. A basis unsettled below its horizon
+    comes back in a later group at twice M; its last group holds its weights.
+    """
+    log_norm = mu.real ** 2 + mu.imag ** 2  # free of lam
+    horizon = {}
+    for i, basis in enumerate(bases):
+        horizon[i] = min(64, basis.max_n + 1) if cutoff is None else cutoff
+        basis._check(horizon[i] - 1, "cutoff")
+    groups = []
+    while horizon:
+        for M in sorted(set(horizon.values())):
+            rows = [i for i, h in horizon.items() if h == M]
+            m = np.arange(M)
+            frame = np.add.outer([bases[i].lam for i in rows], mu)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                logs = np.where(m == 0, 0.0,
+                                2.0 * m * np.log(np.abs(frame))[..., None])
+            lL = np.array([bases[i].log_laguerre[:M] for i in rows])[:, None]
+            logs = logs - log_norm[:, None] - log_factorial_table(M - 1) - lL
+            P, shift, ok = _scaled_weights(logs.reshape(-1, M).T, cutoff)
+            groups.append((rows, P, shift, ok))
+            for i, done in zip(rows, ok.reshape(len(rows), -1).all(axis=1)):
+                if done or M > bases[i].max_n:
+                    del horizon[i]
+                else:
+                    horizon[i] = min(2 * M, bases[i].max_n + 1)
+    return groups
+
+
+def _settled_reports(P: np.ndarray, shift: np.ndarray, ok: np.ndarray) -> list:
+    """Frame-basis reports of weight columns (None where unsettled)."""
     return [rep if good else None
             for rep, good in zip(_reports(P, "lambda", np.exp(shift)), ok)]
+
+
+def _coherent_moments(mu: np.ndarray, bases: list,
+                      cutoff: int | None = None) -> list:
+    """Per basis, the frame-basis report of each coherent state g(0, mu)
+    (None: unsettled), from the last _coherent_weights group holding it."""
+    out = [None] * len(bases)
+    for rows, P, shift, ok in _coherent_weights(mu, bases, cutoff):
+        reps = _settled_reports(P, shift, ok)
+        for j, i in enumerate(rows):
+            out[i] = reps[j * mu.shape[0]: (j + 1) * mu.shape[0]]
+    return out
+
+
+def _frame_moments(xi: np.ndarray, mu: np.ndarray, basis: LambdaBasis) -> list:
+    """Frame-basis reports of the exact states g(xi, mu)/||g|| on one basis
+    (None: unsettled), coherent columns through _coherent_weights."""
+    if not xi.any():
+        return _coherent_moments(mu, [basis])[0]
+    return _settled_reports(*_frame_weights(xi, mu, basis, None))
 
 
 def squeezed_moments(column, basis_tag: str = "lambda") -> list:

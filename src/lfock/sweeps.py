@@ -20,10 +20,13 @@ import numpy as np
 from .fock import LambdaBasis
 from .states import (_SQUEEZED_MAX_N, DomainError, _check_truncation,
                      lambda_squeezed)
-from .stats import (_TAIL_UNSETTLED, _frame_moments, quadrature_variances,
+from .stats import (_TAIL_UNSETTLED, _coherent_moments, quadrature_variances,
                     squeezed_moments)
 
 _FIG1_MAX_N = 4000
+# fig1 lam values per coherent weight pass: whole columns of 3-D weight
+# arrays would cost peak memory, one lam at a time Python overhead
+_FIG1_BLOCK = 25
 
 
 @dataclass
@@ -144,15 +147,18 @@ def sweep_fig1(alphas=None, lambda_range=(0.0, 5.0, 200),
         raise ValueError(f"|lambda+alpha| = {math.sqrt(max(tops)):g} needs max_n "
                          f"{max(horizons)}, beyond {_FIG1_MAX_N} (largest accepted "
                          f"|lambda+alpha| {math.sqrt(_FIG1_MAX_N - 27) - 6:.4f})")
-    for lam, horizon in zip(lams, horizons):
-        basis = LambdaBasis(lam, max(horizon, (truncation or 1) - 1))
-        reps = _frame_moments(np.zeros_like(mu), mu, basis, truncation)
-        for a, rep in zip(alphas, reps):
-            if rep is None:
-                _warn(f"fig1 lambda={lam:g} alpha={_fmt_num(a)} skipped: "
-                      f"{_TAIL_UNSETTLED}")
-            series[f"Q[alpha={_fmt_num(a)}]"].append(
-                float(rep.mandel_q) if rep is not None and rep.q_defined else None)
+    for start in range(0, len(lams), _FIG1_BLOCK):
+        block = [LambdaBasis(lam, max(horizon, (truncation or 1) - 1))
+                 for lam, horizon in zip(lams[start: start + _FIG1_BLOCK],
+                                         horizons[start: start + _FIG1_BLOCK])]
+        for basis, reps in zip(block, _coherent_moments(mu, block, truncation)):
+            for a, rep in zip(alphas, reps):
+                if rep is None:
+                    _warn(f"fig1 lambda={basis.lam:g} alpha={_fmt_num(a)} "
+                          f"skipped: {_TAIL_UNSETTLED}")
+                series[f"Q[alpha={_fmt_num(a)}]"].append(
+                    float(rep.mandel_q) if rep is not None and rep.q_defined
+                    else None)
     return SweepResult("lambda", lams, series, _metadata(
         "fig1", "lambda", lambda_range, truncation,
         alphas=[[a.real, a.imag] for a in alphas]))

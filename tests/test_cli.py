@@ -239,6 +239,18 @@ def test_cli_import_loads_no_scipy_mpmath_or_logging():
     assert done.stdout.strip() == "[]"
 
 
+def test_fig1_run_loads_no_numpy_ma(tmp_path):
+    # np.unique pulls in numpy.ma, which adds its import time and peak
+    # memory to every fig1 job
+    out = tmp_path / "fig1.csv"
+    done = _python("-c", "import sys\nfrom lfock.cli import main\n"
+                         f"code = main(['fig1', '--grid', '0:5:60', '--out', {str(out)!r}])\n"
+                         "print(code, 'numpy.ma' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0 False"
+    assert out.read_text().count("\n") == 62
+
+
 def test_cli_names_every_verify_suite():
     from lfock import cli, verify
     assert sorted(cli._VERIFY_SUITES) == sorted(verify.SUITES)

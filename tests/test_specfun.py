@@ -90,6 +90,31 @@ def test_laguerre_table_matches_mpmath_recurrence(lam):
     assert np.max(np.abs(rho - want_rho) / want_rho) <= 1e-14
 
 
+def _numpy_scalar_table(lam, n_max):
+    # the recurrence as it ran on numpy scalars read back from the arrays it
+    # fills; the Python-float loop must reproduce it bit for bit
+    x = lam * lam
+    s = np.zeros(n_max + 1)
+    log_lag = np.zeros(n_max + 1)
+    total = comp = 0.0
+    for k in range(1, n_max + 1):
+        s[k] = x if k == 1 else (x + (k - 1) * s[k - 1] / (1.0 + s[k - 1])) / k
+        y = math.log1p(s[k]) - comp
+        total, comp = total + y, ((total + y) - total) - y
+        log_lag[k] = total
+    return log_lag, 1.0 / np.sqrt(1.0 + s)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 197, 1604])
+@pytest.mark.parametrize("lam", [0.0, 1e-8, 0.3, -1.7, 5.0, 40.0, -40.0])
+def test_laguerre_table_is_bitwise_the_numpy_scalar_loop(lam, n_max):
+    log_lag, rho = _laguerre_table(lam, n_max)
+    want_log, want_rho = _numpy_scalar_table(lam, n_max)
+    assert log_lag.shape == rho.shape == (n_max + 1,)
+    assert log_lag.tobytes() == want_log.tobytes()
+    assert rho.tobytes() == want_rho.tobytes()
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 12, 30])
 @pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
 def test_laguerre_matches_scipy(n, lam):

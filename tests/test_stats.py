@@ -58,6 +58,19 @@ def test_projection_weights_match_vector_route():
             abs(np.dot(ket, psi)) ** 2, rel=1e-9, abs=1e-30)
 
 
+def test_projection_weights_past_the_horizon_name_the_index():
+    # an array reaching past max_n was refused as "cutoff 300 beyond basis
+    # horizon" while the scalar m = 300 named the index
+    basis = LambdaBasis(1.0, 256)
+    for m in (300, np.array([0, 300]), np.array([300, 2])):
+        with pytest.raises(ValueError, match="^index 300 beyond basis horizon"):
+            p_lambda(m, 1.0, basis)
+    with pytest.raises(ValueError, match="^index must be nonnegative"):
+        p_lambda(np.array([-1, 2]), 1.0, basis)
+    edge = p_lambda(np.array([0, 256]), 1.0, basis)
+    assert edge.shape == (2,) and edge[1] == p_lambda(256, 1.0, basis)
+
+
 def test_flat_coherent_state_is_poissonian():
     basis = LambdaBasis(0.0, 256)
     state = lambda_coherent(1.3, basis)

@@ -68,6 +68,31 @@ def test_fig1_at_its_largest_accepted_reach_has_no_empty_cell(argv, capsys):
     assert len(rows) == 2 and all(cell for row in rows for cell in row.split(","))
 
 
+def _cells(res) -> list:
+    # every cell as its exact bits (None stays None), one list per lam
+    return [[None if col[i] is None else float(col[i]).hex()
+             for col in res.series.values()]
+            for i in range(len(res.axis_values))]
+
+
+@pytest.mark.parametrize("alphas, grid, truncation", [
+    (None, (0.0, 5.0, 61), None),           # three blocks, horizons 64 to 256
+    ([1.0, -2.0 + 1.0j], (-3.0, 2.0, 53), None),
+    (None, (29.9, 30.0, 30), None),         # every weight below e^-600
+    (None, (0.0, 5.0, 31), 40),
+    (None, (0.0, 5.0, 31), 400),
+    ([0.0, 1.0], (-2.0, 2.0, 41), None),    # vacuum at lam = 0
+])
+def test_fig1_column_cells_are_their_one_point_cells(alphas, grid, truncation):
+    # the weights of a block of lam are evaluated together; each cell must
+    # be, bit for bit, the cell of a grid holding that lam alone
+    res = sweeps.sweep_fig1(alphas, grid, truncation)
+    for lam, row in zip(res.axis_values, _cells(res)):
+        alone = sweeps.sweep_fig1(alphas, (lam, lam, 2), truncation)
+        assert alone.axis_values == [lam, lam]
+        assert _cells(alone)[0] == row, lam
+
+
 @pytest.mark.parametrize("command", ["fig2", "fig3a", "fig3b"])
 def test_non_guard_empty_cells_are_warned_with_their_reason(command, capsys):
     # inside the guarded disk (0.95 R(4) = 0.845) the 300-term series has
