@@ -75,12 +75,12 @@ def number_moments(state) -> StatisticsReport:
 
     A plain array is read as a standard-basis vector: P(m) = |psi_m|^2 over
     its support. Anything else is read in the deformed basis,
-    P(m) = |<m|_lam psi>|^2: an exact Gaussian state takes _frame_weights,
-    and a LambdaExpansion c (or a state carrying one) takes
-    |(G c)_m|^2, since <m|_lam psi> = (E E^T c)_m. The deformed sum runs
-    until the m^2 P(m) tail drops below 1e-12 (the second moment converges
-    slower than the mean). fig1's --truncation fixes the cutoff through
-    _frame_weights instead.
+    P(m) = |<m|_lam psi>|^2: an exact Gaussian state takes _frame_weights
+    (_coherent_weights when it is coherent), and a LambdaExpansion c (or a
+    state carrying one) takes |(G c)_m|^2, since <m|_lam psi> = (E E^T c)_m.
+    The deformed sum runs until the m^2 P(m) tail drops below 1e-12 (the
+    second moment converges slower than the mean). fig1's --truncation fixes
+    the cutoff through _coherent_weights instead.
     """
     if getattr(state, "_gaussian", None) is not None:
         xi, mu, _ = np.array([state._gaussian], dtype=complex).T
@@ -130,14 +130,17 @@ def _frame_weights(xi: np.ndarray, mu: np.ndarray, basis: LambdaBasis,
     log_norm = _gaussian_log_norm(xi, mu)
     # mu + lam, exact for both families: lam(1+xi) and lam + alpha
     frame = lam * (1.0 + xi) + (mu - xi * lam)
+
+    def logs(M: int) -> np.ndarray:  # its arrays die before the exp
+        mant, expo = _gaussian_amplitudes(xi, frame, M)
+        with np.errstate(divide="ignore"):
+            out = np.log(mant.real ** 2 + mant.imag ** 2) + (2.0 * _LN2) * expo
+        return out - basis.log_laguerre[:M, None] - log_norm
+
     M = min(64, basis.max_n + 1) if cutoff is None else cutoff
     basis._check(M - 1, "cutoff")
     while True:
-        mant, expo = _gaussian_amplitudes(xi, frame, M)
-        with np.errstate(divide="ignore"):
-            logs = np.log(mant.real ** 2 + mant.imag ** 2) + (2.0 * _LN2) * expo
-        P, shift, ok = _scaled_weights(
-            logs - basis.log_laguerre[:M, None] - log_norm, cutoff)
+        P, shift, ok = _scaled_weights(logs(M), cutoff)
         if ok.all() or M > basis.max_n:
             return P, shift, ok
         M = min(2 * M, basis.max_n + 1)
