@@ -78,7 +78,7 @@ def _cells(res) -> list:
 @pytest.mark.parametrize("alphas, grid, truncation", [
     (None, (0.0, 5.0, 61), None),           # three blocks, horizons 64 to 256
     ([1.0, -2.0 + 1.0j], (-3.0, 2.0, 53), None),
-    (None, (29.9, 30.0, 30), None),         # every weight below e^-600
+    ([-30.0, 1.0], (29.9, 30.0, 30), None),  # alpha -30: weights below e^-600
     (None, (0.0, 5.0, 31), 40),
     (None, (0.0, 5.0, 31), 400),
     ([0.0, 1.0], (-2.0, 2.0, 41), None),    # vacuum at lam = 0
