@@ -109,7 +109,8 @@ def _build_parser() -> _Parser:
                     help="amplitude, repeatable (default 1, 2, -1, -2)")
     p1.add_argument("--grid", type=_parse_grid, default=(0.0, 5.0, 200),
                     metavar="MIN:MAX:STEPS", help="lambda grid (default 0:5:200)")
-    common(p1, "cap on the moment sum (default auto: to a 1e-12 tail)")
+    common(p1, "rows of the moment sum; a cell whose m^2 P(m) tail is "
+               "not below 1e-12 there is left empty (default auto)")
 
     p2 = sub.add_parser("fig2", help="quadrature variances of the squeezed "
                                      "family vs xi")

@@ -57,15 +57,15 @@ def p_lambda(m: int | np.ndarray, alpha: complex,
 
     The binomial theorem collapses the double sum over the expansion to
     e^{-|alpha|^2} |lam + alpha|^{2m} / (m! L_m), one all-positive term
-    evaluated in log space (_coherent_weights on a one-basis column).
-    Poissonian at lam = 0. m is an int (float result) or an integer array
-    (array result).
+    evaluated in log space (_frame_weights' closed form). Poissonian at
+    lam = 0. m is an int (float result) or an integer array (array result).
     """
     m = np.asarray(m)
     basis._check(int(np.min(m)))
     basis._check(int(np.max(m)))
-    [(_, P, shift, _)] = _coherent_weights(np.array([alpha], dtype=complex),
-                                           [basis], int(np.max(m)) + 1)
+    [(_, P, shift, _)] = _frame_weights(np.zeros(1, dtype=complex),
+                                        np.array([alpha], dtype=complex),
+                                        [basis], int(np.max(m)) + 1)
     P = P[m, 0] * math.exp(shift[0])
     return float(P) if P.ndim == 0 else P
 
@@ -75,16 +75,15 @@ def number_moments(state) -> StatisticsReport:
 
     A plain array is read as a standard-basis vector: P(m) = |psi_m|^2 over
     its support. Anything else is read in the deformed basis,
-    P(m) = |<m|_lam psi>|^2: an exact Gaussian state takes _frame_weights
-    (_coherent_weights when it is coherent), and a LambdaExpansion c (or a
-    state carrying one) takes |(G c)_m|^2, since <m|_lam psi> = (E E^T c)_m.
-    The deformed sum runs until the m^2 P(m) tail drops below 1e-12 (the
-    second moment converges slower than the mean). fig1's --truncation fixes
-    the cutoff through _coherent_weights instead.
+    P(m) = |<m|_lam psi>|^2: an exact Gaussian state takes _frame_weights,
+    and a LambdaExpansion c (or a state carrying one) takes |(G c)_m|^2,
+    since <m|_lam psi> = (E E^T c)_m. The deformed sum runs until the
+    m^2 P(m) tail drops below 1e-12 (the second moment converges slower than
+    the mean).
     """
     if getattr(state, "_gaussian", None) is not None:
         xi, mu, _ = np.array([state._gaussian], dtype=complex).T
-        rep = _frame_moments(xi, mu, state.basis)[0]
+        [[rep]] = _frame_moments(xi, mu, [state.basis], None)
         if rep is None:
             raise TruncationError(_TAIL_UNSETTLED)
         return rep
@@ -115,38 +114,63 @@ def number_moments(state) -> StatisticsReport:
     return _reports(P[:, None], "lambda")[0]
 
 
-def _frame_weights(xi: np.ndarray, mu: np.ndarray, basis: LambdaBasis,
-                   cutoff: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _frame_weights(xi: np.ndarray, mu: np.ndarray, bases: list,
+                   cutoff: int | None):
     """Frame weights |g_m(xi, mu+lam)|^2 / (L_m ||g(xi, mu)||^2) of the exact
-    states phase g(xi, mu)/||g||, a column per entry of the xi and mu arrays,
-    from one g_m recurrence (coherent columns take _coherent_weights). A
-    column whose weights all lie below e^-600 is divided by its largest,
-    e^shift (shift 0 elsewhere). Without a cutoff the horizon doubles from 64
-    until every column's last 8 rows pass m^2 P(m) < 1e-12 min(1, sum P),
-    relative since at large lam all weights can be tiny. Returns
-    (P, shift, ok), ok False where unsettled at the basis horizon.
-    """
-    lam = basis.lam
-    log_norm = _gaussian_log_norm(xi, mu)
-    # mu + lam, exact for both families: lam(1+xi) and lam + alpha
-    frame = lam * (1.0 + xi) + (mu - xi * lam)
+    states phase g(xi, mu)/||g||, for every (xi, mu) entry on every basis.
 
-    def logs(M: int) -> np.ndarray:  # its arrays die before the exp
-        mant, expo = _gaussian_amplitudes(xi, frame, M)
+    ln|g_m|^2 is 2m ln|lam+mu| - ln m! in closed form when every xi is 0
+    (coherent states), and comes from one g_m recurrence otherwise, which
+    takes a single basis. Each basis has its own horizon M: the cutoff, or
+    from 64 doubling up to max_n + 1 until the last 8 rows of each of its
+    columns pass m^2 P(m) < 1e-12 min(1, sum P), relative since at large lam
+    all weights can be tiny. Bases that share M are evaluated as one array
+    with a contiguous row of M weights per (basis, entry), so every sum runs
+    over the same M contiguous rows. A column whose weights all lie below
+    e^-600 is divided by its largest, e^shift (shift 0 elsewhere). Yields
+    (rows, P, shift, ok) per evaluated group: P is (M, len(rows) * len(mu)),
+    its column j * len(mu) + k holding bases[rows[j]] at entry k, and ok is
+    False where unsettled. A basis unsettled below its horizon comes back in
+    a later group at twice M; its last group holds its weights.
+    """
+    log_norm = _gaussian_log_norm(xi, mu)
+    coherent = not xi.any()
+
+    def logs(rows: list, M: int) -> np.ndarray:  # its arrays die before the exp
+        if coherent:
+            m = np.arange(M)
+            frame = np.add.outer([bases[i].lam for i in rows], mu)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = np.where(m == 0, 0.0,
+                               2.0 * m * np.log(np.abs(frame))[..., None])
+            lL = np.array([bases[i].log_laguerre[:M] for i in rows])[:, None]
+            out = out - log_norm[:, None] - log_factorial_table(M - 1) - lL
+            return out.reshape(-1, M).T
+        [i] = rows
+        lam = bases[i].lam
+        # mu + lam, exact for both families: lam(1+xi) and lam + alpha
+        mant, expo = _gaussian_amplitudes(xi, lam * (1.0 + xi) + (mu - xi * lam), M)
         with np.errstate(divide="ignore"):
             out = np.log(mant.real ** 2 + mant.imag ** 2) + (2.0 * _LN2) * expo
-        return out - basis.log_laguerre[:M, None] - log_norm
+        return out - bases[i].log_laguerre[:M, None] - log_norm
 
-    M = min(64, basis.max_n + 1) if cutoff is None else cutoff
-    basis._check(M - 1, "cutoff")
-    while True:
-        P, shift, ok = _scaled_weights(logs(M), cutoff)
-        if ok.all() or M > basis.max_n:
-            return P, shift, ok
-        M = min(2 * M, basis.max_n + 1)
+    horizon = {}
+    for i, basis in enumerate(bases):
+        horizon[i] = min(64, basis.max_n + 1) if cutoff is None else cutoff
+        basis._check(horizon[i] - 1, "cutoff")
+    while horizon:
+        for M in sorted(set(horizon.values())):
+            rows = [i for i, h in horizon.items() if h == M]
+            P, shift, ok = _scaled_weights(logs(rows, M))
+            for i, done in zip(rows, ok.reshape(len(rows), -1).all(axis=1)):
+                if done or M == cutoff or M > bases[i].max_n:
+                    del horizon[i]
+                else:
+                    horizon[i] = min(2 * M, bases[i].max_n + 1)
+            yield rows, P, shift, ok
 
 
-def _scaled_weights(logs: np.ndarray, cutoff: int | None):
+def _scaled_weights(logs: np.ndarray):
     """(P, shift, ok) from the logs of frame weights, rows m along axis 0:
     P = exp(logs - shift) and each column's tail test, as _frame_weights
     documents them."""
@@ -156,74 +180,22 @@ def _scaled_weights(logs: np.ndarray, cutoff: int | None):
     M = P.shape[0]
     m = np.arange(max(M - 8, 0), M, dtype=float)
     total = P.sum(axis=0)
-    ok = (cutoff is not None) | (np.max((m[:, None] ** 2 + 1.0) * P[-8:], axis=0)
+    ok = (np.max((m[:, None] ** 2 + 1.0) * P[-8:], axis=0)
           < _TAIL_TOL * np.where(shift < 0.0, total, np.minimum(1.0, total)))
     return P, shift, ok
 
 
-def _coherent_weights(mu: np.ndarray, bases: list, cutoff: int | None) -> list:
-    """Frame weights e^{-|mu|^2} |mu+lam|^{2m} / (m! L_m) of the coherent
-    states g(0, mu)/||g||, for every mu on every basis of a column.
-
-    Each basis gets what _frame_weights would give it alone: the cutoff, or
-    its own horizon M from the same doubling rule, and the same shift and
-    tail test. Bases that share M are evaluated as one array with a
-    contiguous row of M weights per (basis, mu), so every sum runs over the
-    same M contiguous rows. Returns a list of (rows, P, shift, ok), one per
-    evaluated group: P is (M, len(rows) * len(mu)), its column j * len(mu) + k
-    holding bases[rows[j]] at mu[k]. A basis unsettled below its horizon
-    comes back in a later group at twice M; its last group holds its weights.
-    """
-    log_norm = mu.real ** 2 + mu.imag ** 2  # free of lam
-    horizon = {}
-    for i, basis in enumerate(bases):
-        horizon[i] = min(64, basis.max_n + 1) if cutoff is None else cutoff
-        basis._check(horizon[i] - 1, "cutoff")
-    groups = []
-    while horizon:
-        for M in sorted(set(horizon.values())):
-            rows = [i for i, h in horizon.items() if h == M]
-            m = np.arange(M)
-            frame = np.add.outer([bases[i].lam for i in rows], mu)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                logs = np.where(m == 0, 0.0,
-                                2.0 * m * np.log(np.abs(frame))[..., None])
-            lL = np.array([bases[i].log_laguerre[:M] for i in rows])[:, None]
-            logs = logs - log_norm[:, None] - log_factorial_table(M - 1) - lL
-            P, shift, ok = _scaled_weights(logs.reshape(-1, M).T, cutoff)
-            groups.append((rows, P, shift, ok))
-            for i, done in zip(rows, ok.reshape(len(rows), -1).all(axis=1)):
-                if done or M > bases[i].max_n:
-                    del horizon[i]
-                else:
-                    horizon[i] = min(2 * M, bases[i].max_n + 1)
-    return groups
-
-
-def _settled_reports(P: np.ndarray, shift: np.ndarray, ok: np.ndarray) -> list:
-    """Frame-basis reports of weight columns (None where unsettled)."""
-    return [rep if good else None
-            for rep, good in zip(_reports(P, "lambda", np.exp(shift)), ok)]
-
-
-def _coherent_moments(mu: np.ndarray, bases: list,
-                      cutoff: int | None = None) -> list:
-    """Per basis, the frame-basis report of each coherent state g(0, mu)
-    (None: unsettled), from the last _coherent_weights group holding it."""
+def _frame_moments(xi: np.ndarray, mu: np.ndarray, bases: list,
+                   cutoff: int | None) -> list:
+    """Per basis, the frame-basis report of each exact state g(xi, mu)
+    (None: unsettled), from the last _frame_weights group holding it."""
     out = [None] * len(bases)
-    for rows, P, shift, ok in _coherent_weights(mu, bases, cutoff):
-        reps = _settled_reports(P, shift, ok)
+    for rows, P, shift, ok in _frame_weights(xi, mu, bases, cutoff):
+        reps = [rep if good else None for rep, good in
+                zip(_reports(P, "lambda", np.exp(shift)), ok)]
         for j, i in enumerate(rows):
             out[i] = reps[j * mu.shape[0]: (j + 1) * mu.shape[0]]
     return out
-
-
-def _frame_moments(xi: np.ndarray, mu: np.ndarray, basis: LambdaBasis) -> list:
-    """Frame-basis reports of the exact states g(xi, mu)/||g|| on one basis
-    (None: unsettled), coherent columns through _coherent_weights."""
-    if not xi.any():
-        return _coherent_moments(mu, [basis])[0]
-    return _settled_reports(*_frame_weights(xi, mu, basis, None))
 
 
 def squeezed_moments(column, basis_tag: str = "lambda") -> list:
@@ -232,10 +204,11 @@ def squeezed_moments(column, basis_tag: str = "lambda") -> list:
     A column of exact states, of either family, takes the kernel at each
     state's own (xi, mu): the closed-form <n> and Var n of g(xi, mu) in the
     standard basis (prob_sum is 1 exactly), one _frame_weights column per
-    state in the lambda frame. A column holding a truncated series takes
-    number_moments per state: the Gram route in the frame, the T-operator
-    image in the standard basis. Returns a report per state, None where the
-    tail is unsettled at the basis horizon.
+    state in the lambda frame, where the states must share one basis. A
+    column holding a truncated series takes number_moments per state: the
+    Gram route in the frame, the T-operator image in the standard basis.
+    Returns a report per state, None where the tail is unsettled at the basis
+    horizon.
     """
     if not column:
         return []
@@ -256,7 +229,12 @@ def squeezed_moments(column, basis_tag: str = "lambda") -> list:
                                  float(v / m - 1.0) if m > 0 else math.nan,
                                  1.0, "standard", bool(m > 0))
                 for m, v in zip(mean, var)]
-    return _frame_moments(xi, mu, column[0].basis)
+    basis = column[0].basis
+    for st in column:
+        if (st.basis.lam, st.basis.max_n) != (basis.lam, basis.max_n):
+            raise ValueError(f"exact states on {basis!r} and {st.basis!r} "
+                             "share no basis; measure one column per basis")
+    return _frame_moments(xi, mu, [basis], None)[0]
 
 
 def _reports(P: np.ndarray, tag: str, scale=None) -> list:

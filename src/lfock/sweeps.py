@@ -20,7 +20,7 @@ import numpy as np
 from .fock import LambdaBasis
 from .states import (_SQUEEZED_MAX_N, DomainError, _check_truncation,
                      lambda_squeezed)
-from .stats import (_TAIL_UNSETTLED, _coherent_moments, quadrature_variances,
+from .stats import (_TAIL_UNSETTLED, _frame_moments, quadrature_variances,
                     squeezed_moments)
 
 _FIG1_MAX_N = 4000
@@ -136,8 +136,10 @@ def sweep_fig1(alphas=None, lambda_range=(0.0, 5.0, 200),
     lams = _axis(lambda_range)
     series: dict[str, list] = {f"Q[alpha={_fmt_num(a)}]": [] for a in alphas}
     mu = np.array(alphas, dtype=complex)  # the coherent state is g(0, alpha)
+    unsettled = _TAIL_UNSETTLED
     if truncation is not None:
         _check_truncation(truncation, _FIG1_MAX_N + 1)
+        unsettled = f"m^2 P(m) tail not below 1e-12 at the truncation {truncation}"
     # the weights peak below |lam+alpha|^2 (they rise only while |lam+alpha|^2
     # rho_m^2 >= m, rho_m <= 1); each basis adds a tail margin, max_n
     # int((x + 6)^2 - 36) + 64 at x = |lam+alpha|, and covers a truncation
@@ -151,11 +153,12 @@ def sweep_fig1(alphas=None, lambda_range=(0.0, 5.0, 200),
         block = [LambdaBasis(lam, max(horizon, (truncation or 1) - 1))
                  for lam, horizon in zip(lams[start: start + _FIG1_BLOCK],
                                          horizons[start: start + _FIG1_BLOCK])]
-        for basis, reps in zip(block, _coherent_moments(mu, block, truncation)):
+        for basis, reps in zip(block, _frame_moments(np.zeros_like(mu), mu,
+                                                     block, truncation)):
             for a, rep in zip(alphas, reps):
                 if rep is None:
                     _warn(f"fig1 lambda={basis.lam:g} alpha={_fmt_num(a)} "
-                          f"skipped: {_TAIL_UNSETTLED}")
+                          f"skipped: {unsettled}")
                 series[f"Q[alpha={_fmt_num(a)}]"].append(
                     float(rep.mandel_q) if rep is not None and rep.q_defined
                     else None)

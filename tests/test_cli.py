@@ -336,6 +336,33 @@ def test_fig1_truncation_past_the_default_horizon_runs(capsys):
         assert capsys.readouterr().out.splitlines()[1:] == auto
 
 
+def test_fig1_truncation_short_of_the_tail_leaves_cells_empty(capsys):
+    # a cap that cuts the m^2 P(m) tail printed the capped sums with no
+    # warning (at one row, empty cells with no warning); each such cell is
+    # empty now, warned about with the truncation it fell short at
+    assert main(["fig1", "--truncation", "1", "--alpha", "1",
+                 "--grid", "0:1:3"]) == 0
+    out, err = capsys.readouterr()
+    assert [row.split(",")[1] for row in out.splitlines()[2:]] == [""] * 3
+    assert err.splitlines() == [
+        f"lfock: warning: fig1 lambda={lam} alpha=1 skipped: m^2 P(m) tail "
+        "not below 1e-12 at the truncation 1" for lam in ("0", "0.5", "1")]
+    assert main(["fig1", "--grid", "0:5:41"]) == 0
+    auto = [row.split(",") for row in capsys.readouterr().out.splitlines()[2:]]
+    assert main(["fig1", "--truncation", "40", "--grid", "0:5:41"]) == 0
+    out, err = capsys.readouterr()
+    capped = [row.split(",") for row in out.splitlines()[2:]]
+    empty = [(i, j) for i, row in enumerate(capped)
+             for j, cell in enumerate(row) if auto[i][j] and not cell]
+    assert 0 < len(empty) == len(err.splitlines())
+    for (i, j), line in zip(empty, err.splitlines()):
+        assert line.startswith(f"lfock: warning: fig1 lambda={float(auto[i][0]):g} ")
+        assert line.endswith("tail not below 1e-12 at the truncation 40")
+    kept = [(float(cell), float(ref)) for row, want in zip(capped, auto)
+            for cell, ref in zip(row[1:], want[1:]) if cell]
+    assert all(abs(got - ref) <= 1e-12 * max(1.0, abs(ref)) for got, ref in kept)
+
+
 @pytest.mark.parametrize("argv, n, largest", [
     (["fig1", "--truncation", "4002", "--grid", "0:1:2"], 4002, 4001),
     (["fig3a", "--truncation", "900"], 900, 803),

@@ -111,7 +111,8 @@ def test_frame_weights_and_frame_q(lam, xi):
         assert abs(rep.mandel_q - want_q) <= 1e-12 * max(1.0, abs(want_q))
         assert _rel(rep.prob_sum, mpmath.fsum(P)) <= 1e-12
         K = min(M, basis.max_n + 1)
-        got, _, _ = _frame_weights(np.array([complex(xi)]), np.array([xi * lam]), basis, K)
+        [(_, got, _, _)] = _frame_weights(np.array([complex(xi)]),
+                                          np.array([xi * lam]), [basis], K)
         for m in range(K):
             if P[m] > mpmath.mpf(10) ** -250:
                 assert _rel(got[m, 0], P[m]) <= 1e-12, m

@@ -1,6 +1,7 @@
 """Photon statistics: deformed-projection distribution, Mandel Q, quadratures."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -9,8 +10,8 @@ from scipy.stats import poisson
 
 from lfock.fock import LambdaBasis, LambdaExpansion, lambda_ket
 from lfock.specfun import laguerre0_log
-from lfock.states import (DomainError, lambda_coherent, lambda_squeezed,
-                          squeezed_vacuum)
+from lfock.states import (_SQUEEZED_MAX_N, DomainError, lambda_coherent,
+                          lambda_squeezed, squeezed_vacuum)
 from lfock.stats import (QuadratureReport, StatisticsReport, _frame_weights,
                          number_moments, p_lambda, quadrature_variances,
                          squeezed_moments)
@@ -276,7 +277,7 @@ def test_frame_weights_match_row_dot_oracle(lam, xi):
     psi = state.to_standard(M)
     P = np.array([abs(lambda_ket(m, basis, M) @ psi) ** 2 for m in range(M)])
     gxi, gmu, _ = np.array([state._gaussian], dtype=complex).T
-    weights, shift, _ = _frame_weights(gxi, gmu, basis, M)
+    [(_, weights, shift, _)] = _frame_weights(gxi, gmu, [basis], M)
     got = weights[:, 0] * math.exp(shift[0])
     assert np.all(np.abs(got - P) <= 1e-12 * np.maximum(1.0, P))
     m = np.arange(M, dtype=float)
@@ -305,6 +306,42 @@ def test_squeezed_moments_reads_coherent_columns():
     standard = squeezed_moments([state], "standard")[0]
     assert standard.basis_tag == "standard" and standard.prob_sum == 1.0
     assert abs(standard.mandel_q) <= 1e-15
+
+
+@pytest.mark.parametrize("make, z, lams", [
+    (lambda_squeezed, 0.3, (1.0, 2.0)),
+    (lambda_coherent, 1.0, (1.0, 3.0)),
+])
+def test_squeezed_moments_refuses_exact_states_on_two_bases(make, z, lams):
+    # every state's weights were read on the first state's basis: Q -5.126
+    # for the squeezed state at lam 2 (its own -15.00), -6.087 for the
+    # coherent one at lam 3 (its own -29.21)
+    column = [make(z, LambdaBasis(lam, _SQUEEZED_MAX_N)) for lam in lams]
+    with pytest.raises(ValueError, match=rf"lam={lams[0]}.* and .*lam={lams[1]}"):
+        squeezed_moments(column)
+    # standard-basis moments do not read the basis
+    assert len(squeezed_moments(column, "standard")) == 2
+
+
+def test_squeezed_column_moments_peak_memory():
+    # the default xi grid at lam 1.5 (140 states inside the guard) peaks at
+    # 9.0 MB (numpy 2.4, x86-64); a weight loop that kept each horizon's
+    # log array alive into the next read 9.6 MB
+    basis = LambdaBasis(1.5, _SQUEEZED_MAX_N)
+    column = []
+    for xi in np.linspace(0.02, 0.9, 150):
+        try:
+            column.append(lambda_squeezed(complex(xi), basis))
+        except DomainError:
+            pass
+    assert len(column) == 140
+    tracemalloc.start()
+    try:
+        squeezed_moments(column)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9.3e6, peak
 
 
 def test_fig1_cell_with_underflowing_weights_matches_mpmath(capsys):

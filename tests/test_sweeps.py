@@ -7,8 +7,8 @@ import pytest
 from lfock import sweeps
 from lfock.cli import main
 from lfock.fock import DomainError, LambdaBasis
-from lfock.states import lambda_squeezed
-from lfock.stats import _TAIL_UNSETTLED
+from lfock.states import lambda_coherent, lambda_squeezed
+from lfock.stats import _TAIL_UNSETTLED, number_moments, squeezed_moments
 
 
 def _basis_sizes(monkeypatch) -> list:
@@ -91,6 +91,27 @@ def test_fig1_column_cells_are_their_one_point_cells(alphas, grid, truncation):
         alone = sweeps.sweep_fig1(alphas, (lam, lam, 2), truncation)
         assert alone.axis_values == [lam, lam]
         assert _cells(alone)[0] == row, lam
+
+
+def test_fig1_cells_are_the_library_moments_of_their_states(monkeypatch):
+    # fig1, number_moments and squeezed_moments share one frame-weight
+    # route: each cell is, bit for bit, the Q of its state on the basis fig1
+    # built, measured alone or in the column of every alpha
+    bases = []
+
+    def spy(lam, max_n):
+        bases.append(LambdaBasis(lam, max_n))
+        return bases[-1]
+
+    monkeypatch.setattr(sweeps, "LambdaBasis", spy)
+    alphas = [1.0, -2.0 + 1.0j, 0.5j]
+    res = sweeps.sweep_fig1(alphas, (0.0, 5.0, 41))
+    assert [b.lam for b in bases] == res.axis_values  # 41 x 3 = 123 cells
+    for i, basis in enumerate(bases):
+        column = [lambda_coherent(a, basis) for a in alphas]
+        for a, st, rep in zip(alphas, column, squeezed_moments(column)):
+            got = res.series[f"Q[alpha={sweeps._fmt_num(a)}]"][i]
+            assert got == number_moments(st).mandel_q == rep.mandel_q, (i, a)
 
 
 @pytest.mark.parametrize("command", ["fig2", "fig3a", "fig3b"])

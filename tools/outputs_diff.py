@@ -1,0 +1,83 @@
+"""Compare what two lfock source trees print, command by command.
+
+    python3 tools/outputs_diff.py PARENT_SRC CHANGE_SRC
+
+PARENT_SRC and CHANGE_SRC are `src` directories (each holding `lfock/`). The
+commands are every job of the three benchmark workloads (bench/workloads.py)
+at seeds 1-10 and 101-110, each distinct command line once, plus the fixed
+edge list EDGES. Each command runs once per tree, in a fresh interpreter with
+BLAS pinned to one thread as bench/run.py pins it, from an empty temporary
+directory. Prints every command whose stdout, stderr or exit code differs,
+then a count; exits 1 if any differ, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "bench"))
+from run import BLAS_PIN, CLI  # noqa: E402
+from workloads import WORKLOADS, jobs_for  # noqa: E402
+
+SEEDS = tuple(range(1, 11)) + tuple(range(101, 111))
+EDGES = (
+    ("fig1",), ("fig2",), ("fig3a",), ("fig3b",), ("verify", "all"),
+    ("fig1", "--alpha=-30", "--grid=29.9:30:5"),
+    ("fig1", "--alpha=0", "--grid=-1:1:5"),
+    ("fig1", "--alpha=57.0317", "--grid=0:0:2"),
+    ("fig1", "--alpha=57.0318", "--grid=0:0:2"),
+    ("fig1", "--truncation=1"), ("fig1", "--truncation=2"),
+    ("fig1", "--truncation=5"), ("fig1", "--truncation=40"),
+    ("fig1", "--truncation=100"), ("fig1", "--truncation=400"),
+    ("fig1", "--truncation=4001"),
+    ("fig3a", "--lambda=0"), ("fig3a", "--lambda=-1.5"),
+    ("fig3a", "--lambda=50"), ("fig3a", "--truncation=40"),
+)
+
+
+def commands() -> list[tuple[str, ...]]:
+    """Workload jobs in seed order, then EDGES, each command line once."""
+    jobs = [job.args for workload in WORKLOADS for seed in SEEDS
+            for job in jobs_for(workload, seed)]
+    return list(dict.fromkeys(jobs + list(EDGES)))
+
+
+def run(src: str, args: tuple[str, ...], cwd: str) -> tuple:
+    proc = subprocess.run([sys.executable, "-c", CLI, *args],
+                          stdin=subprocess.DEVNULL, capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src, **BLAS_PIN),
+                          cwd=cwd)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python3 tools/outputs_diff.py PARENT_SRC CHANGE_SRC",
+              file=sys.stderr)
+        return 2
+    srcs = [os.path.abspath(src) for src in argv]
+    differ = 0
+    todo = commands()
+    with tempfile.TemporaryDirectory() as cwd, ThreadPoolExecutor(2) as pool:
+        for args in todo:
+            (code0, out0, err0), (code1, out1, err1) = pool.map(
+                lambda src: run(src, args, cwd), srcs)
+            what = [name for name, same in (("stdout", out0 == out1),
+                                            ("stderr", err0 == err1),
+                                            ("exit code", code0 == code1))
+                    if not same]
+            if what:
+                differ += 1
+                print(f"lfock {' '.join(args)}: {', '.join(what)} differ "
+                      f"(exit {code0} -> {code1})", flush=True)
+    print(f"{differ} of {len(todo)} commands differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
