@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 usage or parameter error, 2 verification failure,
 3 numerical domain error (series outside its convergence domain, or a
 tolerance unreachable within the basis horizon).
+
+Arguments are parsed and checked before numpy or any numerical module is
+loaded; each command then imports only what it runs (sweeps for a figure,
+fock plus states or families for a state dump, verify for the suites), so a
+usage error or --help costs the interpreter and argparse alone.
 """
 
 from __future__ import annotations
@@ -11,12 +16,12 @@ import argparse
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # annotations only; both load after parsing
+    import numpy as np
 
-from . import families, fock, states, sweeps
-from .fock import (DomainError, LambdaBasis, LambdaExpansion, TruncationError,
-                   _ladder)
+    from .fock import LambdaExpansion
 
 # The names of verify.SUITES: the verify module is imported only by the verify
 # command, so no other command pays for compiling it at start-up
@@ -156,9 +161,12 @@ def _build_parser() -> _Parser:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _pair(z: complex) -> list[float]:
@@ -166,22 +174,31 @@ def _pair(z: complex) -> list[float]:
 
 
 def _residual(w: np.ndarray, v: np.ndarray) -> float:
+    import numpy as np
     return float(np.linalg.norm(w)) / float(np.linalg.norm(v))
 
 
 def _norm_gram(expansion: LambdaExpansion) -> dict:
     """{"norm_gram": sqrt(c^H G c)}, or {} with a warning where that form
     cancels past 1e-12; the standard column does not depend on it."""
+    from .fock import _cancels, _warn
     norm, kappa = expansion.norm_and_condition()
-    if fock._cancels(kappa):
-        sweeps._warn(f"norm_gram omitted: the Gram form cancels over the "
-                     f"series (condition number {kappa:.3g})")
+    if _cancels(kappa):
+        _warn(f"norm_gram omitted: the Gram form cancels over the "
+              f"series (condition number {kappa:.3g})")
         return {}
     return {"norm_gram": norm}
 
 
 def _state_payload(args) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Build the requested state; return (metadata, standard, lambda) columns."""
+    """Build the requested state; return (metadata, standard, lambda) columns.
+
+    lambda_ket needs fock alone; lambda_cs, lambda_ss and squeezed_vacuum
+    also load states, and f1, f2 and canonical load families."""
+    import numpy as np
+
+    from . import fock
+    from .fock import LambdaBasis, LambdaExpansion, _ladder
     kind = args.kind
     lam = float(args.lam)
     trunc = args.truncation
@@ -197,6 +214,7 @@ def _state_payload(args) -> tuple[dict, np.ndarray, np.ndarray]:
                     residual=_residual(_ladder(_ladder(std), lam) - n * std, std),
                     **_norm_gram(LambdaExpansion(basis, lamc)))
     elif kind == "lambda_cs":
+        from . import states
         alpha = complex(args.alpha)
         st = states.lambda_coherent(alpha, LambdaBasis(lam, states._HARD_CAP), trunc)
         std = st.to_standard()
@@ -205,6 +223,7 @@ def _state_payload(args) -> tuple[dict, np.ndarray, np.ndarray]:
                     residual=_residual(_ladder(std) - alpha * std, std),
                     **_norm_gram(st.expansion))
     elif kind == "lambda_ss":
+        from . import states
         xi = complex(args.xi)
         st = states.lambda_squeezed(xi, LambdaBasis(lam, states._SQUEEZED_MAX_N),
                                     trunc)
@@ -216,6 +235,7 @@ def _state_payload(args) -> tuple[dict, np.ndarray, np.ndarray]:
                     norm_constant=st.norm_constant,
                     **_norm_gram(st.expansion))
     elif kind == "squeezed_vacuum":
+        from . import states
         xi = complex(args.xi)
         std = states.squeezed_vacuum(xi, trunc)
         lamc = fock.to_lambda(std, LambdaBasis(lam, max(std.shape[0], 2)))
@@ -223,6 +243,7 @@ def _state_payload(args) -> tuple[dict, np.ndarray, np.ndarray]:
         meta.update(xi=_pair(xi), residual_kind="squeezing_kernel",
                     residual=_residual(_ladder(v) - xi * _ladder(v, 0.0), v))
     else:  # appendix families: f1, f2, canonical
+        from . import families
         alpha = complex(args.alpha)
         fam = families.nonlinear_cs(kind, alpha, trunc)
         std = np.asarray(fam.coeffs, dtype=complex)
@@ -278,21 +299,20 @@ def _cmd_verify(args) -> int:
 
 
 def _dispatch(args) -> int:
+    if args.command == "state":
+        meta, std, lamc = _state_payload(args)
+        _emit(_state_text(meta, std, lamc, args.format), args.out)
+        return 0
+    if args.command == "verify":
+        return _cmd_verify(args)
+    from . import sweeps
     if args.command == "fig1":
         res = sweeps.sweep_fig1(args.alphas, args.grid, args.truncation)
     elif args.command == "fig2":
         res = sweeps.sweep_fig2(args.lambdas, args.grid, args.truncation)
-    elif args.command in ("fig3a", "fig3b"):
+    else:  # fig3a, fig3b: argparse admits no other command
         basis_tag = "lambda" if args.command == "fig3a" else "standard"
         res = sweeps.sweep_fig3(basis_tag, args.lambdas, args.grid, args.truncation)
-    elif args.command == "state":
-        meta, std, lamc = _state_payload(args)
-        _emit(_state_text(meta, std, lamc, args.format), args.out)
-        return 0
-    elif args.command == "verify":
-        return _cmd_verify(args)
-    else:  # unreachable behind argparse choices
-        raise ValueError(f"unknown command {args.command!r}")
     _emit(res.to_csv() if args.format == "csv" else res.to_json(), args.out)
     return 0
 
@@ -306,6 +326,7 @@ def main(argv: list[str] | None = None) -> int:
         if code is None:
             return 0
         return code if isinstance(code, int) else 1
+    from .fock import DomainError, TruncationError
     try:
         return _dispatch(args)
     except DomainError as exc:

@@ -21,6 +21,7 @@ a raising scalar times one overlap.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,20 @@ class DomainError(ValueError):
 
 class TruncationError(RuntimeError):
     """A tolerance that the truncation or the basis horizon cannot reach."""
+
+
+def _check_truncation(n: int, largest: int) -> None:
+    """Refuse an explicit truncation outside 1..largest, naming both."""
+    if n < 1:
+        raise ValueError("truncation must be positive")
+    if n > largest:
+        raise ValueError(f"truncation {n} beyond the basis horizon "
+                         f"(largest accepted {largest})")
+
+
+def _warn(message: str) -> None:
+    """The one `lfock: warning:` line, for the sweeps and the state dumps."""
+    print(f"lfock: warning: {message}", file=sys.stderr)
 
 
 class LambdaBasis:

@@ -28,21 +28,12 @@ from functools import cached_property
 import numpy as np
 
 from .fock import (DomainError, LambdaBasis, LambdaExpansion, TruncationError,
-                   _cancels, _gaussian_amplitudes, _gaussian_log_norm,
-                   _gram_rows, _matvec, _phased_exp, gram)
+                   _cancels, _check_truncation, _gaussian_amplitudes,
+                   _gaussian_log_norm, _gram_rows, _matvec, _phased_exp, gram)
 from .specfun import log_factorial_table, logsumexp_positive
 
 _LN2 = math.log(2.0)
 _HARD_CAP = 512
-
-
-def _check_truncation(n: int, largest: int) -> None:
-    """Refuse an explicit truncation outside 1..largest, naming both."""
-    if n < 1:
-        raise ValueError("truncation must be positive")
-    if n > largest:
-        raise ValueError(f"truncation {n} beyond the basis horizon "
-                         f"(largest accepted {largest})")
 
 
 class _Family:

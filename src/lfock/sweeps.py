@@ -12,14 +12,11 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import LambdaBasis
-from .states import (_SQUEEZED_MAX_N, DomainError, _check_truncation,
-                     lambda_squeezed)
+from .fock import DomainError, LambdaBasis, _check_truncation, _warn
 from .stats import (_TAIL_UNSETTLED, _frame_moments, quadrature_variances,
                     squeezed_moments)
 
@@ -77,10 +74,6 @@ def _fmt_num(z: complex) -> str:
     return f"{z.real:g}{z.imag:+g}j"
 
 
-def _warn(message: str) -> None:
-    print(f"lfock: warning: {message}", file=sys.stderr)
-
-
 def _metadata(command: str, basis: str, grid, truncation, **axes) -> dict:
     return {"command": command, "basis": basis, **axes,
             "grid": [grid[0], grid[1], int(grid[2])],
@@ -95,6 +88,8 @@ def _squeezed_sweep(command: str, basis_tag: str, names: tuple, lambdas,
     cells (a tuple in the order of names) or, as a string, why it has none.
     Guard refusals are counted per column, every other empty cell is warned
     about with its reason. vacuum False skips xi = 0 (Mandel Q undefined)."""
+    # states and its guard scan load here, so fig1 never compiles them
+    from .states import _SQUEEZED_MAX_N, lambda_squeezed
     lambdas = [float(g) for g in lambdas]
     xis = _axis(xi_range)
     series: dict[str, list] = {}

@@ -1,8 +1,11 @@
 """Command-line contract: exit codes, serialization, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -10,6 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lfock.cli import _STATE_KINDS, _build_parser, main
 from lfock.operators import build_ladders, eigen_residual
@@ -139,6 +143,74 @@ def test_normalization_overflow_is_a_domain_error(capsys):
     assert "overflows" in capsys.readouterr().err
 
 
+def _is_finite_number(text: str) -> bool:
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+# one number's text that is not a finite float: non-finite, overflowing,
+# empty or malformed, and never holding the ',' or ':' separators
+_BAD_PART = st.one_of(
+    st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "+Infinity", "1e999",
+                     "-1e999", "", " ", "one", "1..5", "0x10", "1e", "--1"]),
+    st.text("0123456789.eE+-naif ", max_size=8).filter(
+        lambda t: not _is_finite_number(t)))
+_BAD_FLOAT = _BAD_PART | st.builds("{},{}".format, _FINITE, _FINITE)
+_BAD_COMPLEX = st.one_of(
+    _BAD_PART,
+    st.builds("{},{}".format, _FINITE, _BAD_PART),
+    st.builds("{},{}".format, _BAD_PART, _FINITE),
+    st.builds("{},{},{}".format, _FINITE, _FINITE, _FINITE),
+    st.sampled_from([",", "1,", ",1", "1,,2", "1,2,"]))
+# every float repr holds '.', 'e', 'inf' or 'nan', so none parses as an int
+_NON_INT = st.sampled_from(["", " ", "2.5", "1e3", "x", "0x10", "auto1"]) \
+    | st.floats().map(repr)
+_STEPS = st.integers(2, 10**6).map(str)
+_BAD_GRID = st.one_of(
+    st.builds("{}:{}:{}".format, _BAD_PART, _FINITE, _STEPS),
+    st.builds("{}:{}:{}".format, _FINITE, _BAD_PART, _STEPS),
+    st.builds("{}:{}:{}".format, _FINITE, _FINITE, _NON_INT),
+    st.builds("{}:{}:{}".format, _FINITE, _FINITE,
+              st.integers(max_value=1).map(str)),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2,
+             max_size=2, unique=True).map(sorted).filter(
+        lambda p: p[0] < p[1]).map(lambda p: f"{p[1]!r}:{p[0]!r}:5"),
+    st.sampled_from(["", "0:1", "0:1:2:3", "::", "0,1,5"]))
+
+
+def _with(commands: list, option: str, values) -> st.SearchStrategy:
+    return st.builds(lambda command, value: [*command, f"{option}={value}"],
+                     st.sampled_from(commands), values)
+
+
+_BAD_ARGV = st.one_of(
+    _with([["state", "lambda_ket"], ["state", "lambda_ss"], ["fig2"], ["fig3a"]],
+          "--lambda", _BAD_FLOAT),
+    _with([["fig1"], ["state", "lambda_cs"], ["state", "f2"]], "--alpha",
+          _BAD_COMPLEX),
+    _with([["state", "lambda_ss"], ["state", "squeezed_vacuum"]], "--xi",
+          _BAD_COMPLEX),
+    _with([["fig1"], ["fig2"], ["fig3a"], ["fig3b"]], "--grid", _BAD_GRID),
+    _with([["fig1"], ["fig3b"], ["state", "lambda_cs"]], "--truncation",
+          _NON_INT | st.integers(max_value=0).map(str)),
+    _with([["state", "lambda_ket"]], "--index", _NON_INT))
+
+
+@given(_BAD_ARGV)
+@settings(max_examples=200, deadline=None)
+def test_malformed_arguments_are_usage_errors(argv):
+    # every option value is given as --option=VALUE, so a leading '-' stays
+    # the value; each case is refused while parsing, before any numerics
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(argv) == 1
+    assert "Traceback" not in err.getvalue()
+    assert re.match(r"lfock( \w+)?: error: ", err.getvalue().splitlines()[-1])
+
+
 def _python(*args: str) -> subprocess.CompletedProcess:
     """A fresh interpreter with this checkout's src/ first on the path."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -249,6 +321,51 @@ def test_fig1_run_loads_no_numpy_ma(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "0 False"
     assert out.read_text().count("\n") == 62
+
+
+_ORACLES = ("lfock.verify", "lfock.operators")
+
+
+@pytest.mark.parametrize("runs, code, absent", [
+    ([], 0, ("numpy",)),
+    ([["--help"]], 0, ("numpy",)),
+    ([["state", "lambda_ss", "--lambda", "nan"]], 1, ("numpy",)),
+    ([["state", "lambda_ket", "-n", "2"]], 0,
+     ("lfock.states", "lfock.stats", "lfock.sweeps", "lfock.families", *_ORACLES)),
+    ([["state", "f1"]], 0,
+     ("lfock.states", "lfock.stats", "lfock.sweeps", *_ORACLES)),
+    ([["fig1", "--grid", "0:1:3"]], 0,
+     ("lfock.states", "lfock.families", *_ORACLES)),
+    ([[fig, "--grid", "0.1:0.3:2"] for fig in ("fig2", "fig3a", "fig3b")]
+     + [["state", kind] for kind in _STATE_KINDS], 0, _ORACLES),
+], ids=["import", "help", "usage-error", "lambda_ket", "f1", "fig1",
+        "every-figure-and-dump"])
+def test_each_command_loads_only_the_modules_it_runs(runs, code, absent):
+    # arguments are parsed before numpy loads, and each command then imports
+    # only its own layers; a fresh interpreter per case, as each job runs
+    done = _python("-c", "import contextlib, io, json, sys\n"
+                         "from lfock.cli import main\n"
+                         "codes = []\n"
+                         f"for argv in {runs!r}:\n"
+                         "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+                         "            contextlib.redirect_stderr(io.StringIO()):\n"
+                         "        codes.append(main(argv))\n"
+                         f"print(json.dumps([codes, [m for m in {absent!r}"
+                         " if m in sys.modules]]))")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[code] * len(runs), []]
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig1", "--grid", "0:1:3"],
+    ["state", "lambda_ket", "-n", "2"],
+])
+def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
+    # the open() of a path under a missing directory raised a traceback
+    path = tmp_path / "missing" / "x.csv"
+    assert main([*argv, "--out", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        f"lfock: error: cannot write {path}: No such file or directory\n"
 
 
 def test_cli_names_every_verify_suite():

@@ -285,6 +285,35 @@ def test_gram_and_norm_read_one_triangle_of_the_recurrence(lam):
     assert kappa == pytest.approx(np.abs(c) @ np.abs(G) @ np.abs(c) / form, rel=1e-13)
 
 
+_GRAM_ENTRIES = ((0, 0), (0, 9), (4, 31), (60, 61), (333, 340), (800, 830),
+                 (1000, 1100), (1599, 1600), (1600, 1600))
+
+
+@pytest.mark.parametrize("lam", [-1.3, 3.0, 20.0, 50.0])
+def test_gram_rows_match_mpmath_overlap_sum(lam):
+    # <m|n>_lam = sqrt(m! n! / (L_m L_n)) sum_j lam^(m+n-2j) / (j! (m-j)! (n-j)!)
+    # at 50 digits, its terms by the ratio (m-j)(n-j) / ((j+1) lam^2) and
+    # L_n(-lam^2) by the three-term recurrence, on entries up to (1600, 1600)
+    wanted = {m for m, _ in _GRAM_ENTRIES}
+    rows = {m: row for m, row in enumerate(_gram_rows(LambdaBasis(lam, 1600), 1601))
+            if m in wanted}
+    with mpmath.workdps(50):
+        x = mpmath.mpf(lam) ** 2
+        lag = [mpmath.mpf(1), 1 + x]
+        for k in range(1, 1600):
+            lag.append(((2 * k + 1 + x) * lag[k] - k * lag[k - 1]) / (k + 1))
+        for m, n in _GRAM_ENTRIES:
+            term = mpmath.mpf(lam) ** (m + n) \
+                / (mpmath.factorial(m) * mpmath.factorial(n))
+            total = term
+            for j in range(m):
+                term *= mpmath.mpf((m - j) * (n - j)) / ((j + 1) * x)
+                total += term
+            want = total * mpmath.sqrt(mpmath.factorial(m) * mpmath.factorial(n)
+                                       / (lag[m] * lag[n]))
+            assert abs(rows[m][n - m] - float(want)) <= 2e-13, (m, n)
+
+
 def _to_lambda_mpmath(v, lam, dps=60):
     # c_n = sqrt(L_n / n!) sum_k (-lam)^k / k! sqrt((n+k)!) v_{n+k}, the
     # entries of diag(sqrt L) e^{-lam a} summed at dps digits; L_n(-lam^2)

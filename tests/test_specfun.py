@@ -66,7 +66,7 @@ def test_laguerre_matches_three_term_recurrence(lam):
         prev, cur = cur, ((2 * n + 1 - x) * cur - n * prev) / (n + 1)
 
 
-@pytest.mark.parametrize("lam", [1e-8, 0.3, 1.0, 5.0, 40.0])
+@pytest.mark.parametrize("lam", [1e-8, 0.3, 1.0, 5.0, 40.0, 50.0])
 def test_laguerre_table_matches_mpmath_recurrence(lam):
     # the O(N) table over the whole sweep horizon against the three-term
     # recurrence carried at 40 digits: L_n and rho_n = sqrt(L_{n-1}/L_n) to

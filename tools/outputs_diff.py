@@ -37,6 +37,11 @@ EDGES = (
     ("fig1", "--truncation=4001"),
     ("fig3a", "--lambda=0"), ("fig3a", "--lambda=-1.5"),
     ("fig3a", "--lambda=50"), ("fig3a", "--truncation=40"),
+    ("--help",), ("fig1", "--help"),
+    ("state", "lambda_ss", "--lambda", "nan"),
+    ("state", "lambda_ket", "-n", "2", "--lambda", "inf"),
+    ("fig2", "--grid", "0:1:1"), ("verify", "nosuch"),
+    ("fig1", "--grid", "0:1:3", "--out", "/nonexistent/x.csv"),
 )
 
 
