@@ -6,8 +6,8 @@ tolerance unreachable within the basis horizon).
 
 Arguments are parsed and checked before numpy or any numerical module is
 loaded; each command then imports only what it runs (sweeps for a figure,
-fock plus states or families for a state dump, verify for the suites), so a
-usage error or --help costs the interpreter and argparse alone.
+fock plus states or families for a state dump, verify for the suites), so
+--help and a malformed argument cost the interpreter and argparse alone.
 """
 
 from __future__ import annotations
