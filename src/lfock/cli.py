@@ -117,25 +117,23 @@ def _build_parser() -> _Parser:
     common(p1, "rows of the moment sum; a cell whose m^2 P(m) tail is "
                "not below 1e-12 there is left empty (default auto)")
 
-    p2 = sub.add_parser("fig2", help="quadrature variances of the squeezed "
-                                     "family vs xi")
-    p2.add_argument("--lambda", action="append", type=_parse_float,
-                    dest="lambdas", metavar="LAM",
-                    help="deformation, repeatable (default 0.5, 1, 2, 3)")
-    p2.add_argument("--grid", type=_parse_grid, default=(0.02, 0.9, 150),
-                    metavar="MIN:MAX:STEPS", help="xi grid (default 0.02:0.9:150)")
-    common(p2)
-
-    for name, basis_tag in (("fig3a", "lambda"), ("fig3b", "standard")):
-        p3 = sub.add_parser(name, help=f"Mandel Q of the squeezed family vs xi, "
-                                       f"{basis_tag} basis")
-        p3.add_argument("--lambda", action="append", type=_parse_float,
-                        dest="lambdas", metavar="LAM",
-                        help="deformation, repeatable (default 0.5, 1, 2)")
-        p3.add_argument("--grid", type=_parse_grid, default=(0.02, 0.9, 150),
-                        metavar="MIN:MAX:STEPS",
-                        help="xi grid (default 0.02:0.9:150)")
-        common(p3)
+    # the squeezed figures: name, basis tag of the Mandel Q (None for fig2;
+    # _dispatch reads it as args.basis), help, default lambdas
+    for name, basis_tag, what, lambdas in (
+            ("fig2", None, "quadrature variances of the squeezed family vs xi",
+             "0.5, 1, 2, 3"),
+            ("fig3a", "lambda", "Mandel Q of the squeezed family vs xi, "
+                                "lambda basis", "0.5, 1, 2"),
+            ("fig3b", "standard", "Mandel Q of the squeezed family vs xi, "
+                                  "standard basis", "0.5, 1, 2")):
+        p = sub.add_parser(name, help=what)
+        p.set_defaults(basis=basis_tag)
+        p.add_argument("--lambda", action="append", type=_parse_float,
+                       dest="lambdas", metavar="LAM",
+                       help=f"deformation, repeatable (default {lambdas})")
+        p.add_argument("--grid", type=_parse_grid, default=(0.02, 0.9, 150),
+                       metavar="MIN:MAX:STEPS", help="xi grid (default 0.02:0.9:150)")
+        common(p)
 
     ps = sub.add_parser("state", help="dump one state's coefficients in both bases")
     ps.add_argument("kind", choices=_STATE_KINDS)
@@ -308,11 +306,10 @@ def _dispatch(args) -> int:
     from . import sweeps
     if args.command == "fig1":
         res = sweeps.sweep_fig1(args.alphas, args.grid, args.truncation)
-    elif args.command == "fig2":
+    elif args.basis is None:  # fig2
         res = sweeps.sweep_fig2(args.lambdas, args.grid, args.truncation)
-    else:  # fig3a, fig3b: argparse admits no other command
-        basis_tag = "lambda" if args.command == "fig3a" else "standard"
-        res = sweeps.sweep_fig3(basis_tag, args.lambdas, args.grid, args.truncation)
+    else:  # fig3a, fig3b
+        res = sweeps.sweep_fig3(args.basis, args.lambdas, args.grid, args.truncation)
     _emit(res.to_csv() if args.format == "csv" else res.to_json(), args.out)
     return 0
 
@@ -326,6 +323,11 @@ def main(argv: list[str] | None = None) -> int:
         if code is None:
             return 0
         return code if isinstance(code, int) else 1
+    if args.command == "verify" and args.suite not in ("all", *_VERIFY_SUITES):
+        # refused before fock, and with it numpy, loads below
+        print(f"lfock: error: unknown suite {args.suite!r}; choose from "
+              f"{', '.join(sorted(_VERIFY_SUITES))} or 'all'", file=sys.stderr)
+        return 1
     from .fock import DomainError, TruncationError
     try:
         return _dispatch(args)

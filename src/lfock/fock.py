@@ -99,20 +99,16 @@ class LambdaBasis:
 
     def _row(self, n: int) -> np.ndarray:
         """Standard-basis coefficients of |n>_lam (length n+1)."""
-        return _expansion_row(n, self.lam, float(self.log_laguerre[n]))
-
-
-def _expansion_row(n: int, lam: float, log_lag_n: float) -> np.ndarray:
-    if lam == 0.0:
-        row = np.zeros(n + 1)
-        row[n] = 1.0
-        return row
-    lf = log_factorial_table(n)
-    m = np.arange(n + 1)
-    logs = 0.5 * lf[n] + (n - m) * math.log(abs(lam)) - lf[n - m] \
-        - 0.5 * lf[m] - 0.5 * log_lag_n
-    signs = np.where((n - m) % 2 == 0, 1.0, math.copysign(1.0, lam))
-    return signs * np.exp(logs)
+        if self.lam == 0.0:
+            row = np.zeros(n + 1)
+            row[n] = 1.0
+            return row
+        lf = log_factorial_table(n)
+        m = np.arange(n + 1)
+        logs = 0.5 * lf[n] + (n - m) * math.log(abs(self.lam)) - lf[n - m] \
+            - 0.5 * lf[m] - 0.5 * float(self.log_laguerre[n])
+        signs = np.where((n - m) % 2 == 0, 1.0, math.copysign(1.0, self.lam))
+        return signs * np.exp(logs)
 
 
 def lambda_ket(n: int, basis: LambdaBasis, N: int | None = None) -> np.ndarray:
@@ -251,12 +247,6 @@ def _gaussian_moments(xi, mu):
     return a, ns, s, var
 
 
-def _sign_for_parity(lam: float, exponent_parity: int) -> int:
-    if lam > 0 or exponent_parity % 2 == 0:
-        return 1
-    return -1
-
-
 def overlap_analytic(m: int, n: int, basis: LambdaBasis) -> float:
     """The inner product <m|n>_lam between deformed basis states.
 
@@ -279,7 +269,9 @@ def overlap_analytic(m: int, n: int, basis: LambdaBasis) -> float:
         + 0.5 * (lf[hi] + lf[lo]) - lf[k] - lf[lo - k] - lf[hi - lo + k]
     mag = logsumexp_positive(logs) \
         - 0.5 * float(basis.log_laguerre[hi] + basis.log_laguerre[lo])
-    return _sign_for_parity(basis.lam, hi - lo) * math.exp(mag)
+    # every term carries lam^(2k + hi - lo): the sign of lam when hi - lo is odd
+    return math.copysign(math.exp(mag), basis.lam) if (hi - lo) % 2 \
+        else math.exp(mag)
 
 
 def ladder_down(n: int, basis: LambdaBasis) -> tuple[float, int]:

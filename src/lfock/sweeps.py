@@ -1,11 +1,11 @@
 """Parameter sweeps behind the figure subcommands, plus serialization.
 
 Each sweep returns a SweepResult whose series are plain floats or None; None
-marks a point that is undefined (vacuum Mandel Q) or outside a convergence
-domain, and serializes as an empty CSV cell or JSON null so it can never be
-mistaken for zero. Output is deterministic: fixed iteration order, shortest
-round-trip float formatting, and a metadata header sufficient to reproduce
-the run.
+marks a point that is undefined (a zero-mean Mandel Q) or outside a
+convergence domain, and serializes as an empty CSV cell or JSON null so it can
+never be mistaken for zero. Output is deterministic: fixed iteration order,
+shortest round-trip float formatting, and a metadata header sufficient to
+reproduce the run.
 """
 
 from __future__ import annotations
@@ -81,13 +81,13 @@ def _metadata(command: str, basis: str, grid, truncation, **axes) -> dict:
 
 
 def _squeezed_sweep(command: str, basis_tag: str, names: tuple, lambdas,
-                    xi_range, truncation: int | None, measure,
-                    vacuum: bool) -> SweepResult:
-    """Series name[lambda=tag] per name and lam: lambda_squeezed at each xi
+                    xi_range, truncation: int | None, measure) -> SweepResult:
+    """Series name[lambda=tag] per name and lam: lambda_squeezed at every xi
     on one basis per lam, then one measure(states) call giving each state its
     cells (a tuple in the order of names) or, as a string, why it has none.
     Guard refusals are counted per column, every other empty cell is warned
-    about with its reason. vacuum False skips xi = 0 (Mandel Q undefined)."""
+    about with its reason; a cell measure leaves None (a zero-mean Mandel Q,
+    as at xi = 0 in the standard basis) is empty without a warning."""
     # states and its guard scan load here, so fig1 never compiles them
     from .states import _SQUEEZED_MAX_N, lambda_squeezed
     lambdas = [float(g) for g in lambdas]
@@ -98,8 +98,6 @@ def _squeezed_sweep(command: str, basis_tag: str, names: tuple, lambdas,
         basis = LambdaBasis(lam, _SQUEEZED_MAX_N)
         built, refused = [], 0
         for i, xi in enumerate(xis):
-            if xi == 0.0 and not vacuum:
-                continue
             try:
                 built.append((i, lambda_squeezed(complex(xi), basis, truncation)))
             except DomainError as exc:
@@ -179,7 +177,7 @@ def sweep_fig2(lambdas=None, xi_range=(0.02, 0.9, 150),
     if lambdas is None:
         lambdas = [0.5, 1.0, 2.0, 3.0]
     return _squeezed_sweep("fig2", "lambda", ("var_x", "var_p"), lambdas,
-                           xi_range, truncation, _quadrature_cells, True)
+                           xi_range, truncation, _quadrature_cells)
 
 
 def sweep_fig3(basis_tag: str, lambdas=None, xi_range=(0.02, 0.9, 150),
@@ -197,4 +195,4 @@ def sweep_fig3(basis_tag: str, lambdas=None, xi_range=(0.02, 0.9, 150),
 
     return _squeezed_sweep("fig3a" if basis_tag == "lambda" else "fig3b",
                            basis_tag, ("Q",), lambdas, xi_range, truncation,
-                           mandel_cells, False)
+                           mandel_cells)

@@ -94,12 +94,27 @@ def test_fig1_runs_are_byte_identical(tmp_path):
     assert len(lines) == 2 + 5
 
 
-def test_fig3a_vacuum_point_serializes_empty(tmp_path):
-    path = tmp_path / "f3.csv"
-    assert main(["fig3a", "--lambda", "1", "--grid", "0:0.2:3",
-                 "--out", str(path)]) == 0
-    rows = path.read_text().splitlines()
-    assert rows[2] == "0.0,"  # Mandel Q undefined on the vacuum: empty cell
+def test_fig3a_vacuum_point_serializes_empty(capsys):
+    # at xi = 0 the squeezed state is the vacuum, whose lambda-frame weights
+    # lam^(2m) / (m! L_m) have a nonzero mean for lam != 0: fig3a prints the
+    # Q that fig1 prints at alpha = 0, and only a zero mean leaves it empty
+    def row(argv, i):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        return out.splitlines()[i]
+
+    for lam in ("0.5", "1", "-1.5"):
+        for truncation in ("auto", "40"):
+            q3a = row(["fig3a", "--truncation", truncation, f"--lambda={lam}",
+                       "--grid=-0.1:0.1:3"], 3)
+            q1 = row(["fig1", "--truncation", truncation, "--alpha=0",
+                      f"--grid={lam}:{lam}:2"], 2)
+            assert abs(float(q3a.split(",")[1]) - float(q1.split(",")[1])) \
+                <= 1e-12, (lam, truncation)
+    # the standard-basis vacuum, and the lambda frame at lam = 0, have mean 0
+    assert row(["fig3b", "--lambda=1", "--grid=-0.1:0.1:3"], 3) == "0.0,"
+    assert row(["fig3a", "--lambda=0", "--grid=-0.1:0.1:3"], 3) == "0.0,"
 
 
 def test_fig2_guarded_points_warn_and_stay_empty(tmp_path, capsys):
@@ -338,8 +353,9 @@ _ORACLES = ("lfock.verify", "lfock.operators")
      ("lfock.states", "lfock.families", *_ORACLES)),
     ([[fig, "--grid", "0.1:0.3:2"] for fig in ("fig2", "fig3a", "fig3b")]
      + [["state", kind] for kind in _STATE_KINDS], 0, _ORACLES),
+    ([["verify", "nosuch"]], 1, ("numpy", *_ORACLES)),
 ], ids=["import", "help", "usage-error", "lambda_ket", "f1", "fig1",
-        "every-figure-and-dump"])
+        "every-figure-and-dump", "unknown-suite"])
 def test_each_command_loads_only_the_modules_it_runs(runs, code, absent):
     # arguments are parsed before numpy loads, and each command then imports
     # only its own layers; a fresh interpreter per case, as each job runs

@@ -295,8 +295,8 @@ def test_gram_rows_match_mpmath_overlap_sum(lam):
     # at 50 digits, its terms by the ratio (m-j)(n-j) / ((j+1) lam^2) and
     # L_n(-lam^2) by the three-term recurrence, on entries up to (1600, 1600)
     wanted = {m for m, _ in _GRAM_ENTRIES}
-    rows = {m: row for m, row in enumerate(_gram_rows(LambdaBasis(lam, 1600), 1601))
-            if m in wanted}
+    basis = LambdaBasis(lam, 1600)
+    rows = {m: row for m, row in enumerate(_gram_rows(basis, 1601)) if m in wanted}
     with mpmath.workdps(50):
         x = mpmath.mpf(lam) ** 2
         lag = [mpmath.mpf(1), 1 + x]
@@ -312,6 +312,8 @@ def test_gram_rows_match_mpmath_overlap_sum(lam):
             want = total * mpmath.sqrt(mpmath.factorial(m) * mpmath.factorial(n)
                                        / (lag[m] * lag[n]))
             assert abs(rows[m][n - m] - float(want)) <= 2e-13, (m, n)
+            # overlap_analytic's log-space factorial sum, the same entry
+            assert abs(overlap_analytic(m, n, basis) - float(want)) <= 1e-12, (m, n)
 
 
 def _to_lambda_mpmath(v, lam, dps=60):

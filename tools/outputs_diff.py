@@ -37,6 +37,12 @@ EDGES = (
     ("fig1", "--truncation=4001"),
     ("fig3a", "--lambda=0"), ("fig3a", "--lambda=-1.5"),
     ("fig3a", "--lambda=50"), ("fig3a", "--truncation=40"),
+    ("fig3a", "--lambda=1", "--grid=-0.1:0.1:3"),
+    ("fig3a", "--lambda=0", "--grid=-0.1:0.1:3"),
+    ("fig3b", "--lambda=1", "--grid=-0.1:0.1:3"),
+    ("fig3a", "--truncation=40", "--lambda=1", "--grid=-0.1:0.1:3"),
+    ("fig2", "--truncation=300"),
+    ("fig3b", "--truncation=40", "--lambda=2", "--grid=-0.9:0.9:37"),
     ("--help",), ("fig1", "--help"),
     ("state", "lambda_ss", "--lambda", "nan"),
     ("state", "lambda_ket", "-n", "2", "--lambda", "inf"),
