@@ -341,32 +341,36 @@ def _guard_xi(xi: complex, basis: LambdaBasis) -> None:
 _SQUEEZED_TAIL = math.log(1e-20)
 
 
-def _squeezed_terms(xi: complex, basis: LambdaBasis,
-                    n_terms: int | None) -> int:
-    """Even-index term count for the normalization series.
-
-    Stops once the last diagonal term falls below 1e-20 of the running total
+def _squeezed_settled(xi: complex, basis: LambdaBasis, T: int) -> bool:
+    """Whether the exact normalization series has settled at the terms
+    n <= T: the last diagonal term falls below 1e-20 of the running total
     (so the dropped coefficients are ~1e-10 of the norm, keeping the defining
     equation residual well under 1e-8) and the last five terms decrease.
-    """
+    xi = 0, the vacuum, has settled at every T."""
+    if xi == 0:
+        return True
+    diag_logs = 2.0 * np.arange(T + 1) * math.log(abs(xi)) \
+        + np.asarray(basis.log_laguerre[0: 2 * T + 1: 2]) + _even_log_weights(T)
+    total = logsumexp_positive(diag_logs)
+    return bool(diag_logs[-1] - total < _SQUEEZED_TAIL
+                and np.all(np.diff(diag_logs[-5:]) < 0))
+
+
+def _squeezed_terms(xi: complex, basis: LambdaBasis,
+                    n_terms: int | None) -> int:
+    """Even-index term count for the normalization series: n_terms, or the
+    first T + 1 of T = 4, 8, 16, ... at which _squeezed_settled holds."""
     if n_terms is not None:
         _check_truncation(n_terms, basis.max_n // 2 + 1)
         return n_terms
-    lL = basis.log_laguerre
     T = 4
-    log_axi = math.log(abs(xi))
     while True:
         if 2 * T > basis.max_n:
             raise TruncationError(
                 f"normalization tail still not negligible at the basis "
                 f"horizon max_n={basis.max_n}; build a LambdaBasis with a "
                 "larger max_n")
-        w = _even_log_weights(T)
-        diag_logs = 2.0 * np.arange(T + 1) * log_axi \
-            + np.asarray(lL[0: 2 * T + 1: 2]) + w
-        total = logsumexp_positive(diag_logs)
-        if diag_logs[-1] - total < _SQUEEZED_TAIL \
-                and np.all(np.diff(diag_logs[-5:]) < 0):
+        if _squeezed_settled(xi, basis, T):
             return T + 1
         T = min(2 * T, (basis.max_n // 2) + 1)
 

@@ -89,9 +89,13 @@ def _squeezed_sweep(command: str, basis_tag: str, names: tuple, lambdas,
     about with its reason; a cell measure leaves None (a zero-mean Mandel Q,
     as at xi = 0 in the standard basis) is empty without a warning."""
     # states and its guard scan load here, so fig1 never compiles them
-    from .states import _SQUEEZED_MAX_N, lambda_squeezed
+    from .states import (_SQUEEZED_MAX_N, _guard_xi, _squeezed_settled,
+                         lambda_squeezed)
     lambdas = [float(g) for g in lambdas]
     xis = _axis(xi_range)
+    if truncation is not None:
+        _check_truncation(truncation, _SQUEEZED_MAX_N // 2 + 1)
+        unsettled = f"normalization series not settled at the truncation {truncation}"
     series: dict[str, list] = {}
     for lam in lambdas:
         here = f"{command[:4]} lambda={_fmt_num(lam)}"  # fig3a, fig3b: fig3
@@ -99,6 +103,11 @@ def _squeezed_sweep(command: str, basis_tag: str, names: tuple, lambdas,
         built, refused = [], 0
         for i, xi in enumerate(xis):
             try:
+                if truncation is not None:
+                    _guard_xi(complex(xi), basis)
+                    if not _squeezed_settled(complex(xi), basis, truncation - 1):
+                        _warn(f"{here} xi={xi:g} skipped: {unsettled}")
+                        continue
                 built.append((i, lambda_squeezed(complex(xi), basis, truncation)))
             except DomainError as exc:
                 if exc.radius is None:

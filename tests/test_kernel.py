@@ -286,23 +286,25 @@ def test_cancelling_truncated_series_is_refused_not_misprinted(command, capsys):
 def test_truncated_fig2_cells_match_the_series(capsys):
     # the Gram route (G c)^H (X c) printed var_p 0.7499999999983555 at xi -0.2
     # (exact 0.75). For -0.2 <= xi <= 0.7 the 300 terms are the whole series,
-    # whose variances are the closed forms; at xi 0.75 the truncated series
-    # is 3e-9 off the exact state, and the reference is its 60-digit value
+    # whose variances are the closed forms; at xi +-0.75 the exact series
+    # settles only at 336 terms, so those cells are empty and warned
     assert cli.main(["fig2", "--truncation", "300", "--lambda=4",
                      "--grid=-0.9:0.9:37"]) == 0
+    out, err = capsys.readouterr()
     printed = []
-    for line in capsys.readouterr().out.splitlines()[2:]:
+    for line in out.splitlines()[2:]:
         xi, var_x, var_p = line.split(",")
         if not var_x:
             continue
         xi = float(xi)
         want = ((1 + xi) ** 2 / (2 - 2 * xi * xi), (1 - xi) ** 2 / (2 - 2 * xi * xi))
-        if xi > 0.72:
-            want = (3.4999999999997767233, 0.071428571428577805152)
         assert abs(float(var_x) - want[0]) <= 1e-13
         assert abs(float(var_p) - want[1]) <= 1e-13
         printed.append(round(xi, 2))
-    assert printed == [round(x, 2) for x in np.arange(-0.2, 0.76, 0.05)]
+    assert printed == [round(x, 2) for x in np.arange(-0.2, 0.71, 0.05)]
+    for xi in ("-0.75", "0.75"):
+        assert (f"fig2 lambda=4 xi={xi} skipped: normalization series not "
+                "settled at the truncation 300") in err
 
 
 def test_cancelling_series_is_a_domain_error_without_guard_radius():
@@ -315,18 +317,15 @@ def test_cancelling_series_is_a_domain_error_without_guard_radius():
 
 
 def test_library_returns_the_cli_numbers_for_a_truncated_series(capsys):
-    # one route per (state, statistic): the Gram form gives var_p
-    # 2.3334475558068064 here, 3.8e-12 from the fig2 cell, and the kernel
-    # column reads a truncated series as the exact state
-    st = lambda_squeezed(-0.6, LambdaBasis(4.0, states._SQUEEZED_MAX_N), 40)
+    # the exact series at (lam 4, xi -0.6) settles only at 143 terms: at the
+    # truncation 40 the figures leave the cell empty, warned with the
+    # truncation, where they printed the 40-term series' statistics
     argv = ["--truncation", "40", "--lambda=4", "--grid=-0.6:-0.6:2",
             "--format=json"]
-    assert cli.main(["fig2", *argv]) == 0
-    series = json.loads(capsys.readouterr().out)["series"]
-    q = stats.quadrature_variances(st)
-    assert series["var_x[lambda=4]"] == [q.var_x, q.var_x]
-    assert series["var_p[lambda=4]"] == [q.var_p, q.var_p]
-    for command, tag in (("fig3a", "lambda"), ("fig3b", "standard")):
+    for command in ("fig2", "fig3a", "fig3b"):
         assert cli.main([command, *argv]) == 0
-        cells = json.loads(capsys.readouterr().out)["series"]["Q[lambda=4]"]
-        assert cells == [squeezed_moments([st], tag)[0].mandel_q] * 2
+        out, err = capsys.readouterr()
+        assert all(cell is None for cells in json.loads(out)["series"].values()
+                   for cell in cells)
+        assert err.count("xi=-0.6 skipped: normalization series not settled "
+                         "at the truncation 40") == 2

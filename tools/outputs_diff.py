@@ -43,6 +43,11 @@ EDGES = (
     ("fig3a", "--truncation=40", "--lambda=1", "--grid=-0.1:0.1:3"),
     ("fig2", "--truncation=300"),
     ("fig3b", "--truncation=40", "--lambda=2", "--grid=-0.9:0.9:37"),
+    *((fig, "--truncation=1", "--lambda=1", "--grid=0.1:0.3:3")
+      for fig in ("fig2", "fig3a", "fig3b")),
+    ("fig2", "--truncation=40"), ("fig3b", "--truncation=300"),
+    ("fig3a", "--truncation=800", "--lambda=1", "--grid=-0.9:0.9:37"),
+    ("state", "lambda_ss", "--xi=0.3", "--lambda=1", "--truncation=60"),
     ("--help",), ("fig1", "--help"),
     ("state", "lambda_ss", "--lambda", "nan"),
     ("state", "lambda_ket", "-n", "2", "--lambda", "inf"),
