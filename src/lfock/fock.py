@@ -61,12 +61,9 @@ def _warn(message: str) -> None:
 class LambdaBasis:
     """Immutable container for one deformation parameter.
 
-    Holds lam, the tables of log Laguerre values ln L_n and ladder ratios
-    rho_n = sqrt(L_{n-1}/L_n) up to max_n, and a lazy cache for the Gram
-    matrix (exactly symmetric, from the triangle rows of _gram_rows). Cache
-    fills are idempotent and the cached array is read-only, so the object is
-    observationally immutable and safe to share. The matrix lives and dies
-    with the basis.
+    Holds lam and the read-only tables of log Laguerre values ln L_n and
+    ladder ratios rho_n = sqrt(L_{n-1}/L_n) up to max_n, so the object is
+    immutable and safe to share.
 
     Parameters
     ----------
@@ -86,7 +83,6 @@ class LambdaBasis:
         self.log_laguerre, self.rho = _laguerre_table(self.lam, self.max_n)
         self.log_laguerre.setflags(write=False)
         self.rho.setflags(write=False)
-        self._gram: np.ndarray | None = None
 
     def __repr__(self):
         return f"LambdaBasis(lam={self.lam}, max_n={self.max_n})"
@@ -367,18 +363,14 @@ def gram(basis: LambdaBasis, size: int) -> np.ndarray:
 
     Each triangle row of _gram_rows is written with its mirror in place, so
     G is exactly symmetric. Must agree with overlap_analytic entrywise.
-    Returns a read-only view of the largest matrix built so far, which is
-    cached on the basis.
+    Returns a fresh read-only (size x size) matrix.
     """
     basis._check(size - 1)
-    built = basis._gram
-    if built is None or built.shape[0] < size:
-        G = np.empty((size, size))
-        for m, row in enumerate(_gram_rows(basis, size)):
-            G[m, m:] = G[m:, m] = row
-        G.setflags(write=False)
-        basis._gram = built = G
-    return built[:size, :size]
+    G = np.empty((size, size))
+    for m, row in enumerate(_gram_rows(basis, size)):
+        G[m, m:] = G[m:, m] = row
+    G.setflags(write=False)
+    return G
 
 
 def _cancels(kappa: float) -> bool:

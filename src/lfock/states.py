@@ -29,7 +29,7 @@ import numpy as np
 
 from .fock import (DomainError, LambdaBasis, LambdaExpansion, TruncationError,
                    _cancels, _check_truncation, _gaussian_amplitudes,
-                   _gaussian_log_norm, _gram_rows, _matvec, _phased_exp, gram)
+                   _gaussian_log_norm, _gram_rows, _phased_exp)
 from .specfun import log_factorial_table, logsumexp_positive
 
 _LN2 = math.log(2.0)
@@ -399,7 +399,8 @@ def lambda_squeezed(xi: complex, basis: LambdaBasis,
     R the scan minimum over phase rays. With n_terms None, C_0 normalizes the
     exact state, psi = C_0 e^{xi lam^2/2} g(xi, xi lam):
     ln C_0 = -Re(xi) lam^2/2 - ln ||g(xi, xi lam)||^2 / 2. With n_terms given,
-    C_0 normalizes the truncated series through the Gram quadratic form.
+    C_0 normalizes the truncated series through the Gram quadratic form,
+    streamed by LambdaExpansion.norm_and_condition.
     """
     xi = complex(xi)
     _guard_xi(xi, basis)
@@ -415,16 +416,15 @@ def lambda_squeezed(xi: complex, basis: LambdaBasis,
                               "leaves the double range")
         return LambdaSqueezed(xi, basis, c0)
     u = _squeezed_series(xi, basis, n_terms)
-    G_even = gram(basis, 2 * u.shape[0] - 1)[::2, ::2]
-    norm2 = float(np.real(np.vdot(u, _matvec(G_even, u))))
-    if not math.isfinite(norm2):
+    coeffs = np.zeros(2 * u.shape[0] - 1, dtype=complex)
+    coeffs[::2] = u
+    norm, kappa = LambdaExpansion(basis, coeffs).norm_and_condition()
+    if not math.isfinite(norm):
         raise DomainError(
             f"normalization series not summable at |xi|={abs(xi):.4f}")
     # u^H G u cancels over an alternating series, to a relative error kappa
-    # eps with kappa = |u|^T |G| |u| / |u^H G u|, or to a non-positive value
-    bound = float(np.abs(u) @ (np.abs(G_even) @ np.abs(u)))
-    kappa = bound / abs(norm2) if norm2 else math.inf
-    if norm2 <= 0 or _cancels(kappa):
+    # eps, or to a non-positive value (kappa infinite)
+    if _cancels(kappa):
         raise DomainError(f"the truncated series cancels in its norm "
                           f"(condition number {kappa:.3g})")
-    return LambdaSqueezed(xi, basis, 1.0 / math.sqrt(norm2), n_terms)
+    return LambdaSqueezed(xi, basis, 1.0 / norm, n_terms)

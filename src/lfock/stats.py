@@ -199,28 +199,20 @@ def _frame_moments(xi: np.ndarray, mu: np.ndarray, bases: list,
 
 
 def squeezed_moments(column, basis_tag: str = "lambda") -> list:
-    """Number moments of squeezed states on one basis, in one call per column.
+    """Number moments of exact states on one basis, in one call per column.
 
-    A column of exact states, of either family, takes the kernel at each
-    state's own (xi, mu): the closed-form <n> and Var n of g(xi, mu) in the
-    standard basis (prob_sum is 1 exactly), one _frame_weights column per
-    state in the lambda frame, where the states must share one basis. A
-    column holding a truncated series takes number_moments per state: the
-    Gram route in the frame, the T-operator image in the standard basis.
-    Returns a report per state, None where the tail is unsettled at the basis
-    horizon.
+    Every state, of either family, takes the kernel at its own (xi, mu): the
+    closed-form <n> and Var n of g(xi, mu) in the standard basis (prob_sum is
+    1 exactly), one _frame_weights column per state in the lambda frame,
+    where the states must share one basis. A truncated series is measured by
+    number_moments, one state at a time. Returns a report per state, None
+    where the tail is unsettled at the basis horizon.
     """
     if not column:
         return []
     if any(st._gaussian is None for st in column):
-        reps = []
-        for st in column:
-            try:
-                reps.append(number_moments(
-                    st if basis_tag == "lambda" else st.to_standard()))
-            except TruncationError:
-                reps.append(None)
-        return reps
+        raise TypeError("squeezed_moments measures exact states; measure a "
+                        "truncated series with number_moments")
     xi, mu, _ = np.array([st._gaussian for st in column], dtype=complex).T
     if basis_tag == "standard":
         a, ns, _, var = _gaussian_moments(xi, mu)

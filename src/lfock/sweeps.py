@@ -82,15 +82,16 @@ def _metadata(command: str, basis: str, grid, truncation, **axes) -> dict:
 
 def _squeezed_sweep(command: str, basis_tag: str, names: tuple, lambdas,
                     xi_range, truncation: int | None, measure) -> SweepResult:
-    """Series name[lambda=tag] per name and lam: lambda_squeezed at every xi
-    on one basis per lam, then one measure(states) call giving each state its
-    cells (a tuple in the order of names) or, as a string, why it has none.
-    Guard refusals are counted per column, every other empty cell is warned
-    about with its reason; a cell measure leaves None (a zero-mean Mandel Q,
-    as at xi = 0 in the standard basis) is empty without a warning."""
+    """Series name[lambda=tag] per name and lam: the exact lambda_squeezed at
+    every xi on one basis per lam, then one measure(states) call giving each
+    state its cells (a tuple in the order of names) or, as a string, why it
+    has none. An explicit truncation N changes no cell but empties those whose
+    exact series has not settled at N terms (_squeezed_settled). Guard
+    refusals are counted per column, every other empty cell is warned about
+    with its reason; a cell measure leaves None (a zero-mean Mandel Q, as at
+    xi = 0 in the standard basis) is empty without a warning."""
     # states and its guard scan load here, so fig1 never compiles them
-    from .states import (_SQUEEZED_MAX_N, _guard_xi, _squeezed_settled,
-                         lambda_squeezed)
+    from .states import _SQUEEZED_MAX_N, _squeezed_settled, lambda_squeezed
     lambdas = [float(g) for g in lambdas]
     xis = _axis(xi_range)
     if truncation is not None:
@@ -103,19 +104,17 @@ def _squeezed_sweep(command: str, basis_tag: str, names: tuple, lambdas,
         built, refused = [], 0
         for i, xi in enumerate(xis):
             try:
-                if truncation is not None:
-                    _guard_xi(complex(xi), basis)
-                    if not _squeezed_settled(complex(xi), basis, truncation - 1):
-                        _warn(f"{here} xi={xi:g} skipped: {unsettled}")
-                        continue
-                built.append((i, lambda_squeezed(complex(xi), basis, truncation)))
+                built.append((i, lambda_squeezed(complex(xi), basis)))
             except DomainError as exc:
                 if exc.radius is None:
                     _warn(f"{here} xi={xi:g} skipped: {exc}")
                 else:
                     refused += 1
         cells = [(None,) * len(names)] * len(xis)
-        for (i, _), out in zip(built, measure([st for _, st in built])):
+        for (i, st), out in zip(built, measure([st for _, st in built])):
+            if truncation is not None and not _squeezed_settled(
+                    st.xi, basis, truncation - 1):
+                out = unsettled
             if isinstance(out, str):
                 _warn(f"{here} xi={xis[i]:g} skipped: {out}")
             else:

@@ -22,10 +22,11 @@ from lfock.states import DomainError, lambda_squeezed
 from lfock.stats import _frame_weights, number_moments, squeezed_moments
 
 DPS = 50
-# complex xi, negative lam, and lam = 10, 40 just inside the guard
-# 0.95 R(lam) (0.572 and 0.169), where the peak |g_m| passes 1e308
+# complex xi, negative lam, and lam = 10, 40, 50 just inside the guard
+# 0.95 R(lam) (0.572, 0.169 and 0.120), where the peak |g_m| passes 1e308
 CASES = [(1.0, 0.4j), (1.0, 0.5 - 0.3j), (-1.5, 0.6), (-2.0, 0.5 - 0.3j),
-         (10.0, 0.55), (10.0, 0.3 + 0.4j), (40.0, 0.16), (40.0, -0.16j)]
+         (10.0, 0.55), (10.0, 0.3 + 0.4j), (40.0, 0.16), (40.0, -0.16j),
+         (50.0, 0.11), (50.0, -0.11j)]
 
 
 def _g_sum(xi, mu, m):
@@ -166,10 +167,16 @@ def test_auto_sweeps_and_exact_dumps_build_no_dense_matrix(monkeypatch):
             for name, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, name, wrapped)
+    monkeypatch.setattr(fock.LambdaExpansion, "to_standard",
+                        spy(fock.LambdaExpansion.to_standard))
     sweeps.sweep_fig2([1.0, 3.0], (0.02, 0.9, 30))
     sweeps.sweep_fig3("lambda", [1.0, 3.0], (0.02, 0.9, 30))
     sweeps.sweep_fig3("standard", [1.0, 3.0], (0.02, 0.9, 30))
     sweeps.sweep_fig1([1.0, -2.0 + 1.0j], (0.0, 5.0, 20))
+    # an explicit truncation measures the same exact states
+    sweeps.sweep_fig2([1.0, 3.0], (0.02, 0.9, 30), 300)
+    sweeps.sweep_fig3("lambda", [1.0, 3.0], (0.02, 0.9, 30), 300)
+    sweeps.sweep_fig3("standard", [1.0, 3.0], (0.02, 0.9, 30), 300)
     for argv in (["lambda_cs", "--lambda=3", "--alpha=-2,1"],
                  ["lambda_ss", "--lambda=2", "--xi=-0.4,0.2"]):
         assert cli.main(["state", *argv, "--out", os.devnull]) == 0
@@ -285,9 +292,10 @@ def test_cancelling_truncated_series_is_refused_not_misprinted(command, capsys):
 
 def test_truncated_fig2_cells_match_the_series(capsys):
     # the Gram route (G c)^H (X c) printed var_p 0.7499999999983555 at xi -0.2
-    # (exact 0.75). For -0.2 <= xi <= 0.7 the 300 terms are the whole series,
-    # whose variances are the closed forms; at xi +-0.75 the exact series
-    # settles only at 336 terms, so those cells are empty and warned
+    # (exact 0.75), and the truncated series cancelled in its norm below
+    # -0.2. The cells are the exact state's closed forms for -0.7 <= xi <=
+    # 0.7; at xi +-0.75 the exact series settles only at 336 terms, so those
+    # cells are empty and warned, and |xi| >= 0.8 lies outside the guard
     assert cli.main(["fig2", "--truncation", "300", "--lambda=4",
                      "--grid=-0.9:0.9:37"]) == 0
     out, err = capsys.readouterr()
@@ -301,10 +309,12 @@ def test_truncated_fig2_cells_match_the_series(capsys):
         assert abs(float(var_x) - want[0]) <= 1e-13
         assert abs(float(var_p) - want[1]) <= 1e-13
         printed.append(round(xi, 2))
-    assert printed == [round(x, 2) for x in np.arange(-0.2, 0.71, 0.05)]
-    for xi in ("-0.75", "0.75"):
-        assert (f"fig2 lambda=4 xi={xi} skipped: normalization series not "
-                "settled at the truncation 300") in err
+    assert printed == [round(x, 2) for x in np.arange(-0.7, 0.71, 0.05)]
+    assert err.splitlines() == [
+        f"lfock: warning: fig2 lambda=4 xi={xi} skipped: normalization series "
+        "not settled at the truncation 300" for xi in ("-0.75", "0.75")] + [
+        "lfock: warning: fig2 lambda=4: 6 xi point(s) outside the guarded "
+        "convergence disk, emitted as empty cells"]
 
 
 def test_cancelling_series_is_a_domain_error_without_guard_radius():
@@ -317,15 +327,27 @@ def test_cancelling_series_is_a_domain_error_without_guard_radius():
 
 
 def test_library_returns_the_cli_numbers_for_a_truncated_series(capsys):
-    # the exact series at (lam 4, xi -0.6) settles only at 143 terms: at the
-    # truncation 40 the figures leave the cell empty, warned with the
-    # truncation, where they printed the 40-term series' statistics
-    argv = ["--truncation", "40", "--lambda=4", "--grid=-0.6:-0.6:2",
-            "--format=json"]
-    for command in ("fig2", "fig3a", "fig3b"):
-        assert cli.main([command, *argv]) == 0
-        out, err = capsys.readouterr()
-        assert all(cell is None for cells in json.loads(out)["series"].values()
-                   for cell in cells)
-        assert err.count("xi=-0.6 skipped: normalization series not settled "
-                         "at the truncation 40") == 2
+    # a figure at --truncation N prints the exact state's numbers, bit for
+    # bit, where its series has settled at N terms; the exact series at
+    # (lam 4, xi -0.6) settles at 143 terms, so at the truncation 40 the cell
+    # is empty, warned with the truncation, where the figures printed the
+    # 40-term series' statistics
+    st = lambda_squeezed(-0.6, LambdaBasis(4.0, states._SQUEEZED_MAX_N))
+    q = stats.quadrature_variances(st)
+    want = {"fig2": {"var_x[lambda=4]": [q.var_x] * 2,
+                     "var_p[lambda=4]": [q.var_p] * 2},
+            "fig3a": {"Q[lambda=4]": [squeezed_moments([st, st])[0].mandel_q] * 2},
+            "fig3b": {"Q[lambda=4]": [squeezed_moments(
+                [st], "standard")[0].mandel_q] * 2}}
+    for command, series in want.items():
+        for n in ("300", "40"):
+            assert cli.main([command, "--truncation", n, "--lambda=4",
+                             "--grid=-0.6:-0.6:2", "--format=json"]) == 0
+            out, err = capsys.readouterr()
+            got = json.loads(out)["series"]
+            if n == "300":
+                assert got == series and err == ""
+            else:
+                assert got == {name: [None, None] for name in series}
+                assert err.count("xi=-0.6 skipped: normalization series not "
+                                 "settled at the truncation 40") == 2

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lfock import states
+from lfock import fock, states
 from lfock.fock import LambdaBasis, gram
 from lfock.operators import (TruncationError, build_ladders, coherent_overlap,
                              displaced_form, eigen_residual, expm_apply,
@@ -351,6 +351,16 @@ def test_shared_radius_scan_matches_per_ray_oracle(lam, monkeypatch):
 def test_radius_scan_holds_no_gram_matrix(monkeypatch):
     # the full 1601 x 1601 Gram (20 MB) was built and cached on the basis
     monkeypatch.setattr(states, "_GUARD_RADII", {})
+    sizes = []
+    real = fock.gram
+
+    def spy(basis, size):
+        sizes.append(size)
+        return real(basis, size)
+
+    for module in (fock, states):
+        if getattr(module, "gram", None) is real:
+            monkeypatch.setattr(module, "gram", spy)
     tracemalloc.start()
     try:
         basis = LambdaBasis(1.5, 1604)
@@ -360,4 +370,4 @@ def test_radius_scan_holds_no_gram_matrix(monkeypatch):
         tracemalloc.stop()
     assert peak < 6e6
     assert held < 1e6
-    assert basis._gram is None
+    assert sizes == []

@@ -308,6 +308,17 @@ def test_squeezed_moments_reads_coherent_columns():
     assert abs(standard.mandel_q) <= 1e-15
 
 
+@pytest.mark.parametrize("tag", ["lambda", "standard"])
+def test_squeezed_moments_refuses_a_truncated_series(tag):
+    # the figures measure exact states only; a truncated series is another
+    # state, measured one at a time by number_moments
+    basis = LambdaBasis(1.0, _SQUEEZED_MAX_N)
+    column = [lambda_squeezed(0.3, basis), lambda_squeezed(0.3, basis, 40)]
+    with pytest.raises(TypeError, match="number_moments"):
+        squeezed_moments(column, tag)
+    assert math.isfinite(number_moments(column[1]).mandel_q)
+
+
 @pytest.mark.parametrize("make, z, lams", [
     (lambda_squeezed, 0.3, (1.0, 2.0)),
     (lambda_coherent, 1.0, (1.0, 3.0)),
