@@ -5,7 +5,12 @@ an eigenvector of a and coincides with e^{i lam Im(alpha)} D(alpha)|0> in the
 standard basis. The squeezed family solves (a - xi a_dag_lam)|psi> = 0 with
 support on even deformed indices; its normalization series has a finite
 convergence radius R(lam) that is estimated numerically and enforced as a
-construction guard.
+construction guard. The even Gram block is entrywise non-negative (each
+<2j|2k>_lam carries even powers of lam only), so the phase-0 ray has the
+largest partial-sum increments and its radius is the minimum over phases:
+one scan per lam bisects an r grid on that ray, deciding each r by an
+overflow test, a Gram-free upper and lower bound, and only where those
+disagree the exact increments from one Gram matvec.
 
 Through |n>_lam = e^{lam a}|n>/sqrt(L_n) both families are Gaussian, phase
 g(xi, mu)/||g|| with g(xi, mu) = e^{xi a_dag^2/2 + mu a_dag}|0>: coherent at
@@ -19,6 +24,7 @@ the operator forms) live in operators, which this module does not import.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import itertools
 import math
@@ -211,14 +217,12 @@ def squeezed_vacuum(xi: complex, N: int | None = None) -> np.ndarray:
     return v
 
 
-# The guard's rays k pi/4 for k = 0..4 (rays phi and 2 pi - phi give identical
-# partial sums, the expansion rows being real) and its r-grid factor
-_SCAN_PHASES = [k * math.pi / 4.0 for k in range(5)]
+# The guard's r-grid factor
 _SCAN_FACTOR = 1.05
-# The five ray radii per lam, from one _scan_radii pass: floats only, one
-# entry per distinct lam a process asks about; the scan's even Gram triangle
-# lives only while _scan_radii runs.
-_GUARD_RADII: dict[float, list[float]] = {}
+# The guard radius per lam, from one _scan_radius pass: one float per
+# distinct lam a process asks about; the scan's even Gram triangle lives
+# only while _scan_radius runs.
+_GUARD_RADII: dict[float, float] = {}
 _SCAN_T_MAX = 800
 # The squeezed family's basis horizon: it covers the scan's 2 * _SCAN_T_MAX
 # rows, so the guard scan and the states share one basis per lam
@@ -227,104 +231,90 @@ _SCAN_WINDOW = 20
 _SCAN_TOL = 1e-12
 
 
-def _cauchy_runs(flags: np.ndarray) -> np.ndarray:
-    """Per row of flags, whether it holds _SCAN_WINDOW consecutive Trues."""
-    run = np.cumsum(np.pad(flags, ((0, 0), (1, 0))), axis=1)
-    return (run[:, _SCAN_WINDOW:] - run[:, :-_SCAN_WINDOW] == _SCAN_WINDOW).any(axis=1)
+def _cauchy_run(flags: np.ndarray) -> bool:
+    """Whether flags holds _SCAN_WINDOW consecutive Trues."""
+    run = np.cumsum(np.pad(flags, (1, 0)))
+    return bool((run[_SCAN_WINDOW:] - run[:-_SCAN_WINDOW] == _SCAN_WINDOW).any())
 
 
-def _bound_steps(base_logs: np.ndarray, k: np.ndarray, grid: list[float]):
-    """Yield (r, a term passes the overflow guard, the phase-free bound
-    passes) along grid, the bound evaluated for 16 r at a time."""
-    for start in range(0, len(grid), 16):
-        rs = grid[start: start + 16]
-        mags = np.multiply.outer([math.log(r) for r in rs], k) + base_logs
-        over = mags.max(axis=1) > 300.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.exp(mags, out=mags)
-            bound = mags * (2.0 * (np.cumsum(mags, axis=1) - mags) + mags)
-        passes = _cauchy_runs(bound < _SCAN_TOL)
-        del mags, bound  # only flags stay alive while the scan runs
-        yield from zip(rs, over, passes)
+def _scan_radius(basis: LambdaBasis) -> float:
+    """Convergence radius of the squeezed normalization series, the minimum
+    over phase rays, which is that of the phase-0 ray.
 
-
-def _scan_radii(basis: LambdaBasis) -> list[float]:
-    """Convergence radius of the squeezed normalization series on each ray
-    of _SCAN_PHASES.
-
-    Walks r over the grid 0.01 * factor^j <= 2, factor = _SCAN_FACTOR, for
-    all rays at once. At each r the partial sums
-    S_T = ||sum_{n<=T} u_n |2n>_lam||^2, with
-    u_n = (r e^{i phase})^n sqrt(L_2n (2n-1)!!/(2n)!!), pass when 20
-    consecutive increments |S_T - S_{T-1}| fall below 1e-12 within the
-    scanned terms; a term past the overflow guard fails every ray. Since
-    every Gram entry is at most 1, |Delta S_T| <= |u_T| (2 sum_{k<T} |u_k| +
-    |u_T|), a bound free of the phase, tested for 16 r at a time: where it
-    passes, every ray passes. Elsewhere the running rays take the exact
-    increments 2 Re(conj(u_T) (U^T u)_T) + G_TT |u_T|^2 from one product
-    U^T X, X the real and imaginary parts of every running ray and U the
-    raw strict upper triangle of the even Gram block (from the closed triangle
-    of the recurrence, built at the first such r, freed on return). A ray's
-    radius is the last r that passes before its first failure, or 2.
+    At r on the ray of phase phi the partial sums are
+    S_T = ||sum_{n<=T} u_n |2n>_lam||^2 with u_n = (r e^{i phi})^n m_n,
+    m_n = sqrt(L_2n (2n-1)!!/(2n)!!); r passes when 20 consecutive
+    increments |S_T - S_{T-1}| fall below 1e-12 within the scanned terms.
+    Every term of <2k|2T>_lam carries an even power of lam, so the even Gram
+    block G is entrywise non-negative, and
+    |Delta S_T(phi)| = |2 Re(e^{-iT phi} m_T sum_{k<T} G_kT e^{ik phi} m_k)
+    + G_TT m_T^2| <= Delta S_T(0): the phase-0 ray fails first and its radius
+    is the minimum. On that ray each r takes the first of four verdicts:
+    a term with ln m_n + n ln r above 300 fails; the bound
+    m_T (2 sum_{k<T} m_k + m_T), from every Gram entry being at most 1,
+    passes; the lower bound m_T^2, from G_TT = 1, fails where it leaves no
+    20-term window below 1e-12; else the exact increments
+    2 m_T (U^T m)_T + G_TT m_T^2 decide, U the strict upper triangle of G
+    (from the closed triangle of the recurrence, built at the first such r,
+    freed on return). All terms are non-negative and grow with r, so every
+    verdict is monotone in r and the radius, the largest passing r of the
+    grid 0.01 * factor^j <= 2 (factor = _SCAN_FACTOR), is found by
+    bisection: 0 if the grid's first r fails, 2 if none does.
     """
     T = _SCAN_T_MAX
     work = basis if basis.max_n >= 2 * T else LambdaBasis(basis.lam, 2 * T)
     base_logs = 0.5 * (work.log_laguerre[0: 2 * T + 1: 2]
                        + _even_log_weights(T))
     k = np.arange(T + 1)
-    phases, factor = _SCAN_PHASES, _SCAN_FACTOR
-    # rays[:, i] = (cos, sin)(phase_i k)
-    rays = np.stack([f(np.multiply.outer(k, phases)) for f in (np.cos, np.sin)], axis=2)
+    upper = diag = None  # U and diag G, built on the first exact verdict
+
+    def fails(r: float) -> bool:
+        nonlocal upper, diag
+        logs = base_logs + k * math.log(r)
+        if logs.max() > 300.0:
+            return True
+        mags = np.exp(logs)  # <= e^300: no overflow
+        if _cauchy_run(mags * (2.0 * (np.cumsum(mags) - mags) + mags) < _SCAN_TOL):
+            return False
+        if not _cauchy_run(mags * mags < _SCAN_TOL):
+            return True
+        if upper is None:
+            upper, diag = np.zeros((T + 1, T + 1)), np.empty(T + 1)
+            rows = _gram_rows(work, 2 * T + 1)
+            for i, row in enumerate(itertools.islice(rows, 0, None, 2)):
+                diag[i], upper[i, i + 1:] = row[0], row[2::2]
+        inc = np.abs(2.0 * (mags * (upper.T @ mags)) + diag * mags * mags)
+        return not _cauchy_run(inc < _SCAN_TOL)
+
     grid = [0.01]
-    while grid[-1] * factor <= 2.0:
-        grid.append(grid[-1] * factor)
-    radii = [2.0] * len(phases)
-    running = list(range(len(phases)))
-    upper = None
-    last_ok = 0.0
-    for r, over, bound_ok in _bound_steps(base_logs, k, grid):
-        if not running:
-            break
-        failed = running if over else []  # past the overflow guard all fail
-        if not (over or bound_ok):
-            if upper is None:
-                upper, diag = np.zeros((T + 1, T + 1)), np.empty(T + 1)
-                rows = _gram_rows(work, 2 * T + 1)
-                for i, row in enumerate(itertools.islice(rows, 0, None, 2)):
-                    diag[i], upper[i, i + 1:] = row[0], row[2::2]
-            mags = np.exp(base_logs + k * math.log(r))  # <= e^300: no overflow
-            X = mags[:, None, None] * rays[:, running]
-            UX = (upper.T @ X.reshape(T + 1, -1)).reshape(X.shape)
-            inc = np.abs(2.0 * (X * UX).sum(axis=2)
-                         + (diag * mags * mags)[:, None])
-            ok = _cauchy_runs((inc < _SCAN_TOL).T)
-            failed = [i for i, passed in zip(running, ok) if not passed]
-        for i in failed:
-            radii[i] = last_ok
-        running = [i for i in running if i not in failed]
-        last_ok = r
-    return radii
+    while grid[-1] * _SCAN_FACTOR <= 2.0:
+        grid.append(grid[-1] * _SCAN_FACTOR)
+    first = bisect.bisect_left(grid, True, key=fails)  # the first failing r
+    if first == len(grid):
+        return 2.0
+    return grid[first - 1] if first else 0.0
 
 
-def _ray_radii(basis: LambdaBasis) -> list[float]:
-    """The five ray radii of basis.lam, from one _scan_radii pass per lam."""
-    radii = _GUARD_RADII.get(basis.lam)
-    if radii is None:
-        radii = _GUARD_RADII[basis.lam] = _scan_radii(basis)
-    return radii
+def _guard_radius(basis: LambdaBasis) -> float:
+    """The guard radius of basis.lam, from one _scan_radius pass per lam."""
+    radius = _GUARD_RADII.get(basis.lam)
+    if radius is None:
+        radius = _GUARD_RADII[basis.lam] = _scan_radius(basis)
+    return radius
 
 
 def radius_estimate(basis: LambdaBasis) -> float:
     """Numerical convergence radius of the squeezed normalization series on
-    the positive real ray (phase 0), read from the scan radius_min shares."""
-    return _ray_radii(basis)[0]
+    the positive real ray (phase 0). The same value as radius_min, from the
+    one scan per lam they share: that ray's increments bound every other's."""
+    return _guard_radius(basis)
 
 
 def radius_min(basis: LambdaBasis) -> float:
-    """min of the convergence radius over 8 phase rays (the 5 in [0, pi]
-    are scanned): the phase-uniform guard, from the scan radius_estimate
-    shares."""
-    return min(_ray_radii(basis))
+    """min of the convergence radius over phase rays: the phase-uniform
+    guard. The same value as radius_estimate, from the one scan per lam
+    they share: the phase-0 ray fails first (see _scan_radius)."""
+    return _guard_radius(basis)
 
 
 def _guard_xi(xi: complex, basis: LambdaBasis) -> None:

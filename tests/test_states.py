@@ -258,13 +258,13 @@ def test_radius_min_no_larger_than_axis_ray():
 def test_both_radius_readings_share_one_scan(first, second, monkeypatch):
     monkeypatch.setattr(states, "_GUARD_RADII", {})
     scans = []
-    scan = states._scan_radii
+    scan = states._scan_radius
 
     def spy(basis):
         scans.append(basis.lam)
         return scan(basis)
 
-    monkeypatch.setattr(states, "_scan_radii", spy)
+    monkeypatch.setattr(states, "_scan_radius", spy)
     basis = LambdaBasis(1.3, 1604)
     first(basis)
     second(basis)
@@ -290,9 +290,10 @@ def test_non_positive_truncated_norm_is_named_cancellation():
     assert abs(states._squeezed_series(-0.7, basis, 300)[-1]) < 1e-7
 
 
-# The per-ray radius scan as it stood before the rays shared one scan: each
-# ray walks the r grid alone and builds the complex increment matrix G u u^H.
-# Kept here as the oracle the shared scan must reproduce bit for bit.
+# The per-ray radius scan as it stood before the scan kept only the phase-0
+# ray: each ray walks the r grid alone and builds the complex increment
+# matrix G u u^H. Kept here as the oracle the bisected phase-0 scan must
+# reproduce bit for bit, as every ray's minimum.
 def _oracle_cauchy_run(flags):
     run = np.convolve(flags.astype(int), np.ones(20, dtype=int), mode="valid")
     return bool(run.size) and bool(np.any(run == 20))
@@ -343,9 +344,45 @@ def test_shared_radius_scan_matches_per_ray_oracle(lam, monkeypatch):
         monkeypatch.setattr(states, "_GUARD_RADII", {})
         monkeypatch.setattr(states, "_SCAN_FACTOR", factor)
         want = [_oracle_radius(basis, p, factor) for p in phases]
-        assert radius_estimate(basis) == want[0]
-        assert states._GUARD_RADII[lam] == want
-        assert radius_min(basis) == min(want)
+        assert want[0] == min(want) == radius_min(basis) == radius_estimate(basis)
+
+
+@pytest.mark.parametrize("lam", [-3.0, -0.5, 0.7, 2.0])
+def test_phase_zero_increments_bound_every_ray(lam):
+    # the lemma the scan rests on: the even Gram block is positive, so no
+    # ray's partial-sum increment exceeds the phase-0 one
+    T, r = 40, 0.9
+    basis = LambdaBasis(lam, 2 * T)
+    G = gram(basis, 2 * T + 1)[::2, ::2]
+    assert np.all(G > 0)
+    mags = r ** np.arange(T + 1) * np.exp(
+        0.5 * (basis.log_laguerre[0: 2 * T + 1: 2] + _even_log_weights(T)))
+
+    def increments(phase):
+        u = mags * np.exp(1j * phase * np.arange(T + 1))
+        earlier = (np.triu(G, 1) * u[:, None]).sum(axis=0)  # sum_{k<T} G_kT u_k
+        return 2.0 * np.real(np.conj(u) * earlier) + np.diag(G) * np.abs(u) ** 2
+
+    axis = increments(0.0)
+    for k in range(1, 5):
+        assert np.all(np.abs(increments(k * math.pi / 4.0)) <= axis * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("lam, builds", [(0.5, 0), (2.0, 1)])
+def test_radius_scan_builds_the_gram_triangle_only_when_the_bounds_disagree(
+        lam, builds, monkeypatch):
+    # at lam 0.5 the two Gram-free bounds settle every probed r
+    monkeypatch.setattr(states, "_GUARD_RADII", {})
+    calls = []
+    real = states._gram_rows
+
+    def spy(basis, size):
+        calls.append(size)
+        return real(basis, size)
+
+    monkeypatch.setattr(states, "_gram_rows", spy)
+    radius_min(LambdaBasis(lam, 1604))
+    assert calls == [1601] * builds
 
 
 def test_radius_scan_holds_no_gram_matrix(monkeypatch):

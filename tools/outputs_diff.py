@@ -48,6 +48,13 @@ EDGES = (
     ("fig2", "--truncation=40"), ("fig3b", "--truncation=300"),
     ("fig3a", "--truncation=800", "--lambda=1", "--grid=-0.9:0.9:37"),
     ("state", "lambda_ss", "--xi=0.3", "--lambda=1", "--truncation=60"),
+    # the guard: lam where the phase rays' radii differ, negative, huge and
+    # tiny lam, and the guard's exit and its message at a negative lam
+    ("fig2", "--lambda=1.089041095890411", "--lambda=2.0753424657534247"),
+    ("fig3a", "--lambda=-2.9", "--lambda=-0.3"), ("fig2", "--lambda=100"),
+    ("fig3b", "--lambda=1e-300"),
+    ("state", "lambda_ss", "--xi=0.9,0.3", "--lambda=0"),
+    ("state", "lambda_ss", "--xi=0.3", "--lambda=-4"),
     ("--help",), ("fig1", "--help"),
     ("state", "lambda_ss", "--lambda", "nan"),
     ("state", "lambda_ket", "-n", "2", "--lambda", "inf"),
