@@ -49,7 +49,7 @@ EDGES = (
     ("fig3a", "--truncation=800", "--lambda=1", "--grid=-0.9:0.9:37"),
     ("state", "lambda_ss", "--xi=0.3", "--lambda=1", "--truncation=60"),
     # the guard: lam where the phase rays' radii differ, negative, huge and
-    # tiny lam, and the guard's exit and its message at a negative lam
+    # tiny lam, a state it refuses at lam 0 and a state at a negative lam
     ("fig2", "--lambda=1.089041095890411", "--lambda=2.0753424657534247"),
     ("fig3a", "--lambda=-2.9", "--lambda=-0.3"), ("fig2", "--lambda=100"),
     ("fig3b", "--lambda=1e-300"),
