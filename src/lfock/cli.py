@@ -18,10 +18,8 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # annotations only; both load after parsing
+if TYPE_CHECKING:  # annotations only; numpy loads after parsing
     import numpy as np
-
-    from .fock import LambdaExpansion
 
 # The names of verify.SUITES: the verify module is imported only by the verify
 # command, so no other command pays for compiling it at start-up
@@ -176,11 +174,12 @@ def _residual(w: np.ndarray, v: np.ndarray) -> float:
     return float(np.linalg.norm(w)) / float(np.linalg.norm(v))
 
 
-def _norm_gram(expansion: LambdaExpansion) -> dict:
-    """{"norm_gram": sqrt(c^H G c)}, or {} with a warning where that form
-    cancels past 1e-12; the standard column does not depend on it."""
+def _norm_gram(form: tuple[float, float]) -> dict:
+    """{"norm_gram": sqrt(c^H G c)} from form, that norm and its condition
+    number, or {} with a warning where the form cancels past 1e-12; the
+    standard column does not depend on it."""
     from .fock import _cancels, _warn
-    norm, kappa = expansion.norm_and_condition()
+    norm, kappa = form
     if _cancels(kappa):
         _warn(f"norm_gram omitted: the Gram form cancels over the "
               f"series (condition number {kappa:.3g})")
@@ -210,7 +209,7 @@ def _state_payload(args) -> tuple[dict, np.ndarray, np.ndarray]:
         lamc[n] = 1.0
         meta.update(n=n, residual_kind="number_eigenvector",
                     residual=_residual(_ladder(_ladder(std), lam) - n * std, std),
-                    **_norm_gram(LambdaExpansion(basis, lamc)))
+                    **_norm_gram(LambdaExpansion(basis, lamc).norm_and_condition()))
     elif kind == "lambda_cs":
         from . import states
         alpha = complex(args.alpha)
@@ -219,7 +218,7 @@ def _state_payload(args) -> tuple[dict, np.ndarray, np.ndarray]:
         lamc = np.asarray(st.expansion.coeffs, dtype=complex)
         meta.update(alpha=_pair(alpha), residual_kind="annihilation_eigenvector",
                     residual=_residual(_ladder(std) - alpha * std, std),
-                    **_norm_gram(st.expansion))
+                    **_norm_gram(st.expansion.norm_and_condition()))
     elif kind == "lambda_ss":
         from . import states
         xi = complex(args.xi)
@@ -231,7 +230,7 @@ def _state_payload(args) -> tuple[dict, np.ndarray, np.ndarray]:
         meta.update(xi=_pair(xi), residual_kind="squeezing_kernel",
                     residual=_residual(_ladder(v) - xi * _ladder(v, lam), v),
                     norm_constant=st.norm_constant,
-                    **_norm_gram(st.expansion))
+                    **_norm_gram(st.norm_and_condition()))
     elif kind == "squeezed_vacuum":
         from . import states
         xi = complex(args.xi)

@@ -182,35 +182,59 @@ def _gaussian_amplitudes(xi, mu, M: int) -> tuple[np.ndarray, np.ndarray]:
     only entries some 300 orders below g_0 = 1 can underflow. Returns
     (mant, expo) with g_m = mant[m] * 2**expo[m].
     """
+    rows = _gaussian_rows(xi, mu)
+    next(rows)
+    return rows.send(M)
+
+
+def _gaussian_rows(xi, mu):
+    """The _gaussian_amplitudes recurrence, resumable: a generator that,
+    once started with next(), answers each send(M) with (mant, expo) for
+    m < M. A larger M continues from the last row it holds, allocating only
+    the new rows' coefficients, so the rows, rescale points and exponents
+    are those of a fresh _gaussian_amplitudes(xi, mu, M).
+    """
     xi = np.atleast_1d(np.asarray(xi, dtype=complex))
     mu = np.broadcast_to(np.asarray(mu, dtype=complex), xi.shape)
-    mant = np.zeros((M, xi.size), dtype=complex)
-    expo = np.zeros((M, xi.size), dtype=np.int64)
-    mant[0] = 1.0
-    root = np.sqrt(np.arange(M, dtype=float))
-    # g_m = (mu/sqrt m) g_{m-1} + xi sqrt((m-1)/m) g_{m-2}
-    A = mu[None, :] / root[1:, None]
-    B = xi[None, :] * (root[:-1] / root[1:])[:, None]
+    mant = np.ones((1, xi.size), dtype=complex)
+    expo = np.zeros((1, xi.size), dtype=np.int64)
     # |g| grows at most by (|mu| + 1) per step; rescale before 2^900
     grow = math.log2(2.0 + float(np.max(np.abs(mu), initial=0.0)))
     every = int(min(32.0, max(1.0, 900.0 // grow)))
     e = np.zeros(xi.size, dtype=np.int64)
-    done = 0
-    rows, A, B = list(mant), list(A), list(B)  # row views: no indexing per step
+    done = 0  # rows from done on carry the running exponent e
     tmp = np.empty(xi.size, dtype=complex)
-    for m in range(1, M):
-        np.multiply(A[m - 1], rows[m - 1], out=rows[m])
-        if m > 1:
-            np.multiply(B[m - 1], rows[m - 2], out=tmp)
-            rows[m] += tmp
-        if m % every == 0:
-            expo[done: m - 1] = e
-            _, f = np.frexp(np.maximum(np.abs(mant[m - 1]), np.abs(mant[m])))
-            mant[m - 1: m + 1] *= np.ldexp(1.0, -f)
-            e += f
-            done = m - 1
-    expo[done:] = e
-    return mant, expo
+    M = yield
+    while True:
+        have = mant.shape[0]
+        if M > have:  # the new rows are all written below
+            mant, expo = _grown(mant, M), _grown(expo, M)
+            root = np.sqrt(np.arange(have - 1, M, dtype=float))  # sqrt m, m >= have - 1
+            # g_m = (mu/sqrt m) g_{m-1} + xi sqrt((m-1)/m) g_{m-2}, m >= have
+            A = list(mu[None, :] / root[1:, None])  # row views: no indexing per step
+            B = list(xi[None, :] * (root[:-1] / root[1:])[:, None])
+            rows = list(mant)
+            for m in range(have, M):
+                np.multiply(A[m - have], rows[m - 1], out=rows[m])
+                if m > 1:
+                    np.multiply(B[m - have], rows[m - 2], out=tmp)
+                    rows[m] += tmp
+                if m % every == 0:
+                    expo[done: m - 1] = e
+                    _, f = np.frexp(np.maximum(np.abs(mant[m - 1]), np.abs(mant[m])))
+                    mant[m - 1: m + 1] *= np.ldexp(1.0, -f)
+                    e += f
+                    done = m - 1
+            expo[done:] = e
+            del A, B, rows  # the coefficients die before the generator waits
+        M = yield mant[:M], expo[:M]
+
+
+def _grown(a: np.ndarray, M: int) -> np.ndarray:
+    """a with its rows extended to M, the new rows uninitialized."""
+    out = np.empty((M,) + a.shape[1:], dtype=a.dtype)
+    out[: a.shape[0]] = a
+    return out
 
 
 def _gaussian_log_norm(xi, mu):
@@ -356,6 +380,48 @@ def _gram_rows(basis: LambdaBasis, size: int):
         nxt += shift[m:] * row[:-1]
         row = nxt * (rho[m + 1] / math.sqrt(m + 1.0))
         yield row
+
+
+def _even_gram_block(basis: LambdaBasis, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """(U, diag) of the even block G[2j, 2k], j, k <= T: U its strict upper
+    triangle as a (T+1, T+1) array, diag its diagonal.
+
+    Applying the _gram_rows recurrence G[m+1, n] = c_m (lam G[m, n]
+    + s_n G[m, n-1]), s_n = sqrt(n) rho_n and c_m = rho_{m+1}/sqrt(m+1),
+    twice gives the two-step form
+
+        G[m+2, n] = c_{m+1} c_m (lam^2 G[m, n] + 2 lam s_n G[m, n-1]
+                                 + s_n s_{n-1} G[m, n-2]),
+
+    so the even rows follow from row 0 without the odd ones. Each term
+    carries the sign of lam^(n-m), as G[m+2, n] does, so nothing cancels.
+    """
+    size = 2 * T + 1
+    basis._check(size - 1)
+    upper, diag = np.zeros((T + 1, T + 1)), np.ones(T + 1)
+    lam = basis.lam
+    if lam == 0.0:
+        return upper, diag
+    rho = basis.rho[:size]
+    s = np.sqrt(np.arange(size, dtype=float)) * rho
+    twice_lam_s, pair = 2.0 * lam * s, np.empty(size)
+    pair[1:] = s[1:] * s[:-1]
+    c = rho[1:] / np.sqrt(np.arange(1.0, size))  # c_m for m < size - 1
+    # row 2j of the closed triangle, G[2j, 2j:], lives in buffers[j % 2]
+    buffers = (next(_gram_rows(basis, size)), np.empty(size))
+    term = np.empty(size)
+    for j in range(T):
+        m, width = 2 * j, size - 2 * j - 2
+        row, out, t = buffers[j % 2][:width + 2], buffers[1 - j % 2][:width], term[:width]
+        diag[j], upper[j, j + 1:] = row[0], row[2::2]
+        np.multiply(row[2:], lam * lam, out=out)
+        np.multiply(twice_lam_s[m + 2:], row[1:-1], out=t)
+        out += t
+        np.multiply(pair[m + 2:], row[:-2], out=t)
+        out += t
+        out *= c[m + 1] * c[m]
+    diag[T] = buffers[T % 2][0]
+    return upper, diag
 
 
 def gram(basis: LambdaBasis, size: int) -> np.ndarray:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import bisect
 import cmath
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -34,8 +33,8 @@ from functools import cached_property
 import numpy as np
 
 from .fock import (DomainError, LambdaBasis, LambdaExpansion, TruncationError,
-                   _cancels, _check_truncation, _gaussian_amplitudes,
-                   _gaussian_log_norm, _gram_rows, _phased_exp)
+                   _cancels, _check_truncation, _even_gram_block,
+                   _gaussian_amplitudes, _gaussian_log_norm, _phased_exp)
 from .specfun import log_factorial_table, logsumexp_positive
 
 _LN2 = math.log(2.0)
@@ -100,9 +99,15 @@ class LambdaSqueezed(_Family):
     basis: LambdaBasis
     norm_constant: float = 1.0
     n_terms: int | None = None
+    # a truncated series from lambda_squeezed: its expansion and the norm and
+    # condition number of its Gram form, from the construction's one pass
+    _series: tuple[LambdaExpansion, float, float] | None = field(
+        default=None, repr=False, compare=False)
 
     @cached_property
     def expansion(self) -> LambdaExpansion:
+        if self._series is not None:
+            return self._series[0]
         if self.xi == 0:
             return LambdaExpansion(self.basis, np.ones(1, dtype=complex))
         u = _squeezed_series(self.xi, self.basis, self.n_terms)
@@ -115,6 +120,14 @@ class LambdaSqueezed(_Family):
         lam = self.basis.lam
         return None if self.n_terms is not None else (
             self.xi, self.xi * lam, cmath.exp(0.5j * self.xi.imag * lam * lam))
+
+    def norm_and_condition(self) -> tuple[float, float]:
+        """sqrt(c^H G c) of the expansion and its condition number; for a
+        truncated series built by lambda_squeezed, its construction's
+        values with the norm scaled by norm_constant, not a second pass."""
+        if self._series is not None:
+            return self._series[1:]
+        return self.expansion.norm_and_condition()
 
 
 def _coherent_coeffs(alpha: complex, basis: LambdaBasis, N: int) -> np.ndarray:
@@ -255,8 +268,9 @@ def _scan_radius(basis: LambdaBasis) -> float:
     passes; the lower bound m_T^2, from G_TT = 1, fails where it leaves no
     20-term window below 1e-12; else the exact increments
     2 m_T (U^T m)_T + G_TT m_T^2 decide, U the strict upper triangle of G
-    (from the closed triangle of the recurrence, built at the first such r,
-    freed on return). All terms are non-negative and grow with r, so every
+    (the 801 even rows of the Gram recurrence, stepped two rows at a time by
+    fock._even_gram_block at the first such r and freed on return, so no
+    odd row is computed). All terms are non-negative and grow with r, so every
     verdict is monotone in r and the radius, the largest passing r of the
     grid 0.01 * factor^j <= 2 (factor = _SCAN_FACTOR), is found by
     bisection: 0 if the grid's first r fails, 2 if none does.
@@ -279,10 +293,7 @@ def _scan_radius(basis: LambdaBasis) -> float:
         if not _cauchy_run(mags * mags < _SCAN_TOL):
             return True
         if upper is None:
-            upper, diag = np.zeros((T + 1, T + 1)), np.empty(T + 1)
-            rows = _gram_rows(work, 2 * T + 1)
-            for i, row in enumerate(itertools.islice(rows, 0, None, 2)):
-                diag[i], upper[i, i + 1:] = row[0], row[2::2]
+            upper, diag = _even_gram_block(work, T)
         inc = np.abs(2.0 * (mags * (upper.T @ mags)) + diag * mags * mags)
         return not _cauchy_run(inc < _SCAN_TOL)
 
@@ -408,7 +419,8 @@ def lambda_squeezed(xi: complex, basis: LambdaBasis,
     u = _squeezed_series(xi, basis, n_terms)
     coeffs = np.zeros(2 * u.shape[0] - 1, dtype=complex)
     coeffs[::2] = u
-    norm, kappa = LambdaExpansion(basis, coeffs).norm_and_condition()
+    expansion = LambdaExpansion(basis, coeffs)
+    norm, kappa = expansion.norm_and_condition()
     if not math.isfinite(norm):
         raise DomainError(
             f"normalization series not summable at |xi|={abs(xi):.4f}")
@@ -417,4 +429,6 @@ def lambda_squeezed(xi: complex, basis: LambdaBasis,
     if _cancels(kappa):
         raise DomainError(f"the truncated series cancels in its norm "
                           f"(condition number {kappa:.3g})")
-    return LambdaSqueezed(xi, basis, 1.0 / norm, n_terms)
+    c0 = 1.0 / norm
+    coeffs[::2] = c0 * u  # expansion now holds the normalized series
+    return LambdaSqueezed(xi, basis, c0, n_terms, (expansion, c0 * norm, kappa))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (LambdaBasis, LambdaExpansion, TruncationError,
-                   _gaussian_amplitudes, _gaussian_log_norm, _gaussian_moments,
+                   _gaussian_log_norm, _gaussian_moments, _gaussian_rows,
                    _ladder, _matvec, gram)
 from .specfun import log_factorial_table
 
@@ -121,10 +121,11 @@ def _frame_weights(xi: np.ndarray, mu: np.ndarray, bases: list,
 
     ln|g_m|^2 is 2m ln|lam+mu| - ln m! in closed form when every xi is 0
     (coherent states), and comes from one g_m recurrence otherwise, which
-    takes a single basis. Each basis has its own horizon M: the cutoff, or
-    from 64 doubling up to max_n + 1 until the last 8 rows of each of its
-    columns pass m^2 P(m) < 1e-12 min(1, sum P), relative since at large lam
-    all weights can be tiny. Bases that share M are evaluated as one array
+    takes a single basis and, when M doubles, continues from its last row
+    (fock._gaussian_rows) instead of restarting at g_0. Each basis has its
+    own horizon M: the cutoff, or from 64 doubling up to max_n + 1 until the
+    last 8 rows of each of its columns pass m^2 P(m) < 1e-12 min(1, sum P),
+    relative since at large lam all weights can be tiny. Bases that share M are evaluated as one array
     with a contiguous row of M weights per (basis, entry), so every sum runs
     over the same M contiguous rows. A column whose weights all lie below
     e^-600 is divided by its largest, e^shift (shift 0 elsewhere). Yields
@@ -135,6 +136,11 @@ def _frame_weights(xi: np.ndarray, mu: np.ndarray, bases: list,
     """
     log_norm = _gaussian_log_norm(xi, mu)
     coherent = not xi.any()
+    if not coherent:
+        [lam] = [basis.lam for basis in bases]
+        # mu + lam, exact for both families: lam(1+xi) and lam + alpha
+        amplitudes = _gaussian_rows(xi, lam * (1.0 + xi) + (mu - xi * lam))
+        next(amplitudes)
 
     def logs(rows: list, M: int) -> np.ndarray:  # its arrays die before the exp
         if coherent:
@@ -146,13 +152,16 @@ def _frame_weights(xi: np.ndarray, mu: np.ndarray, bases: list,
             lL = np.array([bases[i].log_laguerre[:M] for i in rows])[:, None]
             out = out - log_norm[:, None] - log_factorial_table(M - 1) - lL
             return out.reshape(-1, M).T
-        [i] = rows
-        lam = bases[i].lam
-        # mu + lam, exact for both families: lam(1+xi) and lam + alpha
-        mant, expo = _gaussian_amplitudes(xi, lam * (1.0 + xi) + (mu - xi * lam), M)
+        mant, expo = amplitudes.send(M)  # resumed from the last horizon's rows
+        # ln|g_m|^2 = ln(re^2 + im^2) + 2 ln2 expo, in place beside the rows
+        out = mant.real ** 2
+        out += mant.imag ** 2
         with np.errstate(divide="ignore"):
-            out = np.log(mant.real ** 2 + mant.imag ** 2) + (2.0 * _LN2) * expo
-        return out - bases[i].log_laguerre[:M, None] - log_norm
+            np.log(out, out=out)
+        out += (2.0 * _LN2) * expo
+        out -= bases[0].log_laguerre[:M, None]
+        out -= log_norm
+        return out
 
     horizon = {}
     for i, basis in enumerate(bases):
@@ -163,11 +172,19 @@ def _frame_weights(xi: np.ndarray, mu: np.ndarray, bases: list,
             rows = [i for i, h in horizon.items() if h == M]
             P, shift, ok = _scaled_weights(logs(rows, M))
             for i, done in zip(rows, ok.reshape(len(rows), -1).all(axis=1)):
-                if done or M == cutoff or M > bases[i].max_n:
+                if _final(done, M, cutoff, bases[i]):
                     del horizon[i]
                 else:
                     horizon[i] = min(2 * M, bases[i].max_n + 1)
+            if not (coherent or horizon):
+                amplitudes.close()  # its rows die before the caller sums P
             yield rows, P, shift, ok
+
+
+def _final(done: bool, M: int, cutoff: int | None, basis: LambdaBasis) -> bool:
+    """Whether a basis evaluated at horizon M leaves _frame_weights: its
+    columns settled, M is the cutoff, or M reached its basis horizon."""
+    return done or M == cutoff or M > basis.max_n
 
 
 def _scaled_weights(logs: np.ndarray):
@@ -188,13 +205,20 @@ def _scaled_weights(logs: np.ndarray):
 def _frame_moments(xi: np.ndarray, mu: np.ndarray, bases: list,
                    cutoff: int | None) -> list:
     """Per basis, the frame-basis report of each exact state g(xi, mu)
-    (None: unsettled), from the last _frame_weights group holding it."""
+    (None: unsettled), from the last _frame_weights group holding it; a
+    group in which no basis is final builds no reports."""
     out = [None] * len(bases)
     for rows, P, shift, ok in _frame_weights(xi, mu, bases, cutoff):
+        final = [_final(done, P.shape[0], cutoff, bases[i]) for i, done
+                 in zip(rows, ok.reshape(len(rows), -1).all(axis=1))]
+        if not any(final):
+            continue  # every basis comes back at twice M
+        # the whole group's P, so each column sums as it does in the group
         reps = [rep if good else None for rep, good in
                 zip(_reports(P, "lambda", np.exp(shift)), ok)]
         for j, i in enumerate(rows):
-            out[i] = reps[j * mu.shape[0]: (j + 1) * mu.shape[0]]
+            if final[j]:
+                out[i] = reps[j * mu.shape[0]: (j + 1) * mu.shape[0]]
     return out
 
 

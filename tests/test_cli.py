@@ -315,6 +315,27 @@ def test_lambda_ket_norm_gram_streams_in_linear_memory(tmp_path):
     assert meta["norm_gram"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_truncated_squeezed_dump_streams_its_gram_rows_once(capsys, monkeypatch):
+    # the dump's norm_gram is the construction's norm times C_0, its kappa
+    # the construction's: one series and one pass over the 2N - 1 Gram rows
+    from lfock import fock, states
+    calls = []
+    for module, name in ((states, "_squeezed_series"),
+                         (fock.LambdaExpansion, "norm_and_condition")):
+        real = getattr(module, name)
+
+        def spy(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    assert main(["state", "lambda_ss", "--xi=0.1,-0.6", "--lambda", "3",
+                 "--truncation", "300", "--format", "json"]) == 0
+    meta = json.loads(capsys.readouterr().out)["metadata"]
+    assert sorted(calls) == ["_squeezed_series", "norm_and_condition"]
+    assert meta["norm_gram"] == pytest.approx(1.0, abs=1e-14)
+
+
 def test_cli_import_loads_no_scipy_mpmath_or_logging():
     # each of these would add to every command's start-up time, and
     # lfock.verify and the oracle module lfock.operators are compiled only

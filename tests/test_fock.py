@@ -10,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import cholesky, solve_triangular
 
 from lfock.families import nonlinear_cs
-from lfock.fock import (DomainError, LambdaBasis, LambdaExpansion, _gram_rows,
-                        gram, ladder_down, ladder_up, lambda_ket,
-                        lowering_scalar, matel_normal_ordered,
-                        overlap_analytic, raising_scalar, to_lambda)
+from lfock.fock import (DomainError, LambdaBasis, LambdaExpansion,
+                        _even_gram_block, _gram_rows, gram, ladder_down,
+                        ladder_up, lambda_ket, lowering_scalar,
+                        matel_normal_ordered, overlap_analytic,
+                        raising_scalar, to_lambda)
 from lfock.operators import apply_t_operator, build_ladders, expansion_matrix
 from lfock.specfun import laguerre0_log
 from lfock.states import squeezed_vacuum
@@ -289,31 +290,59 @@ _GRAM_ENTRIES = ((0, 0), (0, 9), (4, 31), (60, 61), (333, 340), (800, 830),
                  (1000, 1100), (1599, 1600), (1600, 1600))
 
 
-@pytest.mark.parametrize("lam", [-1.3, 3.0, 20.0, 50.0])
-def test_gram_rows_match_mpmath_overlap_sum(lam):
+def _overlaps_mpmath(lam, entries):
     # <m|n>_lam = sqrt(m! n! / (L_m L_n)) sum_j lam^(m+n-2j) / (j! (m-j)! (n-j)!)
     # at 50 digits, its terms by the ratio (m-j)(n-j) / ((j+1) lam^2) and
-    # L_n(-lam^2) by the three-term recurrence, on entries up to (1600, 1600)
-    wanted = {m for m, _ in _GRAM_ENTRIES}
-    basis = LambdaBasis(lam, 1600)
-    rows = {m: row for m, row in enumerate(_gram_rows(basis, 1601)) if m in wanted}
+    # L_n(-lam^2) by the three-term recurrence, for m <= n <= 1600
     with mpmath.workdps(50):
         x = mpmath.mpf(lam) ** 2
         lag = [mpmath.mpf(1), 1 + x]
         for k in range(1, 1600):
             lag.append(((2 * k + 1 + x) * lag[k] - k * lag[k - 1]) / (k + 1))
-        for m, n in _GRAM_ENTRIES:
+        out = {}
+        for m, n in entries:
             term = mpmath.mpf(lam) ** (m + n) \
                 / (mpmath.factorial(m) * mpmath.factorial(n))
             total = term
             for j in range(m):
                 term *= mpmath.mpf((m - j) * (n - j)) / ((j + 1) * x)
                 total += term
-            want = total * mpmath.sqrt(mpmath.factorial(m) * mpmath.factorial(n)
-                                       / (lag[m] * lag[n]))
-            assert abs(rows[m][n - m] - float(want)) <= 2e-13, (m, n)
-            # overlap_analytic's log-space factorial sum, the same entry
-            assert abs(overlap_analytic(m, n, basis) - float(want)) <= 1e-12, (m, n)
+            out[m, n] = float(total * mpmath.sqrt(
+                mpmath.factorial(m) * mpmath.factorial(n) / (lag[m] * lag[n])))
+        return out
+
+
+@pytest.mark.parametrize("lam", [-1.3, 3.0, 20.0, 50.0])
+def test_gram_rows_match_mpmath_overlap_sum(lam):
+    # on entries up to (1600, 1600)
+    wanted = {m for m, _ in _GRAM_ENTRIES}
+    basis = LambdaBasis(lam, 1600)
+    rows = {m: row for m, row in enumerate(_gram_rows(basis, 1601)) if m in wanted}
+    for (m, n), want in _overlaps_mpmath(lam, _GRAM_ENTRIES).items():
+        assert abs(rows[m][n - m] - want) <= 2e-13, (m, n)
+        # overlap_analytic's log-space factorial sum, the same entry
+        assert abs(overlap_analytic(m, n, basis) - want) <= 1e-12, (m, n)
+
+
+_EVEN_ENTRIES = ((0, 0), (0, 8), (4, 30), (60, 62), (332, 340), (800, 830),
+                 (1000, 1100), (1598, 1600), (1600, 1600))
+
+
+@pytest.mark.parametrize("lam", [0.3, 2.9, -1.3, 20.0, 50.0])
+def test_even_gram_block_is_the_even_rows_of_the_recurrence(lam):
+    # the two-step recurrence against the one-step rows it skips the odd
+    # ones of (measured within 8e-15), and against the 50-digit overlap sum
+    basis = LambdaBasis(lam, 1600)
+    upper, diag = _even_gram_block(basis, 800)
+    assert np.array_equal(upper, np.triu(upper, 1))
+    for m, row in enumerate(_gram_rows(basis, 1601)):
+        if m % 2 == 0:
+            j = m // 2
+            assert abs(diag[j] - row[0]) <= 1e-14, m
+            assert np.max(np.abs(upper[j, j + 1:] - row[2::2]), initial=0.0) <= 1e-14, m
+    for (m, n), want in _overlaps_mpmath(lam, _EVEN_ENTRIES).items():
+        got = diag[m // 2] if m == n else upper[m // 2, n // 2]
+        assert abs(got - want) <= 1e-12, (m, n)
 
 
 def _to_lambda_mpmath(v, lam, dps=60):

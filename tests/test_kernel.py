@@ -70,6 +70,27 @@ def test_amplitudes_match_explicit_sum(lam, xi):
                 assert _rel(got, want) <= 1e-12, (mu, m)
 
 
+@pytest.mark.parametrize("lams, xis", [
+    ((1.0, 1.0, -2.0), (0.4j, 0.5 - 0.3j, 0.5 - 0.3j)),
+    ((1.0, 10.0, 50.0), (-0.6, 0.55, 0.11)),
+])
+def test_resumed_amplitudes_are_a_fresh_run_bit_for_bit(lams, xis):
+    # fig3a's horizon doubles 64, 128, ...: the resumed recurrence must give
+    # the rows, rescale points and exponents of a fresh run at each M
+    xi = np.array(xis, dtype=complex)
+    mu = np.array(lams) * (1.0 + xi)
+    rows = fock._gaussian_rows(xi, mu)
+    next(rows)
+    for M in (64, 128, 256, 512, 1024):
+        mant, expo = rows.send(M)
+        want_mant, want_expo = _gaussian_amplitudes(xi, mu, M)
+        assert np.array_equal(mant, want_mant), M
+        assert np.array_equal(expo, want_expo), M
+    if 50.0 in lams:
+        # a rescale at m = 64 moves row 63, which the first horizon holds
+        assert expo[63, -1] != expo[62, -1]
+
+
 @pytest.mark.parametrize("lam, xi", CASES)
 def test_log_norm_and_standard_moments(lam, xi):
     with mpmath.workdps(DPS):

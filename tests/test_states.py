@@ -374,15 +374,15 @@ def test_radius_scan_builds_the_gram_triangle_only_when_the_bounds_disagree(
     # at lam 0.5 the two Gram-free bounds settle every probed r
     monkeypatch.setattr(states, "_GUARD_RADII", {})
     calls = []
-    real = states._gram_rows
+    real = states._even_gram_block
 
-    def spy(basis, size):
-        calls.append(size)
-        return real(basis, size)
+    def spy(basis, T):
+        calls.append(T)
+        return real(basis, T)
 
-    monkeypatch.setattr(states, "_gram_rows", spy)
+    monkeypatch.setattr(states, "_even_gram_block", spy)
     radius_min(LambdaBasis(lam, 1604))
-    assert calls == [1601] * builds
+    assert calls == [800] * builds
 
 
 def test_radius_scan_holds_no_gram_matrix(monkeypatch):

@@ -8,12 +8,15 @@ at seeds 1-10 and 101-110, each distinct command line once, plus the fixed
 edge list EDGES. Each command runs once per tree, in a fresh interpreter with
 BLAS pinned to one thread as bench/run.py pins it, from an empty temporary
 directory. Prints every command whose stdout, stderr or exit code differs,
-then a count; exits 1 if any differ, 0 otherwise.
+with, where both stdouts hold the same count of numbers, how many numbers
+moved and the largest move; then a count. Exits 1 if any differ, 0
+otherwise.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -48,6 +51,11 @@ EDGES = (
     ("fig2", "--truncation=40"), ("fig3b", "--truncation=300"),
     ("fig3a", "--truncation=800", "--lambda=1", "--grid=-0.9:0.9:37"),
     ("state", "lambda_ss", "--xi=0.3", "--lambda=1", "--truncation=60"),
+    # truncated squeezed dumps whose norm_gram moves by rounding alone
+    ("state", "lambda_ss", "--xi=0.1,-0.6", "--lambda=3", "--truncation=300"),
+    ("state", "lambda_ss", "--xi=-0.5", "--lambda=-2", "--truncation=800",
+     "--format=json"),
+    ("state", "lambda_ss", "--xi=0.2,0.3", "--lambda=0.5", "--truncation=20"),
     # the guard: lam where the phase rays' radii differ, negative, huge and
     # tiny lam, a state it refuses at lam 0 and a state at a negative lam
     ("fig2", "--lambda=1.089041095890411", "--lambda=2.0753424657534247"),
@@ -78,6 +86,23 @@ def run(src: str, args: tuple[str, ...], cwd: str) -> tuple:
     return proc.returncode, proc.stdout, proc.stderr
 
 
+_NUMBER = re.compile(rb"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|nan|inf")
+
+
+def moves(out0: bytes, out1: bytes) -> str:
+    """How many of the numbers in out0 moved in out1, and the largest move,
+    or '' where the two hold different counts of numbers."""
+    old, new = _NUMBER.findall(out0), _NUMBER.findall(out1)
+    if len(old) != len(new):
+        return ""
+    moved = [(abs(float(b) - float(a)), a, b) for a, b in zip(old, new) if a != b]
+    if not moved:
+        return ""
+    top, a, b = max(moved)
+    return (f"; {len(moved)} numbers moved, the largest by {top:.3g} "
+            f"({a.decode()} -> {b.decode()})")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python3 tools/outputs_diff.py PARENT_SRC CHANGE_SRC",
@@ -97,7 +122,7 @@ def main(argv: list[str]) -> int:
             if what:
                 differ += 1
                 print(f"lfock {' '.join(args)}: {', '.join(what)} differ "
-                      f"(exit {code0} -> {code1})", flush=True)
+                      f"(exit {code0} -> {code1}){moves(out0, out1)}", flush=True)
     print(f"{differ} of {len(todo)} commands differ")
     return 1 if differ else 0
 
