@@ -395,6 +395,9 @@ def _even_gram_block(basis: LambdaBasis, T: int) -> tuple[np.ndarray, np.ndarray
 
     so the even rows follow from row 0 without the odd ones. Each term
     carries the sign of lam^(n-m), as G[m+2, n] does, so nothing cancels.
+    Row 0 underflows to exact zeros past some column b - 1, and each step
+    reaches two columns further, so row m is exactly zero past m + b - 1:
+    the steps skip those zeros, which the full rows would only carry along.
     """
     size = 2 * T + 1
     basis._check(size - 1)
@@ -407,17 +410,19 @@ def _even_gram_block(basis: LambdaBasis, T: int) -> tuple[np.ndarray, np.ndarray
     twice_lam_s, pair = 2.0 * lam * s, np.empty(size)
     pair[1:] = s[1:] * s[:-1]
     c = rho[1:] / np.sqrt(np.arange(1.0, size))  # c_m for m < size - 1
-    # row 2j of the closed triangle, G[2j, 2j:], lives in buffers[j % 2]
-    buffers = (next(_gram_rows(basis, size)), np.empty(size))
+    # row 2j of the closed triangle, G[2j, 2j:], lives in buffers[j % 2],
+    # whose entries past its first b stay zero
+    buffers = (next(_gram_rows(basis, size)), np.zeros(size))
+    b = int(np.flatnonzero(buffers[0])[-1]) + 1
     term = np.empty(size)
     for j in range(T):
-        m, width = 2 * j, size - 2 * j - 2
+        m, width = 2 * j, min(size - 2 * j - 2, b)
         row, out, t = buffers[j % 2][:width + 2], buffers[1 - j % 2][:width], term[:width]
-        diag[j], upper[j, j + 1:] = row[0], row[2::2]
+        diag[j], upper[j, j + 1: j + 1 + (width + 1) // 2] = row[0], row[2::2]
         np.multiply(row[2:], lam * lam, out=out)
-        np.multiply(twice_lam_s[m + 2:], row[1:-1], out=t)
+        np.multiply(twice_lam_s[m + 2: m + 2 + width], row[1:-1], out=t)
         out += t
-        np.multiply(pair[m + 2:], row[:-2], out=t)
+        np.multiply(pair[m + 2: m + 2 + width], row[:-2], out=t)
         out += t
         out *= c[m + 1] * c[m]
     diag[T] = buffers[T % 2][0]
