@@ -417,7 +417,8 @@ def _even_gram_block(basis: LambdaBasis, T: int) -> tuple[np.ndarray, np.ndarray
     term = np.empty(size)
     for j in range(T):
         m, width = 2 * j, min(size - 2 * j - 2, b)
-        row, out, t = buffers[j % 2][:width + 2], buffers[1 - j % 2][:width], term[:width]
+        row, out, t = (buffers[j % 2][:width + 2], buffers[1 - j % 2][:width],
+                       term[:width])
         diag[j], upper[j, j + 1: j + 1 + (width + 1) // 2] = row[0], row[2::2]
         np.multiply(row[2:], lam * lam, out=out)
         np.multiply(twice_lam_s[m + 2: m + 2 + width], row[1:-1], out=t)

@@ -125,14 +125,15 @@ def _frame_weights(xi: np.ndarray, mu: np.ndarray, bases: list,
     (fock._gaussian_rows) instead of restarting at g_0. Each basis has its
     own horizon M: the cutoff, or from 64 doubling up to max_n + 1 until the
     last 8 rows of each of its columns pass m^2 P(m) < 1e-12 min(1, sum P),
-    relative since at large lam all weights can be tiny. Bases that share M are evaluated as one array
-    with a contiguous row of M weights per (basis, entry), so every sum runs
-    over the same M contiguous rows. A column whose weights all lie below
-    e^-600 is divided by its largest, e^shift (shift 0 elsewhere). Yields
-    (rows, P, shift, ok) per evaluated group: P is (M, len(rows) * len(mu)),
-    its column j * len(mu) + k holding bases[rows[j]] at entry k, and ok is
-    False where unsettled. A basis unsettled below its horizon comes back in
-    a later group at twice M; its last group holds its weights.
+    relative since at large lam all weights can be tiny. Bases that share M
+    are evaluated as one array with a contiguous row of M weights per
+    (basis, entry), so every sum runs over the same M contiguous rows. A
+    column whose weights all lie below e^-600 is divided by its largest,
+    e^shift (shift 0 elsewhere). Yields (rows, P, shift, ok) per evaluated
+    group: P is (M, len(rows) * len(mu)), its column j * len(mu) + k
+    holding bases[rows[j]] at entry k, and ok is False where unsettled. A
+    basis unsettled below its horizon comes back in a later group at twice
+    M; its last group holds its weights.
     """
     log_norm = _gaussian_log_norm(xi, mu)
     coherent = not xi.any()
