@@ -347,100 +347,93 @@ def matel_normal_ordered(m: int, n: int, r: int, k: int, basis: LambdaBasis) -> 
         * overlap_analytic(m, n - k + r, basis)
 
 
-def _gram_rows(basis: LambdaBasis, size: int):
-    """Yield the closed upper triangle G[m, m:size], m < size, of the ladder
-    recurrence, one row at a time.
+def _gram_rows(basis: LambdaBasis, size: int, first: int):
+    """Yield the closed upper triangle rows G[m, m:size] of the ladder
+    recurrence for one parity, m = first, first + 2, ... < size (first 0 or 1).
 
     Row 0 is the vacuum overlap lam^n / sqrt(n! L_n); resolving <m|a|n> two
     ways (lowering to the right, raising to the left) gives
 
-        G[m+1, n] = rho_{m+1} (sqrt(n) rho_n G[m, n-1] + lam G[m, n]) / sqrt(m+1)
+        G[m+1, n] = c_m (lam G[m, n] + s_n G[m, n-1]),
 
-    with rho_n = sqrt(L_{n-1}/L_n). Row m+1 on columns n > m reads only row m
-    on columns n-1 >= m, so the triangle is closed. Entries are inner
-    products of unit vectors, bounded by 1, so the recursion cannot overflow.
-    """
-    lam = basis.lam
-    if lam == 0.0:
-        for m in range(size):
-            row = np.zeros(size - m)
-            row[0] = 1.0
-            yield row
-        return
-    lf = log_factorial_table(size - 1)[: size]
-    lL = basis.log_laguerre[:size]
-    rho = basis.rho[:size]
-    n = np.arange(size)
-    shift = np.sqrt(n[1:].astype(float)) * rho[1:]
-    signs = np.where(n % 2 == 0, 1.0, math.copysign(1.0, lam))
-    row = signs * np.exp(n * math.log(abs(lam)) - 0.5 * (lf + lL))
-    yield row
-    for m in range(size - 1):
-        nxt = lam * row[1:]
-        nxt += shift[m:] * row[:-1]
-        row = nxt * (rho[m + 1] / math.sqrt(m + 1.0))
-        yield row
-
-
-def _even_gram_block(basis: LambdaBasis, T: int) -> tuple[np.ndarray, np.ndarray]:
-    """(U, diag) of the even block G[2j, 2k], j, k <= T: U its strict upper
-    triangle as a (T+1, T+1) array, diag its diagonal.
-
-    Applying the _gram_rows recurrence G[m+1, n] = c_m (lam G[m, n]
-    + s_n G[m, n-1]), s_n = sqrt(n) rho_n and c_m = rho_{m+1}/sqrt(m+1),
-    twice gives the two-step form
+    s_n = sqrt(n) rho_n, c_m = rho_{m+1}/sqrt(m+1), rho_n = sqrt(L_{n-1}/L_n),
+    which seeds row 1. Applied twice it gives the two-step form
 
         G[m+2, n] = c_{m+1} c_m (lam^2 G[m, n] + 2 lam s_n G[m, n-1]
                                  + s_n s_{n-1} G[m, n-2]),
 
-    so the even rows follow from row 0 without the odd ones. Each term
-    carries the sign of lam^(n-m), as G[m+2, n] does, so nothing cancels.
-    Row 0 underflows to exact zeros past some column b - 1, and each step
-    reaches two columns further, so row m is exactly zero past m + b - 1:
-    the steps skip those zeros, which the full rows would only carry along.
+    which steps either parity on its own rows. Row m+2 on columns n >= m+2
+    reads only row m on columns n-2 >= m, so the triangle is closed; each
+    term carries the sign of lam^(n-m), as G[m+2, n] does, so nothing
+    cancels, and entries are inner products of unit vectors, bounded by 1.
+    The first row underflows to exact zeros past its first b entries and
+    each step reaches two columns further, so every row is exactly zero past
+    its first b entries: the steps skip those zeros.
+
+    Each row is a view of one of two reused buffers, valid only until the
+    next row is requested; a reader that keeps a row copies it.
     """
-    size = 2 * T + 1
-    basis._check(size - 1)
-    upper, diag = np.zeros((T + 1, T + 1)), np.ones(T + 1)
     lam = basis.lam
     if lam == 0.0:
-        return upper, diag
-    rho = basis.rho[:size]
-    s = np.sqrt(np.arange(size, dtype=float)) * rho
+        row = (np.arange(size) == 0).astype(float)
+        yield from (row[: size - m] for m in range(first, size, 2))
+        return
+    lf = log_factorial_table(size - 1)[: size]
+    lL = basis.log_laguerre[:size]
+    rho, n = basis.rho[:size], np.arange(size)
+    s = np.sqrt(n.astype(float)) * rho
+    signs = np.where(n % 2 == 0, 1.0, math.copysign(1.0, lam))
+    row = signs * np.exp(n * math.log(abs(lam)) - 0.5 * (lf + lL))
+    c = rho[1:] / np.sqrt(np.arange(1.0, size))  # c_m for m < size - 1
+    if first:
+        row = (lam * row[1:] + s[1:] * row[:-1]) * c[0]
+    cc = c[1:] * c[:-1]  # c_{m+1} c_m
+    b = int(np.flatnonzero(row)[-1]) + 1
     twice_lam_s, pair = 2.0 * lam * s, np.empty(size)
     pair[1:] = s[1:] * s[:-1]
-    c = rho[1:] / np.sqrt(np.arange(1.0, size))  # c_m for m < size - 1
-    # row 2j of the closed triangle, G[2j, 2j:], lives in buffers[j % 2],
-    # whose entries past its first b stay zero
-    buffers = (next(_gram_rows(basis, size)), np.zeros(size))
-    b = int(np.flatnonzero(buffers[0])[-1]) + 1
-    term = np.empty(size)
-    for j in range(T):
-        m, width = 2 * j, min(size - 2 * j - 2, b)
-        row, out, t = (buffers[j % 2][:width + 2], buffers[1 - j % 2][:width],
-                       term[:width])
-        diag[j], upper[j, j + 1: j + 1 + (width + 1) // 2] = row[0], row[2::2]
+    cur, nxt, term = row, np.zeros_like(row), np.empty(size)
+    for m in range(first, size, 2):
+        yield cur[: size - m]
+        width = min(size - m - 2, b)
+        if width <= 0:
+            return
+        row, out, t = cur[:width + 2], nxt[:width], term[:width]
         np.multiply(row[2:], lam * lam, out=out)
         np.multiply(twice_lam_s[m + 2: m + 2 + width], row[1:-1], out=t)
         out += t
         np.multiply(pair[m + 2: m + 2 + width], row[:-2], out=t)
         out += t
-        out *= c[m + 1] * c[m]
-    diag[T] = buffers[T % 2][0]
+        out *= cc[m]
+        cur, nxt = nxt, cur
+
+
+def _even_gram_block(basis: LambdaBasis, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """(U, diag) of the even block G[2j, 2k], j, k <= T: U its strict upper
+    triangle as a (T+1, T+1) array, diag its diagonal, read from the parity-0
+    rows of _gram_rows, of which only the nonzero band is copied."""
+    size = 2 * T + 1
+    basis._check(size - 1)
+    upper, diag = np.zeros((T + 1, T + 1)), np.empty(T + 1)
+    for j, row in enumerate(_gram_rows(basis, size, 0)):
+        if j == 0:  # every row is exactly zero past row 0's band
+            b = int(np.flatnonzero(row)[-1]) + 1
+        band = row[2:b:2]
+        diag[j], upper[j, j + 1: j + 1 + band.shape[0]] = row[0], band
     return upper, diag
 
 
 def gram(basis: LambdaBasis, size: int) -> np.ndarray:
     """Gram matrix G[m, n] = <m|n>_lamlam, built by the ladder recurrence.
 
-    Each triangle row of _gram_rows is written with its mirror in place, so
-    G is exactly symmetric. Must agree with overlap_analytic entrywise.
-    Returns a fresh read-only (size x size) matrix.
+    Each triangle row of _gram_rows, of either parity, is written with its
+    mirror in place, so G is exactly symmetric. Must agree with
+    overlap_analytic entrywise. Returns a fresh read-only (size x size) matrix.
     """
     basis._check(size - 1)
     G = np.empty((size, size))
-    for m, row in enumerate(_gram_rows(basis, size)):
-        G[m, m:] = G[m:, m] = row
+    for first in (0, 1):
+        for m, row in zip(range(first, size, 2), _gram_rows(basis, size, first)):
+            G[m, m:] = G[m:, m] = row
     G.setflags(write=False)
     return G
 
@@ -524,17 +517,23 @@ class LambdaExpansion:
 
         Each row G[m, m:] adds its diagonal term plus twice the real part of
         its strict-upper product, and is dropped, so the memory is O(d), not
-        the (d x d) Gram matrix. Over an alternating series the form cancels
-        to a relative error of about kappa eps.
+        the (d x d) Gram matrix. A parity whose coefficients are all zero
+        (the odd one of a squeezed series) computes no row. Over an
+        alternating series the form cancels to a relative error of about
+        kappa eps.
         """
-        self.basis._check(self.support - 1)
+        d = self.support
+        self.basis._check(d - 1)
         c = np.asarray(self.coeffs, dtype=complex)
         mag = np.abs(c)
         total = bound = 0.0
-        for m, row in enumerate(_gram_rows(self.basis, self.support)):
-            if c[m] != 0:
-                cross = np.conj(c[m]) * _matvec(row[1:], c[m + 1:])
-                total += row[0] * mag[m] ** 2 + 2.0 * float(cross.real)
-                bound += mag[m] * (row[0] * mag[m]
-                                   + 2.0 * float(np.abs(row[1:]) @ mag[m + 1:]))
+        for first in (0, 1):
+            if not c[first::2].any():
+                continue
+            for m, row in zip(range(first, d, 2), _gram_rows(self.basis, d, first)):
+                if c[m] != 0:
+                    cross = np.conj(c[m]) * _matvec(row[1:], c[m + 1:])
+                    total += row[0] * mag[m] ** 2 + 2.0 * float(cross.real)
+                    bound += mag[m] * (row[0] * mag[m]
+                                       + 2.0 * float(np.abs(row[1:]) @ mag[m + 1:]))
         return math.sqrt(max(total, 0.0)), bound / total if total > 0 else math.inf

@@ -205,7 +205,10 @@ def squeezed_vacuum(xi: complex, N: int | None = None) -> np.ndarray:
     """Standard squeezed vacuum sum_n C_0 xi^n sqrt((2n-1)!!/(2n)!!) |2n>.
 
     C_0 comes from summing the normalization series numerically. Rejects
-    |xi| >= 1, where the series diverges.
+    |xi| >= 1, where the series diverges. With N omitted the series is cut
+    where its terms fall below 1e-30, at most at n = 20000, and raises
+    TruncationError where the last term kept there is not below 1e-20 of
+    the closed-form sum (1-|xi|^2)^(-1/2), the tail _squeezed_settled asks.
     """
     xi = complex(xi)
     if abs(xi) >= 1.0:
@@ -219,6 +222,12 @@ def squeezed_vacuum(xi: complex, N: int | None = None) -> np.ndarray:
         T = int(math.ceil((math.log(1e-30) + math.log1p(-abs(xi) ** 2))
                           / (2.0 * math.log(abs(xi))))) + 1
         T = min(max(T, 4), 20000)
+        # ln(|u_T|^2 / sum_n |u_n|^2), the sum (1-|xi|^2)^(-1/2) in closed form
+        if T == 20000 and 2.0 * T * math.log(abs(xi)) + _even_log_weights(T)[T] \
+                + 0.5 * math.log1p(-abs(xi) ** 2) >= _SQUEEZED_TAIL:
+            raise TruncationError(
+                f"squeezed vacuum tail not below 1e-20 of the norm at the term "
+                f"cap {T}; |xi|={abs(xi):.6g} too close to 1")
         N = 2 * T + 1
     else:
         T = max((N - 1) // 2, 0)
@@ -268,12 +277,13 @@ def _scan_radius(basis: LambdaBasis) -> float:
     passes; the lower bound m_T^2, from G_TT = 1, fails where it leaves no
     20-term window below 1e-12; else the exact increments
     2 m_T (U^T m)_T + G_TT m_T^2 decide, U the strict upper triangle of G
-    (the 801 even rows of the Gram recurrence, stepped two rows at a time by
-    fock._even_gram_block at the first such r and freed on return, so no
-    odd row is computed). All terms are non-negative and grow with r, so every
-    verdict is monotone in r and the radius, the largest passing r of the
-    grid 0.01 * factor^j <= 2 (factor = _SCAN_FACTOR), is found by
-    bisection: 0 if the grid's first r fails, 2 if none does.
+    (the 801 even rows of the Gram recurrence: the parity-0 rows of
+    fock._gram_rows, read by fock._even_gram_block at the first such r and
+    freed on return, so no odd row is computed). All terms are non-negative
+    and grow with r, so every verdict is monotone in r and the radius, the
+    largest passing r of the grid 0.01 * factor^j <= 2 (factor =
+    _SCAN_FACTOR), is found by bisection: 0 if the grid's first r fails, 2
+    if none does.
     """
     T = _SCAN_T_MAX
     work = basis if basis.max_n >= 2 * T else LambdaBasis(basis.lam, 2 * T)
@@ -306,8 +316,9 @@ def _scan_radius(basis: LambdaBasis) -> float:
     return grid[first - 1] if first else 0.0
 
 
-def _guard_radius(basis: LambdaBasis) -> float:
-    """The guard radius of basis.lam, from one _scan_radius pass per lam."""
+def radius_min(basis: LambdaBasis) -> float:
+    """min of the convergence radius over phase rays: the phase-uniform
+    guard, from one _scan_radius pass per lam (the phase-0 ray fails first)."""
     radius = _GUARD_RADII.get(basis.lam)
     if radius is None:
         radius = _GUARD_RADII[basis.lam] = _scan_radius(basis)
@@ -316,16 +327,9 @@ def _guard_radius(basis: LambdaBasis) -> float:
 
 def radius_estimate(basis: LambdaBasis) -> float:
     """Numerical convergence radius of the squeezed normalization series on
-    the positive real ray (phase 0). The same value as radius_min, from the
-    one scan per lam they share: that ray's increments bound every other's."""
-    return _guard_radius(basis)
-
-
-def radius_min(basis: LambdaBasis) -> float:
-    """min of the convergence radius over phase rays: the phase-uniform
-    guard. The same value as radius_estimate, from the one scan per lam
-    they share: the phase-0 ray fails first (see _scan_radius)."""
-    return _guard_radius(basis)
+    the positive real ray (phase 0): radius_min, since that ray's increments
+    bound every other's."""
+    return radius_min(basis)
 
 
 def _guard_xi(xi: complex, basis: LambdaBasis) -> None:

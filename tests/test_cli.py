@@ -285,12 +285,13 @@ def test_dump_residuals_match_dense_ladders(argv, kind, lam, z, capsys):
 
 def test_near_unit_xi_squeezed_vacuum_runs_in_linear_memory(tmp_path):
     # 40001 standard components: the dense route wanted three 40003 x 40003
-    # complex ladders and a 40001 x 40001 expansion matrix (tens of GB)
+    # complex ladders and a 40001 x 40001 expansion matrix (tens of GB); the
+    # truncation is explicit, as the auto one refuses this xi
     path = tmp_path / "sv.csv"
     tracemalloc.start()
     try:
         assert main(["state", "squeezed_vacuum", "--xi", "0.999999",
-                     "--out", str(path)]) == 0
+                     "--truncation", "40001", "--out", str(path)]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -298,6 +299,21 @@ def test_near_unit_xi_squeezed_vacuum_runs_in_linear_memory(tmp_path):
     rows = path.read_text().splitlines()[2:]
     assert len(rows) == 40001
     assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
+
+
+@pytest.mark.parametrize("xi, code", [("0.9995", 3), ("0.999", 0)])
+def test_squeezed_vacuum_refuses_a_tail_cut_at_the_term_cap(xi, code, capsys):
+    # the auto truncation stops at 20000 terms; at |xi| 0.9995 the last one
+    # is 2.6e-13 of the closed-form sum, and the cut series was printed,
+    # renormalized, with residual 1.0e-4 and exit 0; at 0.999 it is 7.4e-22
+    assert main(["state", "squeezed_vacuum", "--xi", xi, "--format", "json"]) == code
+    out = capsys.readouterr()
+    if code:
+        assert out.err == ("lfock: truncation error: squeezed vacuum tail not "
+                           "below 1e-20 of the norm at the term cap 20000; "
+                           "|xi|=0.9995 too close to 1\n")
+    else:
+        assert json.loads(out.out)["metadata"]["residual"] < 1e-8
 
 
 def test_lambda_ket_norm_gram_streams_in_linear_memory(tmp_path):

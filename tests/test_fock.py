@@ -270,14 +270,15 @@ def test_cached_matrices_are_read_only_and_grow_exactly(lam):
 
 @pytest.mark.parametrize("lam", [0.0, 0.7, -1.3, 2.9])
 def test_gram_and_norm_read_one_triangle_of_the_recurrence(lam):
-    # gram() writes each closed-triangle row of _gram_rows with its mirror;
-    # norm_and_condition streams the same rows (diagonal plus twice the
-    # strict-upper product) in place of the matrix
+    # gram() writes each closed-triangle row of _gram_rows, of either
+    # parity, with its mirror; norm_and_condition streams the same rows
+    # (diagonal plus twice the strict-upper product) in place of the matrix
     basis = LambdaBasis(lam, 1604)
     G = gram(basis, 1601)
     assert np.array_equal(G, G.T)
-    for m, row in enumerate(_gram_rows(basis, 1601)):
-        assert np.array_equal(G[m, m:], row)
+    for first in (0, 1):
+        for m, row in zip(range(first, 1601, 2), _gram_rows(basis, 1601, first)):
+            assert np.array_equal(G[m, m:], row)
     rng = np.random.default_rng(13)
     c = rng.standard_normal(1601) + 1j * rng.standard_normal(1601)
     form = float(np.real(np.vdot(c, G @ c)))
@@ -317,7 +318,8 @@ def test_gram_rows_match_mpmath_overlap_sum(lam):
     # on entries up to (1600, 1600)
     wanted = {m for m, _ in _GRAM_ENTRIES}
     basis = LambdaBasis(lam, 1600)
-    rows = {m: row for m, row in enumerate(_gram_rows(basis, 1601)) if m in wanted}
+    rows = {m: row.copy() for first in (0, 1) for m, row in
+            zip(range(first, 1601, 2), _gram_rows(basis, 1601, first)) if m in wanted}
     for (m, n), want in _overlaps_mpmath(lam, _GRAM_ENTRIES).items():
         assert abs(rows[m][n - m] - want) <= 2e-13, (m, n)
         # overlap_analytic's log-space factorial sum, the same entry
@@ -330,16 +332,12 @@ _EVEN_ENTRIES = ((0, 0), (0, 8), (4, 30), (60, 62), (332, 340), (800, 830),
 
 @pytest.mark.parametrize("lam", [0.3, 2.9, -1.3, 20.0, 50.0])
 def test_even_gram_block_is_the_even_rows_of_the_recurrence(lam):
-    # the two-step recurrence against the one-step rows it skips the odd
-    # ones of (measured within 8e-15), and against the 50-digit overlap sum
+    # the parity-0 rows of gram() bit for bit, and the 50-digit overlap sum
     basis = LambdaBasis(lam, 1600)
     upper, diag = _even_gram_block(basis, 800)
-    assert np.array_equal(upper, np.triu(upper, 1))
-    for m, row in enumerate(_gram_rows(basis, 1601)):
-        if m % 2 == 0:
-            j = m // 2
-            assert abs(diag[j] - row[0]) <= 1e-14, m
-            assert np.max(np.abs(upper[j, j + 1:] - row[2::2]), initial=0.0) <= 1e-14, m
+    even = gram(basis, 1601)[::2, ::2]
+    assert np.array_equal(diag, np.diag(even))
+    assert np.array_equal(upper, np.triu(even, 1))
     for (m, n), want in _overlaps_mpmath(lam, _EVEN_ENTRIES).items():
         got = diag[m // 2] if m == n else upper[m // 2, n // 2]
         assert abs(got - want) <= 1e-12, (m, n)

@@ -408,3 +408,21 @@ def test_radius_scan_holds_no_gram_matrix(monkeypatch):
     assert peak < 6e6
     assert held < 1e6
     assert sizes == []
+
+
+def test_truncated_squeezed_norm_reads_only_the_even_gram_rows(monkeypatch):
+    # the series lives on |2n>_lam, so the odd parity's rows are never stepped
+    monkeypatch.setattr(states, "_GUARD_RADII", {})
+    basis = LambdaBasis(2.0, 1604)
+    radius_min(basis)  # the guard scan, which reads parity 0 too, runs first
+    calls = []
+    real = fock._gram_rows
+
+    def spy(basis, size, first):
+        calls.append((size, first))
+        return real(basis, size, first)
+
+    monkeypatch.setattr(fock, "_gram_rows", spy)
+    state = lambda_squeezed(0.3, basis, 60)
+    assert calls == [(119, 0)]
+    assert state.norm_and_condition()[0] == pytest.approx(1.0, abs=1e-14)

@@ -56,6 +56,12 @@ EDGES = (
     ("state", "lambda_ss", "--xi=-0.5", "--lambda=-2", "--truncation=800",
      "--format=json"),
     ("state", "lambda_ss", "--xi=0.2,0.3", "--lambda=0.5", "--truncation=20"),
+    # norm_gram dumps that read Gram rows of both parities
+    ("state", "lambda_ket", "-n", "1500", "--lambda", "30"),
+    ("state", "lambda_cs", "--lambda=-3", "--alpha=2,1", "--truncation=200"),
+    # the squeezed vacuum's auto truncation on either side of its refusal
+    ("state", "squeezed_vacuum", "--xi=0.999"),
+    ("state", "squeezed_vacuum", "--xi=0.9995"),
     # the guard: lam where the phase rays' radii differ, negative, huge and
     # tiny lam, a state it refuses at lam 0 and a state at a negative lam
     ("fig2", "--lambda=1.089041095890411", "--lambda=2.0753424657534247"),
