@@ -56,7 +56,8 @@ EDGES = (
     ("state", "lambda_ss", "--xi=-0.5", "--lambda=-2", "--truncation=800",
      "--format=json"),
     ("state", "lambda_ss", "--xi=0.2,0.3", "--lambda=0.5", "--truncation=20"),
-    # norm_gram dumps that read Gram rows of both parities
+    # norm_gram dumps over the 751 even Gram rows of a 1501-term ket, and
+    # over 200 rows of both parities
     ("state", "lambda_ket", "-n", "1500", "--lambda", "30"),
     ("state", "lambda_cs", "--lambda=-3", "--alpha=2,1", "--truncation=200"),
     # the squeezed vacuum's auto truncation on either side of its refusal
