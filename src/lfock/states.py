@@ -9,8 +9,9 @@ construction guard. The even Gram block is entrywise non-negative (each
 <2j|2k>_lam carries even powers of lam only), so the phase-0 ray has the
 largest partial-sum increments and its radius is the minimum over phases:
 one scan per lam bisects an r grid on that ray, deciding each r by an
-overflow test, a Gram-free upper and lower bound, and only where those
-disagree the exact increments from one Gram matvec.
+overflow test, a Gram-free upper and lower bound, a closed-form upper bound
+for r < 1, and only where those leave it open the exact increments from one
+Gram matvec.
 
 Through |n>_lam = e^{lam a}|n>/sqrt(L_n) both families are Gaussian, phase
 g(xi, mu)/||g|| with g(xi, mu) = e^{xi a_dag^2/2 + mu a_dag}|0>: coherent at
@@ -251,12 +252,26 @@ _SCAN_T_MAX = 800
 _SQUEEZED_MAX_N = 1604
 _SCAN_WINDOW = 20
 _SCAN_TOL = 1e-12
+_LOG_SCAN_TOL = math.log(_SCAN_TOL)
 
 
 def _cauchy_run(flags: np.ndarray) -> bool:
     """Whether flags holds _SCAN_WINDOW consecutive Trues."""
     run = np.cumsum(np.pad(flags, (1, 0)))
     return bool((run[_SCAN_WINDOW:] - run[:-_SCAN_WINDOW] == _SCAN_WINDOW).any())
+
+
+def _gaussian_log_bound(xi: float, mu: float, m: np.ndarray) -> np.ndarray:
+    """Upper bound on ln g_m(xi, mu) for 0 < xi < 1, mu >= 0, integers m >= 1.
+
+    There every g_m is non-negative and sum_m g_m t^m / sqrt(m!) =
+    e^{xi t^2/2 + mu t}, so ln g_m <= ln(m!)/2 + xi t^2/2 + mu t - m ln t at
+    every t > 0; t = 2m / (mu + sqrt(mu^2 + 4 xi m)), the saddle point,
+    minimizes it.
+    """
+    t = 2.0 * m / (mu + np.sqrt(mu * mu + 4.0 * xi * m))
+    return 0.5 * log_factorial_table(int(m.max()))[m] \
+        + t * (0.5 * xi * t + mu) - m * np.log(t)
 
 
 def _scan_radius(basis: LambdaBasis) -> float:
@@ -271,25 +286,36 @@ def _scan_radius(basis: LambdaBasis) -> float:
     block G is entrywise non-negative, and
     |Delta S_T(phi)| = |2 Re(e^{-iT phi} m_T sum_{k<T} G_kT e^{ik phi} m_k)
     + G_TT m_T^2| <= Delta S_T(0): the phase-0 ray fails first and its radius
-    is the minimum. On that ray each r takes the first of four verdicts:
-    a term with ln m_n + n ln r above 300 fails; the bound
-    m_T (2 sum_{k<T} m_k + m_T), from every Gram entry being at most 1,
-    passes; the lower bound m_T^2, from G_TT = 1, fails where it leaves no
-    20-term window below 1e-12; else the exact increments
-    2 m_T (U^T m)_T + G_TT m_T^2 decide, U the strict upper triangle of G
+    is the minimum. On that ray (u_n = r^n m_n) each r takes the first of
+    five verdicts: a term with ln u_n above 300 fails; the bound
+    u_T (2 sum_{k<T} u_k + u_T), from every Gram entry being at most 1,
+    passes; the lower bound u_T^2, from G_TT = 1, fails where it leaves no
+    20-term window below 1e-12; for r < 1 the closed-form bound below passes
+    where it leaves such a window; else the exact increments
+    2 u_T (U^T u)_T + G_TT u_T^2 decide, U the strict upper triangle of G
     (the 801 even rows of the Gram recurrence: the parity-0 rows of
     fock._gram_rows, read by fock._even_gram_block at the first such r and
-    freed on return, so no odd row is computed). All terms are non-negative
-    and grow with r, so every verdict is monotone in r and the radius, the
-    largest passing r of the grid 0.01 * factor^j <= 2 (factor =
-    _SCAN_FACTOR), is found by bisection: 0 if the grid's first r fails, 2
-    if none does.
+    freed on return, so no odd row is computed). The closed form: since
+    |n>_lam = e^{lam a}|n>/sqrt(L_n) and u_k / sqrt(L_2k) = g_2k(r, 0),
+    sum_k u_k |2k>_lam = e^{lam a} g(r, 0) = e^{r lam^2/2} g(r, r lam);
+    with <2T|_lam = <2T| e^{lam a_dag}/sqrt(L_2T) and g_2T even in mu, for
+    r < 1
+        sum_{k>=0} G_kT u_k = e^{r lam^2/2} g_2T(r, |lam|(1+r)) / sqrt(L_2T),
+    a sum of non-negative terms with G_TT = 1, so the increment is at most
+    2 u_T times it, and _gaussian_log_bound bounds g_2T in closed form.
+    Every term of every verdict is non-negative and grows with r, so every
+    verdict is monotone in r and the radius, the largest passing r of the
+    grid 0.01 * factor^j <= 2 (factor = _SCAN_FACTOR), is found by
+    bisection: 0 if the grid's first r fails, 2 if none does.
     """
     T = _SCAN_T_MAX
     work = basis if basis.max_n >= 2 * T else LambdaBasis(basis.lam, 2 * T)
     base_logs = 0.5 * (work.log_laguerre[0: 2 * T + 1: 2]
                        + _even_log_weights(T))
     k = np.arange(T + 1)
+    # for the closed-form bound, at T >= 1 (the T = 0 increment is 1)
+    lam, even = work.lam, 2 * k[1:]
+    half_lag = 0.5 * work.log_laguerre[2: 2 * T + 1: 2]
     upper = diag = None  # U and diag G, built on the first exact verdict
 
     def fails(r: float) -> bool:
@@ -302,6 +328,10 @@ def _scan_radius(basis: LambdaBasis) -> float:
             return False
         if not _cauchy_run(mags * mags < _SCAN_TOL):
             return True
+        if r < 1.0 and _cauchy_run(
+                _LN2 + logs[1:] - half_lag + 0.5 * r * lam * lam
+                + _gaussian_log_bound(r, abs(lam) * (1.0 + r), even) < _LOG_SCAN_TOL):
+            return False
         if upper is None:
             upper, diag = _even_gram_block(work, T)
         inc = np.abs(2.0 * (mags * (upper.T @ mags)) + diag * mags * mags)

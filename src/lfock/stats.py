@@ -96,11 +96,15 @@ def number_moments(state) -> StatisticsReport:
     basis = expansion.basis
     c = np.asarray(expansion.coeffs, dtype=complex)
     d = c.shape[0]
+    hi = min(d + 32, basis.max_n + 1)
+    G = gram(basis, hi)  # gram(b, S) is gram(b, S')[:S, :S] bit for bit
 
     def weights(lo: int, hi: int) -> np.ndarray:
-        return np.abs(_matvec(gram(basis, max(hi, d))[lo:hi, :d], c)) ** 2
+        nonlocal G
+        if hi > G.shape[0]:  # double, so the tail rebuilds G only log times
+            G = gram(basis, min(max(2 * G.shape[0], hi), basis.max_n + 1))
+        return np.abs(_matvec(G[lo:hi, :d], c)) ** 2
 
-    hi = min(d + 32, basis.max_n + 1)
     P = weights(0, hi)
     while True:
         m = np.arange(hi - 8, hi)

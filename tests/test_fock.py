@@ -268,6 +268,15 @@ def test_cached_matrices_are_read_only_and_grow_exactly(lam):
             assert np.array_equal(M, want[: M.shape[0], : M.shape[0]])
 
 
+@pytest.mark.parametrize("lam", [0.7, -1.3, 2.9, 0.0, 30.0, 1e-8])
+def test_gram_is_bit_for_bit_the_corner_of_every_larger_gram(lam):
+    # what lets stats.number_moments grow one matrix instead of rebuilding
+    basis = LambdaBasis(lam, 600)
+    big = gram(basis, 601)
+    for size in (1, 2, 33, 66, 132, 264, 600):
+        assert gram(basis, size).tobytes() == big[:size, :size].tobytes()
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.7, -1.3, 2.9])
 def test_gram_and_norm_read_one_triangle_of_the_recurrence(lam):
     # gram() writes each closed-triangle row of _gram_rows, of either

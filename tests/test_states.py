@@ -368,10 +368,64 @@ def test_phase_zero_increments_bound_every_ray(lam):
         assert np.all(np.abs(increments(k * math.pi / 4.0)) <= axis * (1 + 1e-12))
 
 
-@pytest.mark.parametrize("lam, builds", [(0.5, 0), (2.0, 1)])
+def _phase_zero_logs(basis, r, T=800):
+    """ln m_k = ln(r^k sqrt(L_2k (2k-1)!!/(2k)!!)), k <= T: the scan's ray."""
+    return np.arange(T + 1) * math.log(r) + 0.5 * (
+        basis.log_laguerre[0: 2 * T + 1: 2] + _even_log_weights(T))
+
+
+_BOUND_CASES = [(lam, r) for lam in (-3.0, -0.5, 0.0, 0.7, 2.0)
+                for r in (0.3, 0.6, 0.9)]
+
+
+@pytest.mark.parametrize("lam, r", _BOUND_CASES)
+def test_saddle_bound_is_above_every_scanned_gaussian_amplitude(lam, r):
+    mu = abs(lam) * (1.0 + r)
+    mant, expo = fock._gaussian_amplitudes(r, mu, 1601)
+    g = mant[2::2, 0]
+    assert np.all(g.imag == 0) and np.all(g.real > 0)
+    log_g = np.log(g.real) + math.log(2.0) * expo[2::2, 0]
+    bound = states._gaussian_log_bound(r, mu, 2 * np.arange(1, 801))
+    assert np.all(log_g <= bound)
+
+
+@pytest.mark.parametrize("lam, r", _BOUND_CASES)
+def test_closed_form_bound_is_above_the_exact_increments(lam, r):
+    # the fifth verdict: inc_T <= 2 m_T sum_k G_kT m_k
+    # = 2 m_T e^{r lam^2/2} g_2T(r, |lam|(1+r)) / sqrt(L_2T)
+    basis = LambdaBasis(lam, 1604)
+    logs = _phase_zero_logs(basis, r)
+    mags = np.exp(logs)
+    upper, diag = fock._even_gram_block(basis, 800)
+    inc = 2.0 * mags * (upper.T @ mags) + diag * mags * mags
+    bound = math.log(2.0) + logs[1:] + 0.5 * r * lam * lam \
+        - 0.5 * basis.log_laguerre[2:1601:2] \
+        + states._gaussian_log_bound(r, abs(lam) * (1.0 + r), 2 * np.arange(1, 801))
+    with np.errstate(divide="ignore"):  # increments that underflow to 0
+        assert np.all(np.log(inc[1:]) <= bound)
+
+
+def test_phase_zero_row_sums_have_the_gaussian_closed_form():
+    # sum_k G_kT m_k = <2T|_lam e^{lam a} g(r, 0) = e^{r lam^2/2}
+    # g_2T(r, lam(1+r)) / sqrt(L_2T); at r 0.3 the rows past k = 200 add
+    # nothing to a double
+    lam, r, T = 0.7, 0.3, 20
+    basis = LambdaBasis(lam, 400)
+    mags = np.exp(_phase_zero_logs(basis, r, 200))
+    sums = gram(basis, 401)[::2, ::2] @ mags
+    mant, expo = fock._gaussian_amplitudes(r, lam * (1.0 + r), 2 * T + 1)
+    closed = math.exp(0.5 * r * lam * lam) * mant[::2, 0].real \
+        * np.exp2(expo[::2, 0]) / np.exp(0.5 * basis.log_laguerre[0: 2 * T + 1: 2])
+    np.testing.assert_allclose(sums[: T + 1], closed, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("lam, builds", [(0.5, 0), (2.0, 1), (1.5, 0),
+                                         (-1.5, 0), (0.0, 0), (50.0, 1)])
 def test_radius_scan_builds_the_gram_triangle_only_when_the_bounds_disagree(
         lam, builds, monkeypatch):
-    # at lam 0.5 the two Gram-free bounds settle every probed r
+    # at lam 0.5 the two Gram-free bounds settle every probed r; at 1.5,
+    # -1.5 and 0 the closed-form bound passes what they leave open; at 2 and
+    # 50 some probe needs the exact increments
     monkeypatch.setattr(states, "_GUARD_RADII", {})
     calls = []
     real = states._even_gram_block

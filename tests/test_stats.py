@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
+from lfock import stats
 from lfock.fock import LambdaBasis, LambdaExpansion, lambda_ket
 from lfock.specfun import laguerre0_log
 from lfock.states import (_SQUEEZED_MAX_N, DomainError, lambda_coherent,
@@ -83,6 +84,26 @@ def test_flat_coherent_state_is_poissonian():
     dense = number_moments(state.to_standard())
     assert dense.basis_tag == "standard"
     assert abs(dense.mandel_q) < 1e-8
+
+
+def test_bare_expansion_moments_grow_one_gram_by_doubling(monkeypatch):
+    # |0>_lam = |0> at lam 10 spreads its frame weights |<m|_lam 0>|^2 over
+    # some 200 rows, so the m^2 P(m) tail adds rows to the first 33 several
+    # times; each addition used to rebuild the Gram matrix 32 rows larger
+    sizes = []
+    real = stats.gram
+
+    def spy(basis, size):
+        sizes.append(size)
+        return real(basis, size)
+
+    monkeypatch.setattr(stats, "gram", spy)
+    basis = LambdaBasis(10.0, 600)
+    report = number_moments(LambdaExpansion(basis, np.ones(1, dtype=complex)))
+    assert len(sizes) > 2 and sizes == [33 * 2 ** k for k in range(len(sizes))]
+    kernel = number_moments(lambda_coherent(0.0, basis))
+    assert report.mandel_q == pytest.approx(kernel.mandel_q, rel=1e-12)
+    assert report.mean == pytest.approx(kernel.mean, rel=1e-12)
 
 
 def test_vacuum_report_leaves_q_undefined():

@@ -8,7 +8,8 @@ bench/run.py pins it, and computes `states.radius_min` at every lam of
 CORPUS, once at `_SCAN_FACTOR` 1.05 and once at sqrt(1.05), on a
 `LambdaBasis(lam, states._SQUEEZED_MAX_N)` with the radius cache emptied
 before each factor. Prints every (factor, lam) whose radii differ, with
-both values, then a count; exits 1 if any differ, 0 otherwise.
+both values, then a count, then how many of the scans of each tree called
+`states._even_gram_block`; exits 1 if any radii differ, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -44,19 +45,29 @@ import json, sys
 from lfock import states
 from lfock.fock import LambdaBasis
 lams, factors = json.loads(sys.argv[1])
-out = []
+out, builds, block = [], 0, states._even_gram_block
+
+
+def counted(basis, T):
+    global builds
+    builds += 1
+    return block(basis, T)
+
+
+states._even_gram_block = counted
 for factor in factors:
     states._SCAN_FACTOR = float.fromhex(factor)
     states._GUARD_RADII.clear()
     out.append([states.radius_min(LambdaBasis(float.fromhex(lam),
                                               states._SQUEEZED_MAX_N)).hex()
                 for lam in lams])
-print(json.dumps(out))
+print(json.dumps([out, builds]))
 """
 
 
-def radii(src: str) -> list[list[str]]:
-    """Per factor, the radius of each lam of CORPUS as float.hex strings."""
+def radii(src: str) -> tuple[list[list[str]], int]:
+    """Per factor, the radius of each lam of CORPUS as float.hex strings,
+    and the count of scans that built the even Gram block."""
     arg = json.dumps([[lam.hex() for lam in CORPUS],
                       [factor.hex() for factor in FACTORS]])
     proc = subprocess.run([sys.executable, "-c", CHILD, arg],
@@ -72,7 +83,8 @@ def main(argv: list[str]) -> int:
               file=sys.stderr)
         return 2
     with ThreadPoolExecutor(2) as pool:
-        parent, change = pool.map(radii, [os.path.abspath(src) for src in argv])
+        (parent, parent_builds), (change, change_builds) = pool.map(
+            radii, [os.path.abspath(src) for src in argv])
     differ = 0
     for factor, old, new in zip(FACTORS, parent, change):
         for lam, r0, r1 in zip(CORPUS, old, new):
@@ -82,6 +94,8 @@ def main(argv: list[str]) -> int:
                       f"{float.fromhex(r0)!r} -> {float.fromhex(r1)!r}")
     print(f"{differ} of {len(FACTORS) * len(CORPUS)} scans differ "
           f"({len(CORPUS)} lam, {len(FACTORS)} factors)")
+    print(f"even Gram block built in {parent_builds} scans of PARENT_SRC, "
+          f"{change_builds} of CHANGE_SRC")
     return 1 if differ else 0
 
 
