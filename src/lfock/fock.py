@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import (_laguerre_table, log_factorial_table,
+from .specfun import (_as_float, _laguerre_table, log_factorial_table,
                       logsumexp_positive)
 
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
@@ -87,11 +87,13 @@ class LambdaBasis:
     def __repr__(self):
         return f"LambdaBasis(lam={self.lam}, max_n={self.max_n})"
 
-    def _check(self, n: int, what: str = "index"):
-        if n < 0:
+    def _check(self, n, what: str = "index"):
+        """Refuse an index, or the extremes of an index array, outside 0..max_n."""
+        lo, hi = (n, n) if isinstance(n, (int, np.integer)) else (n.min(), n.max())
+        if lo < 0:
             raise ValueError(f"{what} must be nonnegative")
-        if n > self.max_n:
-            raise ValueError(f"{what} {n} beyond basis horizon max_n={self.max_n}")
+        if hi > self.max_n:
+            raise ValueError(f"{what} {hi} beyond basis horizon max_n={self.max_n}")
 
     def _row(self, n: int) -> np.ndarray:
         """Standard-basis coefficients of |n>_lam (length n+1)."""
@@ -267,8 +269,24 @@ def _gaussian_moments(xi, mu):
     return a, ns, s, var
 
 
-def overlap_analytic(m: int, n: int, basis: LambdaBasis) -> float:
-    """The inner product <m|n>_lam between deformed basis states.
+def _log_overlap_sum(hi, lo, lam: float) -> np.ndarray:
+    """ln sum_k |lam|^{2k+hi-lo} sqrt(hi! lo!) / [k! (lo-k)! (hi-lo+k)!] over
+    integer arrays hi >= lo (-inf off the diagonal at lam 0): |<hi|lo>_lam|
+    sqrt(L_hi L_lo). Each element's terms fill a row, -inf past k = lo."""
+    hi, lo = np.asarray(hi)[..., None], np.asarray(lo)[..., None]
+    if lam == 0.0:
+        return np.where(hi == lo, 0.0, -np.inf)[..., 0]
+    lf = log_factorial_table(int(hi.max()))
+    k = np.arange(int(lo.max()) + 1)
+    kk = np.minimum(k, lo)  # in range for every factorial; masked past lo
+    logs = (2 * kk + hi - lo) * math.log(abs(lam)) \
+        + 0.5 * (lf[hi] + lf[lo]) - lf[kk] - lf[lo - kk] - lf[hi - lo + kk]
+    return logsumexp_positive(np.where(k <= lo, logs, -np.inf), -1)
+
+
+def overlap_analytic(m, n, basis: LambdaBasis):
+    """The inner product <m|n>_lam between deformed basis states, elementwise
+    over broadcast integer arrays m, n (a float for scalars).
 
     Evaluates [L_m L_n]^{-1/2} sum_k lam^{2k+m-n} sqrt(n! m!) /
     [k! (n-k)! (m-n+k)!] over all k with nonnegative factorial arguments.
@@ -276,22 +294,14 @@ def overlap_analytic(m: int, n: int, basis: LambdaBasis) -> float:
     """
     basis._check(m)
     basis._check(n)
-    if m == n:
-        return 1.0
-    if basis.lam == 0.0:
-        return 0.0
     # The sum is symmetric under (m, n) swap; canonicalize so results are
     # bitwise symmetric too.
-    hi, lo = (m, n) if m >= n else (n, m)
-    lf = log_factorial_table(hi)
-    k = np.arange(lo + 1)
-    logs = (2 * k + hi - lo) * math.log(abs(basis.lam)) \
-        + 0.5 * (lf[hi] + lf[lo]) - lf[k] - lf[lo - k] - lf[hi - lo + k]
-    mag = logsumexp_positive(logs) \
-        - 0.5 * float(basis.log_laguerre[hi] + basis.log_laguerre[lo])
+    hi, lo = np.maximum(m, n), np.minimum(m, n)
+    lL = basis.log_laguerre
+    mag = np.exp(_log_overlap_sum(hi, lo, basis.lam) - 0.5 * (lL[hi] + lL[lo]))
     # every term carries lam^(2k + hi - lo): the sign of lam when hi - lo is odd
-    return math.copysign(math.exp(mag), basis.lam) if (hi - lo) % 2 \
-        else math.exp(mag)
+    mag = np.where((hi - lo) % 2, np.copysign(mag, basis.lam), mag)
+    return _as_float(np.where(m == n, 1.0, mag))
 
 
 def ladder_down(n: int, basis: LambdaBasis) -> tuple[float, int]:
@@ -312,28 +322,28 @@ def ladder_up(n: int, basis: LambdaBasis) -> tuple[float, int]:
     return math.sqrt(n + 1.0) / float(basis.rho[n + 1]), n + 1
 
 
-def lowering_scalar(n: int, k: int, basis: LambdaBasis) -> float:
-    """Scalar s with a^k |n>_lam = s |n-k>_lam (0 if k > n)."""
+def lowering_scalar(n, k, basis: LambdaBasis):
+    """Scalar s with a^k |n>_lam = s |n-k>_lam (0 if k > n), elementwise over
+    broadcast integer arrays n, k (a float for scalars)."""
     basis._check(n)
-    if k > n:
-        return 0.0
-    lf = log_factorial_table(n)
-    lL = basis.log_laguerre
-    return math.exp(0.5 * (float(lf[n] - lf[n - k])
-                           + float(lL[n - k] - lL[n])))
+    j = np.where(k > n, n, n - k)  # n - k, in range where s is 0
+    lf, lL = log_factorial_table(int(np.max(n))), basis.log_laguerre
+    s = np.exp(0.5 * ((lf[n] - lf[j]) + (lL[j] - lL[n])))
+    return _as_float(np.where(k > n, 0.0, s))
 
 
-def raising_scalar(n: int, k: int, basis: LambdaBasis) -> float:
-    """Scalar u with (a_dag + lam)^k |n>_lam = u |n+k>_lam."""
-    basis._check(n + k, "raised index")
-    lf = log_factorial_table(n + k)
-    lL = basis.log_laguerre
-    return math.exp(0.5 * (float(lf[n + k] - lf[n])
-                           + float(lL[n + k] - lL[n])))
+def raising_scalar(n, k, basis: LambdaBasis):
+    """Scalar u with (a_dag + lam)^k |n>_lam = u |n+k>_lam, elementwise over
+    broadcast integer arrays n, k (a float for scalars)."""
+    top = n + k
+    basis._check(top, "raised index")
+    lf, lL = log_factorial_table(int(np.max(top))), basis.log_laguerre
+    return _as_float(np.exp(0.5 * ((lf[top] - lf[n]) + (lL[top] - lL[n]))))
 
 
-def matel_normal_ordered(m: int, n: int, r: int, k: int, basis: LambdaBasis) -> float:
-    """<m| (a_dag + lam)^r a^k |n> between deformed basis states.
+def matel_normal_ordered(m, n, r, k, basis: LambdaBasis):
+    """<m| (a_dag + lam)^r a^k |n> between deformed basis states, elementwise
+    over broadcast integer arrays m, n, r, k (a float for scalars).
 
     The ladder relations take |n>_lam to lowering_scalar(n, k) |n-k>_lam
     and then to raising_scalar(n-k, r) |n-k+r>_lam, so the element is those
@@ -341,10 +351,10 @@ def matel_normal_ordered(m: int, n: int, r: int, k: int, basis: LambdaBasis) -> 
     """
     basis._check(m)
     basis._check(n)
-    if k > n:
-        return 0.0
-    return lowering_scalar(n, k, basis) * raising_scalar(n - k, r, basis) \
-        * overlap_analytic(m, n - k + r, basis)
+    dead = np.greater(k, n)  # a^k|n>_lam = 0; j + r = n keeps the rest in range
+    j, r = np.where(dead, n, n - k), np.where(dead, 0, r)
+    return lowering_scalar(n, k, basis) * raising_scalar(j, r, basis) \
+        * overlap_analytic(m, j + r, basis)
 
 
 def _gram_rows(basis: LambdaBasis, size: int, first: int):

@@ -22,8 +22,7 @@ import math
 import numpy as np
 
 from .fock import (DomainError, LambdaBasis, LambdaExpansion, TruncationError,
-                   _exp_lowering, _matvec, gram)
-from .specfun import log_factorial_table, logsumexp_positive
+                   _exp_lowering, _log_overlap_sum, _matvec, gram)
 from .states import (_even_log_weights, _guard_xi, _squeezed_terms,
                      lambda_coherent)
 from .stats import _NORM_TOL, QuadratureReport
@@ -64,9 +63,11 @@ def number_operator(N: int) -> np.ndarray:
 
 
 def expm_apply(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """e^M v, v a vector or columns: s = ceil(||M||_1) steps of the Taylor
-    series of e^{M/s}, each ended once two consecutive terms fall below
-    eps ||w|| (the action of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011)."""
+    """e^M v, v a vector or columns: a fixed s = ceil(||M||_1) steps of the
+    Taylor series of e^{M/s}, each ended once two consecutive terms fall
+    below eps ||w||. Not the Al-Mohy & Higham action (SIAM J. Sci. Comput.
+    33, 2011), which picks s and the degree from ||A^p||^{1/p} estimates:
+    here the cost grows linearly with the norm."""
     norm = float(np.linalg.norm(M, 1))
     s = max(1, math.ceil(norm)) if math.isfinite(norm) else 1  # NaN: caught below
     A = np.asarray(M, dtype=complex) / s
@@ -187,9 +188,10 @@ def squeezed_norm_constant(xi: complex, basis: LambdaBasis) -> float:
 
     The series is sum_{m,n} conj(xi)^m xi^n w_m w_n g(2m, 2n) with
     w_n = sqrt((2n-1)!!/(2n)!!) and g the unnormalized overlap k-sum
-    g(2m, 2n) = sum_k lam^{2k+2m-2n} sqrt((2n)!(2m)!)/[k!(2n-k)!(2m-2n+k)!];
-    the sqrt(L) factors of the coefficients cancel the overlap normalization
-    exactly, so this route shares no code with the Gram route it is checked
+    g(2m, 2n) = sum_k lam^{2k+2m-2n} sqrt((2n)!(2m)!)/[k!(2n-k)!(2m-2n+k)!]
+    (fock._log_overlap_sum, one kernel row per call); the sqrt(L) factors of
+    the coefficients cancel the overlap normalization exactly, so this route
+    shares no code with the Gram route or the Gaussian kernel it is checked
     against. Divergence is reported when the partial-sum increments stop
     decreasing.
     """
@@ -199,25 +201,12 @@ def squeezed_norm_constant(xi: complex, basis: LambdaBasis) -> float:
         return 1.0
     lam = basis.lam
     T = _squeezed_terms(xi, basis, None) - 1
-    lf = log_factorial_table(4 * T)
     half_w = 0.5 * _even_log_weights(T)
-    loglam = math.log(abs(lam)) if lam != 0.0 else None
-
-    def log_g(mm: int, nn: int) -> float:
-        # unnormalized overlap of |2mm>_lam, |2nn>_lam in logs, mm >= nn
-        a, b = 2 * mm, 2 * nn
-        if loglam is None:
-            return 0.0 if a == b else -math.inf
-        k = np.arange(b + 1)
-        terms = (2 * k + a - b) * loglam + 0.5 * (lf[a] + lf[b]) \
-            - lf[k] - lf[b - k] - lf[a - b + k]
-        return logsumexp_positive(terms)
-
     kernel = np.empty((T + 1, T + 1))
-    for mm in range(T + 1):
-        for nn in range(mm + 1):
-            v = math.exp(log_g(mm, nn) + half_w[mm] + half_w[nn])
-            kernel[mm, nn] = kernel[nn, mm] = v
+    for mm in range(T + 1):  # row mm: g(2mm, 2nn) for every nn <= mm at once
+        nn = np.arange(mm + 1)
+        kernel[mm, : mm + 1] = kernel[: mm + 1, mm] = np.exp(
+            _log_overlap_sum(2 * mm, 2 * nn, lam) + half_w[mm] + half_w[nn])
     w = xi ** np.arange(T + 1)
     total = 0.0
     increments = []

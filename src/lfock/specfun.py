@@ -41,26 +41,45 @@ def log_factorial_table(n_max: int) -> np.ndarray:
     return _LOG_FACT_TABLE[: n_max + 1]
 
 
-def logsumexp_positive(logs: np.ndarray) -> float:
-    """log(sum(exp(logs))) for a nonempty array of finite logs."""
-    mx = float(np.max(logs))
-    return mx + math.log(float(np.exp(logs - mx).sum()))
+def _as_float(x: np.ndarray):
+    """A 0-d result as a Python float, as scalar arguments get; else x."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
-def laguerre0_log(n: int, lam: float) -> float:
-    """ln L_n^{(0)}(-lambda^2).
+def logsumexp_positive(logs: np.ndarray, axis: int | None = None):
+    """log(sum(exp(logs))) for an array of finite logs, as a float.
+
+    With axis, the sums run along that axis and an array comes back; there
+    -inf entries are padding, and each sum needs one finite entry. Those sums
+    are running sums, which add a slice's terms in index order whatever its
+    padding, so a slice sums to the same bits alone or in a padded batch.
+    """
+    if axis is None:
+        mx = float(np.max(logs))
+        return mx + math.log(float(np.exp(logs - mx).sum()))
+    mx = logs.max(axis=axis, keepdims=True)
+    total = np.take(np.cumsum(np.exp(logs - mx), axis=axis), -1, axis=axis)
+    return np.squeeze(mx, axis) + np.log(total)
+
+
+def laguerre0_log(n, lam: float):
+    """ln L_n^{(0)}(-lambda^2), elementwise over an integer array n; a float
+    for a scalar n.
 
     The series L_n(-lam^2) = sum_k C(n,k) lam^{2k}/k! has all-positive terms,
     so the log-sum is exact up to rounding; no cancellation occurs.
     """
-    if n < 0:
+    n = np.asarray(n)
+    if np.any(n < 0):
         raise ValueError("order must be nonnegative")
-    if lam == 0.0 or n == 0:
-        return 0.0
-    lf = log_factorial_table(n)
-    k = np.arange(n + 1)
-    logs = lf[n] - lf[k] - lf[n - k] + 2.0 * k * math.log(abs(lam)) - lf[k]
-    return logsumexp_positive(logs)
+    out = np.zeros(n.shape)
+    if lam != 0.0:
+        lf = log_factorial_table(int(n.max(initial=0)))
+        k, top = np.arange(lf.shape[0]), n[..., None]
+        kk = np.minimum(k, top)  # in range for every factorial; masked past n
+        logs = lf[top] - lf[kk] - lf[top - kk] + 2.0 * kk * math.log(abs(lam)) - lf[kk]
+        out = logsumexp_positive(np.where(k <= top, logs, -np.inf), -1)
+    return _as_float(out)
 
 
 def _laguerre_table(lam: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:

@@ -257,7 +257,8 @@ _LOG_SCAN_TOL = math.log(_SCAN_TOL)
 
 def _cauchy_run(flags: np.ndarray) -> bool:
     """Whether flags holds _SCAN_WINDOW consecutive Trues."""
-    run = np.cumsum(np.pad(flags, (1, 0)))
+    run = np.zeros(flags.shape[0] + 1, dtype=np.intp)  # run[i]: Trues before i
+    np.cumsum(flags, out=run[1:])
     return bool((run[_SCAN_WINDOW:] - run[:-_SCAN_WINDOW] == _SCAN_WINDOW).any())
 
 

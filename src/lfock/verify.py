@@ -44,7 +44,8 @@ class SuiteReport:
 
 
 def _scaled_err(got, want) -> float:
-    return abs(got - want) / max(1.0, abs(want))
+    """max |got - want| / max(1, |want|), elementwise over arrays."""
+    return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
 
 
 def _normalized_mismatch(u: np.ndarray, v: np.ndarray) -> float:
@@ -62,8 +63,8 @@ def _suite_overlaps() -> list[Check]:
         basis = LambdaBasis(lam, 64)
         E = operators.expansion_matrix(basis, n_hi + 1)
         G_dot = E @ E.T
-        G_an = np.array([[fock.overlap_analytic(m, n, basis)
-                          for n in range(n_hi + 1)] for m in range(n_hi + 1)])
+        idx = np.arange(n_hi + 1)
+        G_an = fock.overlap_analytic(idx[:, None], idx[None, :], basis)
         G_rec = fock.gram(basis, n_hi + 1)
         out.append(Check(f"norms lam={lam:g}",
                          float(np.max(np.abs(np.linalg.norm(E, axis=1) - 1.0))),
@@ -81,8 +82,7 @@ def _suite_overlaps() -> list[Check]:
                          float(np.max(np.abs(G_rec - G_an))), 1e-12))
         out.append(Check(f"symmetry lam={lam:g}",
                          float(np.max(np.abs(G_an - G_an.T))), 0.0))
-        series = np.array([specfun.laguerre0_log(n, lam)
-                           for n in range(basis.max_n + 1)])
+        series = specfun.laguerre0_log(np.arange(basis.max_n + 1), lam)
         out.append(Check(f"Laguerre table vs laguerre0_log lam={lam:g}",
                          float(np.max(np.abs(basis.log_laguerre - series)
                                       / np.maximum(1.0, series))), 1e-12))
@@ -109,14 +109,15 @@ def _suite_ladders() -> list[Check]:
         out.append(Check(f"lowering lam={lam:g}", down, 1e-12))
         out.append(Check(f"raising lam={lam:g}", up, 1e-12))
         out.append(Check(f"number eigenvalue lam={lam:g}", num, 1e-12))
-        prod_err = 0.0
+        prods = []
         for n in range(1, 26):
             prod = 1.0
             for j in range(n, 0, -1):
                 prod *= fock.ladder_down(j, basis)[0]
-            prod_err = max(prod_err,
-                           _scaled_err(prod, fock.lowering_scalar(n, n, basis)))
-        out.append(Check(f"iterated lowering lam={lam:g}", prod_err, 1e-12))
+            prods.append(prod)
+        ns = np.arange(1, 26)
+        out.append(Check(f"iterated lowering lam={lam:g}", _scaled_err(
+            np.array(prods), fock.lowering_scalar(ns, ns, basis)), 1e-12))
     return out
 
 
@@ -124,27 +125,24 @@ def _suite_matel() -> list[Check]:
     out = []
     hi = 8
     N = hi + 8
+    m, n = np.arange(hi + 1)[:, None], np.arange(hi + 1)[None, :]
     for lam in (0.3, 1.0):
         basis = LambdaBasis(lam, 64)
         a, _, adl = operators.build_ladders(N, lam)
         apow = [np.linalg.matrix_power(a.real, k) for k in range(3)]
         upow = [np.linalg.matrix_power(adl.real, k) for k in range(3)]
-        kets = [fock.lambda_ket(n, basis, N) for n in range(hi + 1)]
+        kets = np.array([fock.lambda_ket(j, basis, N) for j in range(hi + 1)])
         worst = {"creation": 0.0, "annihilation": 0.0, "normal ordered": 0.0}
-        for m in range(hi + 1):
-            for n in range(hi + 1):
-                for k in range(3):
-                    dense = float(kets[m] @ upow[k] @ kets[n])
-                    worst["creation"] = max(worst["creation"], _scaled_err(
-                        fock.matel_normal_ordered(m, n, k, 0, basis), dense))
-                    dense = float(kets[m] @ apow[k] @ kets[n])
-                    worst["annihilation"] = max(worst["annihilation"], _scaled_err(
-                        fock.matel_normal_ordered(m, n, 0, k, basis), dense))
-                    for r in range(3):
-                        dense = float(kets[m] @ upow[r] @ apow[k] @ kets[n])
-                        worst["normal ordered"] = max(worst["normal ordered"],
-                                                      _scaled_err(
-                            fock.matel_normal_ordered(m, n, r, k, basis), dense))
+        for k in range(3):  # one array of elements per (r, k), each against
+            # the dense kets @ U^r @ A^k @ kets.T
+            worst["creation"] = max(worst["creation"], _scaled_err(
+                fock.matel_normal_ordered(m, n, k, 0, basis), kets @ upow[k] @ kets.T))
+            worst["annihilation"] = max(worst["annihilation"], _scaled_err(
+                fock.matel_normal_ordered(m, n, 0, k, basis), kets @ apow[k] @ kets.T))
+            for r in range(3):
+                worst["normal ordered"] = max(worst["normal ordered"], _scaled_err(
+                    fock.matel_normal_ordered(m, n, r, k, basis),
+                    kets @ upow[r] @ apow[k] @ kets.T))
         for label, err in worst.items():
             out.append(Check(f"{label} lam={lam:g}", err, 1e-12))
     return out

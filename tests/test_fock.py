@@ -1,6 +1,7 @@
 """Deformed number basis: expansions, overlaps, ladder action, matrix elements."""
 
 import math
+import re
 import warnings
 
 import mpmath
@@ -49,14 +50,23 @@ def test_shift_operator_route_agrees(lam):
         assert np.max(np.abs(direct - shifted)) < 1e-12, f"n={n}"
 
 
-@pytest.mark.parametrize("lam", LAMBDAS + [-1.3])
+@pytest.mark.parametrize("lam", LAMBDAS + [-1.3, 0.0, 0.7])
 def test_analytic_overlap_matches_vector_dot(lam):
     basis = LambdaBasis(lam, 64)
+    idx = np.arange(0, 33, 4)
+    # the array call evaluates every pair at once; each element must be the
+    # scalar call's value (one code path, -inf padding summed as exact zeros)
+    G = overlap_analytic(idx[:, None], idx[None, :], basis)
+    assert G.shape == (idx.size, idx.size)
+    scalar = np.array([[overlap_analytic(m, n, basis) for n in range(0, 33, 4)]
+                       for m in range(0, 33, 4)])
+    np.testing.assert_allclose(G, scalar, rtol=1e-15, atol=0.0)
     for m in range(0, 33, 4):
         for n in range(m, 33, 4):
             vm = lambda_ket(m, basis, 64)
             vn = lambda_ket(n, basis, 64)
             got = overlap_analytic(m, n, basis)
+            assert isinstance(got, float)
             assert got == pytest.approx(float(vm @ vn), abs=1e-10)
 
 
@@ -66,6 +76,14 @@ def test_overlap_symmetry_is_bitwise():
         for n in range(0, 20, 3):
             assert overlap_analytic(m, n, basis) == overlap_analytic(
                 n, m, basis)
+    idx = np.arange(0, 20, 3)
+    for lam in (1.3, -1.3, 0.0, 0.7, 2.0):
+        basis = LambdaBasis(lam, 32)
+        G = overlap_analytic(idx[:, None], idx[None, :], basis)
+        assert np.array_equal(G, G.T)
+        # the transposed call and a broadcast row give the same bits
+        assert np.array_equal(overlap_analytic(idx[None, :], idx[:, None], basis), G)
+        assert np.array_equal(overlap_analytic(idx[3], idx, basis), G[3])
 
 
 def test_overlap_diagonal_and_lambda_zero():
@@ -74,6 +92,12 @@ def test_overlap_diagonal_and_lambda_zero():
     flat = LambdaBasis(0.0, 16)
     assert overlap_analytic(2, 7, flat) == 0.0
     assert overlap_analytic(3, 3, flat) == 1.0
+    idx = np.arange(17)
+    assert np.array_equal(overlap_analytic(idx[:, None], idx[None, :], flat),
+                          np.eye(17))
+    for lam in (0.9, -1.3, 0.7, 2.0):
+        G = overlap_analytic(idx[:, None], idx[None, :], LambdaBasis(lam, 16))
+        assert np.all(np.diag(G) == 1.0)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
@@ -162,6 +186,15 @@ def test_iterated_scalars_compose():
     c1, _ = ladder_up(4, basis)
     c2, _ = ladder_up(5, basis)
     assert up == pytest.approx(c1 * c2, rel=1e-12)
+    # array calls equal the scalar calls elementwise, k > n (0) included
+    n, k = np.arange(12)[:, None], np.arange(5)[None, :]
+    down = lowering_scalar(n, k, basis)
+    assert down.shape == (12, 5) and np.all(down[np.arange(4), 4] == 0.0)
+    np.testing.assert_allclose(down, [[lowering_scalar(i, j, basis) for j in range(5)]
+                                      for i in range(12)], rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(raising_scalar(n, k, basis),
+                               [[raising_scalar(i, j, basis) for j in range(5)]
+                                for i in range(12)], rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("lam", [0.3, 1.0, 2.0, -1.3, 0.0])
@@ -175,17 +208,23 @@ def test_matrix_elements_against_dense_oracle(lam):
     apow = [np.linalg.matrix_power(a, k) for k in range(4)]
     upow = [np.linalg.matrix_power(adl, r) for r in range(4)]
     kets = [lambda_ket(n, basis, N).astype(complex) for n in range(16)]
+    idx = np.arange(16)
 
     def err(got, dense):
         return abs(got - dense.real) / max(1.0, abs(dense.real))
 
-    for m in range(16):
-        for n in range(16):
-            for r in range(4):
-                for k in range(4):
+    for r in range(4):
+        for k in range(4):
+            scalar = np.empty((16, 16))
+            for m in range(16):
+                for n in range(16):
                     dense = kets[m] @ (upow[r] @ (apow[k] @ kets[n]))
-                    got = matel_normal_ordered(m, n, r, k, basis)
+                    scalar[m, n] = got = matel_normal_ordered(m, n, r, k, basis)
                     assert err(got, dense) <= 2e-14, (m, n, r, k)
+            # one array call per (r, k), k > n (0) included, equals the scalars
+            got = matel_normal_ordered(idx[:, None], idx[None, :], r, k, basis)
+            np.testing.assert_allclose(got, scalar, rtol=1e-15, atol=0.0)
+            assert np.all(got[:, :k] == 0.0)  # columns n < k
 
 
 def test_matrix_elements_flat_limit():
@@ -226,6 +265,25 @@ def test_beyond_horizon_rejected():
         lambda_ket(9, basis)
     with pytest.raises(ValueError):
         overlap_analytic(0, 9, basis)
+    # an array call checks its extreme indices and raises the scalar
+    # call's error, message included
+    for scalar_call, array_call in (
+            (lambda: overlap_analytic(0, 9, basis),
+             lambda: overlap_analytic(np.arange(3)[:, None], np.array([0, 9, 4]), basis)),
+            (lambda: overlap_analytic(-1, 2, basis),
+             lambda: overlap_analytic(np.array([3, -1]), 2, basis)),
+            (lambda: lowering_scalar(9, 1, basis),
+             lambda: lowering_scalar(np.array([2, 9]), np.array([1, 1]), basis)),
+            (lambda: raising_scalar(7, 2, basis),
+             lambda: raising_scalar(np.array([1, 7]), 2, basis)),
+            (lambda: matel_normal_ordered(9, 1, 0, 0, basis),
+             lambda: matel_normal_ordered(np.array([0, 9]), 1, 0, 0, basis)),
+            (lambda: matel_normal_ordered(1, 8, 3, 1, basis),
+             lambda: matel_normal_ordered(1, np.array([2, 8]), 3, 1, basis))):
+        with pytest.raises(ValueError) as scalar_err:
+            scalar_call()
+        with pytest.raises(ValueError, match=f"^{re.escape(str(scalar_err.value))}$"):
+            array_call()
 
 
 def test_laguerre_enters_normalization():

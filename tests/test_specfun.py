@@ -125,6 +125,35 @@ def test_laguerre_matches_scipy(n, lam):
 def test_laguerre_lambda_zero_is_one():
     for n in (0, 1, 7, 200):
         assert laguerre0_log(n, 0.0) == 0.0
+    assert np.array_equal(laguerre0_log(np.array([0, 1, 7, 200]), 0.0), np.zeros(4))
+
+
+@pytest.mark.parametrize("lam", [0.3, 2.0, 40.0])
+def test_laguerre0_log_array_drift_against_mpmath(lam):
+    # the oracle's own drift: the array call over n <= 200 against the
+    # three-term recurrence at 50 digits. Each k-sum rounds its log-terms,
+    # which reach ~1e3 at lam 40, so ln L_n is held to 1e-13 scaled by
+    # max(1, ln L_n), verify's scaling (worst measured 2.5e-14, lam 0.3);
+    # every element must also be the scalar call's value
+    n = np.arange(201)
+    got = laguerre0_log(n, lam)
+    with mpmath.workdps(50):
+        x = mpmath.mpf(lam) ** 2
+        prev, cur = mpmath.mpf(1), 1 + x
+        exact = [prev, cur]
+        for j in range(1, 200):
+            prev, cur = cur, ((2 * j + 1 + x) * cur - j * prev) / (j + 1)
+            exact.append(cur)
+        want = np.array([float(mpmath.log(v)) for v in exact])
+    assert np.max(np.abs(got - want) / np.maximum(1.0, want)) <= 1e-13
+    np.testing.assert_allclose(got, [laguerre0_log(j, lam) for j in range(201)],
+                               rtol=1e-15, atol=0.0)
+
+
+def test_laguerre0_log_rejects_negative_order():
+    for n in (-1, np.array([3, -1])):
+        with pytest.raises(ValueError, match="^order must be nonnegative$"):
+            laguerre0_log(n, 1.0)
 
 
 @given(st.integers(0, 200), st.floats(-6.0, 6.0, allow_nan=False))
@@ -147,4 +176,16 @@ def test_laguerre_log_monotone_in_order(n, lam):
 def test_logsumexp_matches_pairwise_reduce(logs):
     arr = np.array(logs)
     want = float(np.logaddexp.reduce(arr))
-    assert logsumexp_positive(arr) == pytest.approx(want, rel=1e-12, abs=1e-12)
+    got = logsumexp_positive(arr)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    # the 1-D call (the squeezed term rule's) keeps its arithmetic bit for bit
+    mx = float(np.max(arr))
+    assert isinstance(got, float)
+    assert got == mx + math.log(float(np.exp(arr - mx).sum()))
+    # along an axis, -inf padding adds nothing: each row sums as it would alone
+    rows = np.full((2, arr.size + 3), -np.inf)
+    rows[0, : arr.size], rows[1, :1] = arr, arr[:1]
+    both = logsumexp_positive(rows, axis=1)
+    assert both[0] == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert both[1] == arr[0]
+    assert np.array_equal(logsumexp_positive(rows.T, axis=0), both)
