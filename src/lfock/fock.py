@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import (_as_float, _laguerre_table, log_factorial_table,
-                      logsumexp_positive)
+from .specfun import (_as_float, _laguerre_table, _log_overlap_sum,
+                      log_factorial_table)
 
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
 
@@ -267,21 +267,6 @@ def _gaussian_moments(xi, mu):
     var = a2 * (2.0 * ns + 1.0) + 2.0 * (a.conjugate() ** 2 * s).real \
         + (s.real ** 2 + s.imag ** 2) + ns * ns + ns
     return a, ns, s, var
-
-
-def _log_overlap_sum(hi, lo, lam: float) -> np.ndarray:
-    """ln sum_k |lam|^{2k+hi-lo} sqrt(hi! lo!) / [k! (lo-k)! (hi-lo+k)!] over
-    integer arrays hi >= lo (-inf off the diagonal at lam 0): |<hi|lo>_lam|
-    sqrt(L_hi L_lo). Each element's terms fill a row, -inf past k = lo."""
-    hi, lo = np.asarray(hi)[..., None], np.asarray(lo)[..., None]
-    if lam == 0.0:
-        return np.where(hi == lo, 0.0, -np.inf)[..., 0]
-    lf = log_factorial_table(int(hi.max()))
-    k = np.arange(int(lo.max()) + 1)
-    kk = np.minimum(k, lo)  # in range for every factorial; masked past lo
-    logs = (2 * kk + hi - lo) * math.log(abs(lam)) \
-        + 0.5 * (lf[hi] + lf[lo]) - lf[kk] - lf[lo - kk] - lf[hi - lo + kk]
-    return logsumexp_positive(np.where(k <= lo, logs, -np.inf), -1)
 
 
 def overlap_analytic(m, n, basis: LambdaBasis):

@@ -22,7 +22,8 @@ import math
 import numpy as np
 
 from .fock import (DomainError, LambdaBasis, LambdaExpansion, TruncationError,
-                   _exp_lowering, _log_overlap_sum, _matvec, gram)
+                   _exp_lowering, _matvec, gram)
+from .specfun import _log_overlap_sum
 from .states import (_even_log_weights, _guard_xi, _squeezed_terms,
                      lambda_coherent)
 from .stats import _NORM_TOL, QuadratureReport
@@ -189,7 +190,7 @@ def squeezed_norm_constant(xi: complex, basis: LambdaBasis) -> float:
     The series is sum_{m,n} conj(xi)^m xi^n w_m w_n g(2m, 2n) with
     w_n = sqrt((2n-1)!!/(2n)!!) and g the unnormalized overlap k-sum
     g(2m, 2n) = sum_k lam^{2k+2m-2n} sqrt((2n)!(2m)!)/[k!(2n-k)!(2m-2n+k)!]
-    (fock._log_overlap_sum, one kernel row per call); the sqrt(L) factors of
+    (specfun._log_overlap_sum, one kernel row per call); the sqrt(L) factors of
     the coefficients cancel the overlap normalization exactly, so this route
     shares no code with the Gram route or the Gaussian kernel it is checked
     against. Divergence is reported when the partial-sum increments stop
@@ -199,14 +200,13 @@ def squeezed_norm_constant(xi: complex, basis: LambdaBasis) -> float:
     _guard_xi(xi, basis)
     if xi == 0:
         return 1.0
-    lam = basis.lam
     T = _squeezed_terms(xi, basis, None) - 1
     half_w = 0.5 * _even_log_weights(T)
     kernel = np.empty((T + 1, T + 1))
     for mm in range(T + 1):  # row mm: g(2mm, 2nn) for every nn <= mm at once
         nn = np.arange(mm + 1)
-        kernel[mm, : mm + 1] = kernel[: mm + 1, mm] = np.exp(
-            _log_overlap_sum(2 * mm, 2 * nn, lam) + half_w[mm] + half_w[nn])
+        kernel[mm, nn] = kernel[nn, mm] = np.exp(
+            _log_overlap_sum(2 * mm, 2 * nn, basis.lam) + half_w[mm] + half_w[nn])
     w = xi ** np.arange(T + 1)
     total = 0.0
     increments = []

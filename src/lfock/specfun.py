@@ -82,6 +82,22 @@ def laguerre0_log(n, lam: float):
     return _as_float(out)
 
 
+def _log_overlap_sum(hi, lo, lam: float) -> np.ndarray:
+    """ln sum_k |lam|^{2k+hi-lo} sqrt(hi! lo!) / [k! (lo-k)! (hi-lo+k)!] over
+    integer arrays hi >= lo (-inf off the diagonal at lam 0): the factorial
+    sum of the overlap <hi|lo>_lam (fock.overlap_analytic) before its
+    1/sqrt(L_hi L_lo). Each element's terms fill a row, -inf past k = lo."""
+    hi, lo = np.asarray(hi)[..., None], np.asarray(lo)[..., None]
+    if lam == 0.0:
+        return np.where(hi == lo, 0.0, -np.inf)[..., 0]
+    lf = log_factorial_table(int(hi.max()))
+    k = np.arange(int(lo.max()) + 1)
+    kk = np.minimum(k, lo)  # in range for every factorial; masked past lo
+    logs = (2 * kk + hi - lo) * math.log(abs(lam)) \
+        + 0.5 * (lf[hi] + lf[lo]) - lf[kk] - lf[lo - kk] - lf[hi - lo + kk]
+    return logsumexp_positive(np.where(k <= lo, logs, -np.inf), -1)
+
+
 def _laguerre_table(lam: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """ln L_n(-lambda^2) and rho_n = sqrt(L_{n-1}/L_n), n <= n_max, in O(n_max).
 
