@@ -311,7 +311,7 @@ def lowering_scalar(n, k, basis: LambdaBasis):
     """Scalar s with a^k |n>_lam = s |n-k>_lam (0 if k > n), elementwise over
     broadcast integer arrays n, k (a float for scalars)."""
     basis._check(n)
-    j = np.where(k > n, n, n - k)  # n - k, in range where s is 0
+    j = np.where(k > n, n, n - k)  # n - k; n where k > n, as s is 0 there
     lf, lL = log_factorial_table(int(np.max(n))), basis.log_laguerre
     s = np.exp(0.5 * ((lf[n] - lf[j]) + (lL[j] - lL[n])))
     return _as_float(np.where(k > n, 0.0, s))
