@@ -13,6 +13,7 @@ fock plus states or families for a state dump, verify for the suites), so
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -314,6 +315,23 @@ def _dispatch(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; return its exit code.
+
+    With argv None the command line is the process's own, and the process
+    ends when main returns: on every way out, --help, errors and exceptions
+    included, everything still alive is moved to the permanent generation
+    (gc.freeze), so the interpreter's shutdown collections do not walk the
+    tens of thousands of objects numpy and lfock made at import. A caller
+    that passes argv keeps its process, and its collector is left as it was.
+    """
+    try:
+        return _run(argv)
+    finally:
+        if argv is None:
+            gc.freeze()
+
+
+def _run(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

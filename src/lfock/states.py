@@ -8,7 +8,7 @@ convergence radius R(lam) that is estimated numerically and enforced as a
 construction guard. The even Gram block is entrywise non-negative (each
 <2j|2k>_lam carries even powers of lam only), so the phase-0 ray has the
 largest partial-sum increments and its radius is the minimum over phases:
-one scan per lam bisects an r grid on that ray, deciding each r by an
+one scan per |lam| bisects an r grid on that ray, deciding each r by an
 overflow test, a Gram-free upper and lower bound, a closed-form upper bound
 for r < 1, and only where those leave it open the exact increments from one
 Gram matvec.
@@ -242,9 +242,11 @@ def squeezed_vacuum(xi: complex, N: int | None = None) -> np.ndarray:
 
 # The guard's r-grid factor
 _SCAN_FACTOR = 1.05
-# The guard radius per lam, from one _scan_radius pass: one float per
-# distinct lam a process asks about; the scan's even Gram triangle lives
-# only while _scan_radius runs.
+# The guard radius per |lam|, from one _scan_radius pass: one float per
+# distinct |lam| a process asks about (the scan reads lam only through lam^2,
+# |lam| and the even Gram block, and G(-lam) = D G(lam) D, D = diag((-1)^n),
+# leaves that block alone); the scan's even Gram triangle lives only while
+# _scan_radius runs.
 _GUARD_RADII: dict[float, float] = {}
 _SCAN_T_MAX = 800
 # The squeezed family's basis horizon: it covers the scan's 2 * _SCAN_T_MAX
@@ -349,10 +351,11 @@ def _scan_radius(basis: LambdaBasis) -> float:
 
 def radius_min(basis: LambdaBasis) -> float:
     """min of the convergence radius over phase rays: the phase-uniform
-    guard, from one _scan_radius pass per lam (the phase-0 ray fails first)."""
-    radius = _GUARD_RADII.get(basis.lam)
+    guard, from one _scan_radius pass per |lam| (the phase-0 ray fails first)."""
+    key = abs(basis.lam)
+    radius = _GUARD_RADII.get(key)
     if radius is None:
-        radius = _GUARD_RADII[basis.lam] = _scan_radius(basis)
+        radius = _GUARD_RADII[key] = _scan_radius(basis)
     return radius
 
 

@@ -1,6 +1,8 @@
 """Command-line contract: exit codes, serialization, determinism."""
 
+import ast
 import contextlib
+import gc
 import io
 import json
 import math
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lfock import cli
 from lfock.cli import _STATE_KINDS, _build_parser, main
 from lfock.operators import build_ladders, eigen_residual
 
@@ -226,12 +229,16 @@ def test_malformed_arguments_are_usage_errors(argv):
     assert re.match(r"lfock( \w+)?: error: ", err.getvalue().splitlines()[-1])
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
-    """A fresh interpreter with this checkout's src/ first on the path."""
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+
+def _python(*args: str, text: bool = True) -> subprocess.CompletedProcess:
+    """A fresh interpreter with this checkout's src/ first on the path;
+    stdout and stderr as str, or as the bytes written with text=False."""
+    src = os.path.join(_ROOT, "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path))
+                          text=text, env=dict(os.environ, PYTHONPATH=path))
 
 
 def test_squeezed_vacuum_lambda_column_regression(capsys):
@@ -407,6 +414,74 @@ def test_each_command_loads_only_the_modules_it_runs(runs, code, absent):
                          " if m in sys.modules]]))")
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == [[code] * len(runs), []]
+
+
+def _collector() -> tuple:
+    return gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["fig1", "--grid", "0:1:3"], 0),
+    (["state", "lambda_ss", "--lambda", "1", "--xi", "0.3"], 0),
+    (["verify", "ladders"], 0),
+    (["fig1", "--grid", "1:0:5"], 1),
+    (["state", "lambda_ss", "--xi", "0.95", "--lambda", "1"], 3),
+    (["--help"], 0),
+], ids=["figure", "dump", "verify", "usage-error", "domain-error", "help"])
+def test_in_process_main_leaves_the_collector_alone(argv, code, capsys):
+    # only a process whose own command line main reads ends when it returns
+    before = _collector()
+    assert main(argv) == code
+    assert _collector() == before
+
+
+def test_main_freezes_on_an_exception_that_propagates(monkeypatch):
+    # nothing else in this process freezes, so unfreezing restores it
+    assert gc.get_freeze_count() == 0
+    monkeypatch.setattr(sys, "argv", ["lfock", "fig1"])
+
+    def fail(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_dispatch", fail)
+    try:
+        with pytest.raises(RuntimeError, match="boom"):
+            cli.main()
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+
+
+# the benchmark's job command: main reads the process's own command line
+with open(os.path.join(_ROOT, "bench", "run.py"), encoding="utf-8") as _fh:
+    _BENCH_CLI = ast.literal_eval(re.search(r"^CLI = (.+)$", _fh.read(),
+                                            re.M).group(1))
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["fig2", "--lambda", "3", "--grid", "0.8:0.88:3", "--out", "{out}"], 0),
+    (["state", "lambda_ss", "--lambda", "1", "--xi", "0.3", "--format", "json"], 0),
+    (["state", "lambda_ss", "--xi", "0.95", "--lambda", "1"], 3),
+], ids=["figure-out", "dump", "domain-error"])
+def test_a_cli_process_freezes_at_exit_and_prints_the_same_bytes(
+        argv, code, tmp_path, capsys):
+    def writing_to(name):
+        return [str(tmp_path / name) if a == "{out}" else a for a in argv]
+
+    assert main(writing_to("in_process")) == code
+    want = capsys.readouterr()
+    count = tmp_path / "freeze_count"
+    # the count once main has returned: atexit runs before the shutdown
+    # collections
+    done = _python("-c", "import atexit, gc\n"
+                         "atexit.register(lambda: open(%r, 'w').write("
+                         "str(gc.get_freeze_count())))\n" % str(count)
+                         + _BENCH_CLI, *writing_to("fresh"), text=False)
+    assert int(count.read_text()) > 0
+    assert (done.returncode, done.stdout, done.stderr) == (
+        code, want.out.encode(), want.err.encode())
+    if "{out}" in argv:
+        assert (tmp_path / "fresh").read_bytes() == (tmp_path / "in_process").read_bytes()
 
 
 @pytest.mark.parametrize("argv", [

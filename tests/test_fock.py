@@ -200,31 +200,27 @@ def test_iterated_scalars_compose():
 @pytest.mark.parametrize("lam", [0.3, 1.0, 2.0, -1.3, 0.0])
 def test_matrix_elements_against_dense_oracle(lam):
     # the kets live in the standard basis, so the ambient inner product is a
-    # plain dot; no Gram factor here. Scaled error |got - dense| / max(1,
-    # |dense|): the worst measured over this grid is 7.3e-15
+    # plain dot; no Gram factor here. One array call per (r, k) against the
+    # batched dense K U^r A^k K^T, K the stacked kets. Scaled error
+    # |got - dense| / max(1, |dense|): the worst measured over this grid is
+    # 7.3e-15
     N = 24
     basis = LambdaBasis(lam, N)
     a, _, adl = build_ladders(N, lam)
-    apow = [np.linalg.matrix_power(a, k) for k in range(4)]
-    upow = [np.linalg.matrix_power(adl, r) for r in range(4)]
-    kets = [lambda_ket(n, basis, N).astype(complex) for n in range(16)]
+    kets = np.array([lambda_ket(n, basis, N) for n in range(16)], dtype=complex)
     idx = np.arange(16)
-
-    def err(got, dense):
-        return abs(got - dense.real) / max(1.0, abs(dense.real))
-
     for r in range(4):
         for k in range(4):
-            scalar = np.empty((16, 16))
-            for m in range(16):
-                for n in range(16):
-                    dense = kets[m] @ (upow[r] @ (apow[k] @ kets[n]))
-                    scalar[m, n] = got = matel_normal_ordered(m, n, r, k, basis)
-                    assert err(got, dense) <= 2e-14, (m, n, r, k)
-            # one array call per (r, k), k > n (0) included, equals the scalars
+            dense = (kets @ np.linalg.matrix_power(adl, r)
+                     @ np.linalg.matrix_power(a, k) @ kets.T).real
             got = matel_normal_ordered(idx[:, None], idx[None, :], r, k, basis)
-            np.testing.assert_allclose(got, scalar, rtol=1e-15, atol=0.0)
+            err = np.abs(got - dense) / np.maximum(1.0, np.abs(dense))
+            assert err.max() <= 2e-14, (r, k, np.unravel_index(err.argmax(), err.shape))
             assert np.all(got[:, :k] == 0.0)  # columns n < k
+            if (r, k) in ((0, 0), (3, 3)):  # a scalar call is the array element
+                np.testing.assert_allclose(
+                    got, [[matel_normal_ordered(m, n, r, k, basis) for n in range(16)]
+                          for m in range(16)], rtol=1e-15, atol=0.0)
 
 
 def test_matrix_elements_flat_limit():

@@ -271,6 +271,33 @@ def test_both_radius_readings_share_one_scan(first, second, monkeypatch):
     assert scans == [1.3]
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.05, 0.3, 0.5, 0.88, 1.0, 1.3, 1.5,
+                                 2.0, 2.9, 4.0, 6.0])
+def test_radius_scan_is_even_in_lam(lam):
+    # the scan reads lam through lam^2, |lam| and the even Gram block, which
+    # G(-lam) = D G(lam) D, D = diag((-1)^n), leaves alone: bit for bit
+    plus, minus = LambdaBasis(lam, 1604), LambdaBasis(-lam, 1604)
+    for got, want in zip(states._even_gram_block(minus, 800),
+                         states._even_gram_block(plus, 800)):
+        assert np.array_equal(got, want)
+    assert states._scan_radius(minus) == states._scan_radius(plus)
+
+
+def test_radius_min_at_minus_lam_reuses_the_scan_at_lam(monkeypatch):
+    monkeypatch.setattr(states, "_GUARD_RADII", {})
+    scans = []
+    scan = states._scan_radius
+
+    def spy(basis):
+        scans.append(basis.lam)
+        return scan(basis)
+
+    monkeypatch.setattr(states, "_scan_radius", spy)
+    radius = radius_min(LambdaBasis(1.3, 1604))
+    assert radius_min(LambdaBasis(-1.3, 1604)) == radius
+    assert scans == [1.3]
+
+
 @given(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
 @settings(max_examples=30, deadline=None)
 def test_overlap_magnitude_bounded(x, y):

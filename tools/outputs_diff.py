@@ -6,9 +6,12 @@ PARENT_SRC and CHANGE_SRC are `src` directories (each holding `lfock/`). The
 commands are every job of the three benchmark workloads (bench/workloads.py)
 at seeds 1-10 and 101-110, each distinct command line once, plus the fixed
 edge list EDGES. Each command runs once per tree, in a fresh interpreter with
-BLAS pinned to one thread as bench/run.py pins it, from an empty temporary
-directory. Prints every command whose stdout, stderr or exit code differs,
-with, where both stdouts hold the same count of numbers, how many numbers
+BLAS pinned to one thread as bench/run.py pins it, from that tree's own
+temporary directory, where a relative `--out PATH` lands; the file is read
+and removed after the command. Prints every command whose stdout, stderr,
+exit code or `--out` file differs (a file missing from one tree, or from a
+tree whose command exited 0, counts as differing), with, where both trees
+print the same count of numbers (stdout, then the file), how many numbers
 moved and the largest move; then a count. Exits 1 if any differ, 0
 otherwise.
 """
@@ -75,6 +78,12 @@ EDGES = (
     ("state", "lambda_ket", "-n", "2", "--lambda", "inf"),
     ("fig2", "--grid", "0:1:1"), ("verify", "nosuch"),
     ("fig1", "--grid", "0:1:3", "--out", "/nonexistent/x.csv"),
+    # successful --out writes, compared file against file
+    ("fig1", "--grid=0:5:40", "--out", "fig1.csv"),
+    ("fig3a", "--format=json", "--out", "fig3a.json"),
+    ("state", "lambda_ss", "--xi=0.3", "--lambda=1", "--format=json",
+     "--out", "lambda_ss.json"),
+    ("verify", "ladders", "--out", "verify.txt"),
 )
 
 
@@ -86,11 +95,20 @@ def commands() -> list[tuple[str, ...]]:
 
 
 def run(src: str, args: tuple[str, ...], cwd: str) -> tuple:
+    """Exit code, stdout, stderr and the --out file's bytes (None if the
+    command has no --out or wrote no file)."""
     proc = subprocess.run([sys.executable, "-c", CLI, *args],
                           stdin=subprocess.DEVNULL, capture_output=True,
                           env=dict(os.environ, PYTHONPATH=src, **BLAS_PIN),
                           cwd=cwd)
-    return proc.returncode, proc.stdout, proc.stderr
+    written = None
+    if "--out" in args:
+        path = os.path.join(cwd, args[args.index("--out") + 1])
+        if os.path.exists(path):
+            with open(path, "rb") as fh:
+                written = fh.read()
+            os.remove(path)
+    return proc.returncode, proc.stdout, proc.stderr, written
 
 
 _NUMBER = re.compile(rb"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|nan|inf")
@@ -118,18 +136,26 @@ def main(argv: list[str]) -> int:
     srcs = [os.path.abspath(src) for src in argv]
     differ = 0
     todo = commands()
-    with tempfile.TemporaryDirectory() as cwd, ThreadPoolExecutor(2) as pool:
+    with tempfile.TemporaryDirectory() as cwd0, \
+            tempfile.TemporaryDirectory() as cwd1, ThreadPoolExecutor(2) as pool:
         for args in todo:
-            (code0, out0, err0), (code1, out1, err1) = pool.map(
-                lambda src: run(src, args, cwd), srcs)
+            (code0, out0, err0, file0), (code1, out1, err1, file1) = pool.map(
+                lambda src, cwd: run(src, args, cwd), srcs, (cwd0, cwd1))
+            missing = "--out" in args and any(
+                code == 0 and written is None
+                for code, written in ((code0, file0), (code1, file1)))
             what = [name for name, same in (("stdout", out0 == out1),
                                             ("stderr", err0 == err1),
-                                            ("exit code", code0 == code1))
+                                            ("exit code", code0 == code1),
+                                            ("--out file", file0 == file1
+                                             and not missing))
                     if not same]
             if what:
                 differ += 1
                 print(f"lfock {' '.join(args)}: {', '.join(what)} differ "
-                      f"(exit {code0} -> {code1}){moves(out0, out1)}", flush=True)
+                      f"(exit {code0} -> {code1})"
+                      f"{moves(out0 + (file0 or b''), out1 + (file1 or b''))}",
+                      flush=True)
     print(f"{differ} of {len(todo)} commands differ")
     return 1 if differ else 0
 
