@@ -184,59 +184,37 @@ def _gaussian_amplitudes(xi, mu, M: int) -> tuple[np.ndarray, np.ndarray]:
     only entries some 300 orders below g_0 = 1 can underflow. Returns
     (mant, expo) with g_m = mant[m] * 2**expo[m].
     """
-    rows = _gaussian_rows(xi, mu)
-    next(rows)
-    return rows.send(M)
-
-
-def _gaussian_rows(xi, mu):
-    """The _gaussian_amplitudes recurrence, resumable: a generator that,
-    once started with next(), answers each send(M) with (mant, expo) for
-    m < M. A larger M continues from the last row it holds, allocating only
-    the new rows' coefficients, so the rows, rescale points and exponents
-    are those of a fresh _gaussian_amplitudes(xi, mu, M).
-    """
     xi = np.atleast_1d(np.asarray(xi, dtype=complex))
     mu = np.broadcast_to(np.asarray(mu, dtype=complex), xi.shape)
-    mant = np.ones((1, xi.size), dtype=complex)
-    expo = np.zeros((1, xi.size), dtype=np.int64)
+    mant = np.empty((M, xi.size), dtype=complex)
+    mant[0] = 1.0
+    expo = np.empty((M, xi.size), dtype=np.int64)
     # |g| grows at most by (|mu| + 1) per step; rescale before 2^900
     grow = math.log2(2.0 + float(np.max(np.abs(mu), initial=0.0)))
     every = int(min(32.0, max(1.0, 900.0 // grow)))
     e = np.zeros(xi.size, dtype=np.int64)
     done = 0  # rows from done on carry the running exponent e
     tmp = np.empty(xi.size, dtype=complex)
-    M = yield
-    while True:
-        have = mant.shape[0]
-        if M > have:  # the new rows are all written below
-            mant, expo = _grown(mant, M), _grown(expo, M)
-            root = np.sqrt(np.arange(have - 1, M, dtype=float))  # sqrt m, m >= have - 1
-            # g_m = (mu/sqrt m) g_{m-1} + xi sqrt((m-1)/m) g_{m-2}, m >= have
-            A = list(mu[None, :] / root[1:, None])  # row views: no indexing per step
-            B = list(xi[None, :] * (root[:-1] / root[1:])[:, None])
-            rows = list(mant)
-            for m in range(have, M):
-                np.multiply(A[m - have], rows[m - 1], out=rows[m])
-                if m > 1:
-                    np.multiply(B[m - have], rows[m - 2], out=tmp)
-                    rows[m] += tmp
-                if m % every == 0:
-                    expo[done: m - 1] = e
-                    _, f = np.frexp(np.maximum(np.abs(mant[m - 1]), np.abs(mant[m])))
-                    mant[m - 1: m + 1] *= np.ldexp(1.0, -f)
-                    e += f
-                    done = m - 1
-            expo[done:] = e
-            del A, B, rows  # the coefficients die before the generator waits
-        M = yield mant[:M], expo[:M]
-
-
-def _grown(a: np.ndarray, M: int) -> np.ndarray:
-    """a with its rows extended to M, the new rows uninitialized."""
-    out = np.empty((M,) + a.shape[1:], dtype=a.dtype)
-    out[: a.shape[0]] = a
-    return out
+    root = np.sqrt(np.arange(M + 64, dtype=float))
+    rows = list(mant)
+    for lo in range(1, M, 64):
+        # g_m = (mu/sqrt m) g_{m-1} + xi sqrt((m-1)/m) g_{m-2}, from row
+        # views of the coefficients of 64 rows at a time
+        A = list(mu[None, :] / root[lo: lo + 64, None])
+        B = list(xi[None, :] * (root[lo - 1: lo + 63] / root[lo: lo + 64])[:, None])
+        for m in range(lo, min(lo + 64, M)):
+            np.multiply(A[m - lo], rows[m - 1], out=rows[m])
+            if m > 1:
+                np.multiply(B[m - lo], rows[m - 2], out=tmp)
+                rows[m] += tmp
+            if m % every == 0:
+                expo[done: m - 1] = e
+                _, f = np.frexp(np.maximum(np.abs(mant[m - 1]), np.abs(mant[m])))
+                mant[m - 1: m + 1] *= np.ldexp(1.0, -f)
+                e += f
+                done = m - 1
+    expo[done:] = e
+    return mant, expo
 
 
 def _gaussian_log_norm(xi, mu):

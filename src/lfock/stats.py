@@ -16,14 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (LambdaBasis, LambdaExpansion, TruncationError,
-                   _gaussian_log_norm, _gaussian_moments, _gaussian_rows,
-                   _ladder, _matvec, gram)
+                   _gaussian_amplitudes, _gaussian_log_norm,
+                   _gaussian_moments, _ladder, _matvec, gram)
 from .specfun import log_factorial_table
 
 _TAIL_TOL = 1e-12
 _NORM_TOL = 1e-8
 _LN2 = math.log(2.0)
 _LOG_TINY = -600.0  # frame weights all below e^_LOG_TINY are summed rescaled
+# _tail_horizon: the bound it reaches, and the grid of s = (1/t - |xi|)/(1 - |xi|)
+_LOG_HORIZON_TOL = math.log(1e-16)
+_CHERNOFF_S = 1.0 / (1.0 + np.exp(-np.linspace(-12.0, 6.0, 32)))
 _TAIL_UNSETTLED = ("m^2 P(m) tail not below 1e-12 at the basis horizon; "
                   "build a LambdaBasis with a larger max_n")
 
@@ -61,11 +64,10 @@ def p_lambda(m: int | np.ndarray, alpha: complex,
     lam = 0. m is an int (float result) or an integer array (array result).
     """
     m = np.asarray(m)
-    basis._check(int(np.min(m)))
-    basis._check(int(np.max(m)))
-    [(_, P, shift, _)] = _frame_weights(np.zeros(1, dtype=complex),
-                                        np.array([alpha], dtype=complex),
-                                        [basis], int(np.max(m)) + 1)
+    basis._check(m)
+    P, shift, _ = _frame_weights(np.zeros(1, dtype=complex),
+                                 np.array([alpha], dtype=complex),
+                                 [basis], int(np.max(m)) + 1)
     P = P[m, 0] * math.exp(shift[0])
     return float(P) if P.ndim == 0 else P
 
@@ -77,9 +79,9 @@ def number_moments(state) -> StatisticsReport:
     its support. Anything else is read in the deformed basis,
     P(m) = |<m|_lam psi>|^2: an exact Gaussian state takes _frame_weights,
     and a LambdaExpansion c (or a state carrying one) takes |(G c)_m|^2,
-    since <m|_lam psi> = (E E^T c)_m. The deformed sum runs until the
+    since <m|_lam psi> = (E E^T c)_m. Either deformed sum runs until the
     m^2 P(m) tail drops below 1e-12 (the second moment converges slower than
-    the mean).
+    the mean): certified by _tail_horizon's bound for an exact state.
     """
     if getattr(state, "_gaussian", None) is not None:
         xi, mu, _ = np.array([state._gaussian], dtype=complex).T
@@ -120,86 +122,60 @@ def number_moments(state) -> StatisticsReport:
 
 def _frame_weights(xi: np.ndarray, mu: np.ndarray, bases: list,
                    cutoff: int | None):
-    """Frame weights |g_m(xi, mu+lam)|^2 / (L_m ||g(xi, mu)||^2) of the exact
-    states phase g(xi, mu)/||g||, for every (xi, mu) entry on every basis.
+    """Frame weights |g_m(xi, nu)|^2 / (L_m ||g(xi, mu)||^2), nu = mu + lam,
+    of the exact states phase g(xi, mu)/||g||, for every (xi, mu) entry on
+    every basis, in one pass over M rows.
 
-    ln|g_m|^2 is 2m ln|lam+mu| - ln m! in closed form when every xi is 0
+    ln|g_m|^2 is 2m ln|nu| - ln m! in closed form when every xi is 0
     (coherent states), and comes from one g_m recurrence otherwise, which
-    takes a single basis and, when M doubles, continues from its last row
-    (fock._gaussian_rows) instead of restarting at g_0. Each basis has its
-    own horizon M: the cutoff, or from 64 doubling up to max_n + 1 until the
-    last 8 rows of each of its columns pass m^2 P(m) < 1e-12 min(1, sum P),
-    relative since at large lam all weights can be tiny. Bases that share M
-    are evaluated as one array with a contiguous row of M weights per
-    (basis, entry), so every sum runs over the same M contiguous rows. A
-    column whose weights all lie below e^-600 is divided by its largest,
-    e^shift (shift 0 elsewhere). Yields (rows, P, shift, ok) per evaluated
-    group: P is (M, len(rows) * len(mu)), its column j * len(mu) + k
-    holding bases[rows[j]] at entry k, and ok is False where unsettled. A
-    basis unsettled below its horizon comes back in a later group at twice
-    M; its last group holds its weights.
+    takes a single basis. M is the cutoff, or else the worst column's
+    _tail_horizon M* plus 8, at most the bases' shortest horizon. Returns
+    (P, shift, ok) with P of shape (M, len(bases) * len(mu)), its column
+    j * len(mu) + k holding bases[j] at entry k. A column whose weights all
+    lie below e^-600 is divided by its largest, e^shift (shift 0
+    elsewhere). ok is False where a column's last 8 rows fail
+    m^2 P(m) < 1e-12 min(1, sum P), relative since at large lam all weights
+    can be tiny; past M* those rows are certified far below that, so the
+    test decides only where the bound certifies no M below the horizon.
     """
-    log_norm = _gaussian_log_norm(xi, mu)
     coherent = not xi.any()
-    if not coherent:
-        [lam] = [basis.lam for basis in bases]
-        # mu + lam, exact for both families: lam(1+xi) and lam + alpha
-        amplitudes = _gaussian_rows(xi, lam * (1.0 + xi) + (mu - xi * lam))
-        next(amplitudes)
-
-    def logs(rows: list, M: int) -> np.ndarray:  # its arrays die before the exp
-        if coherent:
-            m = np.arange(M)
-            frame = np.add.outer([bases[i].lam for i in rows], mu)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = np.where(m == 0, 0.0,
-                               2.0 * m * np.log(np.abs(frame))[..., None])
-            lL = np.array([bases[i].log_laguerre[:M] for i in rows])[:, None]
-            out = out - log_norm[:, None] - log_factorial_table(M - 1) - lL
-            return out.reshape(-1, M).T
-        mant, expo = amplitudes.send(M)  # resumed from the last horizon's rows
+    lams = [basis.lam for basis in bases]
+    if coherent:
+        nu = np.add.outer(lams, mu)
+    else:  # mu + lam, exact for both families: lam(1+xi) and lam + alpha
+        [lam] = lams
+        nu = (lam * (1.0 + xi) + (mu - xi * lam))[None, :]
+    M = cutoff
+    if M is None:
+        top = min(basis.max_n for basis in bases) + 1
+        first, _ = _tail_horizon(xi, nu, np.array(
+            [basis.log_laguerre[:top] for basis in bases]))
+        M = min(top, int(first.max()) + 8)
+    for basis in bases:
+        basis._check(M - 1, "cutoff")
+    log_norm = _gaussian_log_norm(xi, mu)
+    if coherent:
+        m = np.arange(M)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.where(m == 0, 0.0, 2.0 * m * np.log(np.abs(nu))[..., None])
+        lL = np.array([basis.log_laguerre[:M] for basis in bases])[:, None]
+        logs = logs - log_norm[:, None] - log_factorial_table(M - 1) - lL
+        logs = logs.reshape(-1, M).T
+    else:
+        mant, expo = _gaussian_amplitudes(xi, nu[0], M)
         # ln|g_m|^2 = ln(re^2 + im^2) + 2 ln2 expo, in place beside the rows
-        out = mant.real ** 2
-        out += mant.imag ** 2
+        logs = mant.real ** 2
+        logs += mant.imag ** 2
+        del mant  # the rows die before the exponential
         with np.errstate(divide="ignore"):
-            np.log(out, out=out)
-        out += (2.0 * _LN2) * expo
-        out -= bases[0].log_laguerre[:M, None]
-        out -= log_norm
-        return out
-
-    horizon = {}
-    for i, basis in enumerate(bases):
-        horizon[i] = min(64, basis.max_n + 1) if cutoff is None else cutoff
-        basis._check(horizon[i] - 1, "cutoff")
-    while horizon:
-        for M in sorted(set(horizon.values())):
-            rows = [i for i, h in horizon.items() if h == M]
-            P, shift, ok = _scaled_weights(logs(rows, M))
-            for i, done in zip(rows, ok.reshape(len(rows), -1).all(axis=1)):
-                if _final(done, M, cutoff, bases[i]):
-                    del horizon[i]
-                else:
-                    horizon[i] = min(2 * M, bases[i].max_n + 1)
-            if not (coherent or horizon):
-                amplitudes.close()  # its rows die before the caller sums P
-            yield rows, P, shift, ok
-
-
-def _final(done: bool, M: int, cutoff: int | None, basis: LambdaBasis) -> bool:
-    """Whether a basis evaluated at horizon M leaves _frame_weights: its
-    columns settled, M is the cutoff, or M reached its basis horizon."""
-    return done or M == cutoff or M > basis.max_n
-
-
-def _scaled_weights(logs: np.ndarray):
-    """(P, shift, ok) from the logs of frame weights, rows m along axis 0:
-    P = exp(logs - shift) and each column's tail test, as _frame_weights
-    documents them."""
+            np.log(logs, out=logs)
+        logs += (2.0 * _LN2) * expo
+        del expo
+        logs -= bases[0].log_laguerre[:M, None]
+        logs -= log_norm
     peak = np.max(logs, axis=0)
     shift = np.where(peak < _LOG_TINY, peak, 0.0)
     P = np.exp(logs - shift)
-    M = P.shape[0]
     m = np.arange(max(M - 8, 0), M, dtype=float)
     total = P.sum(axis=0)
     ok = (np.max((m[:, None] ** 2 + 1.0) * P[-8:], axis=0)
@@ -207,24 +183,63 @@ def _scaled_weights(logs: np.ndarray):
     return P, shift, ok
 
 
+def _tail_horizon(xi: np.ndarray, nu: np.ndarray, log_laguerre: np.ndarray):
+    """(M*, ln b) per entry of nu (one row per basis, whose ln L_n is that
+    row of log_laguerre; xi per column): the first M at which b, a Chernoff
+    bound on the frame-weight tail relative to P(0) = 1/||g(xi, mu)||^2,
+
+        sum_{m>=M} (m^2+1) P(m) / P(0)
+            <= 2 M^2 t^-M ||g(t xi, sqrt(t) nu)||^2 / L_M = b,
+
+    falls below 1e-16 (e^_LOG_HORIZON_TOL), and b there (the horizon
+    log_laguerre covers and inf where no M does). P(0) <= 1, as g_0 = 1. The bound holds for
+    1 < t < 1/|xi| and M >= 2/ln t: t^{m/2} g_m(xi, nu) = g_m(t xi,
+    sqrt(t) nu), whose norm _gaussian_log_norm gives in closed form,
+    L_m >= L_M for m >= M, and m^2 t^-m falls for m >= 2/ln t. With every
+    xi 0 the norm is e^{t |nu|^2} and the best t is M/|nu|^2 (or the least
+    t admitting M); otherwise b is the least over 1/t = |xi| + (1-|xi|) s,
+    s on a fixed grid in (0, 1). Either way b falls with M, and the first M
+    is found by bisection.
+    """
+    top = log_laguerre.shape[1]
+    coherent = not xi.any()
+    if coherent:
+        with np.errstate(divide="ignore"):
+            log_x = 2.0 * np.log(np.abs(nu))  # ln |nu|^2
+    else:
+        r = np.abs(xi)
+        t = 1.0 / (r + (1.0 - r) * _CHERNOFF_S[:, None, None])
+        lnt = np.log(t)
+        need = 2.0 / lnt  # the least M each t admits
+        lead = _gaussian_log_norm(t * xi, np.sqrt(t) * nu)
+
+    def log_bound(M: np.ndarray) -> np.ndarray:
+        at = np.minimum(M, top - 1)
+        if coherent:  # nu = 0: ln t and so -ln b are inf, and P(m > 0) = 0
+            u = np.maximum(np.log(at) - log_x, 2.0 / at)  # ln t
+            b = np.maximum(at, np.exp(2.0 / at + log_x)) - at * u
+        else:
+            b = np.where(at >= need, lead - at * lnt, np.inf).min(axis=0)
+        b += _LN2 + 2.0 * np.log(at) - np.take_along_axis(log_laguerre, at, 1)
+        return np.where(M < top, b, np.inf)
+
+    lo, hi = np.ones(nu.shape, dtype=np.intp), np.full(nu.shape, top)
+    for _ in range(top.bit_length()):
+        mid = (lo + hi) // 2
+        below = log_bound(mid) < _LOG_HORIZON_TOL
+        hi, lo = np.where(below, mid, hi), np.where(below, lo, mid + 1)
+    return hi, log_bound(hi)
+
+
 def _frame_moments(xi: np.ndarray, mu: np.ndarray, bases: list,
                    cutoff: int | None) -> list:
     """Per basis, the frame-basis report of each exact state g(xi, mu)
-    (None: unsettled), from the last _frame_weights group holding it; a
-    group in which no basis is final builds no reports."""
-    out = [None] * len(bases)
-    for rows, P, shift, ok in _frame_weights(xi, mu, bases, cutoff):
-        final = [_final(done, P.shape[0], cutoff, bases[i]) for i, done
-                 in zip(rows, ok.reshape(len(rows), -1).all(axis=1))]
-        if not any(final):
-            continue  # every basis comes back at twice M
-        # the whole group's P, so each column sums as it does in the group
-        reps = [rep if good else None for rep, good in
-                zip(_reports(P, "lambda", np.exp(shift)), ok)]
-        for j, i in enumerate(rows):
-            if final[j]:
-                out[i] = reps[j * mu.shape[0]: (j + 1) * mu.shape[0]]
-    return out
+    (None: unsettled), from one _frame_weights pass."""
+    P, shift, ok = _frame_weights(xi, mu, bases, cutoff)
+    reps = [rep if good else None for rep, good in
+            zip(_reports(P, "lambda", np.exp(shift)), ok)]
+    n = mu.shape[0]
+    return [reps[j * n: (j + 1) * n] for j in range(len(bases))]
 
 
 def squeezed_moments(column, basis_tag: str = "lambda") -> list:

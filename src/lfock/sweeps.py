@@ -142,8 +142,9 @@ def sweep_fig1(alphas=None, lambda_range=(0.0, 5.0, 200),
         _check_truncation(truncation, _FIG1_MAX_N + 1)
         unsettled = f"m^2 P(m) tail not below 1e-12 at the truncation {truncation}"
     # the weights peak below |lam+alpha|^2 (they rise only while |lam+alpha|^2
-    # rho_m^2 >= m, rho_m <= 1); each basis adds a tail margin, max_n
-    # int((x + 6)^2 - 36) + 64 at x = |lam+alpha|, and covers a truncation
+    # rho_m^2 >= m, rho_m <= 1); each lam adds a tail margin, max_n
+    # int((x + 6)^2 - 36) + 64 at x = |lam+alpha|, and the bases of a block
+    # share its largest, so each covers the block's one horizon M
     tops = [max(abs(lam + a) ** 2 for a in alphas) for lam in lams]
     horizons = [int(top + 12.0 * math.sqrt(top)) + 64 for top in tops]
     if max(horizons) > _FIG1_MAX_N:
@@ -151,9 +152,8 @@ def sweep_fig1(alphas=None, lambda_range=(0.0, 5.0, 200),
                          f"{max(horizons)}, beyond {_FIG1_MAX_N} (largest accepted "
                          f"|lambda+alpha| {math.sqrt(_FIG1_MAX_N - 27) - 6:.4f})")
     for start in range(0, len(lams), _FIG1_BLOCK):
-        block = [LambdaBasis(lam, max(horizon, (truncation or 1) - 1))
-                 for lam, horizon in zip(lams[start: start + _FIG1_BLOCK],
-                                         horizons[start: start + _FIG1_BLOCK])]
+        max_n = max(horizons[start: start + _FIG1_BLOCK] + [(truncation or 1) - 1])
+        block = [LambdaBasis(lam, max_n) for lam in lams[start: start + _FIG1_BLOCK]]
         for basis, reps in zip(block, _frame_moments(np.zeros_like(mu), mu,
                                                      block, truncation)):
             for a, rep in zip(alphas, reps):

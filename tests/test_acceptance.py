@@ -46,10 +46,12 @@ def test_criterion_01_basis_correctness():
             v = lambda_ket(n, basis, 48)
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-12, (lam, n)
             assert np.max(np.abs(v - apply_t_operator(n, basis, 48))) <= 1e-12
-        for m in range(41):
-            for n in range(m, 41):
-                dot = float(E[m, : m + 1] @ E[n, : m + 1])
-                assert abs(overlap_analytic(m, n, basis) - dot) <= 1e-10
+        # every m <= n <= 40 in one array call: E is lower triangular, so
+        # (E E^T)[m, n] is the coefficient dot product E[m, :m+1] . E[n, :m+1]
+        m, n = np.triu_indices(41)
+        got = overlap_analytic(m, n, basis)
+        assert np.max(np.abs(got - (E @ E.T)[m, n])) <= 1e-10
+        assert overlap_analytic(7, 12, basis) == got[(m == 7) & (n == 12)][0]
         G = gram(basis, 41)
         assert np.array_equal(G, G.T)
         # positive definiteness: G factors as E E^T with an invertible
@@ -107,31 +109,16 @@ def test_criterion_03_matrix_element_formulas():
                      dtype=complex)
         apow = [np.linalg.matrix_power(a, k) for k in range(4)]
         upow = [np.linalg.matrix_power(adl, r) for r in range(4)]
-        for r in range(4):
-            dense_cr = (K @ (upow[r] @ K.T)).real
-            for m in range(hi):
-                for n in range(hi):
-                    got = matel_normal_ordered(m, n, r, 0, basis)
-                    err = abs(got - dense_cr[m, n]) / max(1.0,
-                                                          abs(dense_cr[m, n]))
-                    assert err <= 1e-9, (lam, m, n, r, "creation")
-        for k in range(4):
-            dense_an = (K @ (apow[k] @ K.T)).real
-            for m in range(hi):
-                for n in range(hi):
-                    got = matel_normal_ordered(m, n, 0, k, basis)
-                    err = abs(got - dense_an[m, n]) / max(1.0,
-                                                          abs(dense_an[m, n]))
-                    assert err <= 1e-9, (lam, m, n, k, "annihilation")
+        # one array call per matrix, every (m, n) <= 12: creation (k = 0),
+        # annihilation (r = 0) and the normal-ordered products
+        m, n = np.indices((hi, hi))
         for r in range(4):
             for k in range(4):
-                dense_no = (K @ (upow[r] @ apow[k] @ K.T)).real
-                for m in range(hi):
-                    for n in range(hi):
-                        got = matel_normal_ordered(m, n, r, k, basis)
-                        err = abs(got - dense_no[m, n]) / max(
-                            1.0, abs(dense_no[m, n]))
-                        assert err <= 1e-9, (lam, m, n, r, k)
+                dense = (K @ (upow[r] @ apow[k] @ K.T)).real
+                got = matel_normal_ordered(m, n, r, k, basis)
+                err = np.abs(got - dense) / np.maximum(1.0, np.abs(dense))
+                assert np.max(err) <= 1e-9, (lam, r, k)
+        assert matel_normal_ordered(7, 12, 3, 3, basis) == got[7, 12]
 
 
 def test_criterion_04_coherent_identity():

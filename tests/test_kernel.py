@@ -70,27 +70,6 @@ def test_amplitudes_match_explicit_sum(lam, xi):
                 assert _rel(got, want) <= 1e-12, (mu, m)
 
 
-@pytest.mark.parametrize("lams, xis", [
-    ((1.0, 1.0, -2.0), (0.4j, 0.5 - 0.3j, 0.5 - 0.3j)),
-    ((1.0, 10.0, 50.0), (-0.6, 0.55, 0.11)),
-])
-def test_resumed_amplitudes_are_a_fresh_run_bit_for_bit(lams, xis):
-    # fig3a's horizon doubles 64, 128, ...: the resumed recurrence must give
-    # the rows, rescale points and exponents of a fresh run at each M
-    xi = np.array(xis, dtype=complex)
-    mu = np.array(lams) * (1.0 + xi)
-    rows = fock._gaussian_rows(xi, mu)
-    next(rows)
-    for M in (64, 128, 256, 512, 1024):
-        mant, expo = rows.send(M)
-        want_mant, want_expo = _gaussian_amplitudes(xi, mu, M)
-        assert np.array_equal(mant, want_mant), M
-        assert np.array_equal(expo, want_expo), M
-    if 50.0 in lams:
-        # a rescale at m = 64 moves row 63, which the first horizon holds
-        assert expo[63, -1] != expo[62, -1]
-
-
 @pytest.mark.parametrize("lam, xi", CASES)
 def test_log_norm_and_standard_moments(lam, xi):
     with mpmath.workdps(DPS):
@@ -133,11 +112,53 @@ def test_frame_weights_and_frame_q(lam, xi):
         assert abs(rep.mandel_q - want_q) <= 1e-12 * max(1.0, abs(want_q))
         assert _rel(rep.prob_sum, mpmath.fsum(P)) <= 1e-12
         K = min(M, basis.max_n + 1)
-        [(_, got, _, _)] = _frame_weights(np.array([complex(xi)]),
-                                          np.array([xi * lam]), [basis], K)
+        got, _, _ = _frame_weights(np.array([complex(xi)]),
+                                   np.array([xi * lam]), [basis], K)
         for m in range(K):
             if P[m] > mpmath.mpf(10) ** -250:
                 assert _rel(got[m, 0], P[m]) <= 1e-12, m
+
+
+# (lam, xi, mu): complex and negative xi, negative lam, |xi| 0.9 at lam 0,
+# coherent states (xi 0, mu alpha) up to |alpha| 20, nu = mu + lam = 0, and
+# lam 10, 40 and 50 next to the guard, where at real xi the bound certifies
+# no horizon below the basis' own
+HORIZON_CASES = [
+    (1.0, 0.4j, 0.4j), (-2.0, 0.5 - 0.3j, -1.0 + 0.6j), (1.5, -0.6, -0.9),
+    (0.0, 0.9, 0.0), (0.0, -0.9j, 0.0), (3.0, -0.5 + 0.2j, -1.5 + 0.6j),
+    (0.0, 0.0, 20.0), (1.0, 0.0, -20.0), (-3.0, 0.0, 20.0),
+    (2.0, 0.0, 3.0 - 1.0j), (-1.3, 0.0, 0.5j), (-0.5, 0.0, 0.5),
+    (10.0, 0.55, 5.5), (10.0, 0.3 + 0.4j, 3.0 + 4.0j), (40.0, -0.16j, -6.4j),
+    (50.0, -0.11j, -5.5j), (40.0, 0.16, 6.4), (50.0, 0.11, 5.5)]
+
+
+@pytest.mark.parametrize("lam, xi, mu", HORIZON_CASES)
+def test_horizon_bound_holds_against_mpmath(lam, xi, mu):
+    # the tail bound at M* is at least the true sum_{m >= M*} (m^2+1) P(m),
+    # relative to P(0) = 1/||g(xi, mu)||^2: sum (m^2+1) |g_m(xi, nu)|^2 / L_m
+    basis = LambdaBasis(lam, 4000 if xi == 0 else 1604)
+    gxi, gmu = np.array([xi], dtype=complex), np.array([mu], dtype=complex)
+    nu = lam + gmu
+    [[first]], [[log_b]] = stats._tail_horizon(gxi, nu[None], basis.log_laguerre[None])
+    P, _, ok = _frame_weights(gxi, gmu, [basis], None)
+    assert P.shape[0] == min(first + 8, basis.max_n + 1) and ok.all()
+    if lam >= 40.0 and xi.real:
+        assert first == basis.max_n + 1 and log_b == math.inf
+        return
+    assert log_b < math.log(1e-16)
+    with mpmath.workdps(DPS):
+        xi_m, nu_m = mpmath.mpc(xi), mpmath.mpc(complex(nu[0]))
+        x2 = abs(xi_m) ** 2  # ||g(xi, nu)||^2 in closed form
+        norm2 = mpmath.exp(-mpmath.log(1 - x2) / 2 + (
+            abs(nu_m) ** 2 + mpmath.re(mpmath.conj(xi_m) * nu_m ** 2)) / (1 - x2))
+        # every |g_m|^2 from the last one kept on is below 1e-80
+        g = _g_terms(xi_m, nu_m, mpmath.mpf(10) ** -80 / norm2)
+        assert len(g) > first + 8
+        L = _laguerre(lam, len(g))
+        terms = [(m * m + 1) * abs(g[m]) ** 2 / L[m] for m in range(first, len(g))]
+        tail = mpmath.fsum(terms)
+        assert terms[-1] <= mpmath.mpf(10) ** -30 * tail
+        assert tail <= mpmath.exp(log_b)
 
 
 def test_quadratures_are_the_closed_form_for_complex_xi():

@@ -298,7 +298,7 @@ def test_frame_weights_match_row_dot_oracle(lam, xi):
     psi = state.to_standard(M)
     P = np.array([abs(lambda_ket(m, basis, M) @ psi) ** 2 for m in range(M)])
     gxi, gmu, _ = np.array([state._gaussian], dtype=complex).T
-    [(_, weights, shift, _)] = _frame_weights(gxi, gmu, [basis], M)
+    weights, shift, _ = _frame_weights(gxi, gmu, [basis], M)
     got = weights[:, 0] * math.exp(shift[0])
     assert np.all(np.abs(got - P) <= 1e-12 * np.maximum(1.0, P))
     m = np.arange(M, dtype=float)

@@ -6,7 +6,7 @@ import io
 import pytest
 from hypothesis import given, settings, strategies
 
-from lfock import sweeps
+from lfock import stats, sweeps
 from lfock.cli import main
 from lfock.fock import DomainError, LambdaBasis
 from lfock.states import lambda_coherent, lambda_squeezed
@@ -25,15 +25,20 @@ def _basis_sizes(monkeypatch) -> list:
 
 
 def test_fig1_bases_have_the_rows_of_their_rule(monkeypatch):
-    # a 320-row floor sat under the rule int(x^2 + 12 x) + 64, x = |lam+alpha|
+    # a 320-row floor sat under the rule int(x^2 + 12 x) + 64, x = |lam+alpha|;
+    # the bases of a block share its largest, so each covers the block's M
     sizes = _basis_sizes(monkeypatch)
     sweeps.sweep_fig1([1.0], (0.0, 0.0, 2))
     assert sizes == [77, 77]
     sizes.clear()
     alphas = [1.0, -2.0 + 1.0j]
-    res = sweeps.sweep_fig1(alphas, (0.0, 5.0, 11))
+    res = sweeps.sweep_fig1(alphas, (0.0, 5.0, 31))
     tops = [max(abs(lam + a) for a in alphas) for lam in res.axis_values]
-    assert sizes == [int(x * x + 12.0 * x) + 64 for x in tops]
+    rule = [int(x * x + 12.0 * x) + 64 for x in tops]
+    block = sweeps._FIG1_BLOCK
+    assert sizes == [max(rule[i - i % block: i - i % block + block])
+                     for i in range(len(rule))]
+    assert len(set(sizes)) == 2  # two blocks
 
 
 def test_fig1_bases_cover_a_larger_truncation(monkeypatch):
@@ -114,6 +119,54 @@ def test_fig1_cells_are_the_library_moments_of_their_states(monkeypatch):
         for a, st, rep in zip(alphas, column, squeezed_moments(column)):
             got = res.series[f"Q[alpha={sweeps._fmt_num(a)}]"][i]
             assert got == number_moments(st).mandel_q == rep.mandel_q, (i, a)
+
+
+def test_default_figures_evaluate_each_column_and_block_once(monkeypatch, capsys):
+    # each horizon is known before the pass: the default fig3a runs the g_m
+    # recurrence once per lam column, and the default fig1 evaluates each
+    # block of 25 lam once, as one array at one horizon
+    horizons, blocks = [], []
+    amplitudes, weights = stats._gaussian_amplitudes, stats._frame_weights
+
+    def amplitudes_spy(xi, mu, M):
+        horizons.append(M)
+        return amplitudes(xi, mu, M)
+
+    def weights_spy(xi, mu, bases, cutoff):
+        out = weights(xi, mu, bases, cutoff)
+        blocks.append((len(bases), out[0].shape[1]))
+        return out
+
+    monkeypatch.setattr(stats, "_gaussian_amplitudes", amplitudes_spy)
+    monkeypatch.setattr(stats, "_frame_weights", weights_spy)
+    sweeps.sweep_fig3("lambda")
+    assert len(horizons) == len(blocks) == 3
+    assert all(M < 1605 for M in horizons)  # below the basis horizon
+    blocks.clear()
+    sweeps.sweep_fig1()
+    assert blocks == [(25, 100)] * 8
+
+
+@pytest.mark.parametrize("lam", [0.4, 1.3, 2.7])
+@pytest.mark.parametrize("basis", ["lambda", "standard"])
+def test_fig3_columns_are_even_in_lambda(lam, basis, capsys):
+    # |n>_{-lam} = (-1)^n Pi |n>_lam: a squeezed state's statistics, its guard
+    # and its frame-weight horizon do not change with the sign of lam
+    plus, minus = (sweeps.sweep_fig3(basis, [x], (-0.9, 0.9, 41))
+                   for x in (lam, -lam))
+    assert list(plus.series.values()) == list(minus.series.values())
+    assert capsys.readouterr().err.count("outside the guarded") == 2
+
+
+def test_fig1_is_even_under_a_joint_sign_flip():
+    # Q(alpha, lam) = Q(-alpha, -lam); the mirrored grid's lam differ by
+    # rounding, so the cells agree within 1e-13 relative, not bit for bit
+    alphas = [1.0, 2.0, -1.5 + 0.5j, 0.5 - 1.0j]
+    plus = sweeps.sweep_fig1(alphas, (0.0, 5.0, 101))
+    minus = sweeps.sweep_fig1([-a for a in alphas], (-5.0, 0.0, 101))
+    for a, b in zip(plus.series.values(), minus.series.values()):
+        for q, mirrored in zip(a, b[::-1]):
+            assert q is not None and abs(q - mirrored) <= 1e-13 * abs(q)
 
 
 @pytest.mark.parametrize("command", ["fig2", "fig3a", "fig3b"])

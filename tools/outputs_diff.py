@@ -37,6 +37,12 @@ EDGES = (
     ("fig1", "--alpha=0", "--grid=-1:1:5"),
     ("fig1", "--alpha=57.0317", "--grid=0:0:2"),
     ("fig1", "--alpha=57.0318", "--grid=0:0:2"),
+    # frame-weight horizons: a block mixing large and small |lam+alpha|, a
+    # horizon past 2048 rows, and fig3a next to the guard at lam 10 and 40
+    ("fig1", "--alpha=20", "--alpha=0.5", "--grid=0:3:30"),
+    ("fig1", "--alpha=40", "--grid=0:0:2"),
+    ("fig3a", "--lambda=10", "--grid=0.01:0.57:20"),
+    ("fig3a", "--lambda=40", "--grid=0.01:0.16:5"),
     ("fig1", "--truncation=1"), ("fig1", "--truncation=2"),
     ("fig1", "--truncation=5"), ("fig1", "--truncation=40"),
     ("fig1", "--truncation=100"), ("fig1", "--truncation=400"),
