@@ -128,8 +128,8 @@ def _frame_weights(xi: np.ndarray, mu: np.ndarray, bases: list,
 
     ln|g_m|^2 is 2m ln|nu| - ln m! in closed form when every xi is 0
     (coherent states), and comes from one g_m recurrence otherwise, which
-    takes a single basis. M is the cutoff, or else the worst column's
-    _tail_horizon M* plus 8, at most the bases' shortest horizon. Returns
+    takes a single basis. M is the cutoff, or else _tail_horizon's M* plus
+    8, at most the bases' shortest horizon. Returns
     (P, shift, ok) with P of shape (M, len(bases) * len(mu)), its column
     j * len(mu) + k holding bases[j] at entry k. A column whose weights all
     lie below e^-600 is divided by its largest, e^shift (shift 0
@@ -150,7 +150,7 @@ def _frame_weights(xi: np.ndarray, mu: np.ndarray, bases: list,
         top = min(basis.max_n for basis in bases) + 1
         first, _ = _tail_horizon(xi, nu, np.array(
             [basis.log_laguerre[:top] for basis in bases]))
-        M = min(top, int(first.max()) + 8)
+        M = min(top, first + 8)
     for basis in bases:
         basis._check(M - 1, "cutoff")
     log_norm = _gaussian_log_norm(xi, mu)
@@ -184,22 +184,23 @@ def _frame_weights(xi: np.ndarray, mu: np.ndarray, bases: list,
 
 
 def _tail_horizon(xi: np.ndarray, nu: np.ndarray, log_laguerre: np.ndarray):
-    """(M*, ln b) per entry of nu (one row per basis, whose ln L_n is that
-    row of log_laguerre; xi per column): the first M at which b, a Chernoff
-    bound on the frame-weight tail relative to P(0) = 1/||g(xi, mu)||^2,
+    """(M*, ln b) for the states xi (one per column) at the entries of nu
+    (one row per basis, whose ln L_n is that row of log_laguerre): the first
+    M at which, for every entry, b, a Chernoff bound on the frame-weight
+    tail relative to P(0) = 1/||g(xi, mu)||^2,
 
         sum_{m>=M} (m^2+1) P(m) / P(0)
             <= 2 M^2 t^-M ||g(t xi, sqrt(t) nu)||^2 / L_M = b,
 
-    falls below 1e-16 (e^_LOG_HORIZON_TOL), and b there (the horizon
-    log_laguerre covers and inf where no M does). P(0) <= 1, as g_0 = 1. The bound holds for
-    1 < t < 1/|xi| and M >= 2/ln t: t^{m/2} g_m(xi, nu) = g_m(t xi,
-    sqrt(t) nu), whose norm _gaussian_log_norm gives in closed form,
-    L_m >= L_M for m >= M, and m^2 t^-m falls for m >= 2/ln t. With every
-    xi 0 the norm is e^{t |nu|^2} and the best t is M/|nu|^2 (or the least
-    t admitting M); otherwise b is the least over 1/t = |xi| + (1-|xi|) s,
-    s on a fixed grid in (0, 1). Either way b falls with M, and the first M
-    is found by bisection.
+    falls below 1e-16 (e^_LOG_HORIZON_TOL), and each entry's b there (the
+    horizon log_laguerre covers and inf where no M does). P(0) <= 1, as
+    g_0 = 1. The bound holds for 1 < t < 1/|xi| and M >= 2/ln t:
+    t^{m/2} g_m(xi, nu) = g_m(t xi, sqrt(t) nu), whose norm
+    _gaussian_log_norm gives in closed form, L_m >= L_M for m >= M, and
+    m^2 t^-m falls for m >= 2/ln t. With every xi 0 the norm is
+    e^{t |nu|^2} and the best t is M/|nu|^2 (or the least t admitting M);
+    otherwise b is the least over 1/t = |xi| + (1-|xi|) s, s on a fixed
+    grid in (0, 1). Either way b falls with M, and M* is found by bisection.
     """
     top = log_laguerre.shape[1]
     coherent = not xi.any()
@@ -213,22 +214,22 @@ def _tail_horizon(xi: np.ndarray, nu: np.ndarray, log_laguerre: np.ndarray):
         need = 2.0 / lnt  # the least M each t admits
         lead = _gaussian_log_norm(t * xi, np.sqrt(t) * nu)
 
-    def log_bound(M: np.ndarray) -> np.ndarray:
-        at = np.minimum(M, top - 1)
+    def log_bound(M: int) -> np.ndarray:
         if coherent:  # nu = 0: ln t and so -ln b are inf, and P(m > 0) = 0
-            u = np.maximum(np.log(at) - log_x, 2.0 / at)  # ln t
-            b = np.maximum(at, np.exp(2.0 / at + log_x)) - at * u
+            u = np.maximum(math.log(M) - log_x, 2.0 / M)  # ln t
+            b = np.maximum(M, np.exp(2.0 / M + log_x)) - M * u
         else:
-            b = np.where(at >= need, lead - at * lnt, np.inf).min(axis=0)
-        b += _LN2 + 2.0 * np.log(at) - np.take_along_axis(log_laguerre, at, 1)
-        return np.where(M < top, b, np.inf)
+            b = np.where(M >= need, lead - M * lnt, np.inf).min(axis=0)
+        return b + (_LN2 + 2.0 * math.log(M)) - log_laguerre[:, M, None]
 
-    lo, hi = np.ones(nu.shape, dtype=np.intp), np.full(nu.shape, top)
-    for _ in range(top.bit_length()):
+    lo, hi = 1, top
+    while lo < hi:
         mid = (lo + hi) // 2
-        below = log_bound(mid) < _LOG_HORIZON_TOL
-        hi, lo = np.where(below, mid, hi), np.where(below, lo, mid + 1)
-    return hi, log_bound(hi)
+        if np.all(log_bound(mid) < _LOG_HORIZON_TOL):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi, log_bound(hi) if hi < top else np.full(nu.shape, np.inf)
 
 
 def _frame_moments(xi: np.ndarray, mu: np.ndarray, bases: list,

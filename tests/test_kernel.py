@@ -121,8 +121,8 @@ def test_frame_weights_and_frame_q(lam, xi):
 
 # (lam, xi, mu): complex and negative xi, negative lam, |xi| 0.9 at lam 0,
 # coherent states (xi 0, mu alpha) up to |alpha| 20, nu = mu + lam = 0, and
-# lam 10, 40 and 50 next to the guard, where at real xi the bound certifies
-# no horizon below the basis' own
+# lam 10, 40 and 50 next to the guard; at lam 40 and 50 and real xi the
+# bound certifies no horizon below the basis' own
 HORIZON_CASES = [
     (1.0, 0.4j, 0.4j), (-2.0, 0.5 - 0.3j, -1.0 + 0.6j), (1.5, -0.6, -0.9),
     (0.0, 0.9, 0.0), (0.0, -0.9j, 0.0), (3.0, -0.5 + 0.2j, -1.5 + 0.6j),
@@ -139,7 +139,7 @@ def test_horizon_bound_holds_against_mpmath(lam, xi, mu):
     basis = LambdaBasis(lam, 4000 if xi == 0 else 1604)
     gxi, gmu = np.array([xi], dtype=complex), np.array([mu], dtype=complex)
     nu = lam + gmu
-    [[first]], [[log_b]] = stats._tail_horizon(gxi, nu[None], basis.log_laguerre[None])
+    first, [[log_b]] = stats._tail_horizon(gxi, nu[None], basis.log_laguerre[None])
     P, _, ok = _frame_weights(gxi, gmu, [basis], None)
     assert P.shape[0] == min(first + 8, basis.max_n + 1) and ok.all()
     if lam >= 40.0 and xi.real:
