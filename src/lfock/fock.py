@@ -199,7 +199,7 @@ def _gaussian_amplitudes(xi, mu, M: int) -> tuple[np.ndarray, np.ndarray]:
     rows = list(mant)
     for lo in range(1, M, 64):
         # g_m = (mu/sqrt m) g_{m-1} + xi sqrt((m-1)/m) g_{m-2}, from row
-        # views of the coefficients of 64 rows at a time
+        # views of coefficients built 64 rows at a time, small beside mant
         A = list(mu[None, :] / root[lo: lo + 64, None])
         B = list(xi[None, :] * (root[lo - 1: lo + 63] / root[lo: lo + 64])[:, None])
         for m in range(lo, min(lo + 64, M)):

@@ -129,14 +129,14 @@ def _frame_weights(xi: np.ndarray, mu: np.ndarray, bases: list,
     ln|g_m|^2 is 2m ln|nu| - ln m! in closed form when every xi is 0
     (coherent states), and comes from one g_m recurrence otherwise, which
     takes a single basis. M is the cutoff, or else _tail_horizon's M* plus
-    8, at most the bases' shortest horizon. Returns
-    (P, shift, ok) with P of shape (M, len(bases) * len(mu)), its column
-    j * len(mu) + k holding bases[j] at entry k. A column whose weights all
-    lie below e^-600 is divided by its largest, e^shift (shift 0
-    elsewhere). ok is False where a column's last 8 rows fail
-    m^2 P(m) < 1e-12 min(1, sum P), relative since at large lam all weights
-    can be tiny; past M* those rows are certified far below that, so the
-    test decides only where the bound certifies no M below the horizon.
+    8, at most the bases' shortest horizon. Returns (P, shift, ok) with P of
+    shape (M, len(bases) * len(mu)), its column j * len(mu) + k holding
+    bases[j] at entry k. A column whose weights all lie below e^-600 is
+    divided by its largest, e^shift (shift 0 elsewhere). ok is False where a
+    column's last 8 rows fail m^2 P(m) < 1e-12 min(1, sum P), relative since
+    at large lam all weights can be tiny; past M* those rows are certified
+    far below that, so the test decides only where the bound certifies no M
+    below the horizon.
     """
     coherent = not xi.any()
     lams = [basis.lam for basis in bases]
