@@ -12,7 +12,7 @@ nonlinearity factor m - n + 1 at step n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,15 +28,18 @@ _TAIL = 1e-18
 _CAP = 600
 
 
-@dataclass(frozen=True)
-class NonlinearCS:
+class NonlinearCS(NamedTuple):
     """A normalized deformed coherent vector in the standard basis."""
 
     alpha_or_z: complex
     family: str
     coeff_rule: str
-    coeffs: np.ndarray = field(repr=False)
+    coeffs: np.ndarray
     norm_constant: float = 1.0
+
+    def __repr__(self) -> str:
+        return (f"NonlinearCS(alpha_or_z={self.alpha_or_z!r}, family={self.family!r}, "
+                f"coeff_rule={self.coeff_rule!r}, norm_constant={self.norm_constant!r})")
 
 
 def nonlinear_spectrum(n: int) -> float:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -442,12 +442,14 @@ def to_lambda(v: np.ndarray, basis: LambdaBasis) -> np.ndarray:
     return c
 
 
-@dataclass(frozen=True)
-class LambdaExpansion:
+class LambdaExpansion(NamedTuple):
     """A vector written over the deformed basis: sum_n coeffs[n] |n>_lam."""
 
     basis: LambdaBasis
-    coeffs: np.ndarray = field(repr=False)
+    coeffs: np.ndarray
+
+    def __repr__(self) -> str:
+        return f"LambdaExpansion(basis={self.basis!r})"
 
     @property
     def support(self) -> int:

@@ -63,6 +63,13 @@ def number_operator(N: int) -> np.ndarray:
     return np.diag(np.arange(N, dtype=complex))
 
 
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x) of a complex array, bit for bit: numpy's own ord=None
+    formula, without its dispatch."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+
 def expm_apply(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """e^M v, v a vector or columns: a fixed s = ceil(||M||_1) steps of the
     Taylor series of e^{M/s}, each ended once two consecutive terms fall
@@ -73,13 +80,14 @@ def expm_apply(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     s = max(1, math.ceil(norm)) if math.isfinite(norm) else 1  # NaN: caught below
     A = np.asarray(M, dtype=complex) / s
     w = np.array(v, dtype=complex)
+    eps = float(np.finfo(float).eps)
     for _ in range(s):
         term, size = w, math.inf
         for k in range(1, 60):  # ||A||_1 <= 1 keeps the k-th term below 1/k!
             term = (A @ term) / k
             w += term
-            last, size = size, float(np.linalg.norm(term))
-            if max(last, size) <= np.finfo(float).eps * float(np.linalg.norm(w)):
+            last, size = size, _norm(term)
+            if max(last, size) <= eps * _norm(w):
                 break
     if not np.all(np.isfinite(w)):
         raise TruncationError("matrix exponential did not converge; "

@@ -28,7 +28,6 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -44,7 +43,23 @@ _HARD_CAP = 512
 
 class _Family:
     """What both families share: _gaussian names the exact state
-    phase g(xi, mu)/||g||, or is None for a truncated frame series."""
+    phase g(xi, mu)/||g||, or is None for a truncated frame series.
+
+    A state is immutable: its constructor fills __dict__ and assignment
+    raises, while cached_property still stores into __dict__. The repr
+    shows the fields in _shown, never a coefficient array."""
+
+    _shown: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._shown)
+        return f"{type(self).__name__}({shown})"
 
     @property
     def truncation(self) -> int:
@@ -62,7 +77,6 @@ class _Family:
         return phase * math.exp(k * _LN2 - half) * mant[:, 0] * np.exp2(expo[:, 0] - k)
 
 
-@dataclass(frozen=True)
 class LambdaCoherent(_Family):
     """Eigenvector of a with eigenvalue alpha, expanded over |n>_lam.
 
@@ -72,11 +86,13 @@ class LambdaCoherent(_Family):
     Any accumulated global phase (from time evolution) is in `phase`.
     """
 
-    alpha: complex
-    basis: LambdaBasis
-    expansion: LambdaExpansion = field(repr=False)
-    phase: complex = 1.0 + 0.0j
-    _truncated: bool = field(default=False, repr=False)
+    _shown = ("alpha", "basis", "phase")
+
+    def __init__(self, alpha: complex, basis: LambdaBasis,
+                 expansion: LambdaExpansion, phase: complex = 1.0 + 0.0j,
+                 _truncated: bool = False):
+        self.__dict__.update(alpha=alpha, basis=basis, expansion=expansion,
+                             phase=phase, _truncated=_truncated)
 
     @property
     def _gaussian(self) -> tuple[complex, complex, complex] | None:
@@ -85,7 +101,6 @@ class LambdaCoherent(_Family):
             0j, self.alpha, self.phase * cmath.exp(1j * lam * self.alpha.imag))
 
 
-@dataclass(frozen=True)
 class LambdaSqueezed(_Family):
     """Solution of (a - xi a_dag_lam)|psi> = 0 over even deformed indices.
 
@@ -96,14 +111,16 @@ class LambdaSqueezed(_Family):
     truncated frame series, normalized through the Gram quadratic form.
     """
 
-    xi: complex
-    basis: LambdaBasis
-    norm_constant: float = 1.0
-    n_terms: int | None = None
-    # a truncated series from lambda_squeezed: its expansion and the norm and
-    # condition number of its Gram form, from the construction's one pass
-    _series: tuple[LambdaExpansion, float, float] | None = field(
-        default=None, repr=False, compare=False)
+    _shown = ("xi", "basis", "norm_constant", "n_terms")
+
+    def __init__(self, xi: complex, basis: LambdaBasis, norm_constant: float = 1.0,
+                 n_terms: int | None = None,
+                 _series: tuple[LambdaExpansion, float, float] | None = None):
+        # _series: a truncated series from lambda_squeezed, its expansion and
+        # the norm and condition number of its Gram form, from the
+        # construction's one pass
+        self.__dict__.update(xi=xi, basis=basis, norm_constant=norm_constant,
+                             n_terms=n_terms, _series=_series)
 
     @cached_property
     def expansion(self) -> LambdaExpansion:
@@ -191,8 +208,9 @@ def evolve(state: LambdaCoherent, t: float) -> LambdaCoherent:
     """
     rotated = complex(state.alpha) * cmath.exp(-1j * t)
     N = state.truncation if state._truncated else None
-    return replace(lambda_coherent(rotated, state.basis, N),
-                   phase=state.phase * cmath.exp(-0.5j * t))
+    fresh = lambda_coherent(rotated, state.basis, N)
+    return LambdaCoherent(fresh.alpha, fresh.basis, fresh.expansion,
+                          state.phase * cmath.exp(-0.5j * t), fresh._truncated)
 
 
 def _even_log_weights(T: int) -> np.ndarray:

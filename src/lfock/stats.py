@@ -11,7 +11,7 @@ quadratures (G c)^H (X c) that check these routes live in operators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ _TAIL_UNSETTLED = ("m^2 P(m) tail not below 1e-12 at the basis horizon; "
                   "build a LambdaBasis with a larger max_n")
 
 
-@dataclass(frozen=True)
-class StatisticsReport:
+class StatisticsReport(NamedTuple):
     """Raw number moments and the Mandel Q they imply.
 
     mandel_q is NaN with q_defined False when the mean vanishes (vacuum),
@@ -47,8 +46,7 @@ class StatisticsReport:
     q_defined: bool = True
 
 
-@dataclass(frozen=True)
-class QuadratureReport:
+class QuadratureReport(NamedTuple):
     var_x: float
     var_p: float
     product: float

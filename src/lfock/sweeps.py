@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,14 +25,15 @@ _FIG1_MAX_N = 4000
 _FIG1_BLOCK = 25
 
 
-@dataclass
 class SweepResult:
     """One figure's worth of sweep data plus reproduction metadata."""
 
-    axis_name: str
-    axis_values: list = field(default_factory=list)
-    series: dict = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
+    def __init__(self, axis_name: str, axis_values: list | None = None,
+                 series: dict | None = None, metadata: dict | None = None):
+        self.axis_name = axis_name
+        self.axis_values = [] if axis_values is None else axis_values
+        self.series = {} if series is None else series
+        self.metadata = {} if metadata is None else metadata
 
     def to_csv(self) -> str:
         names = list(self.series)
@@ -135,7 +135,9 @@ def sweep_fig1(alphas=None, lambda_range=(0.0, 5.0, 200),
         alphas = [1.0 + 0j, 2.0 + 0j, -1.0 + 0j, -2.0 + 0j]
     alphas = [complex(a) for a in alphas]
     lams = _axis(lambda_range)
-    series: dict[str, list] = {f"Q[alpha={_fmt_num(a)}]": [] for a in alphas}
+    labels = [_fmt_num(a) for a in alphas]
+    series: dict[str, list] = {f"Q[alpha={a}]": [] for a in labels}
+    columns = [series[f"Q[alpha={a}]"] for a in labels]
     mu = np.array(alphas, dtype=complex)  # the coherent state is g(0, alpha)
     unsettled = _TAIL_UNSETTLED
     if truncation is not None:
@@ -156,13 +158,11 @@ def sweep_fig1(alphas=None, lambda_range=(0.0, 5.0, 200),
         block = [LambdaBasis(lam, max_n) for lam in lams[start: start + _FIG1_BLOCK]]
         for basis, reps in zip(block, _frame_moments(np.zeros_like(mu), mu,
                                                      block, truncation)):
-            for a, rep in zip(alphas, reps):
+            for a, column, rep in zip(labels, columns, reps):
                 if rep is None:
-                    _warn(f"fig1 lambda={basis.lam:g} alpha={_fmt_num(a)} "
-                          f"skipped: {unsettled}")
-                series[f"Q[alpha={_fmt_num(a)}]"].append(
-                    float(rep.mandel_q) if rep is not None and rep.q_defined
-                    else None)
+                    _warn(f"fig1 lambda={basis.lam:g} alpha={a} skipped: {unsettled}")
+                column.append(float(rep.mandel_q) if rep is not None and rep.q_defined
+                              else None)
     return SweepResult("lambda", lams, series, _metadata(
         "fig1", "lambda", lambda_range, truncation,
         alphas=[[a.real, a.imag] for a in alphas]))

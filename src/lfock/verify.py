@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +18,7 @@ from . import families, fock, operators, specfun, states, stats
 from .fock import LambdaBasis
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     err: float
     tol: float
@@ -29,8 +28,7 @@ class Check:
         return self.err <= self.tol
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     name: str
     checks: list
 

@@ -11,6 +11,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tokenize
 import tracemalloc
 
 import numpy as np
@@ -386,23 +387,28 @@ _ORACLES = ("lfock.verify", "lfock.operators")
 
 
 @pytest.mark.parametrize("runs, code, absent", [
-    ([], 0, ("numpy",)),
-    ([["--help"]], 0, ("numpy",)),
-    ([["state", "lambda_ss", "--lambda", "nan"]], 1, ("numpy",)),
+    ([], 0, ("numpy", "dataclasses")),
+    ([["--help"]], 0, ("numpy", "dataclasses")),
+    ([["state", "lambda_ss", "--lambda", "nan"]], 1, ("numpy", "dataclasses")),
     ([["state", "lambda_ket", "-n", "2"]], 0,
-     ("lfock.states", "lfock.stats", "lfock.sweeps", "lfock.families", *_ORACLES)),
+     ("lfock.states", "lfock.stats", "lfock.sweeps", "lfock.families", *_ORACLES,
+      "dataclasses")),
     ([["state", "f1"]], 0,
-     ("lfock.states", "lfock.stats", "lfock.sweeps", *_ORACLES)),
+     ("lfock.states", "lfock.stats", "lfock.sweeps", *_ORACLES, "dataclasses")),
     ([["fig1", "--grid", "0:1:3"]], 0,
-     ("lfock.states", "lfock.families", *_ORACLES)),
+     ("lfock.states", "lfock.families", *_ORACLES, "dataclasses")),
     ([[fig, "--grid", "0.1:0.3:2"] for fig in ("fig2", "fig3a", "fig3b")]
-     + [["state", kind] for kind in _STATE_KINDS], 0, _ORACLES),
-    ([["verify", "nosuch"]], 1, ("numpy", *_ORACLES)),
+     + [["state", kind] for kind in _STATE_KINDS], 0, (*_ORACLES, "dataclasses")),
+    ([["verify", "nosuch"]], 1, ("numpy", *_ORACLES, "dataclasses")),
+    ([["verify", "ladders"]], 0, ("dataclasses",)),
+    ([["verify", "all"]], 0, ("dataclasses",)),
 ], ids=["import", "help", "usage-error", "lambda_ket", "f1", "fig1",
-        "every-figure-and-dump", "unknown-suite"])
+        "every-figure-and-dump", "unknown-suite", "verify-ladders", "verify-all"])
 def test_each_command_loads_only_the_modules_it_runs(runs, code, absent):
     # arguments are parsed before numpy loads, and each command then imports
-    # only its own layers; a fresh interpreter per case, as each job runs
+    # only its own layers; a fresh interpreter per case, as each job runs.
+    # No command imports dataclasses: each @dataclass would build its methods
+    # through exec at import, about 1 ms a class
     done = _python("-c", "import contextlib, io, json, sys\n"
                          "from lfock.cli import main\n"
                          "codes = []\n"
@@ -414,6 +420,22 @@ def test_each_command_loads_only_the_modules_it_runs(runs, code, absent):
                          " if m in sys.modules]]))")
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == [[code] * len(runs), []]
+
+
+def test_every_module_stays_below_4096_parser_tokens():
+    # each command compiles the modules it loads from source where bytecode
+    # is not written, and the parser's token array doubles past 4096 tokens,
+    # which raises the compile peak and every command's max RSS
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+    package = os.path.join(_ROOT, "src", "lfock")
+    sizes = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                sizes[name] = sum(tok.type not in skip
+                                  for tok in tokenize.tokenize(fh.readline))
+    assert sizes["fock.py"] > 3000
+    assert {name: n for name, n in sizes.items() if n >= 4096} == {}
 
 
 def _collector() -> tuple:
