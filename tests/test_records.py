@@ -43,6 +43,8 @@ def test_frozen_records_refuse_assignment(name):
         before = getattr(record, field)
         with pytest.raises(AttributeError):
             setattr(record, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
         assert getattr(record, field) is before
 
 
