@@ -6,12 +6,12 @@ Run: python3 demos/04_squeezing.py
 import numpy as np
 
 from lfock import (DomainError, LambdaBasis, lambda_squeezed, number_moments,
-                   quadrature_variances, radius_estimate, squeezed_vacuum)
+                   quadrature_variances, radius_min, squeezed_vacuum)
 from lfock.operators import squeezed_norm_constant
 
 print("normalization series radius by the convergence scan:")
 for lam in (0.0, 0.5, 1.0, 2.0, 3.0):
-    r = radius_estimate(LambdaBasis(lam, 1600))
+    r = radius_min(LambdaBasis(lam, 1600))
     print(f"  lam = {lam:3}: R = {r:.4f}")
 print("(R = 1 in the flat case; deformation shrinks the usable xi disk)")
 

@@ -25,8 +25,7 @@ _SOURCES = {name: module for module, names in (
               "matel_normal_ordered", "gram", "to_lambda",
               "DomainError", "TruncationError")),
     ("states", ("LambdaCoherent", "LambdaSqueezed", "lambda_coherent", "evolve",
-                "squeezed_vacuum", "lambda_squeezed", "radius_estimate",
-                "radius_min")),
+                "squeezed_vacuum", "lambda_squeezed", "radius_min")),
     ("stats", ("StatisticsReport", "QuadratureReport", "p_lambda",
                "number_moments", "quadrature_variances", "squeezed_moments")),
     ("families", ("NonlinearCS", "nonlinear_spectrum", "classical_frequency",

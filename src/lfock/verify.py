@@ -225,7 +225,7 @@ def _suite_squeezed() -> list[Check]:
     # the scan reads the grid radius 0.9813 below R = 1; a scan that stopped
     # one 1.05 step earlier (0.9346) fails
     out.append(Check("radius at lam=0 near 1",
-                     abs(states.radius_estimate(LambdaBasis(0.0, 8)) - 1.0), 0.02))
+                     abs(states.radius_min(LambdaBasis(0.0, 8)) - 1.0), 0.02))
     return out
 
 

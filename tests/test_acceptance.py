@@ -27,7 +27,7 @@ from lfock.operators import (apply_t_operator, build_ladders, coherent_overlap,
                              squeezed_norm_constant, squeezed_operator_form)
 from lfock.specfun import log_factorial_table
 from lfock.states import (DomainError, evolve, lambda_coherent,
-                          lambda_squeezed, radius_estimate, squeezed_vacuum)
+                          lambda_squeezed, radius_min, squeezed_vacuum)
 from lfock.stats import number_moments, p_lambda, quadrature_variances
 
 
@@ -309,9 +309,9 @@ def test_criterion_10_fig3_qualitative():
 
 def test_criterion_11_convergence_radius():
     # scanned R(0) = 1 +- 0.05; R nonincreasing across lam in {0.5, 1, 2, 3}
-    r0 = radius_estimate(LambdaBasis(0.0, 1600))
+    r0 = radius_min(LambdaBasis(0.0, 1600))
     assert abs(r0 - 1.0) <= 0.05
-    rs = [radius_estimate(LambdaBasis(lam, 1600))
+    rs = [radius_min(LambdaBasis(lam, 1600))
           for lam in (0.5, 1.0, 2.0, 3.0)]
     assert all(b <= a + 1e-15 for a, b in zip(rs, rs[1:])), rs
     assert rs[0] <= r0 + 1e-15

@@ -635,10 +635,13 @@ def test_fig1_truncation_short_of_the_tail_leaves_cells_empty(capsys):
     (["fig3a", "--truncation", "900"], 900, 803),
     (["state", "lambda_ss", "--truncation", "804"], 804, 803),
     (["state", "lambda_cs", "--truncation", "600"], 600, 513),
+    (["state", "lambda_cs", "--alpha", "0", "--truncation", "600"], 600, 513),
+    (["state", "lambda_ss", "--xi", "0", "--truncation", "900"], 900, 803),
 ])
 def test_horizon_errors_name_the_truncation_passed(argv, n, largest, capsys):
     # these named an internal index against max_n (1798 against 1604 for
-    # fig3a --truncation 900, 599 against 512 for lambda_cs)
+    # fig3a --truncation 900, 599 against 512 for lambda_cs); the vacuum
+    # states returned before the check and exited 0
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert f"truncation {n} beyond the basis horizon " \

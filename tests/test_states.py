@@ -4,6 +4,7 @@ import cmath
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from lfock.operators import (TruncationError, build_ladders, coherent_overlap,
                              squeezed_norm_constant, squeezed_operator_form)
 from lfock.states import (DomainError, _coherent_coeffs, _even_log_weights,
                           evolve, lambda_coherent, lambda_squeezed,
-                          radius_estimate, radius_min, squeezed_vacuum)
+                          radius_min, squeezed_vacuum)
 
 
 def _mismatch(u, v):
@@ -115,6 +116,52 @@ def test_coherent_truncation_cap_is_reported():
     basis = LambdaBasis(3.0, 512)
     with pytest.raises(TruncationError):
         lambda_coherent(20.0, basis)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-8, 0.3, 1.0, 2.0, 5.0, 10.0, 50.0,
+                                 100.0, -1.3])
+def test_ladder_excess_never_rises(lam):
+    # the premise of lambda_coherent's geometric tail bound: the coefficient
+    # ratio |C_n/C_{n-1}| = |alpha| sqrt((1 + s_n)/n) falls with n because
+    # s_n = 1/rho_n^2 - 1 does not rise
+    s = 1.0 / LambdaBasis(lam, 4000).rho[1:] ** 2 - 1.0
+    assert np.all(np.diff(s) <= 0.0)
+
+
+def _coherent_tail(lam, alpha, N):
+    """sum_{n>=N} |C_n| in 50-digit mpmath, L_n(-lam^2) by its recurrence."""
+    with mpmath.workdps(50):
+        x, a = mpmath.mpf(lam) ** 2, abs(mpmath.mpc(alpha))
+        c0 = mpmath.exp(-mpmath.mpf(lam) * complex(alpha).real - a * a / 2)
+        total, prev, L, n = mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1), 0
+        while True:
+            if n >= N:
+                term = c0 * a ** n * mpmath.sqrt(L / mpmath.factorial(n))
+                total += term
+                if n > N + 5 and term < mpmath.mpf(10) ** -40 * total:
+                    return float(total)
+            prev, L = L, ((2 * n + 1 + x) * L - n * prev) / (n + 1)
+            n += 1
+
+
+@pytest.mark.parametrize("lam, alpha, N", [(30.0, 1.0, 85), (-3.0, 8 + 3j, 308),
+                                           (1.7, 1.2 - 0.4j, 36), (2.0, 14.0, 402)])
+def test_coherent_auto_truncation_bounds_the_dropped_tail(lam, alpha, N,
+                                                          monkeypatch):
+    # the coefficients are evaluated once, at the cap of 512, and the first
+    # N passing the geometric test leaves a tail below 1e-14 (one term fewer
+    # would not); a start guess sized from the frame weights took all 512
+    # at lam 30 and at lam -3
+    calls = []
+    coeffs = states._coherent_coeffs
+    monkeypatch.setattr(states, "_coherent_coeffs",
+                        lambda *args: calls.append(args[2]) or coeffs(*args))
+    basis = LambdaBasis(lam, 512)
+    state = lambda_coherent(alpha, basis)
+    assert calls == [512] and state.truncation == N
+    assert np.array_equal(state.expansion.coeffs,
+                          coeffs(complex(alpha), basis, N))
+    assert _coherent_tail(lam, alpha, N) < 1e-14 < _coherent_tail(lam, alpha, N - 1)
 
 
 @pytest.mark.parametrize("alpha", [20.0, -20.0, 12.0 + 16.0j, 0.3j])
@@ -229,33 +276,26 @@ def test_guard_rejects_xi_near_radius():
 
 def test_radius_flat_case_is_unit_disk():
     basis = LambdaBasis(0.0, 1600)
-    assert abs(radius_estimate(basis) - 1.0) <= 0.05
+    assert abs(radius_min(basis) - 1.0) <= 0.05
 
 
 def test_radius_shrinks_with_deformation():
-    r_half = radius_estimate(LambdaBasis(0.5, 1600))
-    r_two = radius_estimate(LambdaBasis(2.0, 1600))
+    r_half = radius_min(LambdaBasis(0.5, 1600))
+    r_two = radius_min(LambdaBasis(2.0, 1600))
     assert r_two <= r_half <= 1.0
 
 
 def test_radius_grid_refinement_stable(monkeypatch):
     monkeypatch.setattr(states, "_GUARD_RADII", {})
     basis = LambdaBasis(1.0, 1600)
-    coarse = radius_estimate(basis)
+    coarse = radius_min(basis)
     monkeypatch.setattr(states, "_GUARD_RADII", {})
     monkeypatch.setattr(states, "_SCAN_FACTOR", math.sqrt(1.05))
-    fine = radius_estimate(basis)
+    fine = radius_min(basis)
     assert abs(fine - coarse) / coarse < 0.05
 
 
-def test_radius_min_no_larger_than_axis_ray():
-    basis = LambdaBasis(1.0, 1600)
-    assert radius_min(basis) <= radius_estimate(basis) + 1e-15
-
-
-@pytest.mark.parametrize("first, second", [(radius_estimate, radius_min),
-                                           (radius_min, radius_estimate)])
-def test_both_radius_readings_share_one_scan(first, second, monkeypatch):
+def test_radius_min_scans_once_per_lam(monkeypatch):
     monkeypatch.setattr(states, "_GUARD_RADII", {})
     scans = []
     scan = states._scan_radius
@@ -266,8 +306,7 @@ def test_both_radius_readings_share_one_scan(first, second, monkeypatch):
 
     monkeypatch.setattr(states, "_scan_radius", spy)
     basis = LambdaBasis(1.3, 1604)
-    first(basis)
-    second(basis)
+    assert radius_min(basis) == radius_min(basis)
     assert scans == [1.3]
 
 
@@ -371,7 +410,7 @@ def test_shared_radius_scan_matches_per_ray_oracle(lam, monkeypatch):
         monkeypatch.setattr(states, "_GUARD_RADII", {})
         monkeypatch.setattr(states, "_SCAN_FACTOR", factor)
         want = [_oracle_radius(basis, p, factor) for p in phases]
-        assert want[0] == min(want) == radius_min(basis) == radius_estimate(basis)
+        assert want[0] == min(want) == radius_min(basis)
 
 
 @pytest.mark.parametrize("lam", [-3.0, -0.5, 0.7, 2.0])

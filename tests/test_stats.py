@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
-from lfock import stats
-from lfock.fock import LambdaBasis, LambdaExpansion, lambda_ket
+from lfock import fock, stats
+from lfock.fock import LambdaBasis, LambdaExpansion, TruncationError, lambda_ket
 from lfock.specfun import laguerre0_log
 from lfock.states import (_SQUEEZED_MAX_N, DomainError, lambda_coherent,
                           lambda_squeezed, squeezed_vacuum)
@@ -86,24 +86,41 @@ def test_flat_coherent_state_is_poissonian():
     assert abs(dense.mandel_q) < 1e-8
 
 
-def test_bare_expansion_moments_grow_one_gram_by_doubling(monkeypatch):
-    # |0>_lam = |0> at lam 10 spreads its frame weights |<m|_lam 0>|^2 over
-    # some 200 rows, so the m^2 P(m) tail adds rows to the first 33 several
-    # times; each addition used to rebuild the Gram matrix 32 rows larger
-    sizes = []
-    real = stats.gram
-
-    def spy(basis, size):
-        sizes.append(size)
-        return real(basis, size)
-
-    monkeypatch.setattr(stats, "gram", spy)
+def test_series_moments_stream_gram_rows_without_a_matrix(monkeypatch):
+    # number_moments of a truncated series takes G c from the streamed
+    # triangle rows over the whole basis horizon: no Gram matrix is built,
+    # and its weights are |G c|^2 of the dense matrix, for a series with
+    # both parities and an even-only one (whose odd rows still carry the
+    # upper dot products). Weights that cancel to ~1e-35 of the largest
+    # differ relatively by rounding, so the check is also to 1e-13 of it.
+    basis = LambdaBasis(1.0, 400)
+    dense = fock.gram(basis, basis.max_n + 1)
+    weights, builds = [], []
+    reports = stats._reports
+    monkeypatch.setattr(fock, "gram", lambda *args: builds.append(args))
+    monkeypatch.setattr(stats, "_reports", lambda P, *args: (
+        weights.append(P[:, 0].copy()), reports(P, *args))[1])
+    for state in (lambda_coherent(1.2 - 0.4j, basis, 60),
+                  lambda_squeezed(0.3, basis, 40)):
+        c = state.expansion.coeffs
+        want = np.abs(dense[:, :c.shape[0]] @ c) ** 2
+        tracemalloc.start()
+        number_moments(state)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert builds == [] and peak < dense.nbytes // 8
+        np.testing.assert_allclose(weights.pop(), want, rtol=1e-13,
+                                   atol=1e-13 * want.max())
+    # |0>_lam = |0> at lam 10 spreads its frame weights over some 200 rows
     basis = LambdaBasis(10.0, 600)
     report = number_moments(LambdaExpansion(basis, np.ones(1, dtype=complex)))
-    assert len(sizes) > 2 and sizes == [33 * 2 ** k for k in range(len(sizes))]
     kernel = number_moments(lambda_coherent(0.0, basis))
     assert report.mandel_q == pytest.approx(kernel.mandel_q, rel=1e-12)
     assert report.mean == pytest.approx(kernel.mean, rel=1e-12)
+    # the same state on 41 rows has not settled at that horizon
+    with pytest.raises(TruncationError, match="^m\\^2 P\\(m\\) tail not below"):
+        number_moments(LambdaExpansion(LambdaBasis(10.0, 40),
+                                       np.ones(1, dtype=complex)))
 
 
 def test_vacuum_report_leaves_q_undefined():

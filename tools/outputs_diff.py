@@ -69,6 +69,12 @@ EDGES = (
     # over 200 rows of both parities
     ("state", "lambda_ket", "-n", "1500", "--lambda", "30"),
     ("state", "lambda_cs", "--lambda=-3", "--alpha=2,1", "--truncation=200"),
+    # the coherent auto truncation where the frame-weight peak lies far
+    # past the coefficients' fall, and the vacuum states' truncation check
+    ("state", "lambda_cs", "--lambda=30", "--alpha=1"),
+    ("state", "lambda_cs", "--lambda=-3", "--alpha=8,3"),
+    ("state", "lambda_cs", "--alpha=0", "--truncation=600"),
+    ("state", "lambda_ss", "--xi=0", "--truncation=900"),
     # the squeezed vacuum's auto truncation on either side of its refusal
     ("state", "squeezed_vacuum", "--xi=0.999"),
     ("state", "squeezed_vacuum", "--xi=0.9995"),
