@@ -295,7 +295,17 @@ def test_radius_grid_refinement_stable(monkeypatch):
     assert abs(fine - coarse) / coarse < 0.05
 
 
-def test_radius_min_scans_once_per_lam(monkeypatch):
+def radius_estimate(basis):
+    """The estimated R(lam) the squeezed guard reports on its DomainError;
+    |xi| = 2 lies outside every guarded disk, as R <= 2."""
+    with pytest.raises(DomainError) as err:
+        states._guard_xi(2.0, basis)
+    return err.value.radius
+
+
+@pytest.mark.parametrize("first, second", [(radius_estimate, radius_min),
+                                           (radius_min, radius_estimate)])
+def test_both_radius_readings_share_one_scan(first, second, monkeypatch):
     monkeypatch.setattr(states, "_GUARD_RADII", {})
     scans = []
     scan = states._scan_radius
@@ -306,7 +316,7 @@ def test_radius_min_scans_once_per_lam(monkeypatch):
 
     monkeypatch.setattr(states, "_scan_radius", spy)
     basis = LambdaBasis(1.3, 1604)
-    assert radius_min(basis) == radius_min(basis)
+    assert first(basis) == second(basis) == radius_min(basis)
     assert scans == [1.3]
 
 
