@@ -6,7 +6,9 @@ the basis itself (fock), coherent and squeezed states with convergence guards
 (states), photon statistics and quadratures (stats), the appendix state
 families (families), figure sweeps (sweeps), and a self-verification layer
 (verify) behind the `lfock` CLI. The oracles it checks against live in
-lfock.operators, which no public name reaches; import it by name.
+lfock.operators: the closed-form overlaps, ladder coefficients and matrix
+elements of the basis are public names that resolve there, and its dense
+routes are imported by name.
 
 `import lfock` loads no submodule and no numpy: each public name imports
 its submodule the first time it is looked up (PEP 562), so a command loads
@@ -20,10 +22,10 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it; __all__ is built from it
 _SOURCES = {name: module for module, names in (
     ("specfun", ("log_factorial", "laguerre0_log")),
-    ("fock", ("LambdaBasis", "LambdaExpansion", "lambda_ket", "overlap_analytic",
-              "ladder_down", "ladder_up", "lowering_scalar", "raising_scalar",
-              "matel_normal_ordered", "gram", "to_lambda",
+    ("fock", ("LambdaBasis", "LambdaExpansion", "lambda_ket", "gram", "to_lambda",
               "DomainError", "TruncationError")),
+    ("operators", ("overlap_analytic", "ladder_down", "ladder_up",
+                   "lowering_scalar", "raising_scalar", "matel_normal_ordered")),
     ("states", ("LambdaCoherent", "LambdaSqueezed", "lambda_coherent", "evolve",
                 "squeezed_vacuum", "lambda_squeezed", "radius_min")),
     ("stats", ("StatisticsReport", "QuadratureReport", "p_lambda",

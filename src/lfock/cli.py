@@ -5,15 +5,18 @@ Exit codes: 0 success, 1 usage or parameter error, 2 verification failure,
 tolerance unreachable within the basis horizon).
 
 Arguments are parsed and checked before numpy or any numerical module is
-loaded; each command then imports only what it runs (sweeps for a figure,
-fock plus states or families for a state dump, verify for the suites), so
---help and a malformed argument cost the interpreter and argparse alone.
+loaded; each command then imports only what it runs (sweeps, plus states
+for a squeezed figure; dump, plus states or families for a state dump; verify
+for the suites), so --help and a malformed argument cost the interpreter and
+argparse alone. A process of its own imports them with the cyclic collector
+off and freezes what they made before the command runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import importlib
 import json
 import math
 import sys
@@ -27,8 +30,10 @@ if TYPE_CHECKING:  # annotations only; numpy loads after parsing
 _VERIFY_SUITES = ("overlaps", "ladders", "matel", "coherent", "squeezed",
                   "stats", "families")
 
-_STATE_KINDS = ("lambda_ket", "lambda_cs", "lambda_ss", "squeezed_vacuum",
-                "f1", "f2", "canonical")
+# each state kind and the module that builds it, beside fock and dump
+_STATE_KINDS = {"lambda_ket": "fock", "lambda_cs": "states", "lambda_ss": "states",
+                "squeezed_vacuum": "states", "f1": "families", "f2": "families",
+                "canonical": "families"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -166,99 +171,9 @@ def _emit(text: str, out: str | None) -> None:
         raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def _residual(w: np.ndarray, v: np.ndarray) -> float:
-    import numpy as np
-    return float(np.linalg.norm(w)) / float(np.linalg.norm(v))
-
-
-def _norm_gram(form: tuple[float, float]) -> dict:
-    """{"norm_gram": sqrt(c^H G c)} from form, that norm and its condition
-    number, or {} with a warning where the form cancels past 1e-12; the
-    standard column does not depend on it."""
-    from .fock import _cancels, _warn
-    norm, kappa = form
-    if _cancels(kappa):
-        _warn(f"norm_gram omitted: the Gram form cancels over the "
-              f"series (condition number {kappa:.3g})")
-        return {}
-    return {"norm_gram": norm}
-
-
-def _state_payload(args) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Build the requested state; return (metadata, standard, lambda) columns.
-
-    lambda_ket needs fock alone; lambda_cs, lambda_ss and squeezed_vacuum
-    also load states, and f1, f2 and canonical load families."""
-    import numpy as np
-
-    from . import fock
-    from .fock import LambdaBasis, LambdaExpansion, _ladder
-    kind = args.kind
-    lam = float(args.lam)
-    trunc = args.truncation
-    meta: dict = {"command": "state", "kind": kind, "lambda": lam}
-
-    if kind == "lambda_ket":
-        n = args.index
-        basis = LambdaBasis(lam, max(n + 1, 2))
-        std = fock.lambda_ket(n, basis, max(n + 1, trunc or 0)).astype(complex)
-        lamc = np.zeros(n + 1, dtype=complex)
-        lamc[n] = 1.0
-        meta.update(n=n, residual_kind="number_eigenvector",
-                    residual=_residual(_ladder(_ladder(std), lam) - n * std, std),
-                    **_norm_gram(LambdaExpansion(basis, lamc).norm_and_condition()))
-    elif kind == "lambda_cs":
-        from . import states
-        alpha = complex(args.alpha)
-        st = states.lambda_coherent(alpha, LambdaBasis(lam, states._HARD_CAP), trunc)
-        std = st.to_standard()
-        lamc = np.asarray(st.expansion.coeffs, dtype=complex)
-        meta.update(alpha=_pair(alpha), residual_kind="annihilation_eigenvector",
-                    residual=_residual(_ladder(std) - alpha * std, std),
-                    **_norm_gram(st.expansion.norm_and_condition()))
-    elif kind == "lambda_ss":
-        from . import states
-        xi = complex(args.xi)
-        st = states.lambda_squeezed(xi, LambdaBasis(lam, states._SQUEEZED_MAX_N),
-                                    trunc)
-        std = st.to_standard()
-        lamc = np.asarray(st.expansion.coeffs, dtype=complex)
-        v = np.append(std, [0j, 0j])
-        meta.update(xi=_pair(xi), residual_kind="squeezing_kernel",
-                    residual=_residual(_ladder(v) - xi * _ladder(v, lam), v),
-                    norm_constant=st.norm_constant,
-                    **_norm_gram(st.norm_and_condition()))
-    elif kind == "squeezed_vacuum":
-        from . import states
-        xi = complex(args.xi)
-        std = states.squeezed_vacuum(xi, trunc)
-        lamc = fock.to_lambda(std, LambdaBasis(lam, max(std.shape[0], 2)))
-        v = np.append(std, [0j, 0j])
-        meta.update(xi=_pair(xi), residual_kind="squeezing_kernel",
-                    residual=_residual(_ladder(v) - xi * _ladder(v, 0.0), v))
-    else:  # appendix families: f1, f2, canonical
-        from . import families
-        alpha = complex(args.alpha)
-        fam = families.nonlinear_cs(kind, alpha, trunc)
-        std = np.asarray(fam.coeffs, dtype=complex)
-        lamc = fock.to_lambda(std, LambdaBasis(lam, max(std.shape[0], 2)))
-        g = {"f1": lambda n: n ** 1.5, "f2": lambda n: float(n),
-             "canonical": math.sqrt}[kind]
-        resid = max((abs(std[n] - std[n - 1] * alpha / g(n))
-                     for n in range(1, std.shape[0])), default=0.0)
-        meta.update(alpha=_pair(alpha), coeff_rule=fam.coeff_rule,
-                    residual_kind="coefficient_recurrence", residual=float(resid),
-                    norm_constant=fam.norm_constant)
-    meta["norm_euclidean"] = float(np.linalg.norm(std))
-    return meta, std, lamc
-
-
 def _state_text(meta: dict, std: np.ndarray, lamc: np.ndarray,
                 fmt: str) -> str:
+    from .dump import _pair
     if fmt == "json":
         payload = {
             "metadata": meta,
@@ -296,8 +211,36 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 2
 
 
+def _modules(args) -> tuple:
+    """The lfock modules the command runs (each loads fock and numpy)."""
+    if args.command == "verify":
+        return ("verify",)
+    if args.command == "state":
+        return ("dump", _STATE_KINDS[args.kind])
+    return ("sweeps",) if args.command == "fig1" else ("sweeps", "states")
+
+
+def _load(args, own_process: bool) -> None:
+    """Import the modules the command runs. In a process of its own, whose
+    objects from these imports live until it ends, the cyclic collector is
+    off meanwhile, so no collection walks the tens of thousands of objects
+    numpy and lfock make; they are then frozen (gc.freeze), so the command's
+    own collections skip them too, and the collector is back as it was."""
+    enabled = own_process and gc.isenabled()
+    if enabled:
+        gc.disable()
+    try:
+        for name in _modules(args):
+            importlib.import_module(f".{name}", __package__)
+    finally:
+        if enabled:
+            gc.freeze()
+            gc.enable()
+
+
 def _dispatch(args) -> int:
     if args.command == "state":
+        from .dump import _state_payload
         meta, std, lamc = _state_payload(args)
         _emit(_state_text(meta, std, lamc, args.format), args.out)
         return 0
@@ -318,11 +261,12 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command; return its exit code.
 
     With argv None the command line is the process's own, and the process
-    ends when main returns: on every way out, --help, errors and exceptions
-    included, everything still alive is moved to the permanent generation
-    (gc.freeze), so the interpreter's shutdown collections do not walk the
-    tens of thousands of objects numpy and lfock made at import. A caller
-    that passes argv keeps its process, and its collector is left as it was.
+    ends when main returns. The command's imports then run without the
+    cyclic collector and are frozen before it runs (_load), and on every
+    way out, --help, errors and exceptions included, everything still alive
+    is moved to the permanent generation (gc.freeze), so the interpreter's
+    shutdown collections do not walk it either. A caller that passes argv
+    keeps its process, and its collector is left as it was.
     """
     try:
         return _run(argv)
@@ -345,6 +289,7 @@ def _run(argv: list[str] | None) -> int:
         print(f"lfock: error: unknown suite {args.suite!r}; choose from "
               f"{', '.join(sorted(_VERIFY_SUITES))} or 'all'", file=sys.stderr)
         return 1
+    _load(args, argv is None)
     from .fock import DomainError, TruncationError
     try:
         return _dispatch(args)

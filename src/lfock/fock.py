@@ -1,4 +1,4 @@
-"""The deformed Fock basis |n>_lam and its closed-form matrix elements.
+"""The deformed Fock basis |n>_lam, its Gram rows and the Gaussian kernel.
 
 The basis vectors are eigenstates of (a_dag + lam) a + 1/2. Each |n>_lam is a
 finite superposition of |0>..|n>, normalized but not orthogonal to its
@@ -10,12 +10,12 @@ where L_n is the Laguerre value L_n^{(0)}(-lam^2), tabulated as ln L_n on the
 basis. That is the paper's operator form |n>_lam = e^{lam a}|n> / sqrt(L_n),
 so a standard vector v has the coefficients diag(sqrt L_n) e^{-lam a} v
 (to_lambda). Everything downstream (coherent and squeezed constructions,
-photon statistics) reduces to the overlaps and operator matrix elements here,
-in log space with sign tracking so that negative lam and large n stay
-representable, and to the Gaussian vectors g(xi, mu) =
-e^{xi a_dag^2/2 + mu a_dag}|0> of both state families. The overlap sum is the
-only factorial sum: a normal-ordered matrix element is a lowering scalar times
-a raising scalar times one overlap.
+photon statistics) reduces to the Laguerre table, the ladder ratios rho_n,
+the Gram rows of one ladder recurrence, and the Gaussian vectors g(xi, mu) =
+e^{xi a_dag^2/2 + mu a_dag}|0> of both state families, in log space with sign
+tracking so that negative lam and large n stay representable. The closed-form
+overlaps, ladder scalars and matrix elements these are checked against live
+in the oracle module operators.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .specfun import (_as_float, _laguerre_table, _log_overlap_sum,
-                      log_factorial_table)
+from .specfun import _laguerre_table, log_factorial_table
 
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
 
@@ -247,79 +246,6 @@ def _gaussian_moments(xi, mu):
     return a, ns, s, var
 
 
-def overlap_analytic(m, n, basis: LambdaBasis):
-    """The inner product <m|n>_lam between deformed basis states, elementwise
-    over broadcast integer arrays m, n (a float for scalars).
-
-    Evaluates [L_m L_n]^{-1/2} sum_k lam^{2k+m-n} sqrt(n! m!) /
-    [k! (n-k)! (m-n+k)!] over all k with nonnegative factorial arguments.
-    Symmetric in (m, n); exactly 1 on the diagonal; delta_{mn} at lam = 0.
-    """
-    basis._check(m)
-    basis._check(n)
-    # The sum is symmetric under (m, n) swap; canonicalize so results are
-    # bitwise symmetric too.
-    hi, lo = np.maximum(m, n), np.minimum(m, n)
-    lL = basis.log_laguerre
-    mag = np.exp(_log_overlap_sum(hi, lo, basis.lam) - 0.5 * (lL[hi] + lL[lo]))
-    # every term carries lam^(2k + hi - lo): the sign of lam when hi - lo is odd
-    mag = np.where((hi - lo) % 2, np.copysign(mag, basis.lam), mag)
-    return _as_float(np.where(m == n, 1.0, mag))
-
-
-def ladder_down(n: int, basis: LambdaBasis) -> tuple[float, int]:
-    """Coefficient and index in a|n>_lam = coef |n-1>_lam.
-
-    For n = 0 returns the zero-vector marker (0.0, -1) since a|0>_lam = 0.
-    """
-    basis._check(n)
-    if n == 0:
-        return 0.0, -1
-    return math.sqrt(n) * float(basis.rho[n]), n - 1
-
-
-def ladder_up(n: int, basis: LambdaBasis) -> tuple[float, int]:
-    """Coefficient and index in (a_dag + lam)|n>_lam = coef |n+1>_lam."""
-    basis._check(n)
-    basis._check(n + 1, "raised index")
-    return math.sqrt(n + 1.0) / float(basis.rho[n + 1]), n + 1
-
-
-def lowering_scalar(n, k, basis: LambdaBasis):
-    """Scalar s with a^k |n>_lam = s |n-k>_lam (0 if k > n), elementwise over
-    broadcast integer arrays n, k (a float for scalars)."""
-    basis._check(n)
-    j = np.where(k > n, n, n - k)  # n - k; n where k > n, as s is 0 there
-    lf, lL = log_factorial_table(int(np.max(n))), basis.log_laguerre
-    s = np.exp(0.5 * ((lf[n] - lf[j]) + (lL[j] - lL[n])))
-    return _as_float(np.where(k > n, 0.0, s))
-
-
-def raising_scalar(n, k, basis: LambdaBasis):
-    """Scalar u with (a_dag + lam)^k |n>_lam = u |n+k>_lam, elementwise over
-    broadcast integer arrays n, k (a float for scalars)."""
-    top = n + k
-    basis._check(top, "raised index")
-    lf, lL = log_factorial_table(int(np.max(top))), basis.log_laguerre
-    return _as_float(np.exp(0.5 * ((lf[top] - lf[n]) + (lL[top] - lL[n]))))
-
-
-def matel_normal_ordered(m, n, r, k, basis: LambdaBasis):
-    """<m| (a_dag + lam)^r a^k |n> between deformed basis states, elementwise
-    over broadcast integer arrays m, n, r, k (a float for scalars).
-
-    The ladder relations take |n>_lam to lowering_scalar(n, k) |n-k>_lam
-    and then to raising_scalar(n-k, r) |n-k+r>_lam, so the element is those
-    two scalars times overlap_analytic(m, n-k+r); 0 when k > n.
-    """
-    basis._check(m)
-    basis._check(n)
-    dead = np.greater(k, n)  # a^k|n>_lam = 0; j + r = n keeps the rest in range
-    j, r = np.where(dead, n, n - k), np.where(dead, 0, r)
-    return lowering_scalar(n, k, basis) * raising_scalar(j, r, basis) \
-        * overlap_analytic(m, j + r, basis)
-
-
 def _gram_rows(basis: LambdaBasis, size: int, first: int):
     """Yield the closed upper triangle rows G[m, m:size] of the ladder
     recurrence for one parity, m = first, first + 2, ... < size (first 0 or 1).
@@ -400,7 +326,7 @@ def gram(basis: LambdaBasis, size: int) -> np.ndarray:
 
     Each triangle row of _gram_rows, of either parity, is written with its
     mirror in place, so G is exactly symmetric. Must agree with
-    overlap_analytic entrywise. Returns a fresh read-only (size x size) matrix.
+    operators.overlap_analytic entrywise. Returns a fresh read-only (size x size) matrix.
     """
     basis._check(size - 1)
     G = np.empty((size, size))

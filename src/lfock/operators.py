@@ -4,9 +4,13 @@ Only `verify`, the tests and the demos import this module; no figure, state
 dump or other command loads it. It holds dense truncated ladders and the
 action of the matrix exponential, eigen residuals and the truncation
 self-check; the expansion matrix E (E E^T is the coefficient-dot Gram route)
-and the T-operator on one number state; the operator forms of both state
+and the T-operator on one number state; the closed forms of the basis (the
+overlap <m|n>_lam with its factorial sum, the ladder coefficients, the
+lowering and raising scalars and the normal-ordered matrix elements), which
+the Gram recurrence is checked against; the operator forms of both state
 families, the Gram double sum of the coherent overlap and the triple sum for
-the squeezed C_0; and the Gram-route quadratures (G c)^H (X c).
+the squeezed C_0; and the Gram-route quadratures (G c)^H (X c). The public
+closed-form names of lfock resolve here.
 
 Dense matrices only: N stays in the low hundreds, where sparsity buys nothing
 and dense keeps the computations obviously correct. The exponential is a
@@ -23,7 +27,7 @@ import numpy as np
 
 from .fock import (DomainError, LambdaBasis, LambdaExpansion, TruncationError,
                    _exp_lowering, _matvec, gram)
-from .specfun import _log_overlap_sum
+from .specfun import _as_float, log_factorial_table, logsumexp_positive
 from .states import (_even_log_weights, _guard_xi, _squeezed_terms,
                      lambda_coherent)
 from .stats import _NORM_TOL, QuadratureReport
@@ -151,6 +155,95 @@ def apply_t_operator(n: int, basis: LambdaBasis, N: int | None = None) -> np.nda
     v = np.zeros(N)
     v[n] = 1.0
     return _exp_lowering(basis.lam, v) * math.exp(-0.5 * float(basis.log_laguerre[n]))
+
+
+def _log_overlap_sum(hi, lo, lam: float) -> np.ndarray:
+    """ln sum_k |lam|^{2k+hi-lo} sqrt(hi! lo!) / [k! (lo-k)! (hi-lo+k)!] over
+    integer arrays hi >= lo (-inf off the diagonal at lam 0): the factorial
+    sum of the overlap <hi|lo>_lam (overlap_analytic) before its
+    1/sqrt(L_hi L_lo). Each element's terms fill a row, -inf past k = lo."""
+    hi, lo = np.asarray(hi)[..., None], np.asarray(lo)[..., None]
+    if lam == 0.0:
+        return np.where(hi == lo, 0.0, -np.inf)[..., 0]
+    lf = log_factorial_table(int(hi.max()))
+    k = np.arange(int(lo.max()) + 1)
+    kk = np.minimum(k, lo)  # in range for every factorial; masked past lo
+    logs = (2 * kk + hi - lo) * math.log(abs(lam)) \
+        + 0.5 * (lf[hi] + lf[lo]) - lf[kk] - lf[lo - kk] - lf[hi - lo + kk]
+    return logsumexp_positive(np.where(k <= lo, logs, -np.inf), -1)
+
+
+def overlap_analytic(m, n, basis: LambdaBasis):
+    """The inner product <m|n>_lam between deformed basis states, elementwise
+    over broadcast integer arrays m, n (a float for scalars).
+
+    Evaluates [L_m L_n]^{-1/2} sum_k lam^{2k+m-n} sqrt(n! m!) /
+    [k! (n-k)! (m-n+k)!] over all k with nonnegative factorial arguments.
+    Symmetric in (m, n); exactly 1 on the diagonal; delta_{mn} at lam = 0.
+    """
+    basis._check(m)
+    basis._check(n)
+    # The sum is symmetric under (m, n) swap; canonicalize so results are
+    # bitwise symmetric too.
+    hi, lo = np.maximum(m, n), np.minimum(m, n)
+    lL = basis.log_laguerre
+    mag = np.exp(_log_overlap_sum(hi, lo, basis.lam) - 0.5 * (lL[hi] + lL[lo]))
+    # every term carries lam^(2k + hi - lo): the sign of lam when hi - lo is odd
+    mag = np.where((hi - lo) % 2, np.copysign(mag, basis.lam), mag)
+    return _as_float(np.where(m == n, 1.0, mag))
+
+
+def ladder_down(n: int, basis: LambdaBasis) -> tuple[float, int]:
+    """Coefficient and index in a|n>_lam = coef |n-1>_lam.
+
+    For n = 0 returns the zero-vector marker (0.0, -1) since a|0>_lam = 0.
+    """
+    basis._check(n)
+    if n == 0:
+        return 0.0, -1
+    return math.sqrt(n) * float(basis.rho[n]), n - 1
+
+
+def ladder_up(n: int, basis: LambdaBasis) -> tuple[float, int]:
+    """Coefficient and index in (a_dag + lam)|n>_lam = coef |n+1>_lam."""
+    basis._check(n)
+    basis._check(n + 1, "raised index")
+    return math.sqrt(n + 1.0) / float(basis.rho[n + 1]), n + 1
+
+
+def lowering_scalar(n, k, basis: LambdaBasis):
+    """Scalar s with a^k |n>_lam = s |n-k>_lam (0 if k > n), elementwise over
+    broadcast integer arrays n, k (a float for scalars)."""
+    basis._check(n)
+    j = np.where(k > n, n, n - k)  # n - k; n where k > n, as s is 0 there
+    lf, lL = log_factorial_table(int(np.max(n))), basis.log_laguerre
+    s = np.exp(0.5 * ((lf[n] - lf[j]) + (lL[j] - lL[n])))
+    return _as_float(np.where(k > n, 0.0, s))
+
+
+def raising_scalar(n, k, basis: LambdaBasis):
+    """Scalar u with (a_dag + lam)^k |n>_lam = u |n+k>_lam, elementwise over
+    broadcast integer arrays n, k (a float for scalars)."""
+    top = n + k
+    basis._check(top, "raised index")
+    lf, lL = log_factorial_table(int(np.max(top))), basis.log_laguerre
+    return _as_float(np.exp(0.5 * ((lf[top] - lf[n]) + (lL[top] - lL[n]))))
+
+
+def matel_normal_ordered(m, n, r, k, basis: LambdaBasis):
+    """<m| (a_dag + lam)^r a^k |n> between deformed basis states, elementwise
+    over broadcast integer arrays m, n, r, k (a float for scalars).
+
+    The ladder relations take |n>_lam to lowering_scalar(n, k) |n-k>_lam
+    and then to raising_scalar(n-k, r) |n-k+r>_lam, so the element is those
+    two scalars times overlap_analytic(m, n-k+r); 0 when k > n.
+    """
+    basis._check(m)
+    basis._check(n)
+    dead = np.greater(k, n)  # a^k|n>_lam = 0; j + r = n keeps the rest in range
+    j, r = np.where(dead, n, n - k), np.where(dead, 0, r)
+    return lowering_scalar(n, k, basis) * raising_scalar(j, r, basis) \
+        * overlap_analytic(m, j + r, basis)
 
 
 def coherent_overlap(alpha: complex, beta: complex,

@@ -82,22 +82,6 @@ def laguerre0_log(n, lam: float):
     return _as_float(out)
 
 
-def _log_overlap_sum(hi, lo, lam: float) -> np.ndarray:
-    """ln sum_k |lam|^{2k+hi-lo} sqrt(hi! lo!) / [k! (lo-k)! (hi-lo+k)!] over
-    integer arrays hi >= lo (-inf off the diagonal at lam 0): the factorial
-    sum of the overlap <hi|lo>_lam (fock.overlap_analytic) before its
-    1/sqrt(L_hi L_lo). Each element's terms fill a row, -inf past k = lo."""
-    hi, lo = np.asarray(hi)[..., None], np.asarray(lo)[..., None]
-    if lam == 0.0:
-        return np.where(hi == lo, 0.0, -np.inf)[..., 0]
-    lf = log_factorial_table(int(hi.max()))
-    k = np.arange(int(lo.max()) + 1)
-    kk = np.minimum(k, lo)  # in range for every factorial; masked past lo
-    logs = (2 * kk + hi - lo) * math.log(abs(lam)) \
-        + 0.5 * (lf[hi] + lf[lo]) - lf[kk] - lf[lo - kk] - lf[hi - lo + kk]
-    return logsumexp_positive(np.where(k <= lo, logs, -np.inf), -1)
-
-
 def _laguerre_table(lam: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """ln L_n(-lambda^2) and rho_n = sqrt(L_{n-1}/L_n), n <= n_max, in O(n_max).
 
@@ -122,3 +106,16 @@ def _laguerre_table(lam: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
         s.append(sk)
         log_lag.append(total)
     return np.array(log_lag), 1.0 / np.sqrt(1.0 + np.array(s))
+
+
+def _laguerre_log_floor(lams, n_max: int) -> np.ndarray:
+    """A lower bound on ln L_n(-lam^2), n <= n_max, one row per lam, in closed
+    form and without the table: the largest term of the all-positive series
+    L_n(-x) = sum_k C(n,k) x^k/k! (DLMF 18.5.12). The term ratio
+    (n-k) x/(k+1)^2 crosses 1 near the root of k^2 + k x = n x, so that k,
+    rounded, is taken; any k gives a lower bound."""
+    x = np.square(np.asarray(lams, dtype=float))[:, None]
+    n = np.arange(n_max + 1)
+    lf = log_factorial_table(n_max)
+    k = np.minimum(np.rint(0.5 * (np.sqrt(x * x + 4.0 * n * x) - x)), n).astype(int)
+    return lf[n] - lf[n - k] - 2.0 * lf[k] + k * np.log(np.where(x > 0.0, x, 1.0))

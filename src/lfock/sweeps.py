@@ -16,8 +16,9 @@ import math
 import numpy as np
 
 from .fock import DomainError, LambdaBasis, _check_truncation, _warn
-from .stats import (_TAIL_UNSETTLED, _frame_moments, quadrature_variances,
-                    squeezed_moments)
+from .specfun import _laguerre_log_floor
+from .stats import (_TAIL_UNSETTLED, _frame_moments, _tail_horizon,
+                    quadrature_variances, squeezed_moments)
 
 _FIG1_MAX_N = 4000
 # fig1 lam values per coherent weight pass: whole columns of 3-D weight
@@ -139,14 +140,14 @@ def sweep_fig1(alphas=None, lambda_range=(0.0, 5.0, 200),
     series: dict[str, list] = {f"Q[alpha={a}]": [] for a in labels}
     columns = [series[f"Q[alpha={a}]"] for a in labels]
     mu = np.array(alphas, dtype=complex)  # the coherent state is g(0, alpha)
+    xi = np.zeros_like(mu)
     unsettled = _TAIL_UNSETTLED
     if truncation is not None:
         _check_truncation(truncation, _FIG1_MAX_N + 1)
         unsettled = f"m^2 P(m) tail not below 1e-12 at the truncation {truncation}"
     # the weights peak below |lam+alpha|^2 (they rise only while |lam+alpha|^2
-    # rho_m^2 >= m, rho_m <= 1); each lam adds a tail margin, max_n
-    # int((x + 6)^2 - 36) + 64 at x = |lam+alpha|, and the bases of a block
-    # share its largest, so each covers the block's one horizon M
+    # rho_m^2 >= m, rho_m <= 1); the row rule int((x + 6)^2 - 36) + 64 at
+    # x = |lam+alpha| bounds the accepted range and caps each block's tables
     tops = [max(abs(lam + a) ** 2 for a in alphas) for lam in lams]
     horizons = [int(top + 12.0 * math.sqrt(top)) + 64 for top in tops]
     if max(horizons) > _FIG1_MAX_N:
@@ -154,10 +155,19 @@ def sweep_fig1(alphas=None, lambda_range=(0.0, 5.0, 200),
                          f"{max(horizons)}, beyond {_FIG1_MAX_N} (largest accepted "
                          f"|lambda+alpha| {math.sqrt(_FIG1_MAX_N - 27) - 6:.4f})")
     for start in range(0, len(lams), _FIG1_BLOCK):
-        max_n = max(horizons[start: start + _FIG1_BLOCK] + [(truncation or 1) - 1])
-        block = [LambdaBasis(lam, max_n) for lam in lams[start: start + _FIG1_BLOCK]]
-        for basis, reps in zip(block, _frame_moments(np.zeros_like(mu), mu,
-                                                     block, truncation)):
+        chunk = lams[start: start + _FIG1_BLOCK]
+        max_n = max(horizons[start: start + _FIG1_BLOCK])
+        if truncation is None:
+            # a lower bound on ln L_M only raises the tail bound, so the M it
+            # certifies is at or past the tables' own M*, and tables to it
+            # plus 8 rows hold the pass: their prefixes are the longer ones
+            first, _ = _tail_horizon(xi, np.add.outer(chunk, mu),
+                                     _laguerre_log_floor(chunk, max_n))
+            max_n = min(max_n, first + 8)
+        else:
+            max_n = max(truncation - 1, 1)
+        block = [LambdaBasis(lam, max_n) for lam in chunk]
+        for basis, reps in zip(block, _frame_moments(xi, mu, block, truncation)):
             for a, column, rep in zip(labels, columns, reps):
                 if rep is None:
                     _warn(f"fig1 lambda={basis.lam:g} alpha={a} skipped: {unsettled}")

@@ -62,7 +62,7 @@ def _suite_overlaps() -> list[Check]:
         E = operators.expansion_matrix(basis, n_hi + 1)
         G_dot = E @ E.T
         idx = np.arange(n_hi + 1)
-        G_an = fock.overlap_analytic(idx[:, None], idx[None, :], basis)
+        G_an = operators.overlap_analytic(idx[:, None], idx[None, :], basis)
         G_rec = fock.gram(basis, n_hi + 1)
         out.append(Check(f"norms lam={lam:g}",
                          float(np.max(np.abs(np.linalg.norm(E, axis=1) - 1.0))),
@@ -98,10 +98,10 @@ def _suite_ladders() -> list[Check]:
         kets = [fock.lambda_ket(n, basis, N) for n in range(28)]
         down = up = num = 0.0
         for n in range(26):
-            coef, idx = fock.ladder_down(n, basis)
+            coef, idx = operators.ladder_down(n, basis)
             target = coef * kets[idx] if idx >= 0 else np.zeros(N)
             down = max(down, float(np.linalg.norm(a @ kets[n] - target)))
-            coef, idx = fock.ladder_up(n, basis)
+            coef, idx = operators.ladder_up(n, basis)
             up = max(up, float(np.linalg.norm(adl @ kets[n] - coef * kets[idx])))
             num = max(num, float(np.linalg.norm(adl @ (a @ kets[n]) - n * kets[n])))
         out.append(Check(f"lowering lam={lam:g}", down, 1e-12))
@@ -111,11 +111,11 @@ def _suite_ladders() -> list[Check]:
         for n in range(1, 26):
             prod = 1.0
             for j in range(n, 0, -1):
-                prod *= fock.ladder_down(j, basis)[0]
+                prod *= operators.ladder_down(j, basis)[0]
             prods.append(prod)
         ns = np.arange(1, 26)
         out.append(Check(f"iterated lowering lam={lam:g}", _scaled_err(
-            np.array(prods), fock.lowering_scalar(ns, ns, basis)), 1e-12))
+            np.array(prods), operators.lowering_scalar(ns, ns, basis)), 1e-12))
     return out
 
 
@@ -134,12 +134,12 @@ def _suite_matel() -> list[Check]:
         for k in range(3):  # one array of elements per (r, k), each against
             # the dense kets @ U^r @ A^k @ kets.T
             worst["creation"] = max(worst["creation"], _scaled_err(
-                fock.matel_normal_ordered(m, n, k, 0, basis), kets @ upow[k] @ kets.T))
+                operators.matel_normal_ordered(m, n, k, 0, basis), kets @ upow[k] @ kets.T))
             worst["annihilation"] = max(worst["annihilation"], _scaled_err(
-                fock.matel_normal_ordered(m, n, 0, k, basis), kets @ apow[k] @ kets.T))
+                operators.matel_normal_ordered(m, n, 0, k, basis), kets @ apow[k] @ kets.T))
             for r in range(3):
                 worst["normal ordered"] = max(worst["normal ordered"], _scaled_err(
-                    fock.matel_normal_ordered(m, n, r, k, basis),
+                    operators.matel_normal_ordered(m, n, r, k, basis),
                     kets @ upow[r] @ apow[k] @ kets.T))
         for label, err in worst.items():
             out.append(Check(f"{label} lam={lam:g}", err, 1e-12))

@@ -16,14 +16,14 @@ from scipy.linalg import cholesky
 from scipy.stats import poisson
 
 from lfock import cli, sweeps
-from lfock.fock import (LambdaBasis, gram, ladder_down, ladder_up, lambda_ket,
-                        lowering_scalar, matel_normal_ordered,
-                        overlap_analytic)
+from lfock.fock import LambdaBasis, gram, lambda_ket
 from lfock.families import (identify_bound_state_nonlinearity, nonlinear_cs,
                             nonlinear_spectrum, penson_solomon_cs)
 from lfock.operators import (apply_t_operator, build_ladders, coherent_overlap,
                              displaced_form, eigen_residual, expansion_matrix,
-                             expm_apply, number_operator,
+                             expm_apply, ladder_down, ladder_up,
+                             lowering_scalar, matel_normal_ordered,
+                             number_operator, overlap_analytic,
                              squeezed_norm_constant, squeezed_operator_form)
 from lfock.specfun import log_factorial_table
 from lfock.states import (DomainError, evolve, lambda_coherent,

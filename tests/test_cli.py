@@ -384,27 +384,35 @@ def test_fig1_run_loads_no_numpy_ma(tmp_path):
 
 
 _ORACLES = ("lfock.verify", "lfock.operators")
+# the state command's payload module; no other command loads it
+_DUMP = "lfock.dump"
 
 
-@pytest.mark.parametrize("runs, code, absent", [
-    ([], 0, ("numpy", "dataclasses")),
-    ([["--help"]], 0, ("numpy", "dataclasses")),
-    ([["state", "lambda_ss", "--lambda", "nan"]], 1, ("numpy", "dataclasses")),
+@pytest.mark.parametrize("runs, code, absent, present", [
+    ([], 0, ("numpy", _DUMP, "dataclasses"), ()),
+    ([["--help"]], 0, ("numpy", _DUMP, "dataclasses"), ()),
+    ([["state", "lambda_ss", "--lambda", "nan"]], 1, ("numpy", _DUMP, "dataclasses"),
+     ()),
     ([["state", "lambda_ket", "-n", "2"]], 0,
      ("lfock.states", "lfock.stats", "lfock.sweeps", "lfock.families", *_ORACLES,
-      "dataclasses")),
+      "dataclasses"), (_DUMP,)),
     ([["state", "f1"]], 0,
-     ("lfock.states", "lfock.stats", "lfock.sweeps", *_ORACLES, "dataclasses")),
+     ("lfock.states", "lfock.stats", "lfock.sweeps", *_ORACLES, "dataclasses"),
+     (_DUMP, "lfock.families")),
     ([["fig1", "--grid", "0:1:3"]], 0,
-     ("lfock.states", "lfock.families", *_ORACLES, "dataclasses")),
+     ("lfock.states", "lfock.families", *_ORACLES, _DUMP, "dataclasses"), ()),
+    ([[fig, "--grid", "0.1:0.3:2"] for fig in ("fig2", "fig3a", "fig3b")], 0,
+     ("lfock.families", *_ORACLES, _DUMP, "dataclasses"), ("lfock.states",)),
     ([[fig, "--grid", "0.1:0.3:2"] for fig in ("fig2", "fig3a", "fig3b")]
-     + [["state", kind] for kind in _STATE_KINDS], 0, (*_ORACLES, "dataclasses")),
-    ([["verify", "nosuch"]], 1, ("numpy", *_ORACLES, "dataclasses")),
-    ([["verify", "ladders"]], 0, ("dataclasses",)),
-    ([["verify", "all"]], 0, ("dataclasses",)),
+     + [["state", kind] for kind in _STATE_KINDS], 0, (*_ORACLES, "dataclasses"),
+     (_DUMP,)),
+    ([["verify", "nosuch"]], 1, ("numpy", *_ORACLES, _DUMP, "dataclasses"), ()),
+    ([["verify", "ladders"]], 0, (_DUMP, "dataclasses"), ("lfock.operators",)),
+    ([["verify", "all"]], 0, (_DUMP, "dataclasses"), ("lfock.operators",)),
 ], ids=["import", "help", "usage-error", "lambda_ket", "f1", "fig1",
-        "every-figure-and-dump", "unknown-suite", "verify-ladders", "verify-all"])
-def test_each_command_loads_only_the_modules_it_runs(runs, code, absent):
+        "squeezed-figures", "every-figure-and-dump", "unknown-suite",
+        "verify-ladders", "verify-all"])
+def test_each_command_loads_only_the_modules_it_runs(runs, code, absent, present):
     # arguments are parsed before numpy loads, and each command then imports
     # only its own layers; a fresh interpreter per case, as each job runs.
     # No command imports dataclasses: each @dataclass would build its methods
@@ -417,9 +425,10 @@ def test_each_command_loads_only_the_modules_it_runs(runs, code, absent):
                          "            contextlib.redirect_stderr(io.StringIO()):\n"
                          "        codes.append(main(argv))\n"
                          f"print(json.dumps([codes, [m for m in {absent!r}"
-                         " if m in sys.modules]]))")
+                         " if m in sys.modules], [m for m in "
+                         f"{present!r} if m not in sys.modules]]))")
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [[code] * len(runs), []]
+    assert json.loads(done.stdout) == [[code] * len(runs), [], []]
 
 
 def test_every_module_stays_below_4096_parser_tokens():
@@ -470,6 +479,7 @@ def test_main_freezes_on_an_exception_that_propagates(monkeypatch):
         with pytest.raises(RuntimeError, match="boom"):
             cli.main()
         assert gc.get_freeze_count() > 0
+        assert gc.isenabled()  # back on after the command's imports
     finally:
         gc.unfreeze()
 
@@ -504,6 +514,35 @@ def test_a_cli_process_freezes_at_exit_and_prints_the_same_bytes(
         code, want.out.encode(), want.err.encode())
     if "{out}" in argv:
         assert (tmp_path / "fresh").read_bytes() == (tmp_path / "in_process").read_bytes()
+
+
+@pytest.mark.parametrize("call, collected", [
+    ("main()", False),
+    ("main(sys.argv[1:])", True),
+], ids=["own-command-line", "argv-list"])
+def test_a_cli_process_imports_its_command_without_collections(
+        call, collected, tmp_path):
+    # numpy and the command's modules make tens of thousands of objects that
+    # live until exit; where main reads the process's own command line, no
+    # collection runs from the start of numpy's import (numpy enters
+    # sys.modules then) to the freeze that ends the command's imports, and
+    # the collector is on when main returns. With an argv list the same
+    # probe sees collections, as main leaves a caller's collector as it was
+    log = tmp_path / "gc.json"
+    probe = ("import atexit, gc, json, sys\n"
+             "during = []\n"
+             "gc.callbacks.append(lambda phase, info: phase == 'start'"
+             " and 'numpy' in sys.modules and not gc.get_freeze_count()"
+             " and during.append(info['generation']))\n"
+             "atexit.register(lambda: open(%r, 'w').write("
+             "json.dumps([during, gc.isenabled()])))\n" % str(log))
+    assert "main()" in _BENCH_CLI
+    done = _python("-c", probe + _BENCH_CLI.replace("main()", call),
+                   "fig1", "--grid", "0:1:3")
+    assert done.returncode == 0, done.stderr
+    during, enabled = json.loads(log.read_text())
+    assert enabled
+    assert bool(during) == collected, during
 
 
 @pytest.mark.parametrize("argv", [

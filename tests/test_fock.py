@@ -12,11 +12,12 @@ from scipy.linalg import cholesky, solve_triangular
 
 from lfock.families import nonlinear_cs
 from lfock.fock import (DomainError, LambdaBasis, LambdaExpansion,
-                        _even_gram_block, _gram_rows, gram, ladder_down,
-                        ladder_up, lambda_ket, lowering_scalar,
-                        matel_normal_ordered, overlap_analytic,
-                        raising_scalar, to_lambda)
-from lfock.operators import apply_t_operator, build_ladders, expansion_matrix
+                        _even_gram_block, _gram_rows, gram, lambda_ket,
+                        to_lambda)
+from lfock.operators import (apply_t_operator, build_ladders, expansion_matrix,
+                             ladder_down, ladder_up, lowering_scalar,
+                             matel_normal_ordered, overlap_analytic,
+                             raising_scalar)
 from lfock.specfun import laguerre0_log
 from lfock.states import squeezed_vacuum
 

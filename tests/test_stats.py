@@ -6,13 +6,14 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import poisson
 
 from lfock import fock, stats
 from lfock.fock import LambdaBasis, LambdaExpansion, TruncationError, lambda_ket
 from lfock.specfun import laguerre0_log
 from lfock.states import (_SQUEEZED_MAX_N, DomainError, lambda_coherent,
-                          lambda_squeezed, squeezed_vacuum)
+                          lambda_squeezed, radius_min, squeezed_vacuum)
 from lfock.stats import (QuadratureReport, StatisticsReport, _frame_weights,
                          number_moments, p_lambda, quadrature_variances,
                          squeezed_moments)
@@ -413,3 +414,35 @@ def test_fig1_cell_with_underflowing_weights_matches_mpmath(capsys):
     assert abs(got - want) <= 1e-12
     assert undefined is None
     assert "alpha=-30" not in capsys.readouterr().err
+
+
+_UNIT = st.floats(0.0, 1.0, exclude_max=True)
+_ANGLE = st.floats(-math.pi, math.pi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(lam=st.floats(-3.0, 3.0), frac=_UNIT, theta=_ANGLE,
+       size=st.floats(0.0, 3.0), phi=_ANGLE)
+def test_conjugating_xi_or_alpha_leaves_every_statistic_unchanged(
+        lam, frac, theta, size, phi):
+    # with lam real, conjugating xi or alpha conjugates every complex number
+    # on the way (nu, the g_m recurrence, the closed-form norms and moments),
+    # and rounding is symmetric in sign, so every statistic is the same bits
+    # (compared by repr, which is exact and lets a vacuum's NaN Q equal
+    # itself): no operation on these paths does more than flip imaginary
+    # signs, so no tolerance is needed
+    basis = LambdaBasis(lam, _SQUEEZED_MAX_N)
+    xi = frac * 0.95 * radius_min(basis) * complex(math.cos(theta), math.sin(theta))
+    alpha = size * complex(math.cos(phi), math.sin(phi))
+
+    def statistics(state):
+        try:
+            frame = number_moments(state)
+        except TruncationError as exc:  # an unsettled tail, on both sides
+            frame = str(exc)
+        return (frame, quadrature_variances(state),
+                squeezed_moments([state], "standard"))
+
+    for make, z in ((lambda_squeezed, xi), (lambda_coherent, alpha)):
+        assert repr(statistics(make(z, basis))) == \
+            repr(statistics(make(z.conjugate(), basis)))

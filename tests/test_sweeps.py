@@ -1,14 +1,16 @@
-"""Figure sweeps: fig1 basis sizes, its accepted range, and why cells are empty."""
+"""Figure sweeps: fig1 table sizes, its accepted range, and why cells are empty."""
 
 import contextlib
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
 from lfock import stats, sweeps
 from lfock.cli import main
 from lfock.fock import DomainError, LambdaBasis
+from lfock.specfun import _laguerre_log_floor, _laguerre_table
 from lfock.states import lambda_coherent, lambda_squeezed
 from lfock.stats import _TAIL_UNSETTLED, number_moments, squeezed_moments
 
@@ -24,30 +26,69 @@ def _basis_sizes(monkeypatch) -> list:
     return sizes
 
 
-def test_fig1_bases_have_the_rows_of_their_rule(monkeypatch):
-    # a 320-row floor sat under the rule int(x^2 + 12 x) + 64, x = |lam+alpha|;
-    # the bases of a block share its largest, so each covers the block's M
-    sizes = _basis_sizes(monkeypatch)
-    sweeps.sweep_fig1([1.0], (0.0, 0.0, 2))
-    assert sizes == [77, 77]
-    sizes.clear()
-    alphas = [1.0, -2.0 + 1.0j]
-    res = sweeps.sweep_fig1(alphas, (0.0, 5.0, 31))
-    tops = [max(abs(lam + a) for a in alphas) for lam in res.axis_values]
-    rule = [int(x * x + 12.0 * x) + 64 for x in tops]
-    block = sweeps._FIG1_BLOCK
-    assert sizes == [max(rule[i - i % block: i - i % block + block])
-                     for i in range(len(rule))]
-    assert len(set(sizes)) == 2  # two blocks
+def _rule(lams, alphas) -> int:
+    # the row rule int(x^2 + 12 x) + 64 at x = |lam+alpha|: a block's cap
+    return max(int(x * x + 12.0 * x) + 64 for x in
+               (abs(lam + a) for lam in lams for a in alphas))
+
+
+def test_fig1_tables_stop_within_twelve_rows_of_the_certified_horizon(monkeypatch):
+    # each default block builds its tables to the horizon that the
+    # largest-term floor on ln L_M certifies, plus 8 rows: at least the
+    # tables' own M* + 8 that the pass reads, at most 4 rows more, and the
+    # floor's array is no larger than the rule-sized table it replaces
+    blocks, floors = [], []
+    frame_moments, floor = sweeps._frame_moments, sweeps._laguerre_log_floor
+
+    def moments_spy(xi, mu, bases, cutoff):
+        blocks.append((mu, bases))
+        return frame_moments(xi, mu, bases, cutoff)
+
+    def floor_spy(lams, n_max):
+        floors.append(floor(lams, n_max))
+        return floors[-1]
+
+    monkeypatch.setattr(sweeps, "_frame_moments", moments_spy)
+    monkeypatch.setattr(sweeps, "_laguerre_log_floor", floor_spy)
+    sweeps.sweep_fig1()
+    assert len(blocks) == len(floors) == 8
+    rows = 0
+    for (mu, bases), low in zip(blocks, floors):
+        lams = [basis.lam for basis in bases]
+        rule = _rule(lams, mu)
+        tables = np.array([LambdaBasis(lam, rule).log_laguerre for lam in lams])
+        m_star, _ = stats._tail_horizon(np.zeros_like(mu), np.add.outer(lams, mu),
+                                        tables)
+        [max_n] = {basis.max_n for basis in bases}
+        assert m_star + 8 <= max_n <= m_star + 8 + 4 < rule
+        assert low.shape == tables.shape
+        assert np.all(low <= tables)
+        rows += max_n * len(bases)
+    assert rows == 15625  # 29275 at the rule
+
+
+def test_laguerre_log_floor_is_below_the_table():
+    # the largest term of L_M(-x) = sum_k C(M,k) x^k/k! is a lower bound:
+    # over M <= 4000 and x up to 57.04^2, the fig1 range, it never exceeds
+    # the table's ln L_M, which keeps the tail bound built on it rigorous
+    lams = np.concatenate([[0.0, 1e-8, 1e-3, -1.3, 57.04],
+                           np.linspace(0.05, 57.0, 20)])
+    low = _laguerre_log_floor(lams, 4000)
+    assert low.shape == (lams.size, 4001)
+    for lam, row in zip(lams, low):
+        table, _ = _laguerre_table(lam, 4000)
+        assert np.all(row <= table), lam
+    assert np.all(low[0] == 0.0)
 
 
 def test_fig1_bases_cover_a_larger_truncation(monkeypatch):
+    # an explicit truncation N reads N rows, so the tables hold exactly those
     sizes = _basis_sizes(monkeypatch)
     sweeps.sweep_fig1([1.0], (0.0, 0.0, 2), truncation=400)
     assert sizes == [399, 399]
     sizes.clear()
-    sweeps.sweep_fig1([1.0], (0.0, 0.0, 2), truncation=40)  # below the rule
-    assert sizes == [77, 77]
+    sweeps.sweep_fig1([1.0], (0.0, 0.0, 2), truncation=40)  # below the rule's 77
+    assert sizes == [39, 39]
 
 
 def test_fig1_past_its_cap_is_a_usage_error(capsys):
@@ -102,8 +143,11 @@ def test_fig1_column_cells_are_their_one_point_cells(alphas, grid, truncation):
 
 def test_fig1_cells_are_the_library_moments_of_their_states(monkeypatch):
     # fig1, number_moments and squeezed_moments share one frame-weight
-    # route: each cell is, bit for bit, the Q of its state on the basis fig1
-    # built, measured alone or in the column of every alpha
+    # route: each cell is, bit for bit, the Q of its state at the lam fig1
+    # built, measured alone or in the column of every alpha. fig1's tables
+    # stop 8 to 12 rows past the certified horizon, too short for the
+    # state's coefficient series, so the states take the rule's rows; the
+    # pass finds the same horizon in either table, whose prefixes agree
     bases = []
 
     def spy(lam, max_n):
@@ -114,7 +158,9 @@ def test_fig1_cells_are_the_library_moments_of_their_states(monkeypatch):
     alphas = [1.0, -2.0 + 1.0j, 0.5j]
     res = sweeps.sweep_fig1(alphas, (0.0, 5.0, 41))
     assert [b.lam for b in bases] == res.axis_values  # 41 x 3 = 123 cells
-    for i, basis in enumerate(bases):
+    for i, short in enumerate(bases):
+        basis = LambdaBasis(short.lam, _rule([short.lam], alphas))
+        assert np.array_equal(basis.log_laguerre[: short.max_n + 1], short.log_laguerre)
         column = [lambda_coherent(a, basis) for a in alphas]
         for a, st, rep in zip(alphas, column, squeezed_moments(column)):
             got = res.series[f"Q[alpha={sweeps._fmt_num(a)}]"][i]
