@@ -1,6 +1,11 @@
 """The `state` command's payload: one state's columns in both bases plus the
 metadata that lets the dump check itself (residual, norms).
 
+An exact state's lambda column (lambda_cs, lambda_ss; squeezed_vacuum and
+canonical without --truncation) is its own first N frame coefficients,
+fock._frame_coeffs, N the standard column's length; the other kinds print
+fock.to_lambda, the printed vector's finite expansion.
+
 Only the `state` command loads this module. lambda_ket needs fock alone;
 lambda_cs, lambda_ss and squeezed_vacuum also load states, and f1, f2 and
 canonical load families, each inside its own branch.
@@ -57,7 +62,7 @@ def _state_payload(args) -> tuple[dict, np.ndarray, np.ndarray]:
         alpha = complex(args.alpha)
         st = states.lambda_coherent(alpha, LambdaBasis(lam, states._HARD_CAP), trunc)
         std = st.to_standard()
-        lamc = np.asarray(st.expansion.coeffs, dtype=complex)
+        lamc = st.expansion.coeffs
         meta.update(alpha=_pair(alpha), residual_kind="annihilation_eigenvector",
                     residual=_residual(_ladder(std) - alpha * std, std),
                     **_norm_gram(st.expansion.norm_and_condition()))
@@ -67,7 +72,7 @@ def _state_payload(args) -> tuple[dict, np.ndarray, np.ndarray]:
         st = states.lambda_squeezed(xi, LambdaBasis(lam, states._SQUEEZED_MAX_N),
                                     trunc)
         std = st.to_standard()
-        lamc = np.asarray(st.expansion.coeffs, dtype=complex)
+        lamc = st.expansion.coeffs
         v = np.append(std, [0j, 0j])
         meta.update(xi=_pair(xi), residual_kind="squeezing_kernel",
                     residual=_residual(_ladder(v) - xi * _ladder(v, lam), v),
@@ -77,7 +82,10 @@ def _state_payload(args) -> tuple[dict, np.ndarray, np.ndarray]:
         from . import states
         xi = complex(args.xi)
         std = states.squeezed_vacuum(xi, trunc)
-        lamc = fock.to_lambda(std, LambdaBasis(lam, max(std.shape[0], 2)))
+        basis = LambdaBasis(lam, max(std.shape[0], 2))
+        # the exact state (1-|xi|^2)^(1/4) g(xi, 0)
+        lamc = fock.to_lambda(std, basis) if trunc else fock._frame_coeffs(
+            xi, 0j, 0.25 * math.log1p(-abs(xi) ** 2), basis, std.shape[0])
         v = np.append(std, [0j, 0j])
         meta.update(xi=_pair(xi), residual_kind="squeezing_kernel",
                     residual=_residual(_ladder(v) - xi * _ladder(v, 0.0), v))
@@ -86,7 +94,12 @@ def _state_payload(args) -> tuple[dict, np.ndarray, np.ndarray]:
         alpha = complex(args.alpha)
         fam = families.nonlinear_cs(kind, alpha, trunc)
         std = np.asarray(fam.coeffs, dtype=complex)
-        lamc = fock.to_lambda(std, LambdaBasis(lam, max(std.shape[0], 2)))
+        basis = LambdaBasis(lam, max(std.shape[0], 2))
+        # the exact canonical state e^{-|alpha|^2/2} g(0, alpha); f1 and f2
+        # have no closed form
+        lamc = fock.to_lambda(std, basis) if trunc or kind != "canonical" \
+            else fock._frame_coeffs(0j, alpha, -abs(alpha) ** 2 / 2.0, basis,
+                                    std.shape[0])
         g = {"f1": lambda n: n ** 1.5, "f2": lambda n: float(n),
              "canonical": math.sqrt}[kind]
         resid = max((abs(std[n] - std[n - 1] * alpha / g(n))

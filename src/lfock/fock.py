@@ -9,11 +9,12 @@ neighbours, with
 where L_n is the Laguerre value L_n^{(0)}(-lam^2), tabulated as ln L_n on the
 basis. That is the paper's operator form |n>_lam = e^{lam a}|n> / sqrt(L_n),
 so a standard vector v has the coefficients diag(sqrt L_n) e^{-lam a} v
-(to_lambda). Everything downstream (coherent and squeezed constructions,
-photon statistics) reduces to the Laguerre table, the ladder ratios rho_n,
-the Gram rows of one ladder recurrence, and the Gaussian vectors g(xi, mu) =
-e^{xi a_dag^2/2 + mu a_dag}|0> of both state families, in log space with sign
-tracking so that negative lam and large n stay representable. The closed-form
+(to_lambda; an exact state's own are _frame_coeffs). Everything downstream
+(coherent and squeezed constructions, photon statistics) reduces to the
+Laguerre table, the ladder ratios rho_n, the Gram rows of one ladder
+recurrence, and the Gaussian vectors g(xi, mu) = e^{xi a_dag^2/2 + mu a_dag}|0>
+of both state families, in log space with sign tracking so that negative lam
+and large n stay representable. The closed-form
 overlaps, ladder scalars and matrix elements these are checked against live
 in the oracle module operators.
 """
@@ -159,19 +160,6 @@ def _ladder(v: np.ndarray, lam: float | None = None) -> np.ndarray:
     return out
 
 
-def _phased_exp(logs: np.ndarray, z: complex, symbol: str) -> np.ndarray:
-    """exp(logs[n]) (z/|z|)^n for coefficients symbol_n of log-magnitude
-    logs[n]: the largest log is checked against the double range before the
-    one exponential, and only the unit phase is accumulated as a product."""
-    top = int(np.argmax(logs))
-    if logs[top] > _LOG_DBL_MAX:
-        raise DomainError(f"coefficient {symbol}_{top} overflows the double range "
-                          f"(ln|{symbol}_{top}| = {logs[top]:.4g})")
-    phases = np.ones(logs.shape[0], dtype=complex)
-    phases[1:] = np.cumprod(np.full(logs.shape[0] - 1, z / abs(z)))
-    return np.exp(logs) * phases
-
-
 def _gaussian_amplitudes(xi, mu, M: int) -> tuple[np.ndarray, np.ndarray]:
     """g_m(xi, mu) for m < M, one column per entry of the xi array.
 
@@ -208,12 +196,48 @@ def _gaussian_amplitudes(xi, mu, M: int) -> tuple[np.ndarray, np.ndarray]:
                 rows[m] += tmp
             if m % every == 0:
                 expo[done: m - 1] = e
-                _, f = np.frexp(np.maximum(np.abs(mant[m - 1]), np.abs(mant[m])))
+                f = np.maximum(np.frexp(np.maximum(np.abs(mant[m - 1]), np.abs(
+                    mant[m])))[1], -1000)  # 2^-f finite at subnormal rows
                 mant[m - 1: m + 1] *= np.ldexp(1.0, -f)
                 e += f
                 done = m - 1
     expo[done:] = e
     return mant, expo
+
+
+def _frame_coeffs(xi, mu, log_scale, basis: LambdaBasis, N: int) -> np.ndarray:
+    """The first N frame coefficients C_n = sqrt(L_n) (e^{-lam a} psi)_n of
+    psi = e^{log_scale} g(xi, mu): e^{s a} g(xi, mu) = e^{xi s^2/2 + mu s}
+    g(xi, mu + xi s) gives e^{log_scale + xi lam^2/2 - mu lam} sqrt(L_n)
+    g_n(xi, nu), nu = mu - xi lam, with no cancelling sum. ln|g_n| and its
+    phase are closed-form at xi = 0 != nu, else from _gaussian_amplitudes;
+    the largest log is checked against the double range (DomainError naming
+    C_n) before the one exponential."""
+    lam = basis.lam
+    lead = log_scale + 0.5 * xi * lam * lam - mu * lam
+    nu = mu - xi * lam
+    if xi == 0 and nu:  # g_n = nu^n/sqrt(n!); the vacuum takes the recurrence
+        logs = lead.real + np.arange(N) * math.log(abs(nu)) \
+            + 0.5 * (basis.log_laguerre[:N] - log_factorial_table(N - 1))
+        phases = np.full(N, nu / abs(nu))
+        phases[0] = np.exp(1j * lead.imag)
+        np.cumprod(phases, out=phases)
+    else:
+        mant, expo = _gaussian_amplitudes(xi, nu, N)
+        g, phases = mant[:, 0], np.zeros(N, dtype=complex)
+        mag = np.abs(g)
+        with np.errstate(divide="ignore"):  # ln 0 = -inf: C_n = 0
+            logs = lead.real + (np.log(mag) + math.log(2.0) * expo[:, 0]
+                                + 0.5 * basis.log_laguerre[:N])
+        # g / |g| part by part: a complex quotient overflows at subnormal |g|
+        np.divide(g.real, mag, out=phases.real, where=mag > 0)
+        np.divide(g.imag, mag, out=phases.imag, where=mag > 0)
+        phases *= np.exp(1j * lead.imag)
+    top = int(np.argmax(logs))
+    if logs[top] > _LOG_DBL_MAX:
+        raise DomainError(f"coefficient C_{top} overflows the double range "
+                          f"(ln|C_{top}| = {logs[top]:.4g})")
+    return np.exp(logs) * phases
 
 
 def _gaussian_log_norm(xi, mu):

@@ -299,8 +299,6 @@ def squeezed_norm_constant(xi: complex, basis: LambdaBasis) -> float:
     """
     xi = complex(xi)
     _guard_xi(xi, basis)
-    if xi == 0:
-        return 1.0
     T = _squeezed_terms(xi, basis, None) - 1
     half_w = 0.5 * _even_log_weights(T)
     kernel = np.empty((T + 1, T + 1))

@@ -17,7 +17,7 @@ Through |n>_lam = e^{lam a}|n>/sqrt(L_n) both families are Gaussian, phase
 g(xi, mu)/||g|| with g(xi, mu) = e^{xi a_dag^2/2 + mu a_dag}|0>: coherent at
 (0, alpha, e^{i lam Im alpha}), squeezed at (xi, xi lam, e^{i Im(xi) lam^2/2}),
 with frame projections phase g_m(xi, mu + lam)/(sqrt(L_m) ||g||). The kernel
-in fock (recurrence for g_m, closed-form norm and moments) serves these exact
+in fock (g_m, closed-form norm and moments, _frame_coeffs) serves these exact
 states; a state built with an explicit truncation is that frame series. The
 routes that check them (the Gram-route overlap, the triple sum for C_0 and
 the operator forms) live in operators, which this module does not import.
@@ -34,7 +34,7 @@ import numpy as np
 
 from .fock import (DomainError, LambdaBasis, LambdaExpansion, TruncationError,
                    _cancels, _check_truncation, _even_gram_block,
-                   _gaussian_amplitudes, _gaussian_log_norm, _phased_exp)
+                   _frame_coeffs, _gaussian_amplitudes, _gaussian_log_norm)
 from .specfun import log_factorial_table, logsumexp_positive
 
 _LN2 = math.log(2.0)
@@ -107,8 +107,9 @@ class LambdaSqueezed(_Family):
     With n_terms None the state is the exact Gaussian, C_0 is its closed-form
     norm constant and its vector and statistics come from the kernel; the
     expansion C_0 sum_n d_n |2n>_lam, cut where the terms fall below 1e-20 of
-    the norm, is built on first use. With n_terms given the state is that
-    truncated frame series, normalized through the Gram quadratic form.
+    the norm, is built on first use (g_n(xi, 0): odd entries exactly 0). With
+    n_terms given the state is that truncated frame series, normalized
+    through the Gram quadratic form.
     """
 
     _shown = ("xi", "basis", "norm_constant", "n_terms")
@@ -126,12 +127,10 @@ class LambdaSqueezed(_Family):
     def expansion(self) -> LambdaExpansion:
         if self._series is not None:
             return self._series[0]
-        if self.xi == 0:
-            return LambdaExpansion(self.basis, np.ones(1, dtype=complex))
-        u = _squeezed_series(self.xi, self.basis, self.n_terms)
-        coeffs = np.zeros(2 * u.shape[0] - 1, dtype=complex)
-        coeffs[::2] = self.norm_constant * u
-        return LambdaExpansion(self.basis, coeffs)
+        xi, lam = self.xi, self.basis.lam
+        return LambdaExpansion(self.basis, _frame_coeffs(
+            xi, xi * lam, math.log(self.norm_constant) + 0.5 * xi * lam * lam,
+            self.basis, 2 * _squeezed_terms(xi, self.basis, self.n_terms) - 1))
 
     @property
     def _gaussian(self) -> tuple[complex, complex, complex] | None:
@@ -148,23 +147,6 @@ class LambdaSqueezed(_Family):
         return self.expansion.norm_and_condition()
 
 
-def _coherent_coeffs(alpha: complex, basis: LambdaBasis, N: int) -> np.ndarray:
-    """C_n = C_0 alpha^n sqrt(L_n/n!) for n < N and alpha != 0.
-
-    Magnitudes are summed in log space and exponentiated with the unit
-    phase (alpha/|alpha|)^n by _phased_exp, as the squeezed series is.
-    """
-    log_c0 = -basis.lam * alpha.real - abs(alpha) ** 2 / 2.0
-    n = np.arange(N)
-    logs = log_c0 + n * math.log(abs(alpha)) \
-        + 0.5 * (basis.log_laguerre[:N] - log_factorial_table(N - 1))
-    c = _phased_exp(logs, alpha, "C")
-    if math.exp(log_c0) == 0.0:
-        raise DomainError("normalization constant exp(-lam Re a - |a|^2/2) "
-                          "underflows for these parameters")
-    return c
-
-
 def lambda_coherent(alpha: complex, basis: LambdaBasis,
                     N: int | None = None) -> LambdaCoherent:
     """Construct |alpha, lam> with C_0 = exp(-lam Re(alpha) - |alpha|^2/2).
@@ -173,16 +155,18 @@ def lambda_coherent(alpha: complex, basis: LambdaBasis,
     the basis horizon) and N is the first count whose last ratio
     q = |C_{N-1}/C_{N-2}| is below 0.9 with |C_{N-1}| q/(1-q) below 1e-14, a
     bound on sum_{n>=N} |C_n|: the ratio |alpha| sqrt((1 + s_n)/n) never
-    rises, s_n = 1/rho_n^2 - 1 being non-increasing.
+    rises, s_n = 1/rho_n^2 - 1 being non-increasing; a last C_{N-1} = 0 is
+    left out, so the vacuum keeps its one term.
     """
     alpha = complex(alpha)
     if N is not None:
         _check_truncation(N, basis.max_n + 1)
-    if alpha == 0:
-        return LambdaCoherent(alpha, basis,
-                              LambdaExpansion(basis, np.ones(1, dtype=complex)))
     cap = min(_HARD_CAP, basis.max_n + 1)
-    c = _coherent_coeffs(alpha, basis, N or cap)
+    c = _frame_coeffs(0j, alpha, complex(-abs(alpha) ** 2 / 2.0,
+                                         basis.lam * alpha.imag), basis, N or cap)
+    if c[0] == 0:
+        raise DomainError("normalization constant exp(-lam Re a - |a|^2/2) "
+                          "underflows for these parameters")
     if N is None:
         a = np.abs(c)
         with np.errstate(all="ignore"):  # q is 0 where |C_{N-2}| underflows
@@ -192,7 +176,8 @@ def lambda_coherent(alpha: complex, basis: LambdaBasis,
             raise TruncationError(
                 f"coherent tail not below 1e-14 at the truncation cap {cap}; "
                 "alpha or lam too large for this basis horizon")
-        c = c[: int(np.argmax(done)) + 2].copy()
+        last = int(np.argmax(done)) + 1  # C_last, kept unless exactly 0
+        c = c[: last + bool(a[last])].copy()
     return LambdaCoherent(alpha, basis, LambdaExpansion(basis, c),
                           _truncated=N is not None)
 
@@ -408,7 +393,8 @@ def _squeezed_settled(xi: complex, basis: LambdaBasis, T: int) -> bool:
 def _squeezed_terms(xi: complex, basis: LambdaBasis,
                     n_terms: int | None) -> int:
     """Even-index term count for the normalization series: n_terms, or the
-    first T + 1 of T = 4, 8, 16, ... at which _squeezed_settled holds.
+    first T + 1 of T = 4, 8, 16, ... at which _squeezed_settled holds (the
+    vacuum: 1).
 
     The doubling stays because its overshoot is what verify's 1e-11
     defining-equation check relies on: at the first settled T the residual
@@ -419,6 +405,8 @@ def _squeezed_terms(xi: complex, basis: LambdaBasis,
     if n_terms is not None:
         _check_truncation(n_terms, basis.max_n // 2 + 1)
         return n_terms
+    if xi == 0:
+        return 1
     T = 4
     while True:
         if 2 * T > basis.max_n:
@@ -429,22 +417,6 @@ def _squeezed_terms(xi: complex, basis: LambdaBasis,
         if _squeezed_settled(xi, basis, T):
             return T + 1
         T = min(2 * T, (basis.max_n // 2) + 1)
-
-
-def _squeezed_series(xi: complex, basis: LambdaBasis,
-                     n_terms: int | None) -> np.ndarray:
-    """d_n = xi^n sqrt(L_2n (2n-1)!!/(2n)!!) for n < _squeezed_terms.
-
-    ln|d_n| is summed in log space and xi^n enters as ln|xi| plus the unit
-    phase, so small terms with a huge Laguerre factor stay representable.
-    Inside the guarded disk the range check cannot fire for n <= 800: the
-    scan's overflow guard caps ln|d_n| at 300 at every passing r, and ln|d_n|
-    grows with |xi|. It guards longer series and unguarded states.
-    """
-    T = _squeezed_terms(xi, basis, n_terms) - 1
-    logs = np.arange(T + 1) * math.log(abs(xi)) \
-        + 0.5 * (basis.log_laguerre[0: 2 * T + 1: 2] + _even_log_weights(T))
-    return _phased_exp(logs, xi, "d")
 
 
 def lambda_squeezed(xi: complex, basis: LambdaBasis,
@@ -460,10 +432,6 @@ def lambda_squeezed(xi: complex, basis: LambdaBasis,
     """
     xi = complex(xi)
     _guard_xi(xi, basis)
-    if n_terms is not None:
-        _check_truncation(n_terms, basis.max_n // 2 + 1)
-    if xi == 0:
-        return LambdaSqueezed(xi, basis, 1.0, n_terms)
     lam = basis.lam
     if n_terms is None:
         with np.errstate(over="ignore", under="ignore"):
@@ -473,10 +441,7 @@ def lambda_squeezed(xi: complex, basis: LambdaBasis,
             raise DomainError(f"normalization constant at |xi|={abs(xi):.4f} "
                               "leaves the double range")
         return LambdaSqueezed(xi, basis, c0)
-    u = _squeezed_series(xi, basis, n_terms)
-    coeffs = np.zeros(2 * u.shape[0] - 1, dtype=complex)
-    coeffs[::2] = u
-    expansion = LambdaExpansion(basis, coeffs)
+    expansion = LambdaSqueezed(xi, basis, 1.0, n_terms).expansion  # C_0 = 1
     norm, kappa = expansion.norm_and_condition()
     if not math.isfinite(norm):
         raise DomainError(
@@ -487,5 +452,5 @@ def lambda_squeezed(xi: complex, basis: LambdaBasis,
         raise DomainError(f"the truncated series cancels in its norm "
                           f"(condition number {kappa:.3g})")
     c0 = 1.0 / norm
-    coeffs[::2] = c0 * u  # expansion now holds the normalized series
+    expansion.coeffs[:] *= c0  # expansion now holds the normalized series
     return LambdaSqueezed(xi, basis, c0, n_terms, (expansion, c0 * norm, kappa))

@@ -203,8 +203,7 @@ def _suite_squeezed() -> list[Check]:
             # Gram quadratic form reads the truncated series it stores
             out.append(Check(f"Gaussian kernel vs Gram route C_0 {tag}",
                              abs(st.expansion.norm() - 1.0), 1e-12))
-            odd = float(np.max(np.abs(st.expansion.coeffs[1::2]))) \
-                if st.expansion.support > 1 else 0.0
+            odd = float(np.max(np.abs(st.expansion.coeffs[1::2]), initial=0.0))
             out.append(Check(f"odd coefficients {tag}", odd, 0.0))
     basis = LambdaBasis(1.0, 256)
     xi = 0.3

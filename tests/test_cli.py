@@ -344,7 +344,7 @@ def test_truncated_squeezed_dump_streams_its_gram_rows_once(capsys, monkeypatch)
     # the construction's: one series and one pass over the 2N - 1 Gram rows
     from lfock import fock, states
     calls = []
-    for module, name in ((states, "_squeezed_series"),
+    for module, name in ((states, "_frame_coeffs"),
                          (fock.LambdaExpansion, "norm_and_condition")):
         real = getattr(module, name)
 
@@ -356,8 +356,55 @@ def test_truncated_squeezed_dump_streams_its_gram_rows_once(capsys, monkeypatch)
     assert main(["state", "lambda_ss", "--xi=0.1,-0.6", "--lambda", "3",
                  "--truncation", "300", "--format", "json"]) == 0
     meta = json.loads(capsys.readouterr().out)["metadata"]
-    assert sorted(calls) == ["_squeezed_series", "norm_and_condition"]
+    assert sorted(calls) == ["_frame_coeffs", "norm_and_condition"]
     assert meta["norm_gram"] == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("argv, builder", [
+    (["lambda_cs", "--alpha=1,0.5", "--lambda=2"], "_frame_coeffs"),
+    (["lambda_ss", "--xi=0.3,0.1", "--lambda=-1"], "_frame_coeffs"),
+    (["squeezed_vacuum", "--xi=0.3", "--lambda=2"], "_frame_coeffs"),
+    (["canonical", "--alpha=1,-0.5", "--lambda=-2"], "_frame_coeffs"),
+    (["lambda_cs", "--alpha=1", "--lambda=2", "--truncation=20"], "_frame_coeffs"),
+    (["lambda_ss", "--xi=0.3", "--lambda=2", "--truncation=20"], "_frame_coeffs"),
+    (["squeezed_vacuum", "--xi=0.3", "--lambda=2", "--truncation=20"], "to_lambda"),
+    (["canonical", "--alpha=1", "--lambda=2", "--truncation=20"], "to_lambda"),
+    (["f1", "--alpha=1", "--lambda=2"], "to_lambda"),
+    (["f1", "--alpha=1", "--lambda=2", "--truncation=20"], "to_lambda"),
+    (["f2", "--alpha=1", "--lambda=2"], "to_lambda"),
+    (["f2", "--alpha=1", "--lambda=2", "--truncation=20"], "to_lambda"),
+])
+def test_each_dump_builds_its_lambda_column_once(argv, builder, monkeypatch):
+    # the exact states' dumps (and the frame series lambda_cs and lambda_ss
+    # take with --truncation) print coefficients from the one kernel; a dump
+    # whose state is its printed vector prints that vector's finite expansion
+    from lfock import fock, states
+    calls = []
+    for module, name in ((fock, "_frame_coeffs"), (states, "_frame_coeffs"),
+                         (fock, "to_lambda")):
+        real = getattr(module, name)
+
+        def spy(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    assert main(["state", *argv, "--out", os.devnull]) == 0
+    assert calls == [builder]
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["lambda_cs", "--alpha=0", "--truncation=5"], 5),
+    (["lambda_ss", "--xi=0", "--truncation=3"], 5),
+    (["lambda_cs", "--alpha=0"], 1), (["lambda_ss", "--xi=0"], 1),
+    (["squeezed_vacuum", "--xi=0", "--truncation=4"], 4),
+])
+def test_vacuum_dumps_print_their_truncation(argv, rows, capsys):
+    assert main(["state", *argv, "--lambda=1.5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 + rows
+    assert lines[2].endswith(",1.0,0.0,1.0,0.0")
+    assert all(line.endswith(",0.0,0.0,0.0,0.0") for line in lines[3:])
 
 
 def test_cli_import_loads_no_scipy_mpmath_or_logging():

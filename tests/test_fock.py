@@ -12,8 +12,8 @@ from scipy.linalg import cholesky, solve_triangular
 
 from lfock.families import nonlinear_cs
 from lfock.fock import (DomainError, LambdaBasis, LambdaExpansion,
-                        _even_gram_block, _gram_rows, gram, lambda_ket,
-                        to_lambda)
+                        _even_gram_block, _frame_coeffs, _gram_rows, gram,
+                        lambda_ket, to_lambda)
 from lfock.operators import (apply_t_operator, build_ladders, expansion_matrix,
                              ladder_down, ladder_up, lowering_scalar,
                              matel_normal_ordered, overlap_analytic,
@@ -479,3 +479,34 @@ def test_lambda_with_overflowing_square_rejected():
     basis = LambdaBasis(-1e150, 8)  # lam^2 = 1e300 still fits
     assert np.all(np.isfinite(basis.log_laguerre))
     assert np.all(np.isfinite(basis.rho))
+
+
+_PHASE = st.floats(-math.pi, math.pi)
+
+
+@given(lam=st.floats(-5.0, 5.0), xi=st.one_of(st.just(0.0), st.tuples(
+    st.floats(0.0, 0.9), _PHASE)), mu=st.tuples(st.floats(0.0, 3.0), _PHASE),
+    log_scale=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+@settings(max_examples=150, deadline=None)
+def test_frame_coeffs_conjugation_and_lambda_reflection(lam, xi, mu, log_scale):
+    # conjugating (xi, mu, log_scale) conjugates every coefficient, and
+    # (lam, mu) -> (-lam, -mu) multiplies c_n by (-1)^n: both bit for bit,
+    # on the closed form (xi = 0) and on the g_n recurrence alike
+    xi = 0j if xi == 0.0 else xi[0] * complex(math.cos(xi[1]), math.sin(xi[1]))
+    mu = mu[0] * complex(math.cos(mu[1]), math.sin(mu[1]))
+    scale, N = complex(*log_scale), 40
+    basis, mirror = LambdaBasis(lam, N), LambdaBasis(-lam, N)
+    c = _frame_coeffs(xi, mu, scale, basis, N)
+    assert np.all(np.isfinite(c))
+    conj = _frame_coeffs(xi.conjugate(), mu.conjugate(), scale.conjugate(),
+                         basis, N)
+    assert np.array_equal(conj, c.conjugate())
+    sign = np.where(np.arange(N) % 2, -1.0, 1.0)
+    assert np.array_equal(_frame_coeffs(xi, -mu, scale, mirror, N), sign * c)
+
+
+def test_frame_coeffs_overflow_names_the_coefficient():
+    # e^{-mu lam} alone passes 1e308 at lam -400, mu 2
+    with pytest.raises(DomainError, match=r"coefficient C_\d+ overflows the "
+                       r"double range \(ln\|C_\d+\| = "):
+        _frame_coeffs(0j, 2.0, 0.0, LambdaBasis(-400.0, 8), 8)

@@ -70,6 +70,23 @@ def test_amplitudes_match_explicit_sum(lam, xi):
                 assert _rel(got, want) <= 1e-12, (mu, m)
 
 
+def test_amplitudes_rescale_rows_below_the_normal_range():
+    # at xi 1e-20 both rows fall below 2^-1000 by the rescale at row 32,
+    # whose factor 2^-f overflowed there: every later row was nan, and the
+    # 20-term series of lambda_squeezed with them (exit 3, not summable)
+    mant, expo = _gaussian_amplitudes(1e-20, 0.0, 40)
+    assert np.all(np.isfinite(mant))
+    with mpmath.workdps(DPS):
+        for m in range(20, 40, 2):
+            got = mpmath.mpc(complex(mant[m, 0])) * mpmath.mpf(2) ** int(expo[m, 0])
+            want = _g_sum(mpmath.mpf(1e-20), 0, m)
+            # row 32 (3.7e-321) is subnormal before its rescale and keeps
+            # about 4 digits, which the rows after it carry
+            assert _rel(got, want) <= (1e-12 if m < 32 else 1e-3), m
+    st = lambda_squeezed(1e-20, LambdaBasis(1.0, 64), 20)
+    assert st.truncation == 39 and np.all(np.isfinite(st.expansion.coeffs))
+
+
 @pytest.mark.parametrize("lam, xi", CASES)
 def test_log_norm_and_standard_moments(lam, xi):
     with mpmath.workdps(DPS):
@@ -393,3 +410,93 @@ def test_library_returns_the_cli_numbers_for_a_truncated_series(capsys):
                 assert got == {name: [None, None] for name in series}
                 assert err.count("xi=-0.6 skipped: normalization series not "
                                  "settled at the truncation 40") == 2
+
+
+def _t_inverse_column(lam, psi, N, dps=60):
+    # c_n = sqrt(L_n) sum_{k>=n} (-lam)^(k-n)/(k-n)! sqrt(k!/n!) psi_k, the
+    # inverse T-operator on the exact standard components psi(k), summed
+    # until two consecutive terms fall below 1e-70 of the largest; L_n from
+    # the three-term recurrence
+    with mpmath.workdps(dps):
+        lam, tiny = mpmath.mpf(lam), mpmath.mpf(10) ** -70
+        L = _laguerre(lam, N)
+        w, steps = [], [mpmath.mpf(1)]  # sqrt(k!) psi_k and (-lam)^j/j!
+        out = []
+        for n in range(N):
+            total, peak, last, j = 0, 0, [1, 1], 0
+            while j < 4 or max(last) >= tiny * peak:
+                while len(w) <= n + j:
+                    w.append(mpmath.sqrt(mpmath.factorial(len(w))) * psi(len(w)))
+                if len(steps) <= j:
+                    steps.append(steps[-1] * -lam / len(steps))
+                t = steps[j] * w[n + j]
+                total += t
+                peak, last, j = max(peak, abs(t)), [last[1], abs(t)], j + 1
+            out.append(mpmath.sqrt(L[n] / mpmath.factorial(n)) * total)
+        return out
+
+
+def _vacuum_psi(xi):
+    # (1-|xi|^2)^(1/4) xi^m sqrt((2m)!)/(2^m m!) on |2m>
+    xi = mpmath.mpc(xi)
+    c0 = (1 - abs(xi) ** 2) ** mpmath.mpf(0.25)
+    return lambda k: 0 if k % 2 else c0 * xi ** (k // 2) * mpmath.sqrt(
+        mpmath.factorial(k)) / (2 ** (k // 2) * mpmath.factorial(k // 2))
+
+
+def _canonical_psi(alpha):
+    alpha = mpmath.mpc(alpha)
+    return lambda k: mpmath.exp(-abs(alpha) ** 2 / 2) * alpha ** k \
+        / mpmath.sqrt(mpmath.factorial(k))
+
+
+def _coherent_column(lam, alpha, N, dps=60):
+    # the definition C_n = C_0 alpha^n sqrt(L_n/n!), C_0 = e^{-lam Re a - |a|^2/2}
+    with mpmath.workdps(dps):
+        alpha, L = mpmath.mpc(alpha), _laguerre(lam, N)
+        c0 = mpmath.exp(-mpmath.mpf(lam) * alpha.real - abs(alpha) ** 2 / 2)
+        return [c0 * alpha ** n * mpmath.sqrt(L[n] / mpmath.factorial(n))
+                for n in range(N)]
+
+
+def _squeezed_column(lam, xi, N, dps=60):
+    # the definition C_0 d_n on |2n>, d_n = xi^n sqrt(L_2n (2n-1)!!/(2n)!!),
+    # with ln C_0 = -Re(xi) lam^2/2 - ln||g(xi, xi lam)||^2/2 in closed form
+    with mpmath.workdps(dps):
+        xi, lam, L = mpmath.mpc(xi), mpmath.mpf(lam), _laguerre(lam, N)
+        mu, x2 = xi * lam, abs(xi) ** 2
+        log_norm = -mpmath.log(1 - x2) / 2 \
+            + (abs(mu) ** 2 + (mpmath.conj(xi) * mu ** 2).real) / (1 - x2)
+        c0 = mpmath.exp(-xi.real * lam ** 2 / 2 - log_norm / 2)
+        fact = mpmath.factorial
+        return [0 if n % 2 else c0 * xi ** (n // 2) * mpmath.sqrt(
+            L[n] * fact(n)) / (2 ** (n // 2) * fact(n // 2)) for n in range(N)]
+
+
+@pytest.mark.parametrize("kind, lam, z", [
+    ("squeezed_vacuum", 10.0, 0.3), ("squeezed_vacuum", 3.0, -0.6 + 0.2j),
+    ("squeezed_vacuum", -3.0, 0.3 - 0.35j), ("canonical", 10.0, 1.0),
+    ("canonical", 5.0, 2.0), ("canonical", -4.0, -1.5 + 0.5j),
+    ("lambda_cs", -3.0, 2.0 + 1.0j), ("lambda_ss", 2.0, -0.5 + 0.2j)])
+def test_exact_dump_lambda_columns_match_mpmath(kind, lam, z, capsys):
+    # every auto lambda column is the exact state's own first N frame
+    # coefficients, N the standard column's length, entry by entry; the
+    # squeezed vacuum and canonical columns, to_lambda of the truncated
+    # vector, were off by up to 0.99 and 3.1e7 relative at lam 10
+    flag = "--alpha" if kind in ("canonical", "lambda_cs") else "--xi"
+    assert cli.main(["state", kind, f"--lambda={lam}",
+                     f"{flag}={z.real},{z.imag}", "--format=json"]) == 0
+    dump = json.loads(capsys.readouterr().out)
+    got = [complex(*pair) for pair in dump["lambda"]]
+    N = len(dump["standard"])
+    assert len(got) == N
+    if kind == "squeezed_vacuum":
+        want = _t_inverse_column(lam, _vacuum_psi(z), N)
+    elif kind == "canonical":
+        want = _t_inverse_column(lam, _canonical_psi(z), N)
+    elif kind == "lambda_cs":
+        want = _coherent_column(lam, z, N)
+    else:
+        want = _squeezed_column(lam, z, N)
+    for n, (g, w) in enumerate(zip(got, want)):
+        assert abs(g - complex(w)) <= 1e-13 * abs(complex(w)), (n, g, complex(w))

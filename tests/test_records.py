@@ -68,13 +68,13 @@ def test_reprs_print_no_coefficient_array(record):
 
 def test_squeezed_expansion_is_built_once(monkeypatch):
     calls = []
-    series = states._squeezed_series
+    series = states._frame_coeffs
 
     def counted(*args):
         calls.append(args)
         return series(*args)
 
-    monkeypatch.setattr(states, "_squeezed_series", counted)
+    monkeypatch.setattr(states, "_frame_coeffs", counted)
     state = lambda_squeezed(0.4, _BASIS)
     first = state.expansion
     assert state.expansion is first

@@ -14,9 +14,9 @@ from lfock.fock import LambdaBasis, gram
 from lfock.operators import (TruncationError, build_ladders, coherent_overlap,
                              displaced_form, eigen_residual, expm_apply,
                              squeezed_norm_constant, squeezed_operator_form)
-from lfock.states import (DomainError, _coherent_coeffs, _even_log_weights,
-                          evolve, lambda_coherent, lambda_squeezed,
-                          radius_min, squeezed_vacuum)
+from lfock.states import (DomainError, _even_log_weights, evolve,
+                          lambda_coherent, lambda_squeezed, radius_min,
+                          squeezed_vacuum)
 
 
 def _mismatch(u, v):
@@ -58,6 +58,25 @@ def test_coherent_explicit_truncation_honored():
     basis = LambdaBasis(0.5, 64)
     state = lambda_coherent(1.0, basis, N=17)
     assert state.truncation == 17
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.3, -2.0])
+def test_explicit_vacuum_truncation_is_the_n_term_series(lam):
+    # an explicit truncation of either vacuum was ignored (truncation 1);
+    # it is the series [1, 0, ...] of that length, and the auto vacuum keeps
+    # its one term
+    basis = LambdaBasis(lam, 64)
+    one = np.zeros(5, dtype=complex)
+    one[0] = 1.0
+    for state in (lambda_coherent(0, basis, 5), lambda_squeezed(0, basis, 3)):
+        assert state.truncation == 5
+        assert np.array_equal(state.expansion.coeffs, one)
+        assert np.array_equal(state.to_standard(), one)
+    assert lambda_coherent(0, basis, 5)._truncated
+    assert lambda_squeezed(0, basis, 3).norm_constant == 1.0
+    for state in (lambda_coherent(0, basis), lambda_squeezed(0, basis)):
+        assert state.truncation == 1
+        assert np.array_equal(state.expansion.coeffs, one[:1])
 
 
 @pytest.mark.parametrize("lam", [0.5, 2.0])
@@ -153,14 +172,14 @@ def test_coherent_auto_truncation_bounds_the_dropped_tail(lam, alpha, N,
     # would not); a start guess sized from the frame weights took all 512
     # at lam 30 and at lam -3
     calls = []
-    coeffs = states._coherent_coeffs
-    monkeypatch.setattr(states, "_coherent_coeffs",
-                        lambda *args: calls.append(args[2]) or coeffs(*args))
+    coeffs = states._frame_coeffs
+    monkeypatch.setattr(states, "_frame_coeffs",
+                        lambda *args: calls.append(args[4]) or coeffs(*args))
     basis = LambdaBasis(lam, 512)
     state = lambda_coherent(alpha, basis)
     assert calls == [512] and state.truncation == N
     assert np.array_equal(state.expansion.coeffs,
-                          coeffs(complex(alpha), basis, N))
+                          lambda_coherent(alpha, basis, N).expansion.coeffs)
     assert _coherent_tail(lam, alpha, N) < 1e-14 < _coherent_tail(lam, alpha, N - 1)
 
 
@@ -169,7 +188,7 @@ def test_coherent_coefficients_match_ratio_recurrence(alpha):
     # the log-space coefficients against C_n = C_{n-1} alpha / (rho_n sqrt n)
     # out to the truncation cap, where alpha^n alone overflows
     basis = LambdaBasis(3.0, 512)
-    got = _coherent_coeffs(complex(alpha), basis, 512)
+    got = lambda_coherent(alpha, basis, 512).expansion.coeffs
     want = np.zeros(512, dtype=complex)
     want[0] = math.exp(-3.0 * complex(alpha).real - abs(alpha) ** 2 / 2.0)
     for n in range(1, 512):
@@ -363,7 +382,10 @@ def test_non_positive_truncated_norm_is_named_cancellation():
                        r"number \S+e\+1[5-9]\)") as info:
         lambda_squeezed(-0.7, basis, 300)
     assert info.value.radius is None
-    assert abs(states._squeezed_series(-0.7, basis, 300)[-1]) < 1e-7
+    # d_299, the last term of the series C_0 = 1 sum_n d_n |2n>_lam
+    xi, lam = -0.7, 4.0
+    assert abs(fock._frame_coeffs(xi, xi * lam, 0.5 * xi * lam * lam,
+                                  basis, 599)[-1]) < 1e-7
 
 
 # The per-ray radius scan as it stood before the scan kept only the phase-0

@@ -75,6 +75,20 @@ EDGES = (
     ("state", "lambda_cs", "--lambda=-3", "--alpha=8,3"),
     ("state", "lambda_cs", "--alpha=0", "--truncation=600"),
     ("state", "lambda_ss", "--xi=0", "--truncation=900"),
+    ("state", "lambda_cs", "--alpha=0", "--truncation=5"),
+    ("state", "lambda_ss", "--xi=0", "--truncation=3"),
+    # the exact squeezed vacuum and canonical states' own frame coefficients
+    # (the mpmath corpus of tests/test_kernel.py), and the truncated
+    # vectors of the same length, whose column stays their finite expansion
+    *(("state", kind, flag, f"--lambda={lam}", *cut)
+      for kind, flag, lam, n in (
+          ("squeezed_vacuum", "--xi=0.3", 10, 61),
+          ("squeezed_vacuum", "--xi=-0.6,0.2", 3, 155),
+          ("squeezed_vacuum", "--xi=0.3,-0.35", -3, 93),
+          ("canonical", "--alpha=1", 10, 35),
+          ("canonical", "--alpha=2", 5, 53),
+          ("canonical", "--alpha=-1.5,0.5", -4, 45))
+      for cut in ((), (f"--truncation={n}",))),
     # the squeezed vacuum's auto truncation on either side of its refusal
     ("state", "squeezed_vacuum", "--xi=0.999"),
     ("state", "squeezed_vacuum", "--xi=0.9995"),
