@@ -28,8 +28,8 @@ import numpy as np
 from .fock import (DomainError, LambdaBasis, LambdaExpansion, TruncationError,
                    _exp_lowering, _matvec, gram)
 from .specfun import _as_float, log_factorial_table, logsumexp_positive
-from .states import (_even_log_weights, _guard_xi, _squeezed_terms,
-                     lambda_coherent)
+from .states import (_even_log_weights, _guard_xi, lambda_coherent,
+                     lambda_squeezed)
 from .stats import _NORM_TOL, QuadratureReport
 
 # with_margin's second truncation N + _MARGIN and its head tolerance
@@ -298,8 +298,9 @@ def squeezed_norm_constant(xi: complex, basis: LambdaBasis) -> float:
     decreasing.
     """
     xi = complex(xi)
-    _guard_xi(xi, basis)
-    T = _squeezed_terms(xi, basis, None) - 1
+    # the exact state's cut, whose tolerance its closed-form C_0 scales;
+    # lambda_squeezed guards xi
+    T = lambda_squeezed(xi, basis).truncation // 2
     half_w = 0.5 * _even_log_weights(T)
     kernel = np.empty((T + 1, T + 1))
     for mm in range(T + 1):  # row mm: g(2mm, 2nn) for every nn <= mm at once

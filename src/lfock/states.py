@@ -18,9 +18,11 @@ g(xi, mu)/||g|| with g(xi, mu) = e^{xi a_dag^2/2 + mu a_dag}|0>: coherent at
 (0, alpha, e^{i lam Im alpha}), squeezed at (xi, xi lam, e^{i Im(xi) lam^2/2}),
 with frame projections phase g_m(xi, mu + lam)/(sqrt(L_m) ||g||). The kernel
 in fock (g_m, closed-form norm and moments, _frame_coeffs) serves these exact
-states; a state built with an explicit truncation is that frame series. The
-routes that check them (the Gram-route overlap, the triple sum for C_0 and
-the operator forms) live in operators, which this module does not import.
+states, whose frame series both end at one certified tail cut,
+_geometric_cut; a state built with an explicit truncation is that frame
+series. The routes that check them (the Gram-route overlap, the triple sum
+for C_0 and the operator forms) live in operators, which this module does
+not import.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .fock import (DomainError, LambdaBasis, LambdaExpansion, TruncationError,
-                   _cancels, _check_truncation, _even_gram_block,
+from .fock import (_LOG_DBL_MAX, DomainError, LambdaBasis, LambdaExpansion,
+                   TruncationError, _cancels, _check_truncation, _even_gram_block,
                    _frame_coeffs, _gaussian_amplitudes, _gaussian_log_norm)
-from .specfun import log_factorial_table, logsumexp_positive
+from .specfun import log_factorial_table
 
 _LN2 = math.log(2.0)
 _HARD_CAP = 512
@@ -106,10 +108,10 @@ class LambdaSqueezed(_Family):
 
     With n_terms None the state is the exact Gaussian, C_0 is its closed-form
     norm constant and its vector and statistics come from the kernel; the
-    expansion C_0 sum_n d_n |2n>_lam, cut where the terms fall below 1e-20 of
-    the norm, is built on first use (g_n(xi, 0): odd entries exactly 0). With
-    n_terms given the state is that truncated frame series, normalized
-    through the Gram quadratic form.
+    expansion C_0 sum_n d_n |2n>_lam, cut by _squeezed_terms where the bound
+    on the dropped sum_n |C_0 d_n| falls below 1e-14, is built on first use
+    (g_n(xi, 0): odd entries exactly 0). With n_terms given the state is
+    that truncated frame series, normalized through the Gram quadratic form.
     """
 
     _shown = ("xi", "basis", "norm_constant", "n_terms")
@@ -127,10 +129,13 @@ class LambdaSqueezed(_Family):
     def expansion(self) -> LambdaExpansion:
         if self._series is not None:
             return self._series[0]
-        xi, lam = self.xi, self.basis.lam
-        return LambdaExpansion(self.basis, _frame_coeffs(
+        xi, basis, lam = self.xi, self.basis, self.basis.lam
+        n = _squeezed_terms(xi, basis, self.norm_constant) \
+            if self.n_terms is None else self.n_terms
+        _check_truncation(n, basis.max_n // 2 + 1)
+        return LambdaExpansion(basis, _frame_coeffs(
             xi, xi * lam, math.log(self.norm_constant) + 0.5 * xi * lam * lam,
-            self.basis, 2 * _squeezed_terms(xi, self.basis, self.n_terms) - 1))
+            basis, 2 * n - 1))
 
     @property
     def _gaussian(self) -> tuple[complex, complex, complex] | None:
@@ -147,37 +152,53 @@ class LambdaSqueezed(_Family):
         return self.expansion.norm_and_condition()
 
 
+def _geometric_cut(log_mag: np.ndarray, log_q: np.ndarray) -> int:
+    """The first count N with |C_{N-1}| q/(1-q) < 1e-14, q = e^{log_q[N-1]}
+    < 1 bounding every later ratio |C_{m+1}/C_m|, from ln|C_n| = log_mag[n]:
+    that geometric sum bounds sum_{n>=N} |C_n|, and so the norm of what a
+    series over unit vectors drops. Raises TruncationError naming the
+    horizon len(log_mag) and the best bound reached where no N qualifies."""
+    with np.errstate(all="ignore"):  # q >= 1 bounds nothing: inf
+        bound = np.where(log_q < 0.0, log_mag + log_q - np.log(-np.expm1(log_q)),
+                         np.inf)
+        best = np.exp(bound.min())
+    hit = np.flatnonzero(bound < math.log(1e-14))
+    if hit.size:
+        return int(hit[0]) + 1
+    raise TruncationError(f"series tail bound not below 1e-14 within the "
+                          f"{bound.shape[0]}-term horizon (best bound {best:.2g})")
+
+
 def lambda_coherent(alpha: complex, basis: LambdaBasis,
                     N: int | None = None) -> LambdaCoherent:
     """Construct |alpha, lam> with C_0 = exp(-lam Re(alpha) - |alpha|^2/2).
 
-    With N omitted the coefficients are evaluated once at the cap (512, or
-    the basis horizon) and N is the first count whose last ratio
-    q = |C_{N-1}/C_{N-2}| is below 0.9 with |C_{N-1}| q/(1-q) below 1e-14, a
-    bound on sum_{n>=N} |C_n|: the ratio |alpha| sqrt((1 + s_n)/n) never
-    rises, s_n = 1/rho_n^2 - 1 being non-increasing; a last C_{N-1} = 0 is
-    left out, so the vacuum keeps its one term.
+    With N omitted, N is the _geometric_cut of the closed-form
+    ln|C_n| = ln C_0 + n ln|alpha| + (ln L_n - ln n!)/2 within the cap
+    (512, or the basis horizon), q the last ratio |C_{N-1}/C_{N-2}| =
+    |alpha| sqrt((1 + s_n)/n), which never rises, s_n = 1/rho_n^2 - 1 being
+    non-increasing; the vacuum keeps its one term. The coefficients are
+    evaluated once, at N.
     """
     alpha = complex(alpha)
     if N is not None:
         _check_truncation(N, basis.max_n + 1)
-    cap = min(_HARD_CAP, basis.max_n + 1)
+    cut = 1  # the vacuum keeps its one term
+    if N is None and alpha:
+        cap = min(_HARD_CAP, basis.max_n + 1)
+        half = 0.5 * (basis.log_laguerre[:cap] - log_factorial_table(cap - 1))
+        log_alpha = math.log(abs(alpha))
+        logs = half + np.arange(cap) * log_alpha - basis.lam * alpha.real \
+            - abs(alpha) ** 2 / 2.0
+        # a coefficient past the double range (_frame_coeffs names it) or
+        # C_0 = 0 (the check below): no cut is read
+        cut = cap if logs.max() > _LOG_DBL_MAX or math.exp(logs[0]) == 0 \
+            else _geometric_cut(logs, log_alpha + np.diff(half, prepend=-np.inf))
     c = _frame_coeffs(0j, alpha, complex(-abs(alpha) ** 2 / 2.0,
-                                         basis.lam * alpha.imag), basis, N or cap)
+                                         basis.lam * alpha.imag), basis, N or cut)
     if c[0] == 0:
         raise DomainError("normalization constant exp(-lam Re a - |a|^2/2) "
                           "underflows for these parameters")
-    if N is None:
-        a = np.abs(c)
-        with np.errstate(all="ignore"):  # q is 0 where |C_{N-2}| underflows
-            q = np.where(a[:-1] > 0, a[1:] / a[:-1], 0.0)
-            done = (a[1:] == 0) | ((q < 0.9) & (a[1:] * q / (1 - q) < 1e-14))
-        if not done.any():
-            raise TruncationError(
-                f"coherent tail not below 1e-14 at the truncation cap {cap}; "
-                "alpha or lam too large for this basis horizon")
-        last = int(np.argmax(done)) + 1  # C_last, kept unless exactly 0
-        c = c[: last + bool(a[last])].copy()
     return LambdaCoherent(alpha, basis, LambdaExpansion(basis, c),
                           _truncated=N is not None)
 
@@ -211,7 +232,8 @@ def squeezed_vacuum(xi: complex, N: int | None = None) -> np.ndarray:
     |xi| >= 1, where the series diverges. With N omitted the series is cut
     where its terms fall below 1e-30, at most at n = 20000, and raises
     TruncationError where the last term kept there is not below 1e-20 of
-    the closed-form sum (1-|xi|^2)^(-1/2), the tail _squeezed_settled asks.
+    the closed-form sum (1-|xi|^2)^(-1/2). Its basis is orthonormal, so
+    this l2 rule, not the frame series' _geometric_cut, bounds what it drops.
     """
     xi = complex(xi)
     if abs(xi) >= 1.0:
@@ -227,7 +249,7 @@ def squeezed_vacuum(xi: complex, N: int | None = None) -> np.ndarray:
         T = min(max(T, 4), 20000)
         # ln(|u_T|^2 / sum_n |u_n|^2), the sum (1-|xi|^2)^(-1/2) in closed form
         if T == 20000 and 2.0 * T * math.log(abs(xi)) + _even_log_weights(T)[T] \
-                + 0.5 * math.log1p(-abs(xi) ** 2) >= _SQUEEZED_TAIL:
+                + 0.5 * math.log1p(-abs(xi) ** 2) >= math.log(1e-20):
             raise TruncationError(
                 f"squeezed vacuum tail not below 1e-20 of the norm at the term "
                 f"cap {T}; |xi|={abs(xi):.6g} too close to 1")
@@ -372,51 +394,22 @@ def _guard_xi(xi: complex, basis: LambdaBasis) -> None:
             radius=rmin)
 
 
-_SQUEEZED_TAIL = math.log(1e-20)
-
-
-def _squeezed_settled(xi: complex, basis: LambdaBasis, T: int) -> bool:
-    """Whether the exact normalization series has settled at the terms
-    n <= T: the last diagonal term falls below 1e-20 of the running total
-    (so the dropped coefficients are ~1e-10 of the norm, keeping the defining
-    equation residual well under 1e-8) and the last five terms decrease.
-    xi = 0, the vacuum, has settled at every T."""
-    if xi == 0:
-        return True
-    diag_logs = 2.0 * np.arange(T + 1) * math.log(abs(xi)) \
-        + np.asarray(basis.log_laguerre[0: 2 * T + 1: 2]) + _even_log_weights(T)
-    total = logsumexp_positive(diag_logs)
-    return bool(diag_logs[-1] - total < _SQUEEZED_TAIL
-                and np.all(np.diff(diag_logs[-5:]) < 0))
-
-
-def _squeezed_terms(xi: complex, basis: LambdaBasis,
-                    n_terms: int | None) -> int:
-    """Even-index term count for the normalization series: n_terms, or the
-    first T + 1 of T = 4, 8, 16, ... at which _squeezed_settled holds (the
-    vacuum: 1).
-
-    The doubling stays because its overshoot is what verify's 1e-11
-    defining-equation check relies on: at the first settled T the residual
-    is 1.02e-11 (lam 0.5, xi 0.2) and 1.03e-11 (xi 0.3 e^{i pi/4}), at the
-    doubled T 2.2e-12 and 6.3e-17. A rule bounding the dropped part,
-    C_0 sum_{n>T} |d_n| < 1e-10, would need 520 terms at lam 4, xi -0.75,
-    where the doubling takes 513 and the first settled T 336."""
-    if n_terms is not None:
-        _check_truncation(n_terms, basis.max_n // 2 + 1)
-        return n_terms
+def _squeezed_terms(xi: complex, basis: LambdaBasis, norm_constant: float) -> int:
+    """Even-index term count of the exact series C_0 sum_n d_n |2n>_lam: the
+    _geometric_cut of ln|C_0 d_n| = ln C_0 + n ln|xi| + (W_n + ln L_2n)/2,
+    W_n the _even_log_weights, within the basis horizon max_n // 2 + 1.
+    Every ratio |d_{m+1}/d_m| with m >= n is at most
+    q_n = |xi| sqrt(L_{2n+2}/L_2n): (2m+1)/(2m+2) < 1 and L_{k+1}/L_k never
+    rises. The basis holds no L_{2n+2} for the last term, whose q is left
+    infinite. The vacuum: 1."""
     if xi == 0:
         return 1
-    T = 4
-    while True:
-        if 2 * T > basis.max_n:
-            raise TruncationError(
-                f"normalization tail still not negligible at the basis "
-                f"horizon max_n={basis.max_n}; build a LambdaBasis with a "
-                "larger max_n")
-        if _squeezed_settled(xi, basis, T):
-            return T + 1
-        T = min(2 * T, (basis.max_n // 2) + 1)
+    lag = basis.log_laguerre[::2]  # ln L_2n, 2n <= max_n
+    n = np.arange(lag.shape[0])
+    log_xi = math.log(abs(xi))
+    return _geometric_cut(
+        math.log(norm_constant) + n * log_xi + 0.5 * (_even_log_weights(n[-1]) + lag),
+        log_xi + 0.5 * np.diff(lag, append=np.inf))
 
 
 def lambda_squeezed(xi: complex, basis: LambdaBasis,

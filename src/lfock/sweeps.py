@@ -15,7 +15,8 @@ import math
 
 import numpy as np
 
-from .fock import DomainError, LambdaBasis, _check_truncation, _warn
+from .fock import (DomainError, LambdaBasis, TruncationError, _check_truncation,
+                   _warn)
 from .specfun import _laguerre_log_floor
 from .stats import (_TAIL_UNSETTLED, _frame_moments, _tail_horizon,
                     quadrature_variances, squeezed_moments)
@@ -87,12 +88,12 @@ def _squeezed_sweep(command: str, basis_tag: str, names: tuple, lambdas,
     every xi on one basis per lam, then one measure(states) call giving each
     state its cells (a tuple in the order of names) or, as a string, why it
     has none. An explicit truncation N changes no cell but empties those whose
-    exact series has not settled at N terms (_squeezed_settled). Guard
+    exact series is not cut within N terms (_squeezed_terms). Guard
     refusals are counted per column, every other empty cell is warned about
     with its reason; a cell measure leaves None (a zero-mean Mandel Q, as at
     xi = 0 in the standard basis) is empty without a warning."""
     # states and its guard scan load here, so fig1 never compiles them
-    from .states import _SQUEEZED_MAX_N, _squeezed_settled, lambda_squeezed
+    from .states import _SQUEEZED_MAX_N, _squeezed_terms, lambda_squeezed
     lambdas = [float(g) for g in lambdas]
     xis = _axis(xi_range)
     if truncation is not None:
@@ -113,8 +114,11 @@ def _squeezed_sweep(command: str, basis_tag: str, names: tuple, lambdas,
                     refused += 1
         cells = [(None,) * len(names)] * len(xis)
         for (i, st), out in zip(built, measure([st for _, st in built])):
-            if truncation is not None and not _squeezed_settled(
-                    st.xi, basis, truncation - 1):
+            try:  # the exact series' cut, past N or past the basis horizon
+                if truncation and _squeezed_terms(
+                        st.xi, basis, st.norm_constant) > truncation:
+                    out = unsettled
+            except TruncationError:
                 out = unsettled
             if isinstance(out, str):
                 _warn(f"{here} xi={xis[i]:g} skipped: {out}")

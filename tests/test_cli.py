@@ -619,6 +619,33 @@ def test_coherent_coefficient_overflow_is_a_clean_domain_error():
     assert "RuntimeWarning" not in done.stderr
 
 
+def test_squeezed_dump_whose_tail_bound_fails_is_a_truncation_error():
+    # C_0 = 1.07e39 here and the coefficients' l1 mass 1.4e104: a rule that
+    # stopped where the last diagonal term fell below 1e-20 of the total
+    # printed 1025 rows, exit 0, dropping a tail bounded only by 7.9e62
+    done = _python("-m", "lfock.cli", "state", "lambda_ss", "--xi=-0.2496",
+                   "--lambda=30")
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr == ("lfock: truncation error: series tail bound not "
+                           "below 1e-14 within the 803-term horizon (best "
+                           "bound 1.4e-10)\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["lambda_cs", "--alpha=0", "--lambda=1.3"], 0),
+    (["lambda_ss", "--xi=0", "--lambda=1.3"], 0),
+    (["lambda_cs", "--alpha=1", "--lambda=30"], 0),  # coefficients underflow
+    (["lambda_cs", "--alpha=40", "--lambda=0"], 3),  # C_0 underflows
+])
+def test_tail_cuts_raise_no_numpy_warning(argv, code):
+    # the cuts read closed-form logs, never the logs of evaluated
+    # coefficients, where an underflow to 0 gives -inf - -inf
+    done = _python("-W", "error::RuntimeWarning", "-m", "lfock.cli", "state",
+                   *argv, "--out", os.devnull)
+    assert done.returncode == code, done.stderr
+    assert "Warning" not in done.stderr and "Traceback" not in done.stderr
+
+
 def test_family_series_past_its_horizon_is_a_truncation_error():
     # the f1 coefficients alpha^n/(n!)^{3/2} peak near n = 2150 at alpha
     # 1e5, past the 600-term horizon: exit 3, as any unreachable tolerance,

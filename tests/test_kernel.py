@@ -352,9 +352,11 @@ def test_cancelling_truncated_series_is_refused_not_misprinted(command, capsys):
 def test_truncated_fig2_cells_match_the_series(capsys):
     # the Gram route (G c)^H (X c) printed var_p 0.7499999999983555 at xi -0.2
     # (exact 0.75), and the truncated series cancelled in its norm below
-    # -0.2. The cells are the exact state's closed forms for -0.7 <= xi <=
-    # 0.7; at xi +-0.75 the exact series settles only at 336 terms, so those
-    # cells are empty and warned, and |xi| >= 0.8 lies outside the guard
+    # -0.2. The cells are the exact state's closed forms for -0.65 <= xi <=
+    # 0.7, whose tail bounds fall below 1e-14 within 300 terms (293 at -0.65,
+    # 294 at 0.7); at xi -0.75, -0.7 (400 terms) and 0.75 (405) they do not,
+    # so those cells are empty and warned, and |xi| >= 0.8 lies outside the
+    # guard
     assert cli.main(["fig2", "--truncation", "300", "--lambda=4",
                      "--grid=-0.9:0.9:37"]) == 0
     out, err = capsys.readouterr()
@@ -368,10 +370,10 @@ def test_truncated_fig2_cells_match_the_series(capsys):
         assert abs(float(var_x) - want[0]) <= 1e-13
         assert abs(float(var_p) - want[1]) <= 1e-13
         printed.append(round(xi, 2))
-    assert printed == [round(x, 2) for x in np.arange(-0.7, 0.71, 0.05)]
+    assert printed == [round(x, 2) for x in np.arange(-0.65, 0.71, 0.05)]
     assert err.splitlines() == [
         f"lfock: warning: fig2 lambda=4 xi={xi} skipped: normalization series "
-        "not settled at the truncation 300" for xi in ("-0.75", "0.75")] + [
+        "not settled at the truncation 300" for xi in ("-0.75", "-0.7", "0.75")] + [
         "lfock: warning: fig2 lambda=4: 6 xi point(s) outside the guarded "
         "convergence disk, emitted as empty cells"]
 

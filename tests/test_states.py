@@ -142,9 +142,13 @@ def test_coherent_truncation_cap_is_reported():
 def test_ladder_excess_never_rises(lam):
     # the premise of lambda_coherent's geometric tail bound: the coefficient
     # ratio |C_n/C_{n-1}| = |alpha| sqrt((1 + s_n)/n) falls with n because
-    # s_n = 1/rho_n^2 - 1 does not rise
-    s = 1.0 / LambdaBasis(lam, 4000).rho[1:] ** 2 - 1.0
-    assert np.all(np.diff(s) <= 0.0)
+    # s_n = 1/rho_n^2 - 1 does not rise; the squeezed cut's ratio bound
+    # |xi| sqrt(L_{2n+2}/L_2n) rests on the same premise, checked as is
+    rho = LambdaBasis(lam, 4000).rho
+    s = 1.0 / rho[1:] ** 2 - 1.0
+    even = 1.0 / (rho[1:-1:2] * rho[2::2]) ** 2  # L_{2n+2}/L_2n
+    for ratios in (s, even):
+        assert np.all(np.diff(ratios) <= 0.0)
 
 
 def _coherent_tail(lam, alpha, N):
@@ -167,20 +171,64 @@ def _coherent_tail(lam, alpha, N):
                                            (1.7, 1.2 - 0.4j, 36), (2.0, 14.0, 402)])
 def test_coherent_auto_truncation_bounds_the_dropped_tail(lam, alpha, N,
                                                           monkeypatch):
-    # the coefficients are evaluated once, at the cap of 512, and the first
-    # N passing the geometric test leaves a tail below 1e-14 (one term fewer
-    # would not); a start guess sized from the frame weights took all 512
-    # at lam 30 and at lam -3
+    # the cut comes from the closed-form logs, so the coefficients are
+    # evaluated once, at N, and the first N passing the geometric test
+    # leaves a tail below 1e-14 (one term fewer would not)
     calls = []
     coeffs = states._frame_coeffs
     monkeypatch.setattr(states, "_frame_coeffs",
                         lambda *args: calls.append(args[4]) or coeffs(*args))
     basis = LambdaBasis(lam, 512)
     state = lambda_coherent(alpha, basis)
-    assert calls == [512] and state.truncation == N
+    assert calls == [N] and state.truncation == N
     assert np.array_equal(state.expansion.coeffs,
                           lambda_coherent(alpha, basis, N).expansion.coeffs)
-    assert _coherent_tail(lam, alpha, N) < 1e-14 < _coherent_tail(lam, alpha, N - 1)
+    # the true tail lies below the cut's bound |C_{N-1}| q/(1-q), q the last
+    # ratio, which lies below 1e-14
+    a = np.abs(state.expansion.coeffs)
+    q = a[-1] / a[-2]
+    assert _coherent_tail(lam, alpha, N) <= a[-1] * q / (1 - q) < 1e-14 \
+        < _coherent_tail(lam, alpha, N - 1)
+
+
+def _squeezed_tail(lam, xi, N):
+    """sum_{n>=N} |C_0 d_n| in 50-digit mpmath: C_0 from the closed-form
+    norm, d_n = xi^n sqrt(L_2n binom(2n, n)/4^n), L_k(-lam^2) by its
+    recurrence."""
+    with mpmath.workdps(50):
+        x, xi, mu = mpmath.mpf(lam) ** 2, mpmath.mpc(xi), mpmath.mpc(xi) * lam
+        r2 = abs(xi) ** 2
+        log_norm = -mpmath.log(1 - r2) / 2 \
+            + (abs(mu) ** 2 + mpmath.re(mpmath.conj(xi) * mu ** 2)) / (1 - r2)
+        c0 = mpmath.exp(-mpmath.re(xi) * x / 2 - log_norm / 2)
+        total, prev, L, k = mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1), 0
+        while True:
+            if k % 2 == 0 and k >= 2 * N:
+                n = k // 2
+                term = c0 * abs(xi) ** n * mpmath.sqrt(
+                    L * mpmath.binomial(2 * n, n) / mpmath.mpf(4) ** n)
+                total += term
+                if n > N + 5 and term < mpmath.mpf(10) ** -40 * total:
+                    return float(total)
+            prev, L = L, ((2 * k + 1 + x) * L - k * prev) / (k + 1)
+            k += 1
+
+
+@pytest.mark.parametrize("lam, phase", [(30.0, 1.0), (30.0, -1.0), (-3.0, -1.0),
+                                        (-1.5, cmath.exp(0.9j)), (0.5, None)])
+def test_squeezed_cut_bounds_the_dropped_tail(lam, phase):
+    # xi at 0.9 of the guard 0.95 R(lam), on the rays of phase 0, pi and
+    # 0.9, and (0.5, 0.2) of verify: the true tail of the exact series past
+    # the cut lies below the cut's bound |c_{2N-2}| q/(1-q),
+    # q = |xi| sqrt(L_2N/L_{2N-2}), which lies below 1e-14
+    basis = LambdaBasis(lam, states._SQUEEZED_MAX_N)
+    xi = 0.2 if phase is None else 0.9 * 0.95 * radius_min(basis) * phase
+    state = lambda_squeezed(xi, basis)
+    N = (state.truncation + 1) // 2
+    q = abs(xi) * math.exp(0.5 * (basis.log_laguerre[2 * N]
+                                  - basis.log_laguerre[2 * N - 2]))
+    last = abs(state.expansion.coeffs[-1])
+    assert _squeezed_tail(lam, xi, N) <= last * q / (1 - q) < 1e-14
 
 
 @pytest.mark.parametrize("alpha", [20.0, -20.0, 12.0 + 16.0j, 0.3j])

@@ -217,21 +217,21 @@ def test_fig1_is_even_under_a_joint_sign_flip():
 
 @pytest.mark.parametrize("command", ["fig2", "fig3a", "fig3b"])
 def test_non_guard_empty_cells_are_warned_with_their_reason(command, capsys):
-    # inside the guarded disk (0.95 R(4) = 0.845) the exact series at xi
-    # -0.75 settles only at 336 terms, so at the truncation 300 its cell is
-    # empty and warned with that truncation, not counted as "outside the
-    # guarded convergence disk"; at -0.7 it has settled and prints the auto
-    # run's cell
-    argv = [command, "--lambda=4", "--grid=-0.75:-0.7:2"]
+    # inside the guarded disk (0.95 R(4) = 0.845) the tail bound of the
+    # exact series at xi -0.7 falls below 1e-14 only at 400 terms, so at the
+    # truncation 300 its cell is empty and warned with that truncation, not
+    # counted as "outside the guarded convergence disk"; at -0.65 it falls
+    # there at 293 terms and the cell prints the auto run's
+    argv = [command, "--lambda=4", "--grid=-0.7:-0.65:2"]
     assert main(argv) == 0
     auto = capsys.readouterr().out.splitlines()[2:]
     assert main([*argv, "--truncation", "300"]) == 0
     out, err = capsys.readouterr()
     rows = out.splitlines()[2:]
     assert err.splitlines() == [
-        f"lfock: warning: {command[:4]} lambda=4 xi=-0.75 skipped: "
+        f"lfock: warning: {command[:4]} lambda=4 xi=-0.7 skipped: "
         "normalization series not settled at the truncation 300"]
-    assert rows[0].rstrip(",") == "-0.75" and not auto[0].endswith(",")
+    assert rows[0].rstrip(",") == "-0.7" and not auto[0].endswith(",")
     assert rows[1] == auto[1] and not rows[1].endswith(",")
 
 

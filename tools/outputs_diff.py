@@ -65,6 +65,11 @@ EDGES = (
     ("state", "lambda_ss", "--xi=-0.5", "--lambda=-2", "--truncation=800",
      "--format=json"),
     ("state", "lambda_ss", "--xi=0.2,0.3", "--lambda=0.5", "--truncation=20"),
+    # the frame series' tail cut: a dump it refuses within the basis
+    # horizon, a truncated figure at its boundary, and a long exact series
+    ("state", "lambda_ss", "--xi=-0.2496", "--lambda=30"),
+    ("fig2", "--truncation=300", "--lambda=4", "--grid=-0.75:0.75:31"),
+    ("state", "lambda_ss", "--xi=-0.7", "--lambda=5"),
     # norm_gram dumps over the 751 even Gram rows of a 1501-term ket, and
     # over 200 rows of both parities
     ("state", "lambda_ket", "-n", "1500", "--lambda", "30"),
