@@ -193,7 +193,7 @@ def lambda_coherent(alpha: complex, basis: LambdaBasis,
         # a coefficient past the double range (_frame_coeffs names it) or
         # C_0 = 0 (the check below): no cut is read
         cut = cap if logs.max() > _LOG_DBL_MAX or math.exp(logs[0]) == 0 \
-            else _geometric_cut(logs, log_alpha + np.diff(half, prepend=-np.inf))
+            else _geometric_cut(logs, log_alpha + np.ediff1d(half, to_begin=np.inf))
     c = _frame_coeffs(0j, alpha, complex(-abs(alpha) ** 2 / 2.0,
                                          basis.lam * alpha.imag), basis, N or cut)
     if c[0] == 0:
@@ -409,7 +409,7 @@ def _squeezed_terms(xi: complex, basis: LambdaBasis, norm_constant: float) -> in
     log_xi = math.log(abs(xi))
     return _geometric_cut(
         math.log(norm_constant) + n * log_xi + 0.5 * (_even_log_weights(n[-1]) + lag),
-        log_xi + 0.5 * np.diff(lag, append=np.inf))
+        log_xi + 0.5 * np.ediff1d(lag, to_end=np.inf))
 
 
 def lambda_squeezed(xi: complex, basis: LambdaBasis,
