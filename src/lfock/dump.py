@@ -4,7 +4,8 @@ metadata that lets the dump check itself (residual, norms).
 An exact state's lambda column (lambda_cs, lambda_ss; squeezed_vacuum and
 canonical without --truncation) is its own first N frame coefficients,
 fock._frame_coeffs, N the standard column's length; the other kinds print
-fock.to_lambda, the printed vector's finite expansion.
+fock.to_lambda, the printed vector's finite expansion. Both lambda_cs and
+lambda_ss cut within the 1605 rows of LambdaBasis(lam, _SQUEEZED_MAX_N).
 
 Only the `state` command loads this module. lambda_ket needs fock alone;
 lambda_cs, lambda_ss and squeezed_vacuum also load states, and f1, f2 and
@@ -60,7 +61,8 @@ def _state_payload(args) -> tuple[dict, np.ndarray, np.ndarray]:
     elif kind == "lambda_cs":
         from . import states
         alpha = complex(args.alpha)
-        st = states.lambda_coherent(alpha, LambdaBasis(lam, states._HARD_CAP), trunc)
+        st = states.lambda_coherent(alpha, LambdaBasis(lam, states._SQUEEZED_MAX_N),
+                                    trunc)
         std = st.to_standard()
         lamc = st.expansion.coeffs
         meta.update(alpha=_pair(alpha), residual_kind="annihilation_eigenvector",

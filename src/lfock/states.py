@@ -9,9 +9,9 @@ construction guard. The even Gram block is entrywise non-negative (each
 <2j|2k>_lam carries even powers of lam only), so the phase-0 ray has the
 largest partial-sum increments and its radius is the minimum over phases:
 one scan per |lam| bisects an r grid on that ray, deciding each r by an
-overflow test, a Gram-free upper and lower bound, a closed-form upper bound
-for r < 1, and only where those leave it open the exact increments from one
-Gram matvec.
+overflow test, a Gram-free lower bound, a closed-form upper bound for r < 1,
+and only where those leave it open the exact increments from one Gram
+matvec.
 
 Through |n>_lam = e^{lam a}|n>/sqrt(L_n) both families are Gaussian, phase
 g(xi, mu)/||g|| with g(xi, mu) = e^{xi a_dag^2/2 + mu a_dag}|0>: coherent at
@@ -40,7 +40,6 @@ from .fock import (_LOG_DBL_MAX, DomainError, LambdaBasis, LambdaExpansion,
 from .specfun import log_factorial_table
 
 _LN2 = math.log(2.0)
-_HARD_CAP = 512
 
 
 class _Family:
@@ -174,8 +173,8 @@ def lambda_coherent(alpha: complex, basis: LambdaBasis,
     """Construct |alpha, lam> with C_0 = exp(-lam Re(alpha) - |alpha|^2/2).
 
     With N omitted, N is the _geometric_cut of the closed-form
-    ln|C_n| = ln C_0 + n ln|alpha| + (ln L_n - ln n!)/2 within the cap
-    (512, or the basis horizon), q the last ratio |C_{N-1}/C_{N-2}| =
+    ln|C_n| = ln C_0 + n ln|alpha| + (ln L_n - ln n!)/2 within the basis
+    horizon max_n + 1, q the last ratio |C_{N-1}/C_{N-2}| =
     |alpha| sqrt((1 + s_n)/n), which never rises, s_n = 1/rho_n^2 - 1 being
     non-increasing; the vacuum keeps its one term. The coefficients are
     evaluated once, at N.
@@ -185,14 +184,13 @@ def lambda_coherent(alpha: complex, basis: LambdaBasis,
         _check_truncation(N, basis.max_n + 1)
     cut = 1  # the vacuum keeps its one term
     if N is None and alpha:
-        cap = min(_HARD_CAP, basis.max_n + 1)
-        half = 0.5 * (basis.log_laguerre[:cap] - log_factorial_table(cap - 1))
+        half = 0.5 * (basis.log_laguerre - log_factorial_table(basis.max_n))
         log_alpha = math.log(abs(alpha))
-        logs = half + np.arange(cap) * log_alpha - basis.lam * alpha.real \
+        logs = half + np.arange(len(half)) * log_alpha - basis.lam * alpha.real \
             - abs(alpha) ** 2 / 2.0
         # a coefficient past the double range (_frame_coeffs names it) or
         # C_0 = 0 (the check below): no cut is read
-        cut = cap if logs.max() > _LOG_DBL_MAX or math.exp(logs[0]) == 0 \
+        cut = len(logs) if logs.max() > _LOG_DBL_MAX or math.exp(logs[0]) == 0 \
             else _geometric_cut(logs, log_alpha + np.ediff1d(half, to_begin=np.inf))
     c = _frame_coeffs(0j, alpha, complex(-abs(alpha) ** 2 / 2.0,
                                          basis.lam * alpha.imag), basis, N or cut)
@@ -273,8 +271,9 @@ _SCAN_FACTOR = 1.05
 # _scan_radius runs.
 _GUARD_RADII: dict[float, float] = {}
 _SCAN_T_MAX = 800
-# The squeezed family's basis horizon: it covers the scan's 2 * _SCAN_T_MAX
-# rows, so the guard scan and the states share one basis per lam
+# The basis horizon of the squeezed family and of both frame-series dumps
+# (state lambda_cs and lambda_ss): it covers the scan's 2 * _SCAN_T_MAX rows,
+# so the guard scan and the states share one basis per lam
 _SQUEEZED_MAX_N = 1604
 _SCAN_WINDOW = 20
 _SCAN_TOL = 1e-12
@@ -314,11 +313,10 @@ def _scan_radius(basis: LambdaBasis) -> float:
     |Delta S_T(phi)| = |2 Re(e^{-iT phi} m_T sum_{k<T} G_kT e^{ik phi} m_k)
     + G_TT m_T^2| <= Delta S_T(0): the phase-0 ray fails first and its radius
     is the minimum. On that ray (u_n = r^n m_n) each r takes the first of
-    five verdicts: a term with ln u_n above 300 fails; the bound
-    u_T (2 sum_{k<T} u_k + u_T), from every Gram entry being at most 1,
-    passes; the lower bound u_T^2, from G_TT = 1, fails where it leaves no
-    20-term window below 1e-12; for r < 1 the closed-form bound below passes
-    where it leaves such a window; else the exact increments
+    four verdicts: a term with ln u_n above 300 fails; the lower bound
+    u_T^2, from G_TT = 1, fails where it leaves no 20-term window below
+    1e-12; for r < 1 the closed-form bound below passes where it leaves such
+    a window; else the exact increments
     2 u_T (U^T u)_T + G_TT u_T^2 decide, U the strict upper triangle of G
     (the 801 even rows of the Gram recurrence: the parity-0 rows of
     fock._gram_rows, read by fock._even_gram_block at the first such r and
@@ -351,8 +349,6 @@ def _scan_radius(basis: LambdaBasis) -> float:
         if logs.max() > 300.0:
             return True
         mags = np.exp(logs)  # <= e^300: no overflow
-        if _cauchy_run(mags * (2.0 * (np.cumsum(mags) - mags) + mags) < _SCAN_TOL):
-            return False
         if not _cauchy_run(mags * mags < _SCAN_TOL):
             return True
         if r < 1.0 and _cauchy_run(

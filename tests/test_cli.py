@@ -636,6 +636,7 @@ def test_squeezed_dump_whose_tail_bound_fails_is_a_truncation_error():
     (["lambda_ss", "--xi=0", "--lambda=1.3"], 0),
     (["lambda_cs", "--alpha=1", "--lambda=30"], 0),  # coefficients underflow
     (["lambda_cs", "--alpha=40", "--lambda=0"], 3),  # C_0 underflows
+    (["lambda_cs", "--alpha=12", "--lambda=30"], 0),  # cut past 512 terms
 ])
 def test_tail_cuts_raise_no_numpy_warning(argv, code):
     # the cuts read closed-form logs, never the logs of evaluated
@@ -747,13 +748,14 @@ def test_fig1_truncation_short_of_the_tail_leaves_cells_empty(capsys):
     (["fig1", "--truncation", "4002", "--grid", "0:1:2"], 4002, 4001),
     (["fig3a", "--truncation", "900"], 900, 803),
     (["state", "lambda_ss", "--truncation", "804"], 804, 803),
-    (["state", "lambda_cs", "--truncation", "600"], 600, 513),
-    (["state", "lambda_cs", "--alpha", "0", "--truncation", "600"], 600, 513),
+    (["state", "lambda_cs", "--truncation", "1606"], 1606, 1605),
+    (["state", "lambda_cs", "--alpha", "0", "--truncation", "1606"], 1606, 1605),
     (["state", "lambda_ss", "--xi", "0", "--truncation", "900"], 900, 803),
 ])
 def test_horizon_errors_name_the_truncation_passed(argv, n, largest, capsys):
     # these named an internal index against max_n (1798 against 1604 for
-    # fig3a --truncation 900, 599 against 512 for lambda_cs); the vacuum
+    # fig3a --truncation 900, 599 against 512 for lambda_cs on its old
+    # 512-row basis, which now shares lambda_ss's 1604 rows); the vacuum
     # states returned before the check and exited 0
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -763,7 +765,7 @@ def test_horizon_errors_name_the_truncation_passed(argv, n, largest, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["state", "lambda_ss", "--truncation", "803"],
-    ["state", "lambda_cs", "--truncation", "513"],
+    ["state", "lambda_cs", "--truncation", "1605"],
 ])
 def test_largest_accepted_truncation_runs(argv):
     assert main([*argv, "--out", os.devnull]) == 0

@@ -502,3 +502,24 @@ def test_exact_dump_lambda_columns_match_mpmath(kind, lam, z, capsys):
         want = _squeezed_column(lam, z, N)
     for n, (g, w) in enumerate(zip(got, want)):
         assert abs(g - complex(w)) <= 1e-13 * abs(complex(w)), (n, g, complex(w))
+
+
+@pytest.mark.parametrize("lam, alpha", [
+    (30.0, 12.0), (0.0, 20.0), (-17.0, 3 - 7j), (5.0, 15j), (10.0, 9.0),
+    (0.0, 12.0), (-30.0, -4.36), (3.0, -2 + 1j), (-3.0, 2 + 1j), (30.0, 1.0)])
+def test_coherent_dump_lambda_column_within_its_rounding_bound(lam, alpha, capsys):
+    # README's per-entry bound 2 eps S_n, S_n = |ln C_0| + n |ln|alpha|| +
+    # (ln L_n + ln n!)/2, the logs that one entry sums in double precision;
+    # past 1e-13 at several of these points (5.4e-13 at lam -17)
+    alpha = complex(alpha)
+    assert cli.main(["state", "lambda_cs", f"--lambda={lam}",
+                     f"--alpha={alpha.real},{alpha.imag}", "--format=json"]) == 0
+    got = [complex(*pair) for pair in json.loads(capsys.readouterr().out)["lambda"]]
+    want = _coherent_column(lam, alpha, len(got))
+    log_lag = [float(mpmath.log(L)) for L in _laguerre(lam, len(got))]
+    log_c0 = abs(lam * alpha.real + abs(alpha) ** 2 / 2)
+    for n, (g, w) in enumerate(zip(got, want)):
+        s_n = log_c0 + n * abs(math.log(abs(alpha))) \
+            + (log_lag[n] + math.lgamma(n + 1)) / 2
+        w = complex(w)
+        assert abs(g - w) <= 2 * sys.float_info.epsilon * s_n * abs(w), (n, g, w)

@@ -137,6 +137,30 @@ def test_coherent_truncation_cap_is_reported():
         lambda_coherent(20.0, basis)
 
 
+def _coherent_or_error(alpha, basis):
+    try:
+        return lambda_coherent(alpha, basis).expansion.coeffs
+    except (DomainError, TruncationError) as err:
+        return type(err), str(err)
+
+
+@given(lam=st.floats(-30.0, 30.0), r=st.floats(0.0, 12.0),
+       phase=st.floats(-math.pi, math.pi))
+@settings(max_examples=150, deadline=None)
+def test_coherent_cut_reflects_with_the_sign_of_lam(lam, r, phase):
+    # |alpha, lam> and |-alpha, -lam> have the frame coefficients C_n and
+    # (-1)^n C_n: the cut reads lam only through lam Re(alpha) and L_n(-lam^2),
+    # so on the full horizon both build the same N or raise the same error
+    alpha = cmath.rect(r, phase)
+    got, mirrored = (_coherent_or_error(sign * alpha, LambdaBasis(
+        sign * lam, states._SQUEEZED_MAX_N)) for sign in (1.0, -1.0))
+    if isinstance(got, tuple):
+        assert mirrored == got
+    else:
+        signs = np.where(np.arange(got.shape[0]) % 2, -1.0, 1.0)
+        assert np.array_equal(mirrored, signs * got)
+
+
 @pytest.mark.parametrize("lam", [0.0, 1e-8, 0.3, 1.0, 2.0, 5.0, 10.0, 50.0,
                                  100.0, -1.3])
 def test_ladder_excess_never_rises(lam):
@@ -569,9 +593,9 @@ def test_phase_zero_row_sums_have_the_gaussian_closed_form():
                                          (-1.5, 0), (0.0, 0), (50.0, 1)])
 def test_radius_scan_builds_the_gram_triangle_only_when_the_bounds_disagree(
         lam, builds, monkeypatch):
-    # at lam 0.5 the two Gram-free bounds settle every probed r; at 1.5,
-    # -1.5 and 0 the closed-form bound passes what they leave open; at 2 and
-    # 50 some probe needs the exact increments
+    # at lam 0.5, 1.5, -1.5 and 0 the Gram-free lower bound and the
+    # closed-form bound settle every probed r; at 2 and 50 some probe needs
+    # the exact increments
     monkeypatch.setattr(states, "_GUARD_RADII", {})
     calls = []
     real = states._even_gram_block

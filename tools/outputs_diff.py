@@ -82,6 +82,13 @@ EDGES = (
     ("state", "lambda_ss", "--xi=0", "--truncation=900"),
     ("state", "lambda_cs", "--alpha=0", "--truncation=5"),
     ("state", "lambda_ss", "--xi=0", "--truncation=3"),
+    # coherent dumps whose certified cut lies past 512 terms, and the
+    # largest accepted truncation of the 1605-row basis they share with
+    # lambda_ss
+    ("state", "lambda_cs", "--alpha=12", "--lambda=30"),
+    ("state", "lambda_cs", "--alpha=20", "--lambda=0"),
+    ("state", "lambda_cs", "--alpha=3,-7", "--lambda=-17"),
+    ("state", "lambda_cs", "--truncation=1605"),
     # the exact squeezed vacuum and canonical states' own frame coefficients
     # (the mpmath corpus of tests/test_kernel.py), and the truncated
     # vectors of the same length, whose column stays their finite expansion
